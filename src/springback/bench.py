@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import hashlib
 import io
 import os
 import time
@@ -21,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SpringbackError
 from .penalties import PenaltyKind
 from .sensing import EnsembleKind, EnsembleSpec, SignalSpec, add_noise_snr, gen_matrix, gen_signal
 from .solvers import (
@@ -37,11 +36,14 @@ from .solvers import (
 )
 
 __all__ = [
+    "SOLVERS",
     "SOLVER_IDS",
     "SWEEP_AXES",
     "ExperimentSpec",
     "TrialRecord",
     "SummaryRow",
+    "solver_options",
+    "trial_setup",
     "run_trial",
     "run_experiment",
     "summarize",
@@ -53,15 +55,18 @@ __all__ = [
     "PRESETS",
 ]
 
-SOLVER_IDS = (
-    "springback",
-    "admm_l1",
-    "irls_lp",
-    "aiht",
-    "dca_tl1",
-    "dca_l12",
-    "dca_mcp",
-)
+# Solver id -> solve(prob, opts).  Each entry looks its function up by name
+# when called, so a wrapper later set on the module attribute sees the call.
+SOLVERS = {
+    "springback": lambda p, o: dca_springback(p, o),
+    "admm_l1": lambda p, o: admm_l1(p, o),
+    "irls_lp": lambda p, o: irls_lp(p, o),
+    "aiht": lambda p, o: aiht(p, o),
+    "dca_tl1": lambda p, o: dca_unconstrained(PenaltyKind.TL1, p, o),
+    "dca_l12": lambda p, o: dca_unconstrained(PenaltyKind.L1_MINUS_2, p, o),
+    "dca_mcp": lambda p, o: dca_unconstrained(PenaltyKind.MCP, p, o),
+}
+SOLVER_IDS = tuple(SOLVERS)
 
 SWEEP_AXES = ("s", "refinement", "snr", "m")
 
@@ -93,12 +98,14 @@ class ExperimentSpec:
             raise InvalidParameterError(f"unknown sweep axis {self.sweep_axis!r}")
         if len(self.sweep_values) == 0:
             raise InvalidParameterError("sweep_values must be nonempty")
+        if len({float(v) for v in self.sweep_values}) != len(self.sweep_values):
+            raise InvalidParameterError("sweep_values must be distinct")
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
         if self.success_tol <= 0:
             raise InvalidParameterError("success_tol must be positive")
         for sid in self.solvers:
-            if sid not in SOLVER_IDS:
+            if sid not in SOLVERS:
                 raise InvalidParameterError(f"unknown solver id {sid!r}")
         if self.sep_factor < 0 or self.min_separation < 0:
             raise InvalidParameterError("separation settings must be nonnegative")
@@ -130,6 +137,9 @@ class SummaryRow:
 
 
 def _derive_seed(master: int, sweep_index: int, trial_index: int, stream: int) -> int:
+    """Seed of one random stream of one trial.  Keyed spawning makes trials
+    order-independent: any worker can draw (sweep, trial) without running
+    earlier trials first."""
     ss = np.random.SeedSequence(master, spawn_key=(sweep_index, trial_index, stream))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -154,38 +164,29 @@ def _resolve_point(spec: ExperimentSpec, sweep_index: int):
     return ens, s, sep, snr
 
 
-def _instance_digest(prob: ProblemInstance) -> str:
-    h = hashlib.sha256()
-    h.update(prob.A.tobytes())
-    h.update(prob.b.tobytes())
-    h.update(np.float64(prob.tau).tobytes())
-    if prob.ground_truth is not None:
-        h.update(prob.ground_truth.tobytes())
-    return h.hexdigest()
+def solver_options(prob: ProblemInstance, sparsity: int, omega: float) -> SolverOptions:
+    """Options every solver gets on an instance: alpha from the alpha
+    subroutine (the fallback for a zero observation), mu = 1/alpha, the looser
+    outer tolerance when the instance is noisy (tau > 0), and the sparsity
+    estimate max(s, 1)."""
+    A, b, tau = prob.A, prob.b, prob.tau
+    if float(np.linalg.norm(b)) + tau > 0:
+        alpha = alpha_subroutine(A, b, tau, omega=omega)
+    else:
+        alpha = _ALPHA_FALLBACK
+    return SolverOptions(
+        alpha=alpha,
+        eps_outer=1e-3 if tau > 0 else 1e-5,
+        sparsity_estimate=max(sparsity, 1),
+        mu=1.0 / alpha,
+    )
 
 
-def _dispatch(solver_id: str, prob: ProblemInstance, opts: SolverOptions):
-    if solver_id == "springback":
-        return dca_springback(prob, opts)
-    if solver_id == "admm_l1":
-        return admm_l1(prob, opts)
-    if solver_id == "irls_lp":
-        return irls_lp(prob, opts)
-    if solver_id == "aiht":
-        return aiht(prob, opts)
-    if solver_id == "dca_tl1":
-        return dca_unconstrained(PenaltyKind.TL1, prob, opts)
-    if solver_id == "dca_l12":
-        return dca_unconstrained(PenaltyKind.L1_MINUS_2, prob, opts)
-    if solver_id == "dca_mcp":
-        return dca_unconstrained(PenaltyKind.MCP, prob, opts)
-    raise InvalidParameterError(f"unknown solver id {solver_id!r}")
-
-
-def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[TrialRecord]:
-    """Generate one instance and run every configured solver on it."""
+def trial_setup(
+    spec: ExperimentSpec, sweep_index: int, trial_index: int
+) -> tuple[ProblemInstance, SolverOptions, int]:
+    """The instance, solver options and sparsity s of one trial."""
     ens, s, sep, snr = _resolve_point(spec, sweep_index)
-    value = float(spec.sweep_values[sweep_index])
     mseed = _derive_seed(spec.master_seed, sweep_index, trial_index, 0)
     sseed = _derive_seed(spec.master_seed, sweep_index, trial_index, 1)
     nseed = _derive_seed(spec.master_seed, sweep_index, trial_index, 2)
@@ -197,35 +198,31 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[
     if snr is not None and np.any(clean):
         b, tau = add_noise_snr(clean, snr, nseed)
     prob = ProblemInstance(A, b, tau, xbar)
-    digest = _instance_digest(prob)
+    return prob, solver_options(prob, s, spec.omega), s
 
-    bnorm = float(np.linalg.norm(b))
-    if bnorm + tau > 0:
-        alpha = alpha_subroutine(A, b, tau, omega=spec.omega)
-    else:
-        alpha = _ALPHA_FALLBACK
-    opts = SolverOptions(
-        alpha=alpha,
-        eps_outer=1e-3 if snr is not None else 1e-5,
-        sparsity_estimate=max(s, 1),
-        mu=1.0 / alpha,
-    )
 
+def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[TrialRecord]:
+    """Generate one instance and run every configured solver on it.
+
+    A solver that fails numerically is recorded as numeric_failure; any
+    other error (a bug, such as writing into the read-only instance) raises.
+    """
+    prob, opts, s = trial_setup(spec, sweep_index, trial_index)
+    xbar = prob.ground_truth
+    value = float(spec.sweep_values[sweep_index])
     xnorm = float(np.linalg.norm(xbar))
     records = []
     errors = {}
     for sid in spec.solvers:
         t0 = time.perf_counter()
         try:
-            report = _dispatch(sid, prob, opts)
+            report = SOLVERS[sid](prob, opts)
             status = report.status.value
             x_star = report.x_star
-        except Exception:
+        except (SpringbackError, np.linalg.LinAlgError):
             status = SolverStatus.NUMERIC_FAILURE.value
-            x_star = np.zeros(ens.n)
+            x_star = np.zeros(xbar.shape[0])
         wall = time.perf_counter() - t0
-        if _instance_digest(prob) != digest:
-            raise RuntimeError(f"solver {sid!r} mutated the shared instance")
         abs_err = float(np.linalg.norm(x_star - xbar))
         rel_err = abs_err / xnorm if xnorm > 0 else float("nan")
         success = rel_err < spec.success_tol if xnorm > 0 else abs_err < spec.success_tol
@@ -242,7 +239,7 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[
                 accepted=None,
                 wall_time=wall,
                 status=status,
-                alpha_used=alpha,
+                alpha_used=opts.alpha,
             )
         )
     if "springback" in errors and "admm_l1" in errors:
@@ -279,40 +276,37 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[SummaryRow], list[TrialRe
         for key in items:
             results[key] = run_trial(spec, *key)
     records = [r for key in sorted(results) for r in results[key]]
-    return summarize(spec, records), records
+    return summarize(records), records
 
 
-def summarize(spec: ExperimentSpec, records: list[TrialRecord]) -> list[SummaryRow]:
-    """Aggregate per (solver, sweep value); rates are exact integer ratios."""
+def summarize(records: list[TrialRecord]) -> list[SummaryRow]:
+    """Aggregate per (solver, sweep value), in the order the records first
+    name each pair; rates are exact integer ratios."""
     groups: dict[tuple[str, float], list[TrialRecord]] = {}
     for r in records:
         groups.setdefault((r.solver_id, r.sweep_value), []).append(r)
     rows = []
-    for value in spec.sweep_values:
-        for sid in spec.solvers:
-            recs = groups.get((sid, float(value)), [])
-            if not recs:
-                continue
-            n = len(recs)
-            successes = sum(r.success for r in recs)
-            flagged = [r.accepted for r in recs if r.accepted is not None]
-            acc_rate = sum(flagged) / n if flagged else None
-            errs = np.array(
-                [
-                    r.relative_error if np.isfinite(r.relative_error) else r.absolute_error
-                    for r in recs
-                ]
+    for (sid, value), recs in groups.items():
+        n = len(recs)
+        successes = sum(r.success for r in recs)
+        flagged = [r.accepted for r in recs if r.accepted is not None]
+        acc_rate = sum(flagged) / n if flagged else None
+        errs = np.array(
+            [
+                r.relative_error if np.isfinite(r.relative_error) else r.absolute_error
+                for r in recs
+            ]
+        )
+        rows.append(
+            SummaryRow(
+                solver_id=sid,
+                sweep_value=value,
+                success_rate=successes / n,
+                acceptance_rate=acc_rate,
+                mean_error=float(errs.mean()),
+                mean_log_error=float(np.log(np.maximum(errs, 1e-300)).mean()),
             )
-            rows.append(
-                SummaryRow(
-                    solver_id=sid,
-                    sweep_value=float(value),
-                    success_rate=successes / n,
-                    acceptance_rate=acc_rate,
-                    mean_error=float(errs.mean()),
-                    mean_log_error=float(np.log(np.maximum(errs, 1e-300)).mean()),
-                )
-            )
+        )
     return rows
 
 
@@ -472,8 +466,22 @@ def dump_config(spec: ExperimentSpec) -> str:
     return buf.getvalue()
 
 
+# The sections and keys load_config reads; anything else is a typo.
+_CONFIG_KEYS = {
+    "ensemble": {"kind", "m", "n", "refinement"},
+    "signal": {"sparsity", "min_separation", "sep_factor"},
+    "experiment": {
+        "sweep_axis", "sweep_values", "solvers", "trials", "snr_db", "omega",
+        "success_tol", "master_seed", "literal_acceptance",
+    },
+}
+
+
 def load_config(path_or_text: str, is_text: bool = False) -> ExperimentSpec:
-    """Read an experiment spec from an INI config file (or literal text)."""
+    """Read an experiment spec from an INI config file (or literal text).
+
+    Unknown sections and keys are rejected rather than silently defaulted.
+    """
     cp = configparser.ConfigParser()
     if is_text:
         cp.read_string(path_or_text)
@@ -481,6 +489,14 @@ def load_config(path_or_text: str, is_text: bool = False) -> ExperimentSpec:
         if not os.path.exists(path_or_text):
             raise FileNotFoundError(f"config file not found: {path_or_text}")
         cp.read(path_or_text)
+    for section in cp.sections():
+        if section not in _CONFIG_KEYS:
+            raise InvalidParameterError(f"unknown config section [{section}]")
+        unknown = sorted(set(cp.options(section)) - _CONFIG_KEYS[section])
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown config key(s) in [{section}]: {', '.join(unknown)}"
+            )
     try:
         ens = EnsembleSpec(
             kind=EnsembleKind(cp["ensemble"]["kind"]),

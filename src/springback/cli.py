@@ -24,8 +24,8 @@ from .bounds import (
 )
 from .errors import SpringbackError
 from .penalties import firm_threshold, soft_threshold, springback_threshold
-from .sensing import EnsembleKind, EnsembleSpec, SignalSpec, add_noise_snr, gen_matrix, gen_signal
-from .solvers import ProblemInstance, SolverOptions, alpha_subroutine
+from .sensing import EnsembleKind, EnsembleSpec
+from .solvers import ProblemInstance
 
 __all__ = ["main"]
 
@@ -68,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refinement", type=int, default=1)
     p.add_argument("--min-separation", type=int, default=0)
     p.add_argument("--snr", type=float, help="add noise at this SNR (dB)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="draw the instance of trial 0 of this master seed"
+    )
     p.add_argument("--omega", type=float, default=0.5)
 
     p = sub.add_parser("bench", help="run a benchmark sweep")
@@ -130,44 +132,35 @@ def _cmd_bounds(args) -> int:
 def _cmd_solve(args) -> int:
     if args.npz:
         data = np.load(args.npz)
-        A = np.asarray(data["A"], dtype=float)
-        b = np.asarray(data["b"], dtype=float)
-        tau = float(data["tau"]) if "tau" in data else 0.0
-        xbar = np.asarray(data["x"], dtype=float) if "x" in data else None
+        prob = ProblemInstance(
+            data["A"],
+            data["b"],
+            float(data["tau"]) if "tau" in data else 0.0,
+            data["x"] if "x" in data else None,
+        )
+        opts = bench_mod.solver_options(prob, args.s, args.omega)
     else:
-        ens = EnsembleSpec(
-            kind=EnsembleKind(args.ensemble),
-            m=args.m,
-            n=args.n,
-            refinement=args.refinement if args.ensemble == "oversampled_dct" else 1,
-            seed=args.seed,
-        )
-        A = gen_matrix(ens)
-        xbar = gen_signal(
-            SignalSpec(
+        spec = bench_mod.ExperimentSpec(
+            ensemble=EnsembleSpec(
+                kind=EnsembleKind(args.ensemble),
+                m=args.m,
                 n=args.n,
-                sparsity=args.s,
-                min_separation=args.min_separation,
-                seed=args.seed + 1,
-            )
+                refinement=args.refinement if args.ensemble == "oversampled_dct" else 1,
+            ),
+            sparsity=args.s,
+            sweep_axis="s",
+            sweep_values=(args.s,),
+            snr_db=args.snr,
+            min_separation=args.min_separation,
+            omega=args.omega,
+            master_seed=args.seed,
         )
-        b = A @ xbar
-        tau = 0.0
-        if args.snr is not None and np.any(b):
-            b, tau = add_noise_snr(b, args.snr, args.seed + 2)
-    bnorm = float(np.linalg.norm(b))
-    alpha = alpha_subroutine(A, b, tau, omega=args.omega) if bnorm + tau > 0 else 0.7
-    opts = SolverOptions(
-        alpha=alpha,
-        eps_outer=1e-3 if tau > 0 else 1e-5,
-        sparsity_estimate=max(args.s, 1),
-        mu=1.0 / alpha,
-    )
-    prob = ProblemInstance(A, b, tau, xbar)
-    report = bench_mod._dispatch(args.solver, prob, opts)
+        prob, opts, _ = bench_mod.trial_setup(spec, 0, 0)
+    report = bench_mod.SOLVERS[args.solver](prob, opts)
+    xbar = prob.ground_truth
     print(f"solver     {args.solver}")
     print(f"status     {report.status.value}")
-    print(f"alpha      {alpha:.6g}")
+    print(f"alpha      {opts.alpha:.6g}")
     print(f"residual   {report.residual:.6g}")
     print(f"iterations {report.inner_iterations_total}")
     if xbar is not None and np.any(xbar):
@@ -213,22 +206,7 @@ def _cmd_report(args) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    solvers, values = [], []
-    for r in records:
-        if r.solver_id not in solvers:
-            solvers.append(r.solver_id)
-        if r.sweep_value not in values:
-            values.append(r.sweep_value)
-    trials = len({r.trial_index for r in records})
-    pseudo = bench_mod.ExperimentSpec(
-        ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=1, n=2),
-        sparsity=0,
-        sweep_axis="s",
-        sweep_values=tuple(values),
-        solvers=tuple(solvers),
-        trials=max(trials, 1),
-    )
-    rows = bench_mod.summarize(pseudo, records)
+    rows = bench_mod.summarize(records)
     if args.out:
         bench_mod.emit_results(rows, records, args.out)
         print(f"wrote summary for {len(records)} records to {args.out}")

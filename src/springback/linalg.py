@@ -15,9 +15,7 @@ from .errors import InvalidParameterError, NumericError
 __all__ = [
     "as_matrix",
     "as_vector",
-    "matvec",
     "SpdFactor",
-    "solve_spd",
     "GramRidgeSolver",
     "singular_extremes",
     "l2_ball_project",
@@ -42,18 +40,6 @@ def as_vector(a) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise InvalidParameterError("vector entries must be finite")
     return v
-
-
-def matvec(A, x) -> np.ndarray:
-    """Dense matrix-vector product A @ x with dimension checking."""
-    A = as_matrix(A)
-    x = as_vector(x)
-    if A.shape[1] != x.shape[0]:
-        raise InvalidParameterError(
-            f"dimension mismatch: matrix is {A.shape[0]}x{A.shape[1]}, "
-            f"vector has length {x.shape[0]}"
-        )
-    return A @ x
 
 
 class SpdFactor:
@@ -82,11 +68,6 @@ class SpdFactor:
                 f"matrix order {self.shape[0]}"
             )
         return scipy.linalg.cho_solve(self._factor, r, check_finite=False)
-
-
-def solve_spd(M, r) -> np.ndarray:
-    """Solve M w = r for symmetric positive definite M."""
-    return SpdFactor(M).solve(r)
 
 
 class GramRidgeSolver:

@@ -25,7 +25,6 @@ __all__ = [
     "gen_support",
     "gen_signal",
     "add_noise_snr",
-    "trial_rng",
 ]
 
 
@@ -81,18 +80,6 @@ class SignalSpec:
 
 def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
-
-
-def trial_rng(master_seed: int, sweep_index: int, trial_index: int, stream: int = 0):
-    """Independent generator for one trial of one sweep point.
-
-    Keyed spawning makes trials order-independent: any worker can draw the
-    generator for (sweep, trial) without running earlier trials first.
-    """
-    ss = np.random.SeedSequence(
-        master_seed, spawn_key=(sweep_index, trial_index, stream)
-    )
-    return np.random.default_rng(ss)
 
 
 def gen_matrix(spec: EnsembleSpec) -> np.ndarray:

@@ -11,7 +11,7 @@ the smoothed lp quasi-norm, and accelerated iterative hard thresholding.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +46,28 @@ __all__ = [
 
 _TINY = 1e-300
 
+# Fixed algorithm constants.  RHO and ZETA_INNER are the constraint and
+# splitting penalties of the springback inner ADMM (the soft threshold there is
+# 1/ZETA_INNER, which a unit penalty keeps usable); ADMM_MAX caps the lasso
+# ADMM baseline; TL1_BETA is the transformed-l1 shape; IRLS_* set the initial
+# smoothing, the stopping tolerance and the sweep cap of irls_lp.
+RHO = 1e5
+ZETA_INNER = 1.0
+ADMM_MAX = 5000
+TL1_BETA = 1.0
+IRLS_EPS0 = 1.0
+IRLS_TOL = 1e-8
+IRLS_MAX = 1000
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
     """A recovery instance: sensing matrix, observation, noise radius.
 
     b may be zero for degenerate instances (e.g. a zero ground truth); the
-    solvers then return the zero vector.
+    solvers then return the zero vector.  A, b and ground_truth are stored as
+    read-only views, so a solver that writes into a shared instance fails at
+    the offending line.
     """
 
     A: np.ndarray
@@ -73,46 +88,41 @@ class ProblemInstance:
             g = as_vector(self.ground_truth)
             if g.shape[0] != A.shape[1]:
                 raise InvalidParameterError("ground_truth length must match A columns")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+            object.__setattr__(self, "ground_truth", _read_only(g))
+        object.__setattr__(self, "A", _read_only(A))
+        object.__setattr__(self, "b", _read_only(b))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Shared solver parameters; defaults follow the standard experiment setup.
 
-    zeta applies to the unconstrained ADMM machinery (lasso splitting and the
-    DCA baselines); zeta_inner to the constrained springback subproblem, where
-    the soft threshold is 1/zeta and a unit penalty keeps it usable.
+    zeta is the splitting penalty of the lasso ADMM (the l1 baseline and the
+    DCA baselines); the springback inner ADMM uses the fixed RHO, ZETA_INNER.
     """
 
     alpha: float = 0.7
-    rho: float = 1e5
     zeta: float = 1e-5
-    zeta_inner: float = 1.0
     eps_outer: float = 1e-5
     max_outer: int = 10
     eps_inner: float = 1e-5
     max_inner: int = 500
     reg_lambda: float = 1e-6
-    admm_max: int = 5000
     sparsity_estimate: int = 1
     p: float = 0.5
-    beta: float = 1.0
     mu: float = 1.0
-    irls_eps0: float = 1.0
-    irls_tol: float = 1e-8
-    irls_max: int = 1000
 
     def __post_init__(self):
-        positive = (
-            "alpha", "rho", "zeta", "zeta_inner", "eps_outer", "eps_inner",
-            "reg_lambda", "beta", "mu", "irls_eps0", "irls_tol",
-        )
-        for name in positive:
+        for name in ("alpha", "zeta", "eps_outer", "eps_inner", "reg_lambda", "mu"):
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(f"{name} must be positive")
-        for name in ("max_outer", "max_inner", "admm_max", "irls_max", "sparsity_estimate"):
+        for name in ("max_outer", "max_inner", "sparsity_estimate"):
             if getattr(self, name) < 1:
                 raise InvalidParameterError(f"{name} must be a positive integer")
         if not (0.0 < self.p < 1.0):
@@ -151,6 +161,12 @@ class AdmmState:
     iterations: int = 0
 
 
+def _report(prob, x, outer, inner, trace, status, **flags) -> SolverReport:
+    """Report of a finished solve, with residual ||A x - b||_2."""
+    residual = float(np.linalg.norm(prob.A @ x - prob.b))
+    return SolverReport(x, outer, inner, trace, residual, status, **flags)
+
+
 def _soft(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
@@ -175,7 +191,7 @@ def fresh_admm_state(prob: ProblemInstance, opts: SolverOptions) -> AdmmState:
         z=np.zeros(m),
         u=np.zeros(n),
         eta=np.zeros(m),
-        solver=GramRidgeSolver(prob.A, opts.rho, opts.zeta_inner),
+        solver=GramRidgeSolver(prob.A, RHO, ZETA_INNER),
     )
 
 
@@ -197,7 +213,7 @@ def admm_subproblem(
     xk = as_vector(xk)
     xi = as_vector(xi)
     st = warm if warm is not None else fresh_admm_state(prob, opts)
-    rho, zeta, eps = opts.rho, opts.zeta_inner, opts.eps_inner
+    rho, zeta, eps = RHO, ZETA_INNER, opts.eps_inner
     for _ in range(opts.max_inner):
         x_old = st.x
         rhs = rho * (A.T @ (b + st.z - st.eta)) + xi + zeta * (st.y - st.u)
@@ -222,8 +238,24 @@ def admm_subproblem(
     return st.x.copy()
 
 
-def _springback_objective(x: np.ndarray, alpha: float) -> float:
-    return float(np.abs(x).sum() - 0.5 * alpha * (x @ x))
+def _dca_iterates(x: np.ndarray, opts: SolverOptions, step):
+    """The outer DCA loop shared by every difference-of-convex solver.
+
+    ``step`` maps the iterate x^k to the solution x^{k+1} of the convex
+    subproblem linearized at x^k.  Starting from x, yields (x^{k+1},
+    converged) per outer step, for at most opts.max_outer steps; converged
+    means min(delta, delta / ||x^k||) <= eps_outer with delta = ||x^{k+1} -
+    x^k||, and ends the loop.
+    """
+    for _ in range(opts.max_outer):
+        x_new = step(x)
+        delta = float(np.linalg.norm(x_new - x))
+        xnorm = float(np.linalg.norm(x))
+        converged = (min(delta, delta / xnorm) if xnorm > 0 else delta) <= opts.eps_outer
+        x = x_new
+        yield x, converged
+        if converged:
+            return
 
 
 def dca_springback(
@@ -241,35 +273,27 @@ def dca_springback(
     about the constrained objective.
     """
     A, b, tau = prob.A, prob.b, prob.tau
-    n = A.shape[1]
     alpha = opts.alpha
-    bnorm = float(np.linalg.norm(b))
+    params = ThresholdParams(alpha=alpha)
     conv_ok = None
-    if bnorm + tau > 0:
+    if float(np.linalg.norm(b)) + tau > 0:
         conv_ok = alpha <= convergence_alpha_bound(A, b, tau)
-    x = np.zeros(n)
     state = fresh_admm_state(prob, opts)
+
+    def step(x):
+        return admm_subproblem(prob, x, alpha * x, opts, warm=state)
+
+    x = np.zeros(A.shape[1])
     trace: list[float] = []
     status = SolverStatus.MAX_ITER
     infeasible = False
-    outer = 0
     try:
-        for k in range(opts.max_outer):
-            xi = alpha * x
-            x_new = admm_subproblem(prob, x, xi, opts, warm=state)
-            outer = k + 1
-            if k == 0:
-                resid0 = float(np.linalg.norm(A @ x_new - b))
-                if resid0 > tau + 1e-4:
-                    infeasible = True
-            trace.append(_springback_objective(x_new, alpha))
-            delta = float(np.linalg.norm(x_new - x))
-            xnorm = float(np.linalg.norm(x))
-            crit = min(delta, delta / xnorm) if xnorm > 0 else delta
-            x = x_new
-            if crit <= opts.eps_outer:
+        for x, converged in _dca_iterates(x, opts, step):
+            if not trace:  # feasibility is judged at the first outer step
+                infeasible = float(np.linalg.norm(A @ x - b)) > tau + 1e-4
+            trace.append(penalty_value(PenaltyKind.SPRINGBACK, x, params))
+            if converged:
                 status = SolverStatus.CONVERGED
-                break
     except NumericError:
         status = SolverStatus.NUMERIC_FAILURE
     if infeasible and status is not SolverStatus.NUMERIC_FAILURE:
@@ -277,16 +301,28 @@ def dca_springback(
     posterior = None
     if prof is not None:
         posterior = posterior_verify(prof, alpha, x, posterior_eps)
-    return SolverReport(
-        x_star=x,
-        outer_iterations=outer,
-        inner_iterations_total=state.iterations,
-        objective_trace=trace,
-        residual=float(np.linalg.norm(A @ x - b)),
-        status=status,
-        posterior_alpha_ok=posterior,
-        convergence_alpha_ok=conv_ok,
+    return _report(
+        prob, x, len(trace), state.iterations, trace, status,
+        posterior_alpha_ok=posterior, convergence_alpha_ok=conv_ok,
     )
+
+
+@dataclass
+class _LassoState:
+    """Warm-start state of the lasso ADMM, updated in place; y is the sparse
+    iterate and solver the cached (A^T A + zeta I) factor."""
+
+    x: np.ndarray
+    y: np.ndarray
+    u: np.ndarray
+    zeta: float
+    solver: GramRidgeSolver
+    iterations: int = 0
+
+
+def _lasso_state(A: np.ndarray, zeta: float) -> _LassoState:
+    n = A.shape[1]
+    return _LassoState(np.zeros(n), np.zeros(n), np.zeros(n), zeta, GramRidgeSolver(A, 1.0, zeta))
 
 
 def _lasso_admm(
@@ -294,75 +330,50 @@ def _lasso_admm(
     b: np.ndarray,
     lam: float,
     linear: np.ndarray | None,
-    opts: SolverOptions,
+    st: _LassoState,
+    eps: float,
     max_iter: int,
-    state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    solver: GramRidgeSolver | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], int]:
-    """Two-block ADMM core for min 0.5||Ax-b||^2 + lam||x||_1 - <linear, x>.
+    trace: list[float] | None = None,
+) -> bool:
+    """Two-block ADMM for min 0.5||Ax-b||^2 + lam||x||_1 - <linear, x>
+    (Boyd et al. 2011, section 6.4), continued from the warm state ``st``.
 
-    Returns (sparse iterate y, state, iterations); ``state`` carries (x, y, u)
-    for warm restarts and ``solver`` the cached (A^T A + zeta I) factor.
+    Runs at most max_iter iterations and returns whether the stopping test
+    fired.  With ``trace`` given, appends 0.5||Ay-b||^2 + lam||y||_1 at every
+    sparse iterate y.
     """
-    n = A.shape[1]
-    zeta = opts.zeta
-    if solver is None:
-        solver = GramRidgeSolver(A, 1.0, zeta)
-    if state is None:
-        x, y, u = np.zeros(n), np.zeros(n), np.zeros(n)
-    else:
-        x, y, u = state
+    zeta = st.zeta
+    x, y, u = st.x, st.y, st.u
     rhs_const = A.T @ b if linear is None else A.T @ b + linear
-    it = 0
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         x_old = x
-        x = _check_finite(solver.solve(rhs_const + zeta * (y - u)), "lasso ADMM x-update")
+        x = _check_finite(st.solver.solve(rhs_const + zeta * (y - u)), "lasso ADMM x-update")
         y = _soft(x + u, lam / zeta)
         u = u + x - y
-        if (
-            _rel_change(x, x_old) < opts.eps_inner
-            and float(np.linalg.norm(x - y)) <= opts.eps_inner * max(1.0, float(np.linalg.norm(x)))
+        st.x, st.y, st.u = x, y, u
+        st.iterations += 1
+        if trace is not None:
+            r = A @ y - b
+            trace.append(0.5 * float(r @ r) + lam * float(np.abs(y).sum()))
+        if _rel_change(x, x_old) < eps and float(np.linalg.norm(x - y)) <= eps * max(
+            1.0, float(np.linalg.norm(x))
         ):
-            break
-    return y, (x, y, u), it
+            return True
+    return False
 
 
 def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     """ADMM for the unconstrained l1 model 0.5||Ax-b||^2 + lam||x||_1."""
     A, b = prob.A, prob.b
-    lam = opts.reg_lambda
-    zeta = opts.zeta
-    solver = GramRidgeSolver(A, 1.0, zeta)
-    n = A.shape[1]
-    x, y, u = np.zeros(n), np.zeros(n), np.zeros(n)
-    Atb = A.T @ b
+    st = _lasso_state(A, opts.zeta)
     trace: list[float] = []
     status = SolverStatus.MAX_ITER
-    it = 0
     try:
-        for it in range(1, opts.admm_max + 1):
-            x_old = x
-            x = _check_finite(solver.solve(Atb + zeta * (y - u)), "ADMM-l1 x-update")
-            y = _soft(x + u, lam / zeta)
-            u = u + x - y
-            r = A @ y - b
-            trace.append(0.5 * float(r @ r) + lam * float(np.abs(y).sum()))
-            if (
-                _rel_change(x, x_old) < opts.eps_outer
-                and float(np.linalg.norm(x - y)) <= opts.eps_outer * max(1.0, float(np.linalg.norm(x)))
-            ):
-                status = SolverStatus.CONVERGED
-                break
+        if _lasso_admm(A, b, opts.reg_lambda, None, st, opts.eps_outer, ADMM_MAX, trace):
+            status = SolverStatus.CONVERGED
     except NumericError:
         status = SolverStatus.NUMERIC_FAILURE
-    return SolverReport(
-        x_star=y,
-        outer_iterations=it,
-        inner_iterations_total=it,
-        objective_trace=trace,
-        residual=float(np.linalg.norm(A @ y - b)),
-        status=status,
-    )
+    return _report(prob, st.y, st.iterations, st.iterations, trace, status)
 
 
 def dca_unconstrained(
@@ -379,45 +390,29 @@ def dca_unconstrained(
         raise InvalidParameterError(f"no DCA baseline for {kind!r}")
     A, b = prob.A, prob.b
     lam = opts.reg_lambda
-    l1_weight = lam * (opts.beta + 1.0) / opts.beta if kind is PenaltyKind.TL1 else lam
+    l1_weight = lam * (TL1_BETA + 1.0) / TL1_BETA if kind is PenaltyKind.TL1 else lam
     params = ThresholdParams(
-        lam=lam, alpha=opts.alpha, mu=opts.mu, beta=opts.beta, p=opts.p
+        lam=lam, alpha=opts.alpha, mu=opts.mu, beta=TL1_BETA, p=opts.p
     )
-    solver = GramRidgeSolver(A, 1.0, opts.zeta)
-    n = A.shape[1]
-    x = np.zeros(n)
-    state = None
+    st = _lasso_state(A, opts.zeta)
+
+    def step(x):
+        g = lam * dc_concave_gradient(kind, x, params)
+        _lasso_admm(A, b, l1_weight, g, st, opts.eps_inner, opts.max_inner)
+        return st.y
+
+    x = np.zeros(A.shape[1])
     trace: list[float] = []
-    inner_total = 0
     status = SolverStatus.MAX_ITER
-    outer = 0
     try:
-        for k in range(opts.max_outer):
-            g = lam * dc_concave_gradient(kind, x, params)
-            x_new, state, it = _lasso_admm(
-                A, b, l1_weight, g, opts, opts.max_inner, state=state, solver=solver
-            )
-            outer = k + 1
-            inner_total += it
-            r = A @ x_new - b
-            trace.append(0.5 * float(r @ r) + lam * penalty_value(kind, x_new, params))
-            delta = float(np.linalg.norm(x_new - x))
-            xnorm = float(np.linalg.norm(x))
-            crit = min(delta, delta / xnorm) if xnorm > 0 else delta
-            x = x_new
-            if crit <= opts.eps_outer:
+        for x, converged in _dca_iterates(x, opts, step):
+            r = A @ x - b
+            trace.append(0.5 * float(r @ r) + lam * penalty_value(kind, x, params))
+            if converged:
                 status = SolverStatus.CONVERGED
-                break
     except NumericError:
         status = SolverStatus.NUMERIC_FAILURE
-    return SolverReport(
-        x_star=x,
-        outer_iterations=outer,
-        inner_iterations_total=inner_total,
-        objective_trace=trace,
-        residual=float(np.linalg.norm(A @ x - b)),
-        status=status,
-    )
+    return _report(prob, x, len(trace), st.iterations, trace, status)
 
 
 def irls_lp(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
@@ -431,13 +426,13 @@ def irls_lp(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     m, n = A.shape
     lam, p = opts.reg_lambda, opts.p
     x = np.zeros(n)
-    eps_s = opts.irls_eps0
+    eps_s = IRLS_EPS0
     trace: list[float] = []
     status = SolverStatus.MAX_ITER
     it = 0
     eye = np.eye(m)
     try:
-        for it in range(1, opts.irls_max + 1):
+        for it in range(1, IRLS_MAX + 1):
             w = 0.5 * p * (x * x + eps_s * eps_s) ** (0.5 * p - 1.0)
             d = 2.0 * lam * w
             Ad = A / d
@@ -450,21 +445,14 @@ def irls_lp(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
             )
             change = float(np.linalg.norm(x_new - x))
             x = x_new
-            if change < opts.irls_tol:
+            if change < IRLS_TOL:
                 status = SolverStatus.CONVERGED
                 break
             if change < np.sqrt(eps_s):
                 eps_s = max(0.1 * eps_s, 1e-8)
     except NumericError:
         status = SolverStatus.NUMERIC_FAILURE
-    return SolverReport(
-        x_star=x,
-        outer_iterations=it,
-        inner_iterations_total=it,
-        objective_trace=trace,
-        residual=float(np.linalg.norm(A @ x - b)),
-        status=status,
-    )
+    return _report(prob, x, it, it, trace, status)
 
 
 def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:
@@ -533,14 +521,7 @@ def aiht(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
             rnorm = rnorm_new
             break
         rnorm = rnorm_new
-    return SolverReport(
-        x_star=x,
-        outer_iterations=it,
-        inner_iterations_total=it,
-        objective_trace=trace,
-        residual=float(np.linalg.norm(A @ x - b)),
-        status=status,
-    )
+    return _report(prob, x, it, it, trace, status)
 
 
 def alpha_subroutine(

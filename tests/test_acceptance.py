@@ -26,6 +26,7 @@ from springback.sensing import (
 from springback.solvers import (
     ProblemInstance,
     SolverOptions,
+    _dca_iterates,
     admm_subproblem,
     alpha_subroutine,
     dca_springback,
@@ -118,21 +119,17 @@ def test_criterion_03_operator_identities():
 
 
 def _dca_iterate_history(prob, opts):
-    """Outer DCA iterates x^1..x^K with F values, via the public subproblem."""
-    x = np.zeros(prob.A.shape[1])
+    """Outer DCA iterates x^1..x^K with F values, from the solver's DCA loop
+    stepping through the public subproblem."""
     state = fresh_admm_state(prob, opts)
-    history = []
-    for _ in range(opts.max_outer):
-        x_new = admm_subproblem(prob, x, opts.alpha * x, opts, warm=state)
-        f = float(np.abs(x_new).sum() - 0.5 * opts.alpha * (x_new @ x_new))
-        history.append((x_new, f))
-        delta = float(np.linalg.norm(x_new - x))
-        xnorm = float(np.linalg.norm(x))
-        crit = min(delta, delta / xnorm) if xnorm > 0 else delta
-        x = x_new
-        if crit <= opts.eps_outer:
-            break
-    return history
+
+    def step(x):
+        return admm_subproblem(prob, x, opts.alpha * x, opts, warm=state)
+
+    return [
+        (x, float(np.abs(x).sum() - 0.5 * opts.alpha * (x @ x)))
+        for x, _ in _dca_iterates(np.zeros(prob.A.shape[1]), opts, step)
+    ]
 
 
 _RUN_CACHE = []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from springback import bench
 from springback.bench import (
     ExperimentSpec,
     SummaryRow,
@@ -17,7 +18,7 @@ from springback.bench import (
     run_trial,
     summarize,
 )
-from springback.errors import InvalidParameterError
+from springback.errors import InvalidParameterError, SpringbackError
 from springback.sensing import EnsembleKind, EnsembleSpec
 
 
@@ -44,6 +45,10 @@ def test_spec_validation():
         _small_spec(solvers=("nope",))
     with pytest.raises(InvalidParameterError):
         _small_spec(sweep_values=())
+    # duplicates compare as floats: 3 and 3.0 name the same sweep point
+    for values in ((3, 3), (3, 3.0), (2, 3, 2)):
+        with pytest.raises(InvalidParameterError):
+            _small_spec(sweep_values=values)
 
 
 def _strip_time(records):
@@ -64,6 +69,26 @@ def test_run_trial_deterministic_and_complete():
         assert r.success == (r.relative_error < spec.success_tol)
     spb = next(r for r in recs1 if r.solver_id == "springback")
     assert spb.accepted is not None
+
+
+def test_trial_seeds_order_independent():
+    spec = _small_spec(sweep_values=(3, 5))
+    keys = [(si, ti) for si in range(2) for ti in range(2)]
+    forward = {key: _strip_time(run_trial(spec, *key)) for key in keys}
+    backward = {key: _strip_time(run_trial(spec, *key)) for key in reversed(keys)}
+    assert forward == backward
+    seeds = {bench._derive_seed(7, si, ti, stream) for si, ti in keys for stream in range(3)}
+    assert len(seeds) == 12
+
+
+def test_solver_writing_into_instance_raises(monkeypatch):
+    def vandal(prob, opts):
+        prob.A[0, 0] = 0.0
+
+    monkeypatch.setitem(bench.SOLVERS, "aiht", vandal)
+    with pytest.raises(ValueError, match="read-only") as exc:
+        run_trial(_small_spec(solvers=("aiht",)), 0, 0)
+    assert not isinstance(exc.value, SpringbackError)
 
 
 def test_degenerate_zero_signal_trial():
@@ -175,6 +200,15 @@ def test_load_config_missing_file():
         load_config("/nonexistent/experiment.cfg")
 
 
+def test_load_config_rejects_unknown_sections_and_keys():
+    text = dump_config(_small_spec())
+    assert load_config(text, is_text=True).trials == 2
+    with pytest.raises(InvalidParameterError, match="trails"):
+        load_config(text.replace("trials =", "trails ="), is_text=True)
+    with pytest.raises(InvalidParameterError, match="experimnt"):
+        load_config(text + "\n[experimnt]\ntrials = 5\n", is_text=True)
+
+
 def test_presets():
     fig4 = preset_spec("fig4", trials=5)
     assert fig4.sweep_axis == "s" and fig4.trials == 5
@@ -192,9 +226,13 @@ def test_presets():
 
 
 def test_summarize_handles_acceptance_column():
-    spec = _small_spec()
+    spec = _small_spec(sweep_values=(5, 3))
     _, records = run_experiment(spec)
-    rows = summarize(spec, records)
+    rows = summarize(records)
+    # rows follow the records: sweep points in spec order, then solvers
+    assert [(r.sweep_value, r.solver_id) for r in rows] == [
+        (v, sid) for v in (5.0, 3.0) for sid in spec.solvers
+    ]
     spb = next(r for r in rows if r.solver_id == "springback")
     other = next(r for r in rows if r.solver_id == "admm_l1")
     assert spb.acceptance_rate is not None

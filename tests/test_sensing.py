@@ -12,7 +12,6 @@ from springback.sensing import (
     gen_matrix,
     gen_signal,
     gen_support,
-    trial_rng,
 )
 
 
@@ -124,10 +123,3 @@ def test_snr_calibration():
     with pytest.raises(InvalidParameterError):
         add_noise_snr(np.zeros(10), 20.0, seed=0)
 
-
-def test_trial_rng_order_independent():
-    a = trial_rng(42, 3, 7).standard_normal(5)
-    b = trial_rng(42, 3, 7).standard_normal(5)
-    c = trial_rng(42, 3, 8).standard_normal(5)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)

@@ -188,7 +188,7 @@ def test_dca_unconstrained_matches_support_oracle():
     from springback.penalties import ThresholdParams, penalty_value
 
     lam = opts.reg_lambda
-    params = ThresholdParams(lam=lam, mu=opts.mu, beta=opts.beta)
+    params = ThresholdParams(lam=lam, mu=opts.mu)
 
     def objective(x):
         r = A @ x - b
