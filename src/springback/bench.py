@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import configparser
 import csv
+import enum
 import io
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,6 +50,7 @@ __all__ = [
     "run_experiment",
     "summarize",
     "emit_results",
+    "write_csv",
     "parse_records",
     "parse_summary",
     "load_config",
@@ -82,8 +85,8 @@ class ExperimentSpec:
     ensemble: EnsembleSpec
     sparsity: int
     sweep_axis: str
-    sweep_values: tuple
-    solvers: tuple = SOLVER_IDS
+    sweep_values: tuple[float, ...]
+    solvers: tuple[str, ...] = SOLVER_IDS
     trials: int = 100
     snr_db: float | None = None
     min_separation: int = 0
@@ -261,12 +264,15 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[SummaryRow], list[TrialRe
     thread pool.  Aggregation folds records in ascending (sweep, trial) order
     regardless of completion order, so parallel and serial runs agree.
     """
+    text = os.environ.get("SPRINGBACK_WORKERS", "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise InvalidParameterError(f"SPRINGBACK_WORKERS must be a positive integer, got {text!r}")
+    workers = int(text)
     items = [
         (si, ti)
         for si in range(len(spec.sweep_values))
         for ti in range(spec.trials)
     ]
-    workers = int(os.environ.get("SPRINGBACK_WORKERS", "1"))
     results: dict[tuple[int, int], list[TrialRecord]] = {}
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -313,6 +319,8 @@ def summarize(records: list[TrialRecord]) -> list[SummaryRow]:
 def _fmt(v) -> str:
     if v is None:
         return ""
+    if isinstance(v, enum.Enum):
+        return v.value
     if isinstance(v, bool):
         return str(int(v))
     if isinstance(v, float):
@@ -320,14 +328,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
-_RECORD_FIELDS = (
-    "trial_index", "solver_id", "s", "sweep_value", "relative_error",
-    "absolute_error", "success", "accepted", "wall_time", "status", "alpha_used",
-)
-_SUMMARY_FIELDS = (
-    "solver_id", "sweep_value", "success_rate", "acceptance_rate",
-    "mean_error", "mean_log_error",
-)
+def _parse(text: str | None, tp):
+    """Value of declared type tp from the text _fmt wrote: bool is 0/1, an
+    empty X | None is None, and tuple[X, ...] is space separated."""
+    if text is None:
+        raise ValueError("missing value")
+    if type(None) in get_args(tp):
+        if text == "":
+            return None
+        tp = get_args(tp)[0]  # X of X | None
+    if tp is bool:
+        if text not in ("0", "1"):
+            raise ValueError(f"expected 0 or 1, got {text!r}")
+        return text == "1"
+    if get_origin(tp) is tuple:
+        return tuple(get_args(tp)[0](t) for t in text.split())
+    return tp(text)
+
 
 _PLOT_SCRIPT = """\
 #!/usr/bin/env python3
@@ -365,164 +382,124 @@ def emit_results(rows, records, out_dir: str, spec: ExperimentSpec | None = None
     try:
         os.makedirs(out_dir, exist_ok=True)
         paths = {}
-        rec_path = os.path.join(out_dir, "records.csv")
-        with open(rec_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_RECORD_FIELDS)
-            for r in records:
-                w.writerow([_fmt(getattr(r, f)) for f in _RECORD_FIELDS])
-        paths["records"] = rec_path
-        sum_path = os.path.join(out_dir, "summary.csv")
-        with open(sum_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_SUMMARY_FIELDS)
-            for r in rows:
-                w.writerow([_fmt(getattr(r, f)) for f in _SUMMARY_FIELDS])
-        paths["summary"] = sum_path
-        plot_path = os.path.join(out_dir, "plot_success.py")
-        with open(plot_path, "w") as fh:
+        for name, cls, items in (("records", TrialRecord, records), ("summary", SummaryRow, rows)):
+            paths[name] = os.path.join(out_dir, f"{name}.csv")
+            with open(paths[name], "w", newline="") as fh:
+                write_csv(fh, cls, items)
+        paths["plot"] = os.path.join(out_dir, "plot_success.py")
+        with open(paths["plot"], "w") as fh:
             fh.write(_PLOT_SCRIPT)
-        paths["plot"] = plot_path
         if spec is not None:
-            man_path = os.path.join(out_dir, "manifest.cfg")
-            with open(man_path, "w") as fh:
+            paths["manifest"] = os.path.join(out_dir, "manifest.cfg")
+            with open(paths["manifest"], "w") as fh:
                 fh.write(dump_config(spec))
-            paths["manifest"] = man_path
         return paths
     except OSError as exc:
         raise OSError(f"cannot write benchmark results under {out_dir!r}: {exc}") from exc
 
 
-def parse_records(path: str) -> list[TrialRecord]:
-    records = []
+def write_csv(fh, cls, items, line_end: str = "\r\n") -> None:
+    """Write items of dataclass cls as CSV, one column per field."""
+    names = [f.name for f in fields(cls)]
+    w = csv.writer(fh, lineterminator=line_end)
+    w.writerow(names)
+    for item in items:
+        w.writerow([_fmt(getattr(item, n)) for n in names])
+
+
+def _read_csv(path: str, cls) -> list:
+    """Read a CSV written by write_csv back into instances of cls.  A missing
+    column or an unparsable cell raises InvalidParameterError."""
+    types = get_type_hints(cls)
+    columns = [(f.name, types[f.name]) for f in fields(cls)]
+    items = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                TrialRecord(
-                    trial_index=int(row["trial_index"]),
-                    solver_id=row["solver_id"],
-                    s=int(row["s"]),
-                    sweep_value=float(row["sweep_value"]),
-                    relative_error=float(row["relative_error"]),
-                    absolute_error=float(row["absolute_error"]),
-                    success=bool(int(row["success"])),
-                    accepted=None if row["accepted"] == "" else bool(int(row["accepted"])),
-                    wall_time=float(row["wall_time"]),
-                    status=row["status"],
-                    alpha_used=float(row["alpha_used"]),
-                )
-            )
-    return records
+        reader = csv.DictReader(fh)
+        missing = [name for name, _ in columns if name not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidParameterError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            values = {}
+            for name, tp in columns:
+                try:
+                    values[name] = _parse(row[name], tp)
+                except ValueError as exc:
+                    raise InvalidParameterError(
+                        f"{path} line {reader.line_num}, column {name}: {exc}"
+                    ) from exc
+            items.append(cls(**values))
+    return items
+
+
+def parse_records(path: str) -> list[TrialRecord]:
+    return _read_csv(path, TrialRecord)
 
 
 def parse_summary(path: str) -> list[SummaryRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                SummaryRow(
-                    solver_id=row["solver_id"],
-                    sweep_value=float(row["sweep_value"]),
-                    success_rate=float(row["success_rate"]),
-                    acceptance_rate=None
-                    if row["acceptance_rate"] == ""
-                    else float(row["acceptance_rate"]),
-                    mean_error=float(row["mean_error"]),
-                    mean_log_error=float(row["mean_log_error"]),
-                )
-            )
-    return rows
+    return _read_csv(path, SummaryRow)
+
+
+# Manifest layout, section -> keys in write order.  Keys name ExperimentSpec
+# fields; under [ensemble] they name EnsembleSpec fields.  A None value
+# (snr_db when unset) is not written.
+_CONFIG = {
+    "ensemble": ("kind", "m", "n", "refinement"),
+    "signal": ("sparsity", "min_separation", "sep_factor"),
+    "experiment": (
+        "sweep_axis", "sweep_values", "solvers", "trials", "omega",
+        "success_tol", "master_seed", "literal_acceptance", "snr_db",
+    ),
+}
 
 
 def dump_config(spec: ExperimentSpec) -> str:
     """Serialize a spec in the INI grammar accepted by load_config."""
     cp = configparser.ConfigParser()
-    cp["ensemble"] = {
-        "kind": spec.ensemble.kind.value,
-        "m": str(spec.ensemble.m),
-        "n": str(spec.ensemble.n),
-        "refinement": str(spec.ensemble.refinement),
-    }
-    cp["signal"] = {
-        "sparsity": str(spec.sparsity),
-        "min_separation": str(spec.min_separation),
-        "sep_factor": str(spec.sep_factor),
-    }
-    exp = {
-        "sweep_axis": spec.sweep_axis,
-        "sweep_values": " ".join(_fmt(float(v)) for v in spec.sweep_values),
-        "solvers": " ".join(spec.solvers),
-        "trials": str(spec.trials),
-        "omega": _fmt(spec.omega),
-        "success_tol": _fmt(spec.success_tol),
-        "master_seed": str(spec.master_seed),
-        "literal_acceptance": str(int(spec.literal_acceptance)),
-    }
-    if spec.snr_db is not None:
-        exp["snr_db"] = _fmt(spec.snr_db)
-    cp["experiment"] = exp
+    for section, keys in _CONFIG.items():
+        obj = spec.ensemble if section == "ensemble" else spec
+        types = get_type_hints(type(obj))
+        cp.add_section(section)
+        for key in keys:
+            value = getattr(obj, key)
+            if get_origin(types[key]) is tuple:
+                value = " ".join(_fmt(get_args(types[key])[0](v)) for v in value)
+            if value is not None:
+                cp.set(section, key, _fmt(value))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
 
-# The sections and keys load_config reads; anything else is a typo.
-_CONFIG_KEYS = {
-    "ensemble": {"kind", "m", "n", "refinement"},
-    "signal": {"sparsity", "min_separation", "sep_factor"},
-    "experiment": {
-        "sweep_axis", "sweep_values", "solvers", "trials", "snr_db", "omega",
-        "success_tol", "master_seed", "literal_acceptance",
-    },
-}
-
-
 def load_config(path_or_text: str, is_text: bool = False) -> ExperimentSpec:
     """Read an experiment spec from an INI config file (or literal text).
 
-    Unknown sections and keys are rejected rather than silently defaulted.
+    A missing key takes the dataclass default (sparsity, which has none,
+    reads as 0).  Unknown sections and keys are rejected rather than
+    silently defaulted.
     """
+    if not is_text and not os.path.exists(path_or_text):
+        raise FileNotFoundError(f"config file not found: {path_or_text}")
     cp = configparser.ConfigParser()
-    if is_text:
-        cp.read_string(path_or_text)
-    else:
-        if not os.path.exists(path_or_text):
-            raise FileNotFoundError(f"config file not found: {path_or_text}")
-        cp.read(path_or_text)
-    for section in cp.sections():
-        if section not in _CONFIG_KEYS:
-            raise InvalidParameterError(f"unknown config section [{section}]")
-        unknown = sorted(set(cp.options(section)) - _CONFIG_KEYS[section])
-        if unknown:
-            raise InvalidParameterError(
-                f"unknown config key(s) in [{section}]: {', '.join(unknown)}"
-            )
+    ens, exp = {}, {"sparsity": 0}
     try:
-        ens = EnsembleSpec(
-            kind=EnsembleKind(cp["ensemble"]["kind"]),
-            m=cp["ensemble"].getint("m"),
-            n=cp["ensemble"].getint("n"),
-            refinement=cp["ensemble"].getint("refinement", fallback=1),
-        )
-        exp = cp["experiment"]
-        sig = cp["signal"] if cp.has_section("signal") else {}
-        snr = exp.get("snr_db", fallback=None)
-        return ExperimentSpec(
-            ensemble=ens,
-            sparsity=int(sig.get("sparsity", "0")),
-            sweep_axis=exp["sweep_axis"],
-            sweep_values=tuple(float(v) for v in exp["sweep_values"].split()),
-            solvers=tuple(exp.get("solvers", " ".join(SOLVER_IDS)).split()),
-            trials=exp.getint("trials", fallback=100),
-            snr_db=None if snr in (None, "") else float(snr),
-            min_separation=int(sig.get("min_separation", "0")),
-            sep_factor=int(sig.get("sep_factor", "0")),
-            omega=exp.getfloat("omega", fallback=0.5),
-            success_tol=exp.getfloat("success_tol", fallback=1e-3),
-            master_seed=exp.getint("master_seed", fallback=0),
-            literal_acceptance=bool(exp.getint("literal_acceptance", fallback=0)),
-        )
-    except (KeyError, ValueError) as exc:
+        if is_text:
+            cp.read_string(path_or_text)
+        else:
+            cp.read(path_or_text)
+        for section in cp.sections():
+            if section not in _CONFIG:
+                raise InvalidParameterError(f"unknown config section [{section}]")
+            unknown = sorted(set(cp.options(section)) - set(_CONFIG[section]))
+            if unknown:
+                raise InvalidParameterError(
+                    f"unknown config key(s) in [{section}]: {', '.join(unknown)}"
+                )
+            target, cls = (ens, EnsembleSpec) if section == "ensemble" else (exp, ExperimentSpec)
+            types = get_type_hints(cls)
+            for key, text in cp.items(section):
+                target[key] = _parse(text, types[key])
+        return ExperimentSpec(ensemble=EnsembleSpec(**ens), **exp)
+    except (configparser.Error, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"invalid experiment config: {exc}") from exc
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -171,14 +172,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.config:
-        try:
-            spec = bench_mod.load_config(args.config)
-        except FileNotFoundError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        spec = bench_mod.load_config(args.config)
         if args.trials is not None:
-            from dataclasses import replace
-
             spec = replace(spec, trials=args.trials)
     else:
         spec = bench_mod.preset_spec(
@@ -201,23 +196,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        records = bench_mod.parse_records(args.records)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    records = bench_mod.parse_records(args.records)
     rows = bench_mod.summarize(records)
     if args.out:
         bench_mod.emit_results(rows, records, args.out)
         print(f"wrote summary for {len(records)} records to {args.out}")
     else:
-        print(",".join(bench_mod._SUMMARY_FIELDS))
-        for row in rows:
-            print(
-                ",".join(
-                    bench_mod._fmt(getattr(row, f)) for f in bench_mod._SUMMARY_FIELDS
-                )
-            )
+        bench_mod.write_csv(sys.stdout, bench_mod.SummaryRow, rows, line_end="\n")
     return 0
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "ThresholdParams",
     "penalty_value",
     "soft_threshold",
+    "soft_shrink",
     "firm_threshold",
     "springback_threshold",
     "prox_springback",
@@ -103,6 +104,11 @@ def soft_threshold(w: float, lam: float) -> float:
     return float(np.sign(w) * max(abs(w) - lam, 0.0))
 
 
+def soft_shrink(v: np.ndarray, t: float) -> np.ndarray:
+    """Elementwise sgn(v) * max(|v| - t, 0), unvalidated for the ADMM inner loop."""
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
 def firm_threshold(w: float, lam: float, mu: float) -> float:
     """Three-branch firm thresholding: zero, linear ramp, identity."""
     w = _check_finite_scalar(w)
@@ -144,7 +150,7 @@ def prox_springback(x, lam: float, alpha: float) -> np.ndarray:
     scale = 1.0 - lam * alpha
     if scale <= 0:
         raise InvalidParameterError("springback prox requires 1 - lam*alpha > 0")
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0) / scale
+    return soft_shrink(x, lam) / scale
 
 
 def dc_concave_gradient(kind: PenaltyKind, x, params: ThresholdParams) -> np.ndarray:

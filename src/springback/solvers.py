@@ -25,7 +25,13 @@ from .linalg import (
     l2_ball_project,
     singular_extremes,
 )
-from .penalties import PenaltyKind, ThresholdParams, dc_concave_gradient, penalty_value
+from .penalties import (
+    PenaltyKind,
+    ThresholdParams,
+    dc_concave_gradient,
+    penalty_value,
+    soft_shrink,
+)
 
 __all__ = [
     "ProblemInstance",
@@ -167,10 +173,6 @@ def _report(prob, x, outer, inner, trace, status, **flags) -> SolverReport:
     return SolverReport(x, outer, inner, trace, residual, status, **flags)
 
 
-def _soft(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
 def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
     denom = max(float(np.linalg.norm(new)), float(np.linalg.norm(old)), _TINY)
     return float(np.linalg.norm(new - old)) / denom
@@ -218,7 +220,7 @@ def admm_subproblem(
         x_old = st.x
         rhs = rho * (A.T @ (b + st.z - st.eta)) + xi + zeta * (st.y - st.u)
         x = _check_finite(st.solver.solve(rhs), "inner ADMM x-update")
-        y = _soft(x + st.u, 1.0 / zeta)
+        y = soft_shrink(x + st.u, 1.0 / zeta)
         Ax = A @ x
         if tau == 0.0:
             z = np.zeros_like(b)
@@ -348,7 +350,7 @@ def _lasso_admm(
     for _ in range(max_iter):
         x_old = x
         x = _check_finite(st.solver.solve(rhs_const + zeta * (y - u)), "lasso ADMM x-update")
-        y = _soft(x + u, lam / zeta)
+        y = soft_shrink(x + u, lam / zeta)
         u = u + x - y
         st.x, st.y, st.u = x, y, u
         st.iterations += 1

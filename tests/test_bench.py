@@ -1,5 +1,7 @@
 """Tests for the benchmark harness: trials, aggregation, persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -164,14 +166,19 @@ def test_emit_and_parse_round_trip(tmp_path):
     rows, records = run_experiment(spec)
     paths = emit_results(rows, records, str(tmp_path / "out"), spec)
     assert parse_summary(paths["summary"]) == rows
-    parsed = parse_records(paths["records"])
-    assert [
-        (r.trial_index, r.solver_id, r.relative_error, r.success, r.accepted)
-        for r in parsed
-    ] == [
-        (r.trial_index, r.solver_id, r.relative_error, r.success, r.accepted)
-        for r in records
-    ]
+    assert parse_records(paths["records"]) == records
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-2"])
+def test_workers_must_be_a_positive_integer(monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(bench, "run_trial", no_pool)
+    monkeypatch.setenv("SPRINGBACK_WORKERS", workers)
+    with pytest.raises(InvalidParameterError, match=f"SPRINGBACK_WORKERS.*'{workers}'"):
+        run_experiment(_small_spec())
 
 
 def test_emit_empty_records(tmp_path):
@@ -187,17 +194,89 @@ def test_manifest_round_trip(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(text)
     loaded = load_config(str(cfg))
-    assert loaded.ensemble == spec.ensemble
-    assert loaded.solvers == spec.solvers
-    assert loaded.trials == spec.trials
-    assert loaded.master_seed == spec.master_seed
+    assert loaded == spec
     # rerunning the loaded spec reproduces the summary
     assert run_experiment(loaded)[0] == run_experiment(spec)[0]
+    # every preset, with either acceptance rule, reads back as the spec that
+    # wrote it (sweep values compared as floats)
+    for name in ("fig4", "fig5", "fig7", "fig8"):
+        for literal in (False, True):
+            spec = preset_spec(name, literal_acceptance=literal)
+            loaded = load_config(dump_config(spec), is_text=True)
+            floats = tuple(float(v) for v in spec.sweep_values)
+            assert loaded == replace(spec, sweep_values=floats), (name, literal)
+            assert [type(v) for v in loaded.sweep_values] == [float] * len(floats)
+
+
+_FIG8_MANIFEST = """\
+[ensemble]
+kind = gaussian
+m = 50
+n = 160
+refinement = 1
+
+[signal]
+sparsity = 20
+min_separation = 0
+sep_factor = 0
+
+[experiment]
+sweep_axis = s
+sweep_values = 10 15 20 25 30 35 40
+solvers = springback admm_l1 dca_l12
+trials = 3
+omega = 0.40000000000000002
+success_tol = 0.001
+master_seed = 0
+literal_acceptance = 0
+snr_db = 45
+
+"""
+
+
+def test_artifact_layouts_are_pinned(tmp_path):
+    spec = preset_spec("fig8", trials=3)
+    paths = emit_results([], [], str(tmp_path), spec)
+    with open(paths["manifest"], "rb") as fh:
+        assert fh.read() == _FIG8_MANIFEST.encode()
+    with open(paths["records"], "rb") as fh:
+        assert fh.read() == (
+            b"trial_index,solver_id,s,sweep_value,relative_error,absolute_error,"
+            b"success,accepted,wall_time,status,alpha_used\r\n"
+        )
+    with open(paths["summary"], "rb") as fh:
+        assert fh.read() == (
+            b"solver_id,sweep_value,success_rate,acceptance_rate,mean_error,"
+            b"mean_log_error\r\n"
+        )
 
 
 def test_load_config_missing_file():
     with pytest.raises(FileNotFoundError):
         load_config("/nonexistent/experiment.cfg")
+
+
+def test_load_config_missing_keys_take_spec_defaults():
+    spec = load_config(
+        "[ensemble]\nkind = gaussian\nm = 20\nn = 50\n"
+        "[experiment]\nsweep_axis = s\nsweep_values = 3\n",
+        is_text=True,
+    )
+    assert spec == ExperimentSpec(
+        ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=20, n=50),
+        sparsity=0,
+        sweep_axis="s",
+        sweep_values=(3.0,),
+    )
+    text = dump_config(_small_spec(snr_db=30.0))
+    for key, bad in (("trials", "x"), ("literal_acceptance", "2"), ("snr_db", "loud")):
+        good = next(line for line in text.splitlines() if line.startswith(f"{key} ="))
+        with pytest.raises(InvalidParameterError, match="invalid experiment config"):
+            load_config(text.replace(good, f"{key} = {bad}"), is_text=True)
+    with pytest.raises(InvalidParameterError, match="invalid experiment config"):
+        load_config(text + "trials = 3\n", is_text=True)
+    with pytest.raises(InvalidParameterError, match="invalid experiment config"):
+        load_config("[experiment]\nsweep_axis = s\nsweep_values = 3\n", is_text=True)
 
 
 def test_load_config_rejects_unknown_sections_and_keys():

@@ -94,3 +94,23 @@ def test_bench_preset_and_report(tmp_path, capsys):
     rep = capsys.readouterr().out
     assert rep.startswith("solver_id,")
     assert "springback" in rep
+    # stdout carries the summary.csv lines, with "\n" line ends
+    with open(out / "summary.csv", newline="") as fh:
+        assert rep.split("\n") == fh.read().split("\r\n")
+
+
+def test_report_rejects_malformed_records(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    path.write_text("trial_index,solver_id\n0,springback\n")
+    assert main(["report", "--records", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "missing column(s) s, sweep_value" in err
+    header = (
+        "trial_index,solver_id,s,sweep_value,relative_error,absolute_error,"
+        "success,accepted,wall_time,status,alpha_used\n"
+    )
+    path.write_text(header + "zero,springback,3,3,0.1,0.1,1,,0.5,converged,0.7\n")
+    assert main(["report", "--records", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "column trial_index" in err
