@@ -16,7 +16,6 @@ import enum
 import io
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -112,6 +111,10 @@ class ExperimentSpec:
                 raise InvalidParameterError(f"unknown solver id {sid!r}")
         if self.sep_factor < 0 or self.min_separation < 0:
             raise InvalidParameterError("separation settings must be nonnegative")
+        if self.omega <= 0:
+            raise InvalidParameterError("omega must be positive")
+        if self.master_seed < 0:
+            raise InvalidParameterError(f"master_seed must be nonnegative, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,8 @@ class SummaryRow:
 
 def _derive_seed(master: int, sweep_index: int, trial_index: int, stream: int) -> int:
     """Seed of one random stream of one trial.  Keyed spawning makes trials
-    order-independent: any worker can draw (sweep, trial) without running
-    earlier trials first."""
+    order-independent: (sweep, trial) can be drawn without running earlier
+    trials first."""
     ss = np.random.SeedSequence(master, spawn_key=(sweep_index, trial_index, stream))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -258,30 +261,14 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[list[SummaryRow], list[TrialRecord]]:
-    """Run the full sweep and aggregate.
-
-    Trials are independent work items; SPRINGBACK_WORKERS > 1 runs them on a
-    thread pool.  Aggregation folds records in ascending (sweep, trial) order
-    regardless of completion order, so parallel and serial runs agree.
-    """
-    text = os.environ.get("SPRINGBACK_WORKERS", "1")
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise InvalidParameterError(f"SPRINGBACK_WORKERS must be a positive integer, got {text!r}")
-    workers = int(text)
-    items = [
-        (si, ti)
+    """Run the full sweep, one trial after another in ascending (sweep,
+    trial) order, and aggregate."""
+    records = [
+        r
         for si in range(len(spec.sweep_values))
         for ti in range(spec.trials)
+        for r in run_trial(spec, si, ti)
     ]
-    results: dict[tuple[int, int], list[TrialRecord]] = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for key, recs in zip(items, pool.map(lambda it: run_trial(spec, *it), items)):
-                results[key] = recs
-    else:
-        for key in items:
-            results[key] = run_trial(spec, *key)
-    records = [r for key in sorted(results) for r in results[key]]
     return summarize(records), records
 
 

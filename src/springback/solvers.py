@@ -56,7 +56,9 @@ _TINY = 1e-300
 # splitting penalties of the springback inner ADMM (the soft threshold there is
 # 1/ZETA_INNER, which a unit penalty keeps usable); ADMM_MAX caps the lasso
 # ADMM baseline; TL1_BETA is the transformed-l1 shape; IRLS_* set the initial
-# smoothing, the stopping tolerance and the sweep cap of irls_lp.
+# smoothing, the stopping tolerance and the sweep cap of irls_lp;
+# COND_THRESHOLD is the condition number above which alpha_subroutine treats A
+# as coherent.
 RHO = 1e5
 ZETA_INNER = 1.0
 ADMM_MAX = 5000
@@ -64,6 +66,11 @@ TL1_BETA = 1.0
 IRLS_EPS0 = 1.0
 IRLS_TOL = 1e-8
 IRLS_MAX = 1000
+COND_THRESHOLD = 5.0
+
+# Absolute slacks on the constraint ||Ax - b||_2 <= tau.
+FEAS_TOL_INNER = 1e-6  # inner ADMM stop: tight, it certifies a subproblem solution
+FEAS_TOL_START = 1e-4  # infeasible-start flag: looser, a solve cut at max_inner ends near the ball
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,6 @@ class SolverReport:
     objective_trace: list[float]
     residual: float
     status: SolverStatus
-    posterior_alpha_ok: bool | None = None
     convergence_alpha_ok: bool | None = None
 
 
@@ -167,10 +173,10 @@ class AdmmState:
     iterations: int = 0
 
 
-def _report(prob, x, outer, inner, trace, status, **flags) -> SolverReport:
+def _report(prob, x, outer, inner, trace, status, conv_ok=None) -> SolverReport:
     """Report of a finished solve, with residual ||A x - b||_2."""
     residual = float(np.linalg.norm(prob.A @ x - prob.b))
-    return SolverReport(x, outer, inner, trace, residual, status, **flags)
+    return SolverReport(x, outer, inner, trace, residual, status, conv_ok)
 
 
 def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -234,7 +240,7 @@ def admm_subproblem(
         if (
             _rel_change(x, x_old) < eps
             and float(np.linalg.norm(x - y)) <= eps * max(1.0, xnorm)
-            and float(np.linalg.norm(Ax - b)) <= tau + 1e-6
+            and float(np.linalg.norm(Ax - b)) <= tau + FEAS_TOL_INNER
         ):
             break
     return st.x.copy()
@@ -260,12 +266,7 @@ def _dca_iterates(x: np.ndarray, opts: SolverOptions, step):
             return
 
 
-def dca_springback(
-    prob: ProblemInstance,
-    opts: SolverOptions,
-    prof: RipProfile | None = None,
-    posterior_eps: float = 0.0,
-) -> SolverReport:
+def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     """Difference-of-convex algorithm for the constrained springback model.
 
     Each outer step linearizes the concave part at x^k (xi = alpha x^k) and
@@ -292,7 +293,7 @@ def dca_springback(
     try:
         for x, converged in _dca_iterates(x, opts, step):
             if not trace:  # feasibility is judged at the first outer step
-                infeasible = float(np.linalg.norm(A @ x - b)) > tau + 1e-4
+                infeasible = float(np.linalg.norm(A @ x - b)) > tau + FEAS_TOL_START
             trace.append(penalty_value(PenaltyKind.SPRINGBACK, x, params))
             if converged:
                 status = SolverStatus.CONVERGED
@@ -300,13 +301,7 @@ def dca_springback(
         status = SolverStatus.NUMERIC_FAILURE
     if infeasible and status is not SolverStatus.NUMERIC_FAILURE:
         status = SolverStatus.INFEASIBLE_START
-    posterior = None
-    if prof is not None:
-        posterior = posterior_verify(prof, alpha, x, posterior_eps)
-    return _report(
-        prob, x, len(trace), state.iterations, trace, status,
-        posterior_alpha_ok=posterior, convergence_alpha_ok=conv_ok,
-    )
+    return _report(prob, x, len(trace), state.iterations, trace, status, conv_ok)
 
 
 @dataclass
@@ -526,25 +521,23 @@ def aiht(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     return _report(prob, x, it, it, trace, status)
 
 
-def alpha_subroutine(
-    A, b, tau: float, omega: float = 0.5, cond_threshold: float = 5.0
-) -> float:
+def alpha_subroutine(A, b, tau: float, omega: float = 0.5) -> float:
     """Data-driven choice of the springback curvature alpha.
 
     Well-conditioned A: min(0.7, 2 sigma_min / (||b|| + tau)).  Coherent A
-    (condition number above the threshold): the same value floored at omega,
+    (condition number above COND_THRESHOLD): the same value floored at omega,
     since the sigma-based bound collapses while larger alpha still works.
     """
     A = as_matrix(A)
     b = as_vector(b)
-    if omega <= 0 or cond_threshold <= 0:
-        raise InvalidParameterError("omega and cond_threshold must be positive")
+    if omega <= 0:
+        raise InvalidParameterError("omega must be positive")
     denom = float(np.linalg.norm(b)) + tau
     if denom <= 0:
         raise InvalidParameterError("||b||_2 + tau must be positive")
     smin, smax = singular_extremes(A)
     base = min(0.7, 2.0 * smin / denom)
-    if smin > 0 and smax / smin <= cond_threshold:
+    if smin > 0 and smax / smin <= COND_THRESHOLD:
         return base
     return max(omega, base)
 

@@ -114,3 +114,12 @@ def test_report_rejects_malformed_records(tmp_path, capsys):
     assert main(["report", "--records", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and "column trial_index" in err
+
+
+def test_bench_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["bench", "--preset", "fig4", "--trials", "1", "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "master_seed" in err
+    assert not out.exists()

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from springback.errors import InvalidParameterError, NumericError
 from springback.linalg import (
@@ -90,3 +93,26 @@ def test_l2_ball_project():
     np.testing.assert_array_equal(l2_ball_project(v, 0.0), np.zeros(2))
     with pytest.raises(InvalidParameterError):
         l2_ball_project(v, -1.0)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_radius = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _vector_pair(draw):
+    n = draw(st.integers(1, 8))
+    return draw(arrays(float, n, elements=_finite)), draw(arrays(float, n, elements=_finite))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pair=_vector_pair(), tau=_radius)
+def test_l2_ball_project_properties(pair, tau):
+    u, v = pair
+    pu, pv = l2_ball_project(u, tau), l2_ball_project(v, tau)
+    # lies in the ball
+    assert np.linalg.norm(pu) <= tau * (1.0 + 1e-12)
+    # idempotent: a projected point projects to itself
+    np.testing.assert_allclose(l2_ball_project(pu, tau), pu, rtol=1e-12, atol=0.0)
+    # nonexpansive
+    assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) * (1.0 + 1e-12) + 1e-12
