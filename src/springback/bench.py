@@ -333,36 +333,8 @@ def _parse(text: str | None, tp):
     return tp(text)
 
 
-_PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-\"\"\"Render success-rate curves from a benchmark summary CSV.\"\"\"
-import csv
-import sys
-
-import matplotlib.pyplot as plt
-
-path = sys.argv[1] if len(sys.argv) > 1 else "summary.csv"
-curves = {}
-with open(path, newline="") as fh:
-    for row in csv.DictReader(fh):
-        curves.setdefault(row["solver_id"], []).append(
-            (float(row["sweep_value"]), float(row["success_rate"]))
-        )
-for solver, pts in curves.items():
-    pts.sort()
-    plt.plot([p[0] for p in pts], [p[1] for p in pts], marker="o", label=solver)
-plt.xlabel("sweep value")
-plt.ylabel("success rate")
-plt.ylim(-0.05, 1.05)
-plt.legend()
-plt.tight_layout()
-plt.savefig("success_rates.png", dpi=150)
-print("wrote success_rates.png")
-"""
-
-
 def emit_results(rows, records, out_dir: str, spec: ExperimentSpec | None = None) -> dict:
-    """Write records.csv, summary.csv, a plot script, and a rerun manifest.
+    """Write records.csv, summary.csv, and (given a spec) a rerun manifest.
 
     Returns the mapping of artifact names to paths.
     """
@@ -373,9 +345,6 @@ def emit_results(rows, records, out_dir: str, spec: ExperimentSpec | None = None
             paths[name] = os.path.join(out_dir, f"{name}.csv")
             with open(paths[name], "w", newline="") as fh:
                 write_csv(fh, cls, items)
-        paths["plot"] = os.path.join(out_dir, "plot_success.py")
-        with open(paths["plot"], "w") as fh:
-            fh.write(_PLOT_SCRIPT)
         if spec is not None:
             paths["manifest"] = os.path.join(out_dir, "manifest.cfg")
             with open(paths["manifest"], "w") as fh:
@@ -457,22 +426,18 @@ def dump_config(spec: ExperimentSpec) -> str:
     return buf.getvalue()
 
 
-def load_config(path_or_text: str, is_text: bool = False) -> ExperimentSpec:
-    """Read an experiment spec from an INI config file (or literal text).
+def load_config(path: str) -> ExperimentSpec:
+    """Read an experiment spec from an INI config file.
 
     A missing key takes the dataclass default (sparsity, which has none,
     reads as 0).  Unknown sections and keys are rejected rather than
-    silently defaulted.
+    silently defaulted.  A file that cannot be opened raises its OSError.
     """
-    if not is_text and not os.path.exists(path_or_text):
-        raise FileNotFoundError(f"config file not found: {path_or_text}")
     cp = configparser.ConfigParser()
     ens, exp = {}, {"sparsity": 0}
     try:
-        if is_text:
-            cp.read_string(path_or_text)
-        else:
-            cp.read(path_or_text)
+        with open(path) as fh:
+            cp.read_file(fh)
         for section in cp.sections():
             if section not in _CONFIG:
                 raise InvalidParameterError(f"unknown config section [{section}]")

@@ -62,7 +62,6 @@ class BoundKind(enum.Enum):
 
 @dataclass(frozen=True)
 class BoundReport:
-    rip_ok: bool
     d1: float
     d2: float
     bound: float
@@ -142,7 +141,7 @@ def recovery_bound(
     else:
         value = math.sqrt(inner)
         kind = BoundKind.NEARLY_SPARSE if tail_l1 > 0 else BoundKind.SPARSE
-    return BoundReport(rip_ok=True, d1=c1, d2=c2, bound=value, kind=kind)
+    return BoundReport(d1=c1, d2=c2, bound=value, kind=kind)
 
 
 def a_of_s(s: int) -> float:
@@ -233,18 +232,8 @@ def convergence_alpha_bound(A, b, tau: float) -> float:
 
 
 def alpha_relation(prof: RipProfile, A, b, tau: float, xopt_norm: float) -> bool:
-    """Whether the posterior alpha bound implies the convergence alpha bound.
-
-    True when (sqrt(1-d4s) sqrt(3s) - sqrt(1+d3s) sqrt(s)) / (sqrt(1-d4s) +
-    sqrt(1+d3s)) <= 2 sigma_min(A) ||x*||_2 / (||b||_2 + tau).
-    """
-    r4, r3, s3, s1 = _roots(prof)
-    lhs = (r4 * s3 - r3 * s1) / (r4 + r3)
-    A = as_matrix(A)
-    b = as_vector(b)
-    smin, _ = singular_extremes(A)
-    rhs = 2.0 * smin * xopt_norm / (float(np.linalg.norm(b)) + tau)
-    return lhs <= rhs
+    """Whether the posterior alpha bound implies the convergence alpha bound."""
+    return alpha_posterior_bound(prof, xopt_norm) <= convergence_alpha_bound(A, b, tau)
 
 
 def toy_noise_thresholds(alpha: float = 1.0) -> list[tuple[str, float]]:

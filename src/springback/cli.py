@@ -23,7 +23,7 @@ from .bounds import (
     rip_condition,
     toy_noise_thresholds,
 )
-from .errors import SpringbackError
+from .errors import InvalidParameterError, SpringbackError
 from .penalties import firm_threshold, soft_threshold, springback_threshold
 from .sensing import EnsembleKind, EnsembleSpec
 from .solvers import ProblemInstance
@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", choices=bench_mod.PRESETS)
     src.add_argument("--config", help="experiment config file (INI)")
     p.add_argument("--trials", type=int, help="override the trial count")
-    p.add_argument("--seed", type=int, default=0, help="master seed (presets only)")
+    p.add_argument("--seed", type=int, help="master seed (presets only; default 0)")
     p.add_argument("--out", default="bench_out", help="output directory")
     p.add_argument(
         "--literal-shape",
@@ -146,7 +146,7 @@ def _cmd_solve(args) -> int:
                 kind=EnsembleKind(args.ensemble),
                 m=args.m,
                 n=args.n,
-                refinement=args.refinement if args.ensemble == "oversampled_dct" else 1,
+                refinement=args.refinement,
             ),
             sparsity=args.s,
             sweep_axis="s",
@@ -172,6 +172,17 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.config:
+        preset_only = {
+            "--seed": args.seed is not None,
+            "--literal-shape": args.literal_shape,
+            "--literal-acceptance": args.literal_acceptance,
+        }
+        given = [flag for flag, on in preset_only.items() if on]
+        if given:
+            raise InvalidParameterError(
+                f"{', '.join(given)}: preset options; a config file sets its own "
+                "master_seed, shape and literal_acceptance"
+            )
         spec = bench_mod.load_config(args.config)
         if args.trials is not None:
             spec = replace(spec, trials=args.trials)
@@ -179,7 +190,7 @@ def _cmd_bench(args) -> int:
         spec = bench_mod.preset_spec(
             args.preset,
             trials=args.trials,
-            master_seed=args.seed,
+            master_seed=0 if args.seed is None else args.seed,
             literal_shape=args.literal_shape,
             literal_acceptance=args.literal_acceptance,
         )
@@ -220,7 +231,7 @@ def main(argv=None) -> int:
     except SpringbackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

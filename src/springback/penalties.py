@@ -1,11 +1,11 @@
 """Sparsity penalties, thresholding operators, and concave-part gradients.
 
-The catalog covers the convex l1 and elastic net penalties, the nonconvex
-lp / transformed-l1 / MCP / l1-minus-l2 penalties, and the weakly convex
-springback penalty ``||x||_1 - (alpha/2) ||x||_2^2``.  The scalar thresholding
-operators (soft, firm, springback) realize the corresponding proximal
-mappings in closed form; ``dc_concave_gradient`` supplies the linearization
-used by difference-of-convex solvers.
+The catalog covers the convex l1 penalty, the nonconvex lp / transformed-l1 /
+MCP / l1-minus-l2 penalties, and the weakly convex springback penalty
+``||x||_1 - (alpha/2) ||x||_2^2``.  The scalar thresholding operators (soft,
+firm, springback) realize the corresponding proximal mappings in closed form;
+``dc_concave_gradient`` supplies the linearization used by
+difference-of-convex solvers.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
 
 class PenaltyKind(enum.Enum):
     L1 = "l1"
-    ELASTIC_NET = "elastic_net"
     LP = "lp"
     TL1 = "tl1"
     MCP = "mcp"
@@ -45,9 +44,9 @@ class PenaltyKind(enum.Enum):
 class ThresholdParams:
     """Scalar parameters shared by the penalty family.
 
-    lam is the proximal step weight; alpha the springback (and elastic net)
-    curvature; mu the MCP saturation level; beta the transformed-l1 shape;
-    p the lp exponent in (0, 1).
+    lam is the proximal step weight; alpha the springback curvature; mu the
+    MCP saturation level; beta the transformed-l1 shape; p the lp exponent in
+    (0, 1).
     """
 
     lam: float = 0.25
@@ -78,8 +77,6 @@ def penalty_value(kind: PenaltyKind, x, params: ThresholdParams) -> float:
     ax = np.abs(x)
     if kind is PenaltyKind.L1:
         return float(ax.sum())
-    if kind is PenaltyKind.ELASTIC_NET:
-        return float(ax.sum() + 0.5 * params.alpha * (x @ x))
     if kind is PenaltyKind.LP:
         return float(np.sum(ax**params.p))
     if kind is PenaltyKind.TL1:

@@ -1,10 +1,10 @@
 """Sensing-matrix ensembles, sparse test signals, and SNR-calibrated noise.
 
-Three measurement ensembles are provided: random Gaussian, partial DCT, and
-oversampled DCT (the refinement factor F controls how coherent the columns
-become).  Ground-truth signals are exactly s-sparse with standard normal
-nonzeros, optionally with a minimum pairwise separation between support
-indices.  All generators are deterministic functions of (spec, seed).
+Two measurement ensembles are provided: random Gaussian and oversampled DCT
+(the refinement factor F controls how coherent the columns become; F = 1 is
+the partial DCT).  Ground-truth signals are exactly s-sparse with standard
+normal nonzeros, optionally with a minimum pairwise separation between
+support indices.  All generators are deterministic functions of (spec, seed).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
 
 class EnsembleKind(enum.Enum):
     GAUSSIAN = "gaussian"
-    PARTIAL_DCT = "partial_dct"
     OVERSAMPLED_DCT = "oversampled_dct"
 
 
@@ -85,11 +84,10 @@ def _rng(seed) -> np.random.Generator:
 def gen_matrix(spec: EnsembleSpec) -> np.ndarray:
     """Draw a sensing matrix from the given ensemble.
 
-    Gaussian: i.i.d. N(0, 1/m) entries.  DCT kinds: a single frequency
+    Gaussian: i.i.d. N(0, 1/m) entries.  Oversampled DCT: a single frequency
     vector chi ~ U[0,1]^m is shared across columns and column i (1-based) is
-    cos(2 pi i chi / F) / sqrt(m), with F = 1 for the partial DCT.  Sharing
-    chi across columns is what makes large F produce nearly parallel
-    (coherent) columns.
+    cos(2 pi i chi / F) / sqrt(m).  Sharing chi across columns is what makes
+    large F produce nearly parallel (coherent) columns.
     """
     rng = _rng(spec.seed)
     m, n = spec.m, spec.n

@@ -24,6 +24,12 @@ from springback.errors import InvalidParameterError, SpringbackError
 from springback.sensing import EnsembleKind, EnsembleSpec
 
 
+def _load_text(tmp_path, text):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    return load_config(str(path))
+
+
 def _small_spec(**kw):
     base = dict(
         ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=20, n=50),
@@ -181,7 +187,7 @@ def test_manifest_round_trip(tmp_path):
     for name in ("fig4", "fig5", "fig7", "fig8"):
         for literal in (False, True):
             spec = preset_spec(name, literal_acceptance=literal)
-            loaded = load_config(dump_config(spec), is_text=True)
+            loaded = _load_text(tmp_path, dump_config(spec))
             floats = tuple(float(v) for v in spec.sweep_values)
             assert loaded == replace(spec, sweep_values=floats), (name, literal)
             assert [type(v) for v in loaded.sweep_values] == [float] * len(floats)
@@ -230,16 +236,18 @@ def test_artifact_layouts_are_pinned(tmp_path):
         )
 
 
-def test_load_config_missing_file():
+def test_load_config_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_config("/nonexistent/experiment.cfg")
+    with pytest.raises(IsADirectoryError):
+        load_config(str(tmp_path))
 
 
-def test_load_config_missing_keys_take_spec_defaults():
-    spec = load_config(
+def test_load_config_missing_keys_take_spec_defaults(tmp_path):
+    spec = _load_text(
+        tmp_path,
         "[ensemble]\nkind = gaussian\nm = 20\nn = 50\n"
         "[experiment]\nsweep_axis = s\nsweep_values = 3\n",
-        is_text=True,
     )
     assert spec == ExperimentSpec(
         ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=20, n=50),
@@ -251,20 +259,20 @@ def test_load_config_missing_keys_take_spec_defaults():
     for key, bad in (("trials", "x"), ("literal_acceptance", "2"), ("snr_db", "loud")):
         good = next(line for line in text.splitlines() if line.startswith(f"{key} ="))
         with pytest.raises(InvalidParameterError, match="invalid experiment config"):
-            load_config(text.replace(good, f"{key} = {bad}"), is_text=True)
+            _load_text(tmp_path, text.replace(good, f"{key} = {bad}"))
     with pytest.raises(InvalidParameterError, match="invalid experiment config"):
-        load_config(text + "trials = 3\n", is_text=True)
+        _load_text(tmp_path, text + "trials = 3\n")
     with pytest.raises(InvalidParameterError, match="invalid experiment config"):
-        load_config("[experiment]\nsweep_axis = s\nsweep_values = 3\n", is_text=True)
+        _load_text(tmp_path, "[experiment]\nsweep_axis = s\nsweep_values = 3\n")
 
 
-def test_load_config_rejects_unknown_sections_and_keys():
+def test_load_config_rejects_unknown_sections_and_keys(tmp_path):
     text = dump_config(_small_spec())
-    assert load_config(text, is_text=True).trials == 2
+    assert _load_text(tmp_path, text).trials == 2
     with pytest.raises(InvalidParameterError, match="trails"):
-        load_config(text.replace("trials =", "trails ="), is_text=True)
+        _load_text(tmp_path, text.replace("trials =", "trails ="))
     with pytest.raises(InvalidParameterError, match="experimnt"):
-        load_config(text + "\n[experimnt]\ntrials = 5\n", is_text=True)
+        _load_text(tmp_path, text + "\n[experimnt]\ntrials = 5\n")
 
 
 def test_presets():

@@ -185,3 +185,8 @@ def test_alpha_relation():
     assert alpha_relation(TOY_PROFILE, A, b, 0.0, 1.0)
     # shrinking ||x*|| far enough flips the relation
     assert not alpha_relation(TOY_PROFILE, A, b, 0.0, 0.1)
+    # degenerate inputs are rejected by the two bounds the relation compares
+    with pytest.raises(InvalidParameterError, match="tau"):
+        alpha_relation(TOY_PROFILE, A, np.zeros(2), 0.0, 1.0)
+    with pytest.raises(InvalidParameterError, match="xopt_norm"):
+        alpha_relation(TOY_PROFILE, A, b, 0.0, 0.0)

@@ -84,10 +84,7 @@ def test_bench_preset_and_report(tmp_path, capsys):
         ["bench", "--preset", "fig4", "--trials", "1", "--out", str(out)]
     )
     assert rc == 0
-    assert (out / "records.csv").exists()
-    assert (out / "summary.csv").exists()
-    assert (out / "manifest.cfg").exists()
-    assert (out / "plot_success.py").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.cfg", "records.csv", "summary.csv"]
     capsys.readouterr()
     rc = main(["report", "--records", str(out / "records.csv")])
     assert rc == 0
@@ -123,3 +120,44 @@ def test_bench_rejects_negative_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "master_seed" in err
     assert not out.exists()
+
+
+_TINY_CONFIG = (
+    "[ensemble]\nkind = gaussian\nm = 8\nn = 16\n"
+    "[experiment]\nsweep_axis = s\nsweep_values = 2\ntrials = 1\n"
+)
+
+
+def test_bench_config_rejects_preset_flags(tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(_TINY_CONFIG)
+    out = tmp_path / "run"
+    for flags in (["--seed", "7"], ["--literal-shape"], ["--literal-acceptance"]):
+        rc = main(["bench", "--config", str(cfg), "--out", str(out), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flags[0] in err
+        assert not out.exists()
+
+
+def test_bench_directory_config(tmp_path, capsys):
+    rc = main(["bench", "--config", str(tmp_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_bench_unwritable_out(tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(_TINY_CONFIG)
+    rc = main(["bench", "--config", str(cfg), "--out", str(cfg / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write benchmark results")
+
+
+def test_solve_rejects_refinement_off_dct(capsys):
+    rc = main(["solve", "--ensemble", "gaussian", "--refinement", "4", "--m", "8", "--n", "16"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "refinement" in err

@@ -37,8 +37,6 @@ def test_penalty_values_basic():
     assert penalty_value(PenaltyKind.L1, np.array([1.0, -2.0]), params) == pytest.approx(3.0)
     assert penalty_value(PenaltyKind.LP, np.array([4.0]), ThresholdParams(p=0.5)) == pytest.approx(2.0)
     assert penalty_value(PenaltyKind.TL1, np.array([1.0]), ThresholdParams(beta=1.0)) == pytest.approx(1.0)
-    en = penalty_value(PenaltyKind.ELASTIC_NET, np.array([1.0, 1.0]), params)
-    assert en == pytest.approx(3.0)
 
 
 def test_springback_equals_mcp_inside_linf_ball():
