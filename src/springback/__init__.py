@@ -25,6 +25,7 @@ from .bounds import (
     d2,
     exact_condition,
     noise_threshold,
+    posterior_verify,
     recovery_bound,
     rip_condition,
 )
@@ -66,7 +67,6 @@ from .solvers import (
     dca_unconstrained,
     hard_threshold,
     irls_lp,
-    posterior_verify,
 )
 from .bench import (
     ExperimentSpec,

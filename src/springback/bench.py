@@ -72,10 +72,6 @@ SOLVER_IDS = tuple(SOLVERS)
 
 SWEEP_AXES = ("s", "refinement", "snr", "m")
 
-# Fallback curvature for degenerate trials (zero observation), matching the
-# safeguard value of the alpha subroutine.
-_ALPHA_FALLBACK = 0.7
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -172,17 +168,12 @@ def _resolve_point(spec: ExperimentSpec, sweep_index: int):
 
 def solver_options(prob: ProblemInstance, sparsity: int, omega: float) -> SolverOptions:
     """Options every solver gets on an instance: alpha from the alpha
-    subroutine (the fallback for a zero observation), mu = 1/alpha, the looser
-    outer tolerance when the instance is noisy (tau > 0), and the sparsity
-    estimate max(s, 1)."""
-    A, b, tau = prob.A, prob.b, prob.tau
-    if float(np.linalg.norm(b)) + tau > 0:
-        alpha = alpha_subroutine(A, b, tau, omega=omega)
-    else:
-        alpha = _ALPHA_FALLBACK
+    subroutine, mu = 1/alpha, the looser outer tolerance when the instance is
+    noisy (tau > 0), and the sparsity estimate max(s, 1)."""
+    alpha = alpha_subroutine(prob.A, prob.b, prob.tau, omega=omega)
     return SolverOptions(
         alpha=alpha,
-        eps_outer=1e-3 if tau > 0 else 1e-5,
+        eps_outer=1e-3 if prob.tau > 0 else 1e-5,
         sparsity_estimate=max(sparsity, 1),
         mu=1.0 / alpha,
     )

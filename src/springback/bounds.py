@@ -26,6 +26,7 @@ __all__ = [
     "d1",
     "d2",
     "alpha_posterior_bound",
+    "posterior_verify",
     "recovery_bound",
     "a_of_s",
     "exact_condition",
@@ -110,6 +111,17 @@ def alpha_posterior_bound(prof: RipProfile, xopt_norm: float) -> float:
         raise InvalidParameterError("xopt_norm must be positive")
     r4, r3, s3, s1 = _roots(prof)
     return (r4 * s3 - r3 * s1) / ((r4 + r3) * xopt_norm)
+
+
+def posterior_verify(prof: RipProfile, alpha: float, x_star, eps: float = 0.0) -> bool:
+    """Check alpha against the posterior bound evaluated at ||x*||_2 + eps."""
+    x_star = as_vector(x_star)
+    if eps < 0:
+        raise InvalidParameterError("eps must be nonnegative")
+    norm = float(np.linalg.norm(x_star)) + eps
+    if norm <= 0:
+        return True
+    return alpha <= alpha_posterior_bound(prof, norm)
 
 
 def recovery_bound(

@@ -31,7 +31,7 @@ from .solvers import ProblemInstance
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     top = argparse.ArgumentParser(
         prog="springback", description="Sparse recovery with the springback penalty."
     )
@@ -95,7 +95,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="re-aggregate stored trial records")
     p.add_argument("--records", required=True, help="records.csv from a bench run")
     p.add_argument("--out", help="write summary.csv here instead of stdout")
-    return top
+    return top, sub.choices
+
+
+# (command, mode flag, flags that mode does not read, why).  In that mode, a
+# flag set away from its default is an error rather than silently dropped.
+_UNREAD_FLAGS = (
+    ("bench", "config", ("seed", "literal_shape", "literal_acceptance"),
+     "preset options; a config file sets its own master_seed, shape and literal_acceptance"),
+    ("solve", "npz", ("ensemble", "m", "n", "refinement", "snr", "seed", "min_separation"),
+     "instance-generation options; --npz loads a stored instance"),
+    ("bounds", "toy", ("s", "delta3s", "delta4s", "tau", "tail", "improved"),
+     "the worked example fixes its profile; --toy reads only --alpha"),
+)
+
+
+def _reject_unread_flags(args, parser: argparse.ArgumentParser) -> None:
+    for command, mode, dests, why in _UNREAD_FLAGS:
+        if args.command == command and getattr(args, mode):
+            given = [d for d in dests if getattr(args, d) != parser.get_default(d)]
+            if given:
+                flags = ", ".join("--" + d.replace("_", "-") for d in given)
+                raise InvalidParameterError(f"{flags}: {why}")
 
 
 def _cmd_threshold(args) -> int:
@@ -132,13 +153,15 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_solve(args) -> int:
     if args.npz:
-        data = np.load(args.npz)
-        prob = ProblemInstance(
-            data["A"],
-            data["b"],
-            float(data["tau"]) if "tau" in data else 0.0,
-            data["x"] if "x" in data else None,
-        )
+        try:
+            data = np.load(args.npz)
+            A, b, tau = data["A"], data["b"], float(data.get("tau", 0.0))
+        # no A or b, a bare .npy, not a NumPy file, a tau that is not a scalar
+        except (KeyError, IndexError, ValueError, TypeError) as exc:
+            raise InvalidParameterError(
+                f"{args.npz}: not an .npz archive with arrays A, b and scalar tau ({exc})"
+            ) from exc
+        prob = ProblemInstance(A, b, tau, data.get("x"))
         opts = bench_mod.solver_options(prob, args.s, args.omega)
     else:
         spec = bench_mod.ExperimentSpec(
@@ -172,17 +195,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.config:
-        preset_only = {
-            "--seed": args.seed is not None,
-            "--literal-shape": args.literal_shape,
-            "--literal-acceptance": args.literal_acceptance,
-        }
-        given = [flag for flag, on in preset_only.items() if on]
-        if given:
-            raise InvalidParameterError(
-                f"{', '.join(given)}: preset options; a config file sets its own "
-                "master_seed, shape and literal_acceptance"
-            )
         spec = bench_mod.load_config(args.config)
         if args.trials is not None:
             spec = replace(spec, trials=args.trials)
@@ -218,7 +230,8 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    top, commands = _build_parser()
+    args = top.parse_args(argv)
     handlers = {
         "threshold": _cmd_threshold,
         "bounds": _cmd_bounds,
@@ -227,6 +240,7 @@ def main(argv=None) -> int:
         "report": _cmd_report,
     }
     try:
+        _reject_unread_flags(args, commands[args.command])
         return handlers[args.command](args)
     except SpringbackError as exc:
         print(f"error: {exc}", file=sys.stderr)

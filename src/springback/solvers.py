@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import RipProfile, alpha_posterior_bound, convergence_alpha_bound
 from .errors import InvalidParameterError, NumericError
 from .linalg import (
     GramRidgeSolver,
@@ -47,7 +46,6 @@ __all__ = [
     "aiht",
     "hard_threshold",
     "alpha_subroutine",
-    "posterior_verify",
 ]
 
 _TINY = 1e-300
@@ -55,17 +53,21 @@ _TINY = 1e-300
 # Fixed algorithm constants.  RHO and ZETA_INNER are the constraint and
 # splitting penalties of the springback inner ADMM (the soft threshold there is
 # 1/ZETA_INNER, which a unit penalty keeps usable); ADMM_MAX caps the lasso
-# ADMM baseline; TL1_BETA is the transformed-l1 shape; IRLS_* set the initial
-# smoothing, the stopping tolerance and the sweep cap of irls_lp;
-# COND_THRESHOLD is the condition number above which alpha_subroutine treats A
-# as coherent.
+# ADMM baseline; MAX_OUTER caps every DCA loop; TL1_BETA is the
+# transformed-l1 shape; IRLS_* set the lp exponent, the initial smoothing, the
+# stopping tolerance and the sweep cap of irls_lp; ALPHA_MAX caps the
+# curvature alpha_subroutine picks; COND_THRESHOLD is the condition number
+# above which alpha_subroutine treats A as coherent.
 RHO = 1e5
 ZETA_INNER = 1.0
 ADMM_MAX = 5000
+MAX_OUTER = 10
 TL1_BETA = 1.0
+IRLS_P = 0.5
 IRLS_EPS0 = 1.0
 IRLS_TOL = 1e-8
 IRLS_MAX = 1000
+ALPHA_MAX = 0.7
 COND_THRESHOLD = 5.0
 
 # Absolute slacks on the constraint ||Ax - b||_2 <= tau.
@@ -120,26 +122,22 @@ class SolverOptions:
     DCA baselines); the springback inner ADMM uses the fixed RHO, ZETA_INNER.
     """
 
-    alpha: float = 0.7
+    alpha: float = ALPHA_MAX
     zeta: float = 1e-5
     eps_outer: float = 1e-5
-    max_outer: int = 10
     eps_inner: float = 1e-5
     max_inner: int = 500
     reg_lambda: float = 1e-6
     sparsity_estimate: int = 1
-    p: float = 0.5
     mu: float = 1.0
 
     def __post_init__(self):
         for name in ("alpha", "zeta", "eps_outer", "eps_inner", "reg_lambda", "mu"):
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(f"{name} must be positive")
-        for name in ("max_outer", "max_inner", "sparsity_estimate"):
+        for name in ("max_inner", "sparsity_estimate"):
             if getattr(self, name) < 1:
                 raise InvalidParameterError(f"{name} must be a positive integer")
-        if not (0.0 < self.p < 1.0):
-            raise InvalidParameterError("p must lie in (0, 1)")
 
 
 class SolverStatus(enum.Enum):
@@ -157,7 +155,6 @@ class SolverReport:
     objective_trace: list[float]
     residual: float
     status: SolverStatus
-    convergence_alpha_ok: bool | None = None
 
 
 @dataclass
@@ -173,10 +170,10 @@ class AdmmState:
     iterations: int = 0
 
 
-def _report(prob, x, outer, inner, trace, status, conv_ok=None) -> SolverReport:
+def _report(prob, x, outer, inner, trace, status) -> SolverReport:
     """Report of a finished solve, with residual ||A x - b||_2."""
     residual = float(np.linalg.norm(prob.A @ x - prob.b))
-    return SolverReport(x, outer, inner, trace, residual, status, conv_ok)
+    return SolverReport(x, outer, inner, trace, residual, status)
 
 
 def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -190,7 +187,7 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def fresh_admm_state(prob: ProblemInstance, opts: SolverOptions) -> AdmmState:
+def fresh_admm_state(prob: ProblemInstance) -> AdmmState:
     """Cold state with the cached x-update factorization for the instance."""
     m, n = prob.A.shape
     return AdmmState(
@@ -205,22 +202,21 @@ def fresh_admm_state(prob: ProblemInstance, opts: SolverOptions) -> AdmmState:
 
 def admm_subproblem(
     prob: ProblemInstance,
-    xk: np.ndarray,
     xi: np.ndarray,
     opts: SolverOptions,
     warm: AdmmState | None = None,
 ) -> np.ndarray:
-    """Scaled ADMM for min ||x||_1 - <x - xk, xi> s.t. ||Ax - b||_2 <= tau.
+    """Scaled ADMM for min ||x||_1 - <x, xi> s.t. ||Ax - b||_2 <= tau.
 
-    The stopping test requires the relative x-change, the x/y consensus gap,
-    and the constraint residual to be small together; the change test alone
-    fires spuriously in the first iterations when the soft threshold keeps
-    both iterates at zero.
+    This is the DCA subproblem linearized at x^k, less the constant
+    <x^k, xi>, which does not move the argmin.  The stopping test requires the
+    relative x-change, the x/y consensus gap, and the constraint residual to
+    be small together; the change test alone fires spuriously in the first
+    iterations when the soft threshold keeps both iterates at zero.
     """
     A, b, tau = prob.A, prob.b, prob.tau
-    xk = as_vector(xk)
     xi = as_vector(xi)
-    st = warm if warm is not None else fresh_admm_state(prob, opts)
+    st = warm if warm is not None else fresh_admm_state(prob)
     rho, zeta, eps = RHO, ZETA_INNER, opts.eps_inner
     for _ in range(opts.max_inner):
         x_old = st.x
@@ -251,11 +247,11 @@ def _dca_iterates(x: np.ndarray, opts: SolverOptions, step):
 
     ``step`` maps the iterate x^k to the solution x^{k+1} of the convex
     subproblem linearized at x^k.  Starting from x, yields (x^{k+1},
-    converged) per outer step, for at most opts.max_outer steps; converged
+    converged) per outer step, for at most MAX_OUTER steps; converged
     means min(delta, delta / ||x^k||) <= eps_outer with delta = ||x^{k+1} -
     x^k||, and ends the loop.
     """
-    for _ in range(opts.max_outer):
+    for _ in range(MAX_OUTER):
         x_new = step(x)
         delta = float(np.linalg.norm(x_new - x))
         xnorm = float(np.linalg.norm(x))
@@ -278,13 +274,10 @@ def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     A, b, tau = prob.A, prob.b, prob.tau
     alpha = opts.alpha
     params = ThresholdParams(alpha=alpha)
-    conv_ok = None
-    if float(np.linalg.norm(b)) + tau > 0:
-        conv_ok = alpha <= convergence_alpha_bound(A, b, tau)
-    state = fresh_admm_state(prob, opts)
+    state = fresh_admm_state(prob)
 
     def step(x):
-        return admm_subproblem(prob, x, alpha * x, opts, warm=state)
+        return admm_subproblem(prob, alpha * x, opts, warm=state)
 
     x = np.zeros(A.shape[1])
     trace: list[float] = []
@@ -301,7 +294,7 @@ def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
         status = SolverStatus.NUMERIC_FAILURE
     if infeasible and status is not SolverStatus.NUMERIC_FAILURE:
         status = SolverStatus.INFEASIBLE_START
-    return _report(prob, x, len(trace), state.iterations, trace, status, conv_ok)
+    return _report(prob, x, len(trace), state.iterations, trace, status)
 
 
 @dataclass
@@ -388,9 +381,7 @@ def dca_unconstrained(
     A, b = prob.A, prob.b
     lam = opts.reg_lambda
     l1_weight = lam * (TL1_BETA + 1.0) / TL1_BETA if kind is PenaltyKind.TL1 else lam
-    params = ThresholdParams(
-        lam=lam, alpha=opts.alpha, mu=opts.mu, beta=TL1_BETA, p=opts.p
-    )
+    params = ThresholdParams(mu=opts.mu, beta=TL1_BETA)
     st = _lasso_state(A, opts.zeta)
 
     def step(x):
@@ -421,7 +412,7 @@ def irls_lp(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     """
     A, b = prob.A, prob.b
     m, n = A.shape
-    lam, p = opts.reg_lambda, opts.p
+    lam, p = opts.reg_lambda, IRLS_P
     x = np.zeros(n)
     eps_s = IRLS_EPS0
     trace: list[float] = []
@@ -522,34 +513,25 @@ def aiht(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
 
 
 def alpha_subroutine(A, b, tau: float, omega: float = 0.5) -> float:
-    """Data-driven choice of the springback curvature alpha.
+    """Data-driven choice of the springback curvature alpha, the only place
+    alpha is decided.
 
-    Well-conditioned A: min(0.7, 2 sigma_min / (||b|| + tau)).  Coherent A
-    (condition number above COND_THRESHOLD): the same value floored at omega,
-    since the sigma-based bound collapses while larger alpha still works.
+    Well-conditioned A: min(ALPHA_MAX, 2 sigma_min / (||b|| + tau)), the
+    convergence bound, capped.  Coherent A (condition number above
+    COND_THRESHOLD): that value floored at omega, since the sigma-based bound
+    collapses while larger alpha still works.  A zero observation gets ALPHA_MAX.
     """
     A = as_matrix(A)
     b = as_vector(b)
     if omega <= 0:
         raise InvalidParameterError("omega must be positive")
+    if tau < 0:
+        raise InvalidParameterError("tau must be nonnegative")
     denom = float(np.linalg.norm(b)) + tau
-    if denom <= 0:
-        raise InvalidParameterError("||b||_2 + tau must be positive")
+    if denom == 0:
+        return ALPHA_MAX
     smin, smax = singular_extremes(A)
-    base = min(0.7, 2.0 * smin / denom)
+    base = min(ALPHA_MAX, 2.0 * smin / denom)
     if smin > 0 and smax / smin <= COND_THRESHOLD:
         return base
     return max(omega, base)
-
-
-def posterior_verify(
-    prof: RipProfile, alpha: float, x_star, eps: float = 0.0
-) -> bool:
-    """Check alpha against the posterior bound evaluated at ||x*||_2 + eps."""
-    x_star = as_vector(x_star)
-    if eps < 0:
-        raise InvalidParameterError("eps must be nonnegative")
-    norm = float(np.linalg.norm(x_star)) + eps
-    if norm <= 0:
-        return True
-    return alpha <= alpha_posterior_bound(prof, norm)

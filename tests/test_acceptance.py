@@ -121,10 +121,10 @@ def test_criterion_03_operator_identities():
 def _dca_iterate_history(prob, opts):
     """Outer DCA iterates x^1..x^K with F values, from the solver's DCA loop
     stepping through the public subproblem."""
-    state = fresh_admm_state(prob, opts)
+    state = fresh_admm_state(prob)
 
     def step(x):
-        return admm_subproblem(prob, x, opts.alpha * x, opts, warm=state)
+        return admm_subproblem(prob, opts.alpha * x, opts, warm=state)
 
     return [
         (x, float(np.abs(x).sum() - 0.5 * opts.alpha * (x @ x)))

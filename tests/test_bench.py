@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from springback import bench
+import sys
+
+from springback import bench, linalg
 from springback.bench import (
     ExperimentSpec,
     SummaryRow,
@@ -22,6 +24,7 @@ from springback.bench import (
 )
 from springback.errors import InvalidParameterError, SpringbackError
 from springback.sensing import EnsembleKind, EnsembleSpec
+from springback.solvers import ALPHA_MAX
 
 
 def _load_text(tmp_path, text):
@@ -110,6 +113,27 @@ def test_degenerate_zero_signal_trial():
     for r in recs:
         assert np.isnan(r.relative_error)
         assert r.success  # absolute error criterion for a zero ground truth
+        assert r.alpha_used == ALPHA_MAX
+
+
+def test_run_trial_computes_one_svd_per_springback_trial(monkeypatch):
+    """The alpha subroutine's singular values are the only ones a trial
+    computes; no solver recomputes them."""
+    original = linalg.singular_extremes
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return original(A)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("springback") and getattr(mod, "singular_extremes", None) is original:
+            monkeypatch.setattr(mod, "singular_extremes", counted)
+    for ti in range(2):
+        calls.clear()
+        recs = run_trial(_small_spec(solvers=bench.SOLVER_IDS), 0, ti)
+        assert [r.solver_id for r in recs] == list(bench.SOLVER_IDS)
+        assert calls == [(20, 50)]
 
 
 def test_acceptance_rule_variants():

@@ -18,6 +18,7 @@ from springback.bounds import (
     d2,
     exact_condition,
     noise_threshold,
+    posterior_verify,
     recovery_bound,
     rip_condition,
     toy_noise_thresholds,
@@ -59,6 +60,15 @@ def test_alpha_posterior_bound():
     # negative numerator flags an unusable condition on RIP-failing profiles
     bad = RipProfile(s=5, delta3s=0.9, delta4s=0.9)
     assert alpha_posterior_bound(bad, 1.0) < 0
+
+
+def test_posterior_verify():
+    x = np.zeros(5)
+    x[0] = 1.0
+    assert posterior_verify(TOY_PROFILE, 0.6, x)  # bound ~ 0.68468
+    assert not posterior_verify(TOY_PROFILE, 0.7, x)
+    assert posterior_verify(TOY_PROFILE, 1e-12, x)
+    assert posterior_verify(TOY_PROFILE, 5.0, np.zeros(5))
 
 
 def test_recovery_bound_cases():

@@ -161,3 +161,46 @@ def test_solve_rejects_refinement_off_dct(capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "refinement" in err
+
+
+@pytest.mark.parametrize(
+    "name, write",
+    [
+        ("no_a.npz", lambda p: np.savez(p, b=np.ones(3))),  # archive without A
+        ("array.npy", lambda p: np.save(p, np.ones((3, 3)))),  # a bare array
+        ("text.npz", lambda p: p.write_text("not numpy\n")),  # not a NumPy file
+        ("tau.npz", lambda p: np.savez(p, A=np.eye(3), b=np.ones(3), tau=np.ones(2))),
+    ],
+)
+def test_solve_rejects_malformed_npz(tmp_path, capsys, name, write):
+    path = tmp_path / name
+    write(path)
+    assert main(["solve", "--npz", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_solve_npz_rejects_generation_flags(tmp_path, capsys):
+    path = tmp_path / "inst.npz"
+    np.savez(path, A=np.eye(3), b=np.ones(3))
+    # a flag left at its default is accepted
+    assert main(["solve", "--npz", str(path), "--seed", "0"]) == 0
+    capsys.readouterr()
+    for flags in (["--ensemble", "oversampled_dct"], ["--m", "99"], ["--n", "7"],
+                  ["--refinement", "4"], ["--snr", "10"], ["--seed", "5"],
+                  ["--min-separation", "2"]):
+        assert main(["solve", "--npz", str(path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flags[0] in err
+
+
+def test_bounds_toy_rejects_profile_flags(capsys):
+    for flags in (["--s", "5"], ["--delta3s", "0.9"], ["--delta4s", "0.5"],
+                  ["--tau", "3"], ["--tail", "0.1"], ["--improved"]):
+        assert main(["bounds", "--toy", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flags[0] in err
+    assert main(["bounds", "--toy", "--s", "5", "--tau", "3"]) == 1
+    assert "--s, --tau:" in capsys.readouterr().err
+    # --alpha is read by the worked example
+    assert main(["bounds", "--toy", "--alpha", "2"]) == 0

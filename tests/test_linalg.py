@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -58,15 +58,27 @@ def test_spd_rejects_indefinite():
         SpdFactor(np.diag([1.0, -1.0]))
 
 
-@pytest.mark.parametrize("shape", [(3, 8), (8, 3), (5, 5)])
-def test_gram_ridge_solver_matches_dense(shape):
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal(shape)
-    rho, zeta = 1e3, 0.5
-    solver = GramRidgeSolver(A, rho, zeta)
-    r = rng.standard_normal(shape[1])
-    expected = np.linalg.solve(rho * A.T @ A + zeta * np.eye(shape[1]), r)
-    np.testing.assert_allclose(solver.solve(r), expected, atol=1e-8)
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    rho=st.floats(1e-3, 1e6),
+    zeta=st.floats(1e-6, 1e2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=3, n=8, rho=1e3, zeta=0.5, seed=2)  # wide
+@example(m=8, n=3, rho=1e3, zeta=0.5, seed=2)  # tall
+@example(m=5, n=5, rho=1e3, zeta=0.5, seed=2)  # square
+def test_gram_ridge_solver_matches_dense(m, n, rho, zeta, seed):
+    # wide A takes the m x m Woodbury form, square and tall A the n x n one;
+    # both must agree with a dense solve to within the system's conditioning
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    r = rng.standard_normal(n)
+    M = rho * A.T @ A + zeta * np.eye(n)
+    expected = np.linalg.solve(M, r)
+    err = np.linalg.norm(GramRidgeSolver(A, rho, zeta).solve(r) - expected)
+    assert err <= 1e-13 * np.linalg.cond(M) * np.linalg.norm(expected)
 
 
 def test_gram_ridge_rejects_nonpositive_penalties():

@@ -1,8 +1,10 @@
-"""Tests for the package's export lists."""
+"""Tests for the package's export lists and its module layering."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import springback
 
@@ -22,3 +24,38 @@ def test_export_lists_resolve():
     ]
     # the package re-exports only names that some module exports
     assert sorted(set(public) - exported) == []
+
+
+# Package modules each module imports.  Lower layers never import upper ones:
+# in particular the solvers evaluate no recovery theory (bounds).
+LAYERS = {
+    "errors": set(),
+    "linalg": {"errors"},
+    "penalties": {"errors", "linalg"},
+    "sensing": {"errors", "linalg"},
+    "bounds": {"errors", "linalg", "penalties"},
+    "solvers": {"errors", "linalg", "penalties"},
+    "bench": {"errors", "penalties", "sensing", "solvers"},
+    "cli": {"bench", "bounds", "errors", "penalties", "sensing", "solvers"},
+    "__init__": {"bench", "bounds", "errors", "penalties", "sensing", "solvers"},
+}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Sibling modules named by the relative imports of one module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:  # from . import x
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_module_layering():
+    root = Path(springback.__file__).parent
+    found = {p.stem: _package_imports(p) for p in sorted(root.glob("*.py"))}
+    assert sorted(found) == sorted(LAYERS)
+    for module, imports in found.items():
+        assert imports == LAYERS[module], module

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from springback.bounds import RipProfile
+import springback.solvers as solvers_mod
+from springback.bounds import convergence_alpha_bound
 from springback.errors import InvalidParameterError
 from springback.penalties import PenaltyKind
 from springback.sensing import EnsembleKind, EnsembleSpec, SignalSpec, gen_matrix, gen_signal
@@ -22,9 +23,9 @@ from springback.solvers import (
     dca_springback,
     dca_unconstrained,
     fresh_admm_state,
+    ALPHA_MAX,
     hard_threshold,
     irls_lp,
-    posterior_verify,
 )
 
 
@@ -47,9 +48,9 @@ def test_solver_options_validation():
     with pytest.raises(InvalidParameterError):
         SolverOptions(alpha=0.0)
     with pytest.raises(InvalidParameterError):
-        SolverOptions(max_outer=0)
+        SolverOptions(max_inner=0)
     with pytest.raises(InvalidParameterError):
-        SolverOptions(p=1.5)
+        SolverOptions(zeta=-1.0)
 
 
 def test_dca_springback_identity_constraint_pins_solution():
@@ -75,7 +76,7 @@ def test_dca_springback_report_flags():
     prob, _ = _gaussian_instance(64, 250, 10, 0)
     alpha = alpha_subroutine(prob.A, prob.b, 0.0)
     rep = dca_springback(prob, SolverOptions(alpha=alpha))
-    assert rep.convergence_alpha_ok is True
+    assert alpha <= convergence_alpha_bound(prob.A, prob.b, 0.0)
     assert rep.status in (SolverStatus.CONVERGED, SolverStatus.MAX_ITER)
     assert len(rep.objective_trace) == rep.outer_iterations
 
@@ -93,7 +94,7 @@ def test_dca_springback_descent_with_tight_inner_tolerance():
 def test_admm_subproblem_identity_feasible_singleton():
     b = np.array([0.3, -1.1])
     prob = ProblemInstance(np.eye(2), b, 0.0)
-    x = admm_subproblem(prob, np.zeros(2), np.zeros(2), SolverOptions())
+    x = admm_subproblem(prob, np.zeros(2), SolverOptions())
     np.testing.assert_allclose(x, b, atol=1e-4)
 
 
@@ -105,9 +106,7 @@ def test_admm_subproblem_matches_bp_linear_program():
     xbar[1] = 1.3
     b = A @ xbar
     prob = ProblemInstance(A, b, 0.0)
-    x = admm_subproblem(
-        prob, np.zeros(4), np.zeros(4), SolverOptions(eps_inner=1e-9, max_inner=5000)
-    )
+    x = admm_subproblem(prob, np.zeros(4), SolverOptions(eps_inner=1e-9, max_inner=5000))
     # split x = u - v, u,v >= 0; min sum(u+v) s.t. A(u-v) = b
     res = scipy.optimize.linprog(
         np.ones(8),
@@ -123,10 +122,10 @@ def test_admm_subproblem_matches_bp_linear_program():
 def test_admm_subproblem_warm_start_fixed_point():
     prob, _ = _gaussian_instance(16, 40, 3, 2)
     opts = SolverOptions()
-    state = fresh_admm_state(prob, opts)
-    x1 = admm_subproblem(prob, np.zeros(40), np.zeros(40), opts, warm=state)
+    state = fresh_admm_state(prob)
+    x1 = admm_subproblem(prob, np.zeros(40), opts, warm=state)
     before = state.iterations
-    x2 = admm_subproblem(prob, np.zeros(40), np.zeros(40), opts, warm=state)
+    x2 = admm_subproblem(prob, np.zeros(40), opts, warm=state)
     assert state.iterations - before <= 1
     np.testing.assert_allclose(x1, x2, atol=1e-4)
 
@@ -262,9 +261,9 @@ def test_aiht_recovers_sparse_signal():
 
 
 def test_alpha_subroutine_branches():
-    # well-conditioned, sigma-based value above the safeguard -> 0.7
+    # well-conditioned, sigma-based value above the safeguard -> ALPHA_MAX
     A = np.eye(3)
-    assert alpha_subroutine(A, np.array([0.5, 0.0, 0.0]), 0.0) == pytest.approx(0.7)
+    assert alpha_subroutine(A, np.array([0.5, 0.0, 0.0]), 0.0) == ALPHA_MAX == 0.7
     # well-conditioned, safeguard inactive -> sigma-based value
     b = np.zeros(3)
     b[0] = 20.0 / 3.0
@@ -273,18 +272,18 @@ def test_alpha_subroutine_branches():
     A2 = np.diag([100.0, 1.0])
     b2 = np.array([0.0, 200.0])
     assert alpha_subroutine(A2, b2, 0.0, omega=0.5) == pytest.approx(0.5)
+    # zero observation -> ALPHA_MAX; a negative noise radius is rejected
+    assert alpha_subroutine(A, np.zeros(3), 0.0) == ALPHA_MAX
     with pytest.raises(InvalidParameterError):
-        alpha_subroutine(A, np.zeros(3), 0.0)
+        alpha_subroutine(A, b, -1.0)
 
 
-def test_posterior_verify():
-    prof = RipProfile(s=20, delta3s=0.25, delta4s=1.0 / 3.0)
-    x = np.zeros(5)
-    x[0] = 1.0
-    assert posterior_verify(prof, 0.6, x)  # bound ~ 0.68468
-    assert not posterior_verify(prof, 0.7, x)
-    assert posterior_verify(prof, 1e-12, x)
-    assert posterior_verify(prof, 5.0, np.zeros(5))
+def test_alpha_subroutine_zero_observation_skips_svd(monkeypatch):
+    def no_svd(A):
+        raise AssertionError("zero observation must not compute an SVD")
+
+    monkeypatch.setattr(solvers_mod, "singular_extremes", no_svd)
+    assert alpha_subroutine(np.eye(3), np.zeros(3), 0.0) == ALPHA_MAX
 
 
 def test_feasibility_at_exit_constrained():
