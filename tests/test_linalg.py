@@ -58,6 +58,17 @@ def test_spd_rejects_indefinite():
         SpdFactor(np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("shape", [(3, 8), (8, 3), (5, 5)])
+def test_gram_ridge_solver_matches_dense(shape):
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal(shape)
+    rho, zeta = 1e3, 0.5
+    solver = GramRidgeSolver(A, rho, zeta)
+    r = rng.standard_normal(shape[1])
+    expected = np.linalg.solve(rho * A.T @ A + zeta * np.eye(shape[1]), r)
+    np.testing.assert_allclose(solver.solve(r), expected, atol=1e-8)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     m=st.integers(1, 12),
@@ -69,7 +80,7 @@ def test_spd_rejects_indefinite():
 @example(m=3, n=8, rho=1e3, zeta=0.5, seed=2)  # wide
 @example(m=8, n=3, rho=1e3, zeta=0.5, seed=2)  # tall
 @example(m=5, n=5, rho=1e3, zeta=0.5, seed=2)  # square
-def test_gram_ridge_solver_matches_dense(m, n, rho, zeta, seed):
+def test_gram_ridge_solver_matches_dense_property(m, n, rho, zeta, seed):
     # wide A takes the m x m Woodbury form, square and tall A the n x n one;
     # both must agree with a dense solve to within the system's conditioning
     rng = np.random.default_rng(seed)
