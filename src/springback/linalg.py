@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .errors import InvalidParameterError, NumericError
 
@@ -47,7 +48,7 @@ class SpdFactor:
 
     The factorization is computed once and reused for repeated right-hand
     sides, which is what the solvers need: the same normal matrix is solved
-    against at every inner iteration.
+    against at every inner iteration.  ``chol`` is LAPACK's lower factor.
     """
 
     def __init__(self, M):
@@ -55,7 +56,7 @@ class SpdFactor:
         if M.shape[0] != M.shape[1]:
             raise InvalidParameterError("SPD solve requires a square matrix")
         try:
-            self._factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+            self.chol, _ = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise NumericError(f"matrix is not positive definite: {exc}") from exc
         self.shape = M.shape
@@ -67,7 +68,7 @@ class SpdFactor:
                 f"right-hand side length {r.shape[0]} does not match "
                 f"matrix order {self.shape[0]}"
             )
-        return scipy.linalg.cho_solve(self._factor, r, check_finite=False)
+        return dpotrs(self.chol, r, lower=1)[0]
 
 
 class GramRidgeSolver:
@@ -80,7 +81,8 @@ class GramRidgeSolver:
             = (r - A^T ((zeta/rho) I + A A^T)^-1 A r) / zeta
 
     which is both faster and better conditioned than factoring the n x n
-    normal matrix when n is large.
+    normal matrix when n is large.  A is validated once, here; ``solve`` is
+    the inner loops' hot call and takes r unchecked (finite, length n).
     """
 
     def __init__(self, A, rho: float, zeta: float):
@@ -94,18 +96,18 @@ class GramRidgeSolver:
         if self._wide:
             G = A @ A.T
             G[np.diag_indices(m)] += zeta / rho
-            self._factor = SpdFactor(G)
         else:
-            M = rho * (A.T @ A)
-            M[np.diag_indices(n)] += zeta
-            self._factor = SpdFactor(M)
+            G = rho * (A.T @ A)
+            G[np.diag_indices(n)] += zeta
+        if not np.isfinite(G).all():
+            raise NumericError("Gram matrix overflowed: the entries of A are too large")
+        self._chol = SpdFactor(G).chol
 
-    def solve(self, r) -> np.ndarray:
-        r = as_vector(r)
+    def solve(self, r: np.ndarray) -> np.ndarray:
         if self._wide:
             A = self._A
-            return (r - A.T @ self._factor.solve(A @ r)) / self._zeta
-        return self._factor.solve(r)
+            return (r - A.T @ dpotrs(self._chol, A @ r, lower=1)[0]) / self._zeta
+        return dpotrs(self._chol, r, lower=1)[0]
 
 
 def singular_extremes(A) -> tuple[float, float]:

@@ -11,6 +11,7 @@ the smoothed lp quasi-norm, and accelerated iterative hard thresholding.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,14 +160,15 @@ class SolverReport:
 
 @dataclass
 class AdmmState:
-    """Warm-start state of the constrained inner ADMM, updated in place."""
+    """Warm-start state of the constrained inner ADMM; the first call builds
+    the x-update factor ``solver``."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     u: np.ndarray
     eta: np.ndarray
-    solver: GramRidgeSolver
+    solver: GramRidgeSolver | None = None
     iterations: int = 0
 
 
@@ -176,28 +178,21 @@ def _report(prob, x, outer, inner, trace, status) -> SolverReport:
     return SolverReport(x, outer, inner, trace, residual, status)
 
 
-def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
-    denom = max(float(np.linalg.norm(new)), float(np.linalg.norm(old)), _TINY)
-    return float(np.linalg.norm(new - old)) / denom
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 of a contiguous vector, computed as np.linalg.norm does."""
+    return math.sqrt(v.dot(v))
 
 
 def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(f"{what} produced non-finite values")
     return x
 
 
 def fresh_admm_state(prob: ProblemInstance) -> AdmmState:
-    """Cold state with the cached x-update factorization for the instance."""
+    """Cold state for the instance."""
     m, n = prob.A.shape
-    return AdmmState(
-        x=np.zeros(n),
-        y=np.zeros(n),
-        z=np.zeros(m),
-        u=np.zeros(n),
-        eta=np.zeros(m),
-        solver=GramRidgeSolver(prob.A, RHO, ZETA_INNER),
-    )
+    return AdmmState(np.zeros(n), np.zeros(n), np.zeros(m), np.zeros(n), np.zeros(m))
 
 
 def admm_subproblem(
@@ -212,34 +207,42 @@ def admm_subproblem(
     <x^k, xi>, which does not move the argmin.  The stopping test requires the
     relative x-change, the x/y consensus gap, and the constraint residual to
     be small together; the change test alone fires spuriously in the first
-    iterations when the soft threshold keeps both iterates at zero.
+    iterations when the soft threshold keeps both iterates at zero.  The warm
+    state gets the last finite iterate and the completed iterations on every
+    exit, a NumericError from a non-finite x-update included.
     """
     A, b, tau = prob.A, prob.b, prob.tau
+    At = A.T
     xi = as_vector(xi)
     st = warm if warm is not None else fresh_admm_state(prob)
+    if st.solver is None:
+        st.solver = GramRidgeSolver(A, RHO, ZETA_INNER)
+    solve = st.solver.solve
     rho, zeta, eps = RHO, ZETA_INNER, opts.eps_inner
-    for _ in range(opts.max_inner):
-        x_old = st.x
-        rhs = rho * (A.T @ (b + st.z - st.eta)) + xi + zeta * (st.y - st.u)
-        x = _check_finite(st.solver.solve(rhs), "inner ADMM x-update")
-        y = soft_shrink(x + st.u, 1.0 / zeta)
-        Ax = A @ x
-        if tau == 0.0:
-            z = np.zeros_like(b)
-        else:
-            z = l2_ball_project(Ax - b + st.eta, tau)
-        st.u = st.u + x - y
-        st.eta = st.eta + Ax - b - z
-        st.x, st.y, st.z = x, y, z
-        st.iterations += 1
-        xnorm = float(np.linalg.norm(x))
-        if (
-            _rel_change(x, x_old) < eps
-            and float(np.linalg.norm(x - y)) <= eps * max(1.0, xnorm)
-            and float(np.linalg.norm(Ax - b)) <= tau + FEAS_TOL_INNER
-        ):
-            break
-    return st.x.copy()
+    x, y, z, u, eta = st.x, st.y, st.z, st.u, st.eta
+    zero = np.zeros_like(b) if tau == 0.0 else None
+    xnorm = _norm(x)
+    try:
+        for _ in range(opts.max_inner):
+            rhs = rho * (At @ (b + z - eta)) + xi + zeta * (y - u)
+            x_old, x = x, _check_finite(solve(rhs), "inner ADMM x-update")
+            y = soft_shrink(x + u, 1.0 / zeta)
+            Ax = A @ x
+            r = Ax - b
+            z = zero if zero is not None else l2_ball_project(r + eta, tau)
+            u = u + x - y
+            eta = eta + Ax - b - z
+            st.iterations += 1
+            xnorm_old, xnorm = xnorm, _norm(x)
+            if (
+                _norm(x - x_old) / max(xnorm, xnorm_old, _TINY) < eps
+                and _norm(x - y) <= eps * max(1.0, xnorm)
+                and _norm(r) <= tau + FEAS_TOL_INNER
+            ):
+                break
+    finally:
+        st.x, st.y, st.z, st.u, st.eta = x, y, z, u, eta
+    return x.copy()
 
 
 def _dca_iterates(x: np.ndarray, opts: SolverOptions, step):
@@ -299,20 +302,19 @@ def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
 
 @dataclass
 class _LassoState:
-    """Warm-start state of the lasso ADMM, updated in place; y is the sparse
-    iterate and solver the cached (A^T A + zeta I) factor."""
+    """Warm-start state of the lasso ADMM; y is the sparse iterate and solver
+    the (A^T A + zeta I) factor, built by the first call."""
 
     x: np.ndarray
     y: np.ndarray
     u: np.ndarray
     zeta: float
-    solver: GramRidgeSolver
+    solver: GramRidgeSolver | None = None
     iterations: int = 0
 
 
-def _lasso_state(A: np.ndarray, zeta: float) -> _LassoState:
-    n = A.shape[1]
-    return _LassoState(np.zeros(n), np.zeros(n), np.zeros(n), zeta, GramRidgeSolver(A, 1.0, zeta))
+def _lasso_state(n: int, zeta: float) -> _LassoState:
+    return _LassoState(np.zeros(n), np.zeros(n), np.zeros(n), zeta)
 
 
 def _lasso_admm(
@@ -330,32 +332,37 @@ def _lasso_admm(
 
     Runs at most max_iter iterations and returns whether the stopping test
     fired.  With ``trace`` given, appends 0.5||Ay-b||^2 + lam||y||_1 at every
-    sparse iterate y.
+    sparse iterate y.  ``st`` is updated as in admm_subproblem.
     """
     zeta = st.zeta
+    if st.solver is None:
+        st.solver = GramRidgeSolver(A, 1.0, zeta)
+    solve = st.solver.solve
     x, y, u = st.x, st.y, st.u
     rhs_const = A.T @ b if linear is None else A.T @ b + linear
-    for _ in range(max_iter):
-        x_old = x
-        x = _check_finite(st.solver.solve(rhs_const + zeta * (y - u)), "lasso ADMM x-update")
-        y = soft_shrink(x + u, lam / zeta)
-        u = u + x - y
+    xnorm = _norm(x)
+    try:
+        for _ in range(max_iter):
+            x_old, x = x, _check_finite(solve(rhs_const + zeta * (y - u)), "lasso ADMM x-update")
+            y = soft_shrink(x + u, lam / zeta)
+            u = u + x - y
+            st.iterations += 1
+            if trace is not None:
+                r = A @ y - b
+                trace.append(0.5 * float(r @ r) + lam * float(np.abs(y).sum()))
+            xnorm_old, xnorm = xnorm, _norm(x)
+            change = _norm(x - x_old) / max(xnorm, xnorm_old, _TINY)
+            if change < eps and _norm(x - y) <= eps * max(1.0, xnorm):
+                return True
+        return False
+    finally:
         st.x, st.y, st.u = x, y, u
-        st.iterations += 1
-        if trace is not None:
-            r = A @ y - b
-            trace.append(0.5 * float(r @ r) + lam * float(np.abs(y).sum()))
-        if _rel_change(x, x_old) < eps and float(np.linalg.norm(x - y)) <= eps * max(
-            1.0, float(np.linalg.norm(x))
-        ):
-            return True
-    return False
 
 
 def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     """ADMM for the unconstrained l1 model 0.5||Ax-b||^2 + lam||x||_1."""
     A, b = prob.A, prob.b
-    st = _lasso_state(A, opts.zeta)
+    st = _lasso_state(A.shape[1], opts.zeta)
     trace: list[float] = []
     status = SolverStatus.MAX_ITER
     try:
@@ -382,7 +389,7 @@ def dca_unconstrained(
     lam = opts.reg_lambda
     l1_weight = lam * (TL1_BETA + 1.0) / TL1_BETA if kind is PenaltyKind.TL1 else lam
     params = ThresholdParams(mu=opts.mu, beta=TL1_BETA)
-    st = _lasso_state(A, opts.zeta)
+    st = _lasso_state(A.shape[1], opts.zeta)
 
     def step(x):
         g = lam * dc_concave_gradient(kind, x, params)
@@ -424,7 +431,7 @@ def irls_lp(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
             w = 0.5 * p * (x * x + eps_s * eps_s) ** (0.5 * p - 1.0)
             d = 2.0 * lam * w
             Ad = A / d
-            t = SpdFactor(eye + Ad @ A.T).solve(b)
+            t = SpdFactor(_check_finite(eye + Ad @ A.T, "IRLS normal matrix")).solve(b)
             x_new = _check_finite(Ad.T @ t, "IRLS ridge solve")
             r = A @ x_new - b
             trace.append(
@@ -440,6 +447,7 @@ def irls_lp(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
                 eps_s = max(0.1 * eps_s, 1e-8)
     except NumericError:
         status = SolverStatus.NUMERIC_FAILURE
+        it -= 1  # report the completed sweeps
     return _report(prob, x, it, it, trace, status)
 
 
@@ -478,37 +486,40 @@ def aiht(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     trace: list[float] = [rnorm]
     status = SolverStatus.MAX_ITER
     it = 0
-    for it in range(1, opts.max_inner + 1):
-        g = A.T @ r
-        support = np.flatnonzero(x)
-        if support.size == 0:
-            support = np.flatnonzero(hard_threshold(g, s))
-        gS = np.zeros(n)
-        gS[support] = g[support]
-        AgS = A @ gS
-        denom = float(AgS @ AgS)
-        if denom <= 0.0:
-            status = SolverStatus.CONVERGED
-            break
-        step = float(gS @ gS) / denom
-        x_new = hard_threshold(x + step * g, s)
-        r_new = b - A @ x_new
-        x_acc = hard_threshold(x_new + (x_new - x), s)
-        r_acc = b - A @ x_acc
-        if float(np.linalg.norm(r_acc)) < float(np.linalg.norm(r_new)):
-            x_new, r_new = x_acc, r_acc
-        _check_finite(x_new, "AIHT iterate")
-        change = float(np.linalg.norm(x_new - x))
-        x, r = x_new, r_new
-        rnorm_new = float(np.linalg.norm(r))
-        trace.append(rnorm_new)
-        if change <= opts.eps_outer * max(1.0, float(np.linalg.norm(x))) or abs(
-            rnorm - rnorm_new
-        ) <= 1e-12 * max(1.0, rnorm):
-            status = SolverStatus.CONVERGED
+    try:  # hard_threshold takes a non-finite input for a caller error
+        for it in range(1, opts.max_inner + 1):
+            g = _check_finite(A.T @ r, "AIHT gradient")
+            support = np.flatnonzero(x)
+            if support.size == 0:
+                support = np.flatnonzero(hard_threshold(g, s))
+            gS = np.zeros(n)
+            gS[support] = g[support]
+            AgS = A @ gS
+            denom = float(AgS @ AgS)
+            if denom <= 0.0:
+                status = SolverStatus.CONVERGED
+                break
+            step = float(gS @ gS) / denom
+            x_new = hard_threshold(_check_finite(x + step * g, "AIHT step"), s)
+            r_new = b - A @ x_new
+            x_acc = hard_threshold(_check_finite(x_new + (x_new - x), "AIHT step"), s)
+            r_acc = b - A @ x_acc
+            if float(np.linalg.norm(r_acc)) < float(np.linalg.norm(r_new)):
+                x_new, r_new = x_acc, r_acc
+            change = float(np.linalg.norm(x_new - x))
+            x, r = x_new, r_new
+            rnorm_new = float(np.linalg.norm(r))
+            trace.append(rnorm_new)
+            if change <= opts.eps_outer * max(1.0, float(np.linalg.norm(x))) or abs(
+                rnorm - rnorm_new
+            ) <= 1e-12 * max(1.0, rnorm):
+                status = SolverStatus.CONVERGED
+                rnorm = rnorm_new
+                break
             rnorm = rnorm_new
-            break
-        rnorm = rnorm_new
+    except NumericError:
+        status = SolverStatus.NUMERIC_FAILURE
+        it -= 1  # report the completed iterations
     return _report(prob, x, it, it, trace, status)
 
 
@@ -527,7 +538,11 @@ def alpha_subroutine(A, b, tau: float, omega: float = 0.5) -> float:
         raise InvalidParameterError("omega must be positive")
     if tau < 0:
         raise InvalidParameterError("tau must be nonnegative")
-    denom = float(np.linalg.norm(b)) + tau
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == math.inf:  # ||b||^2 overflowed; ||b|| itself need not
+        scale = float(np.abs(b).max())
+        bnorm = scale * float(np.linalg.norm(b / scale))
+    denom = bnorm + tau
     if denom == 0:
         return ALPHA_MAX
     smin, smax = singular_extremes(A)

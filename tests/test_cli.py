@@ -72,6 +72,20 @@ def test_solve_npz_instance(tmp_path, capsys):
     assert "residual" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solver", ["springback", "admm_l1", "irls_lp", "aiht", "dca_l12"])
+def test_solve_reports_overflow_as_a_status(tmp_path, capsys, solver):
+    # finite data whose ||b||^2 and Gram matrix overflow inside the solve
+    A = 1e200 * np.hstack([np.eye(3), np.eye(3)[:, :1], np.zeros((3, 1))])
+    path = tmp_path / "inst.npz"
+    np.savez(path, A=A, b=1e200 * np.ones(3), tau=0.0)
+    rc = main(["solve", "--solver", solver, "--npz", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert "status     numeric_failure" in captured.out
+    assert "alpha      0.7" in captured.out
+
+
 def test_bench_missing_config(capsys):
     rc = main(["bench", "--config", "no_such_file.cfg", "--out", "unused"])
     assert rc == 2

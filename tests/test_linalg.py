@@ -100,6 +100,17 @@ def test_gram_ridge_rejects_nonpositive_penalties():
         GramRidgeSolver(A, 1.0, -1.0)
 
 
+def test_gram_ridge_solver_validates_a_once():
+    # a non-finite A is the caller's error; a Gram matrix that overflows from
+    # finite A is a numeric failure (wide and tall forms alike)
+    with pytest.raises(InvalidParameterError):
+        GramRidgeSolver(np.array([[1.0, np.nan, 0.0]]), 1.0, 1.0)
+    with np.errstate(over="ignore"):
+        for shape in [(2, 3), (3, 2)]:
+            with pytest.raises(NumericError):
+                GramRidgeSolver(np.full(shape, 1e200), 1.0, 1.0)
+
+
 def test_singular_extremes():
     A = np.diag([3.0, 1.0, 0.5])
     smin, smax = singular_extremes(A)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from springback.errors import InvalidParameterError
 from springback.penalties import (
@@ -140,6 +142,34 @@ def test_prox_springback_beats_grid_candidates():
 
         star = prox_springback(np.array([w]), lam, alpha)[0]
         assert obj(star) <= obj(grid).min() + 1e-7
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    w=st.floats(-100.0, 100.0),
+    lam=st.floats(1e-3, 10.0),
+    lam_alpha=st.floats(1e-3, 0.99),
+)
+def test_springback_threshold_minimizes_prox_objective(w, lam, lam_alpha):
+    # with 1 - lam*alpha > 0 the scalar prox objective is strongly convex, so
+    # the threshold must beat every stationary candidate and a dense grid
+    alpha = lam_alpha / lam
+    scale = 1.0 - lam * alpha
+
+    def obj(y):
+        return lam * (np.abs(y) - 0.5 * alpha * y * y) + 0.5 * (y - w) ** 2
+
+    star = springback_threshold(w, lam, alpha)
+    candidates = [0.0]
+    if (w - lam) / scale > 0:
+        candidates.append((w - lam) / scale)
+    if (w + lam) / scale < 0:
+        candidates.append((w + lam) / scale)
+    reach = (abs(w) + lam) / scale
+    tol = 1e-12 * (1.0 + reach * reach)
+    assert obj(star) <= min(obj(c) for c in candidates) + tol
+    grid = np.linspace(-reach - 1.0, reach + 1.0, 20001)
+    assert obj(star) <= obj(grid).min() + tol
 
 
 def test_dc_concave_gradient_closed_forms():

@@ -1,7 +1,10 @@
 """Tests for the DCA-springback solver and the baseline solvers."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +12,9 @@ from hypothesis.extra.numpy import arrays
 
 import springback.solvers as solvers_mod
 from springback.bounds import convergence_alpha_bound
-from springback.errors import InvalidParameterError
-from springback.penalties import PenaltyKind
+from springback.errors import InvalidParameterError, NumericError
+from springback.linalg import GramRidgeSolver
+from springback.penalties import PenaltyKind, ThresholdParams, dc_concave_gradient
 from springback.sensing import EnsembleKind, EnsembleSpec, SignalSpec, gen_matrix, gen_signal
 from springback.solvers import (
     ProblemInstance,
@@ -292,3 +296,238 @@ def test_feasibility_at_exit_constrained():
         alpha = alpha_subroutine(prob.A, prob.b, prob.tau)
         rep = dca_springback(prob, SolverOptions(alpha=alpha))
         assert rep.residual <= prob.tau + 1e-4 * (1 + np.linalg.norm(prob.b))
+
+
+# Reference copies of the two inner ADMM loops as they were before they ran
+# on local arrays, with the x-update through scipy's cho_solve.  The kernels
+# must reproduce them bit for bit, warm state included.
+
+
+def _ref_ridge_solve(A, rho, zeta):
+    m, n = A.shape
+    if m < n:
+        G = A @ A.T
+        G[np.diag_indices(m)] += zeta / rho
+        c = scipy.linalg.cho_factor(G, lower=True, check_finite=False)
+        return lambda r: (r - A.T @ scipy.linalg.cho_solve(c, A @ r, check_finite=False)) / zeta
+    M = rho * (A.T @ A)
+    M[np.diag_indices(n)] += zeta
+    c = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+    return lambda r: scipy.linalg.cho_solve(c, r, check_finite=False)
+
+
+def _ref_shrink(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _ref_rel_change(new, old):
+    denom = max(float(np.linalg.norm(new)), float(np.linalg.norm(old)), 1e-300)
+    return float(np.linalg.norm(new - old)) / denom
+
+
+def _ref_springback_admm(A, b, tau, xi, st, eps, max_inner):
+    rho, zeta = solvers_mod.RHO, solvers_mod.ZETA_INNER
+    for _ in range(max_inner):
+        x_old = st.x
+        rhs = rho * (A.T @ (b + st.z - st.eta)) + xi + zeta * (st.y - st.u)
+        x = st.solve(rhs)
+        y = _ref_shrink(x + st.u, 1.0 / zeta)
+        Ax = A @ x
+        if tau == 0.0:
+            z = np.zeros_like(b)
+        else:
+            v = Ax - b + st.eta
+            nrm = float(np.linalg.norm(v))
+            z = v.copy() if nrm <= tau else v * (tau / nrm)
+        st.u = st.u + x - y
+        st.eta = st.eta + Ax - b - z
+        st.x, st.y, st.z = x, y, z
+        st.iterations += 1
+        xnorm = float(np.linalg.norm(x))
+        if (
+            _ref_rel_change(x, x_old) < eps
+            and float(np.linalg.norm(x - y)) <= eps * max(1.0, xnorm)
+            and float(np.linalg.norm(Ax - b)) <= tau + solvers_mod.FEAS_TOL_INNER
+        ):
+            break
+    return st.x.copy()
+
+
+def _ref_lasso_admm(A, b, lam, linear, st, eps, max_iter, trace):
+    zeta = st.zeta
+    x, y, u = st.x, st.y, st.u
+    rhs_const = A.T @ b if linear is None else A.T @ b + linear
+    for _ in range(max_iter):
+        x_old = x
+        x = st.solve(rhs_const + zeta * (y - u))
+        y = _ref_shrink(x + u, lam / zeta)
+        u = u + x - y
+        st.x, st.y, st.u = x, y, u
+        st.iterations += 1
+        r = A @ y - b
+        trace.append(0.5 * float(r @ r) + lam * float(np.abs(y).sum()))
+        if _ref_rel_change(x, x_old) < eps and float(np.linalg.norm(x - y)) <= eps * max(
+            1.0, float(np.linalg.norm(x))
+        ):
+            return True
+    return False
+
+
+def _oracle_instance(shape, noisy):
+    m, n = shape
+    rng = np.random.default_rng(m * 100 + n)
+    A = rng.standard_normal(shape) / np.sqrt(m)
+    x = np.zeros(n)
+    x[rng.choice(n, size=min(m, n) // 4, replace=False)] = rng.standard_normal(min(m, n) // 4)
+    b = A @ x
+    tau = 0.0
+    if noisy:
+        noise = 1e-4 * rng.standard_normal(m)  # small enough that the ball binds
+        b, tau = b + noise, float(np.linalg.norm(noise))
+    return ProblemInstance(A, b, tau)
+
+
+_ORACLE_SHAPES = [(20, 50), (30, 30), (50, 20)]
+
+
+def _assert_states_equal(state, ref, names):
+    for name in names:
+        assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+    assert state.iterations == ref.iterations
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("shape", _ORACLE_SHAPES)
+def test_admm_subproblem_is_bit_identical_to_reference_loop(shape, noisy):
+    prob = _oracle_instance(shape, noisy)
+    n = shape[1]
+    opts = SolverOptions(max_inner=200)
+    state = fresh_admm_state(prob)
+    ref = SimpleNamespace(
+        **vars(fresh_admm_state(prob)), solve=_ref_ridge_solve(prob.A, solvers_mod.RHO, 1.0)
+    )
+    xi = np.zeros(n)
+    for _ in range(2):  # a cold call, then a warm-started one
+        x = admm_subproblem(prob, xi, opts, warm=state)
+        x_ref = _ref_springback_admm(prob.A, prob.b, prob.tau, xi, ref, opts.eps_inner, 200)
+        assert np.array_equal(x, x_ref)
+        _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
+        xi = 0.5 * x
+    assert state.iterations > 0
+
+
+@pytest.mark.parametrize("linear", [False, True])
+@pytest.mark.parametrize("shape", _ORACLE_SHAPES)
+def test_lasso_admm_is_bit_identical_to_reference_loop(shape, linear):
+    prob = _oracle_instance(shape, False)
+    A, b = prob.A, prob.b
+    n = shape[1]
+    opts = SolverOptions()
+    lam, zeta, eps = opts.reg_lambda, opts.zeta, opts.eps_inner
+    state = solvers_mod._lasso_state(n, zeta)
+    ref = SimpleNamespace(**vars(state), solve=_ref_ridge_solve(A, 1.0, zeta))
+    g = 1e-3 * np.ones(n) if linear else None
+    trace, ref_trace = [], []
+    for _ in range(2):  # a cold call, then a warm-started one
+        done = solvers_mod._lasso_admm(A, b, lam, g, state, eps, 300, trace)
+        ref_done = _ref_lasso_admm(A, b, lam, g, ref, eps, 300, ref_trace)
+        assert done == ref_done
+        _assert_states_equal(state, ref, ("x", "y", "u"))
+        assert trace == ref_trace
+        if linear:
+            g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
+
+
+def _failing_solve_on_call(monkeypatch, k):
+    """Patch GramRidgeSolver.solve to return NaN on its k-th call; returns
+    the call counter, a one-element list."""
+    solve = GramRidgeSolver.solve
+    calls = [0]
+
+    def failing(self, r):
+        calls[0] += 1
+        out = solve(self, r)
+        return np.full_like(out, np.nan) if calls[0] == k else out
+
+    monkeypatch.setattr(GramRidgeSolver, "solve", failing)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 4, 27])
+def test_non_finite_x_update_reports_completed_iterations(monkeypatch, k):
+    # the failing iteration is not counted: the report holds k - 1
+    prob, _ = _gaussian_instance(16, 40, 3, 2)
+    opts = SolverOptions(max_inner=20)
+    calls = _failing_solve_on_call(monkeypatch, k)
+    runs = {
+        "springback": lambda: dca_springback(prob, opts),
+        "admm_l1": lambda: admm_l1(prob, opts),
+        "dca_l12": lambda: dca_unconstrained(PenaltyKind.L1_MINUS_2, prob, opts),
+    }
+    for name, run in runs.items():
+        calls[0] = 0
+        rep = run()
+        assert calls[0] == k, name
+        assert rep.status is SolverStatus.NUMERIC_FAILURE, name
+        assert rep.inner_iterations_total == k - 1, name
+        assert np.isfinite(rep.x_star).all(), name
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_non_finite_x_update_leaves_last_finite_warm_state(monkeypatch, k):
+    prob, _ = _gaussian_instance(16, 40, 3, 2)
+    A, b, n = prob.A, prob.b, 40
+    xi = 0.1 * np.ones(n)
+    calls = _failing_solve_on_call(monkeypatch, k)
+    # the state after k - 1 clean iterations, the k-th solve never reached
+    ref = fresh_admm_state(prob)
+    if k > 1:
+        admm_subproblem(prob, xi, SolverOptions(max_inner=k - 1), warm=ref)
+    calls[0] = 0
+    state = fresh_admm_state(prob)
+    with pytest.raises(NumericError):
+        admm_subproblem(prob, xi, SolverOptions(max_inner=50), warm=state)
+    _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
+    assert state.iterations == k - 1
+
+    ref = solvers_mod._lasso_state(n, 1e-5)
+    if k > 1:
+        solvers_mod._lasso_admm(A, b, 1e-6, None, ref, 1e-5, k - 1)
+    calls[0] = 0
+    state = solvers_mod._lasso_state(n, 1e-5)
+    with pytest.raises(NumericError):
+        solvers_mod._lasso_admm(A, b, 1e-6, None, state, 1e-5, 50)
+    _assert_states_equal(state, ref, ("x", "y", "u"))
+    assert state.iterations == k - 1
+
+
+def _overflowing_instance(scale):
+    # finite data; at 1e200 the Gram matrix A A^T overflows, at 1e100 the
+    # springback x-update and the AIHT step size do
+    A = scale * np.hstack([np.eye(3), np.eye(3)[:, :1], np.zeros((3, 1))])
+    return ProblemInstance(A, scale * np.ones(3))
+
+
+def _all_solvers(prob, opts):
+    reports = {
+        "springback": dca_springback(prob, opts),
+        "admm_l1": admm_l1(prob, opts),
+        "irls_lp": irls_lp(prob, opts),
+        "aiht": aiht(prob, opts),
+    }
+    for kind in (PenaltyKind.TL1, PenaltyKind.L1_MINUS_2, PenaltyKind.MCP):
+        reports[kind.value] = dca_unconstrained(kind, prob, opts)
+    return reports
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_inside_a_solver_is_a_numeric_failure():
+    prob = _overflowing_instance(1e200)
+    for name, rep in _all_solvers(prob, SolverOptions()).items():
+        assert rep.status is SolverStatus.NUMERIC_FAILURE, name
+        assert np.isfinite(rep.x_star).all(), name
+    # the alpha the solvers get is still a valid curvature
+    assert alpha_subroutine(prob.A, prob.b, 0.0) == ALPHA_MAX
+    reports = _all_solvers(_overflowing_instance(1e100), SolverOptions())
+    for name in ("springback", "aiht"):
+        assert reports[name].status is SolverStatus.NUMERIC_FAILURE, name
