@@ -73,13 +73,12 @@ def test_solve_npz_instance(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("solver", ["springback", "admm_l1", "irls_lp", "aiht", "dca_l12"])
-def test_solve_reports_overflow_as_a_status(tmp_path, capsys, solver):
+def test_solve_reports_overflow_as_a_status(tmp_path, capsys):
     # finite data whose ||b||^2 and Gram matrix overflow inside the solve
     A = 1e200 * np.hstack([np.eye(3), np.eye(3)[:, :1], np.zeros((3, 1))])
     path = tmp_path / "inst.npz"
     np.savez(path, A=A, b=1e200 * np.ones(3), tau=0.0)
-    rc = main(["solve", "--solver", solver, "--npz", str(path)])
+    rc = main(["solve", "--solver", "springback", "--npz", str(path)])
     captured = capsys.readouterr()
     assert rc == 0 and captured.err == ""
     assert "status     numeric_failure" in captured.out

@@ -403,9 +403,8 @@ def test_admm_subproblem_is_bit_identical_to_reference_loop(shape, noisy):
     n = shape[1]
     opts = SolverOptions(max_inner=200)
     state = fresh_admm_state(prob)
-    ref = SimpleNamespace(
-        **vars(fresh_admm_state(prob)), solve=_ref_ridge_solve(prob.A, solvers_mod.RHO, 1.0)
-    )
+    solve = _ref_ridge_solve(prob.A, solvers_mod.RHO, solvers_mod.ZETA_INNER)
+    ref = SimpleNamespace(**vars(fresh_admm_state(prob)), solve=solve)
     xi = np.zeros(n)
     for _ in range(2):  # a cold call, then a warm-started one
         x = admm_subproblem(prob, xi, opts, warm=state)
