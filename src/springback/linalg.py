@@ -91,6 +91,7 @@ class GramRidgeSolver:
             raise InvalidParameterError("rho and zeta must be positive")
         m, n = A.shape
         self._A = A
+        self._At = A.T
         self._zeta = zeta
         self._wide = m < n
         if self._wide:
@@ -105,8 +106,10 @@ class GramRidgeSolver:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         if self._wide:
-            A = self._A
-            return (r - A.T @ dpotrs(self._chol, A @ r, lower=1)[0]) / self._zeta
+            x = r - self._At.dot(dpotrs(self._chol, self._A.dot(r), lower=1)[0])
+            if self._zeta != 1.0:  # dividing by 1.0 changes nothing
+                x /= self._zeta
+            return x
         return dpotrs(self._chol, r, lower=1)[0]
 
 

@@ -102,8 +102,13 @@ def soft_threshold(w: float, lam: float) -> float:
 
 
 def soft_shrink(v: np.ndarray, t: float) -> np.ndarray:
-    """Elementwise sgn(v) * max(|v| - t, 0), unvalidated for the ADMM inner loop."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    """Elementwise sgn(v) * max(|v| - t, 0), unvalidated for the ADMM inner loop.
+
+    Computed as v - clamp(v, -t, t), which rounds the same for finite v and
+    t > 0: both give v - t above t and v + t below -t.  Only the sign of a
+    zero may differ.
+    """
+    return v - v.clip(-t, t)
 
 
 def firm_threshold(w: float, lam: float, mu: float) -> float:

@@ -22,7 +22,6 @@ from .linalg import (
     SpdFactor,
     as_matrix,
     as_vector,
-    l2_ball_project,
     singular_extremes,
 )
 from .penalties import (
@@ -52,8 +51,9 @@ __all__ = [
 _TINY = 1e-300
 
 # Fixed algorithm constants.  RHO and ZETA_INNER are the constraint and
-# splitting penalties of the springback inner ADMM (the soft threshold there is
-# 1/ZETA_INNER, which a unit penalty keeps usable); ADMM_MAX caps the lasso
+# splitting penalties of the springback inner ADMM.  The consensus penalty
+# ZETA_INNER is 1, which keeps the soft threshold 1/ZETA_INNER usable and lets
+# admm_subproblem drop its unit factors; ADMM_MAX caps the lasso
 # ADMM baseline; MAX_OUTER caps every DCA loop; TL1_BETA is the
 # transformed-l1 shape; IRLS_* set the lp exponent, the initial smoothing, the
 # stopping tolerance and the sweep cap of irls_lp; ALPHA_MAX caps the
@@ -98,8 +98,8 @@ class ProblemInstance:
             raise InvalidParameterError(
                 f"A has {A.shape[0]} rows but b has length {b.shape[0]}"
             )
-        if self.tau < 0:
-            raise InvalidParameterError("tau must be nonnegative")
+        if not 0.0 <= self.tau < math.inf:
+            raise InvalidParameterError("tau must be nonnegative and finite")
         if self.ground_truth is not None:
             g = as_vector(self.ground_truth)
             if g.shape[0] != A.shape[1]:
@@ -189,6 +189,18 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
+def _checked_norm(x: np.ndarray, what: str) -> float:
+    """||x||_2, raising NumericError if x is not finite.
+
+    A non-finite entry makes x.dot(x) inf or NaN, so only then are the
+    entries scanned; a finite x whose squared norm overflows passes.
+    """
+    xnorm = _norm(x)
+    if not math.isfinite(xnorm):
+        _check_finite(x, what)
+    return xnorm
+
+
 def fresh_admm_state(prob: ProblemInstance) -> AdmmState:
     """Cold state for the instance."""
     m, n = prob.A.shape
@@ -210,6 +222,11 @@ def admm_subproblem(
     iterations when the soft threshold keeps both iterates at zero.  The warm
     state gets the last finite iterate and the completed iterations on every
     exit, a NumericError from a non-finite x-update included.
+
+    With ZETA_INNER = 1 the x-update right-hand side is
+    rho A^T (b + z - eta) + xi + (y - u) and the soft threshold is 1.  At
+    tau = 0 the ball is the origin, so z stays the zero vector and drops out
+    of both sums.
     """
     A, b, tau = prob.A, prob.b, prob.tau
     At = A.T
@@ -218,30 +235,41 @@ def admm_subproblem(
     if st.solver is None:
         st.solver = GramRidgeSolver(A, RHO, ZETA_INNER)
     solve = st.solver.solve
-    rho, zeta, eps = RHO, ZETA_INNER, opts.eps_inner
+    rho, eps, feas = RHO, opts.eps_inner, tau + FEAS_TOL_INNER
     x, y, z, u, eta = st.x, st.y, st.z, st.u, st.eta
-    zero = np.zeros_like(b) if tau == 0.0 else None
+    iterations = st.iterations
     xnorm = _norm(x)
     try:
         for _ in range(opts.max_inner):
-            rhs = rho * (At @ (b + z - eta)) + xi + zeta * (y - u)
-            x_old, x = x, _check_finite(solve(rhs), "inner ADMM x-update")
-            y = soft_shrink(x + u, 1.0 / zeta)
-            Ax = A @ x
+            w = b - eta if tau == 0.0 else b + z - eta
+            x_new = solve(rho * At.dot(w) + xi + (y - u))
+            xnorm_new = _checked_norm(x_new, "inner ADMM x-update")
+            x_old, x, xnorm_old, xnorm = x, x_new, xnorm, xnorm_new
+            p = x + u
+            y = soft_shrink(p, 1.0)
+            Ax = A.dot(x)
             r = Ax - b
-            z = zero if zero is not None else l2_ball_project(r + eta, tau)
-            u = u + x - y
-            eta = eta + Ax - b - z
-            st.iterations += 1
-            xnorm_old, xnorm = xnorm, _norm(x)
+            if tau == 0.0:
+                eta = eta + Ax - b
+            else:  # z = projection of r + eta onto the tau-ball
+                z = r + eta
+                znorm = _norm(z)
+                if not znorm <= tau:
+                    if not math.isfinite(znorm):
+                        _check_finite(z, "inner ADMM projection")
+                    z = z * (tau / znorm)
+                eta = eta + Ax - b - z
+            u = p - y
+            iterations += 1
             if (
                 _norm(x - x_old) / max(xnorm, xnorm_old, _TINY) < eps
                 and _norm(x - y) <= eps * max(1.0, xnorm)
-                and _norm(r) <= tau + FEAS_TOL_INNER
+                and _norm(r) <= feas
             ):
                 break
     finally:
         st.x, st.y, st.z, st.u, st.eta = x, y, z, u, eta
+        st.iterations = iterations
     return x.copy()
 
 
@@ -339,24 +367,29 @@ def _lasso_admm(
         st.solver = GramRidgeSolver(A, 1.0, zeta)
     solve = st.solver.solve
     x, y, u = st.x, st.y, st.u
+    iterations = st.iterations
     rhs_const = A.T @ b if linear is None else A.T @ b + linear
+    thresh = lam / zeta
     xnorm = _norm(x)
     try:
         for _ in range(max_iter):
-            x_old, x = x, _check_finite(solve(rhs_const + zeta * (y - u)), "lasso ADMM x-update")
-            y = soft_shrink(x + u, lam / zeta)
-            u = u + x - y
-            st.iterations += 1
+            x_new = solve(rhs_const + zeta * (y - u))
+            xnorm_new = _checked_norm(x_new, "lasso ADMM x-update")
+            x_old, x, xnorm_old, xnorm = x, x_new, xnorm, xnorm_new
+            p = x + u
+            y = soft_shrink(p, thresh)
+            u = p - y
+            iterations += 1
             if trace is not None:
-                r = A @ y - b
-                trace.append(0.5 * float(r @ r) + lam * float(np.abs(y).sum()))
-            xnorm_old, xnorm = xnorm, _norm(x)
+                r = A.dot(y) - b
+                trace.append(0.5 * float(r.dot(r)) + lam * float(np.abs(y).sum()))
             change = _norm(x - x_old) / max(xnorm, xnorm_old, _TINY)
             if change < eps and _norm(x - y) <= eps * max(1.0, xnorm):
                 return True
         return False
     finally:
         st.x, st.y, st.u = x, y, u
+        st.iterations = iterations
 
 
 def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
