@@ -190,11 +190,8 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
 
 
 def _checked_norm(x: np.ndarray, what: str) -> float:
-    """||x||_2, raising NumericError if x is not finite.
-
-    A non-finite entry makes x.dot(x) inf or NaN, so only then are the
-    entries scanned; a finite x whose squared norm overflows passes.
-    """
+    """||x||_2 of an x that must be finite; a non-finite entry makes the norm
+    inf or NaN, so only then are the entries scanned."""
     xnorm = _norm(x)
     if not math.isfinite(xnorm):
         _check_finite(x, what)
@@ -243,8 +240,8 @@ def admm_subproblem(
         for _ in range(opts.max_inner):
             w = b - eta if tau == 0.0 else b + z - eta
             x_new = solve(rho * At.dot(w) + xi + (y - u))
-            xnorm_new = _checked_norm(x_new, "inner ADMM x-update")
-            x_old, x, xnorm_old, xnorm = x, x_new, xnorm, xnorm_new
+            xnorm_old, xnorm = xnorm, _checked_norm(x_new, "inner ADMM x-update")
+            x_old, x = x, x_new
             p = x + u
             y = soft_shrink(p, 1.0)
             Ax = A.dot(x)
@@ -253,10 +250,8 @@ def admm_subproblem(
                 eta = eta + Ax - b
             else:  # z = projection of r + eta onto the tau-ball
                 z = r + eta
-                znorm = _norm(z)
-                if not znorm <= tau:
-                    if not math.isfinite(znorm):
-                        _check_finite(z, "inner ADMM projection")
+                znorm = _checked_norm(z, "inner ADMM projection")
+                if znorm > tau:
                     z = z * (tau / znorm)
                 eta = eta + Ax - b - z
             u = p - y
@@ -374,8 +369,8 @@ def _lasso_admm(
     try:
         for _ in range(max_iter):
             x_new = solve(rhs_const + zeta * (y - u))
-            xnorm_new = _checked_norm(x_new, "lasso ADMM x-update")
-            x_old, x, xnorm_old, xnorm = x, x_new, xnorm, xnorm_new
+            xnorm_old, xnorm = xnorm, _checked_norm(x_new, "lasso ADMM x-update")
+            x_old, x = x, x_new
             p = x + u
             y = soft_shrink(p, thresh)
             u = p - y

@@ -1,9 +1,12 @@
 """Tests for the benchmark harness: trials, aggregation, persistence."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sys
 
@@ -95,6 +98,24 @@ def test_trial_seeds_order_independent():
     assert forward == backward
     seeds = {bench._derive_seed(7, si, ti, stream) for si, ti in keys for stream in range(3)}
     assert len(seeds) == 12
+
+
+_ORDER_SPEC = _small_spec(
+    ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=10, n=24), sparsity=2, sweep_values=(2, 3)
+)
+_ORDER_KEYS = [(si, ti) for si in range(2) for ti in range(2)]
+
+
+@functools.cache
+def _ascending_records():
+    return [_strip_time(run_trial(_ORDER_SPEC, *key)) for key in _ORDER_KEYS]
+
+
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(_ORDER_KEYS))
+def test_trial_records_do_not_depend_on_call_order(order):
+    records = {key: _strip_time(run_trial(_ORDER_SPEC, *key)) for key in order}
+    assert [records[key] for key in _ORDER_KEYS] == _ascending_records()
 
 
 def test_solver_writing_into_instance_raises(monkeypatch):

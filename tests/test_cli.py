@@ -193,6 +193,17 @@ def test_solve_rejects_malformed_npz(tmp_path, capsys, name, write):
     assert err.startswith("error: ") and str(path) in err
 
 
+@pytest.mark.parametrize("tau", [np.inf, np.nan])
+def test_solve_npz_rejects_non_finite_tau(tmp_path, capsys, tau):
+    path = tmp_path / "inst.npz"
+    rng = np.random.default_rng(0)
+    np.savez(path, A=rng.standard_normal((8, 20)), b=rng.standard_normal(8), tau=tau)
+    assert main(["solve", "--npz", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and "tau" in out.err
+    assert "Traceback" not in out.err and out.out == ""
+
+
 def test_solve_npz_rejects_generation_flags(tmp_path, capsys):
     path = tmp_path / "inst.npz"
     np.savez(path, A=np.eye(3), b=np.ones(3))

@@ -1,5 +1,7 @@
 """Tests for the penalty catalog and thresholding operators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from springback.penalties import (
     firm_threshold,
     penalty_value,
     prox_springback,
+    soft_shrink,
     soft_threshold,
     springback_threshold,
 )
@@ -214,3 +217,19 @@ def test_dc_concave_gradient_finite_differences(kind):
             e[i] = h
             fd = (_h_value(kind, x + e, params) - _h_value(kind, x - e, params)) / (2 * h)
             assert g[i] == pytest.approx(fd, abs=1e-6)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), data=st.data())
+def test_soft_shrink_matches_sign_times_positive_part(t, data):
+    # v - clamp(v, -t, t) against sgn(v) max(|v| - t, 0), boundaries and
+    # subnormals included; == lets only the sign of a zero differ
+    edges = [t, -t, np.nextafter(t, 0.0), np.nextafter(t, np.inf), 5e-324, -5e-324, 0.0, -0.0]
+    edges += [-e for e in edges[2:4]]
+    edges = [e for e in edges if math.isfinite(e)]
+    v = np.array(data.draw(st.lists(st.one_of(_FINITE, st.sampled_from(edges)), min_size=1, max_size=20)))
+    out = soft_shrink(v, t)
+    assert np.array_equal(out, np.sign(v) * np.maximum(np.abs(v) - t, 0.0))

@@ -48,6 +48,12 @@ def test_problem_instance_validation():
         ProblemInstance(np.ones((2, 3)), np.ones(2), ground_truth=np.ones(2))
 
 
+@pytest.mark.parametrize("tau", [np.inf, np.nan])
+def test_problem_instance_rejects_non_finite_tau(tau):
+    with pytest.raises(InvalidParameterError, match="tau"):
+        ProblemInstance(np.ones((2, 3)), np.ones(2), tau=tau)
+
+
 def test_solver_options_validation():
     with pytest.raises(InvalidParameterError):
         SolverOptions(alpha=0.0)
@@ -437,27 +443,29 @@ def test_lasso_admm_is_bit_identical_to_reference_loop(shape, linear):
             g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
 
 
-def _failing_solve_on_call(monkeypatch, k):
-    """Patch GramRidgeSolver.solve to return NaN on its k-th call; returns
-    the call counter, a one-element list."""
+def _failing_solve_on_call(monkeypatch, k, value=np.nan):
+    """Patch GramRidgeSolver.solve to put ``value`` into one entry of its
+    k-th result; returns the call counter, a one-element list."""
     solve = GramRidgeSolver.solve
     calls = [0]
 
     def failing(self, r):
         calls[0] += 1
         out = solve(self, r)
-        return np.full_like(out, np.nan) if calls[0] == k else out
+        if calls[0] == k:
+            out = out.copy()
+            out[out.size // 2] = value
+        return out
 
     monkeypatch.setattr(GramRidgeSolver, "solve", failing)
     return calls
 
 
-@pytest.mark.parametrize("k", [1, 4, 27])
-def test_non_finite_x_update_reports_completed_iterations(monkeypatch, k):
+def _check_completed_iterations_reported(monkeypatch, k, value):
     # the failing iteration is not counted: the report holds k - 1
     prob, _ = _gaussian_instance(16, 40, 3, 2)
     opts = SolverOptions(max_inner=20)
-    calls = _failing_solve_on_call(monkeypatch, k)
+    calls = _failing_solve_on_call(monkeypatch, k, value)
     runs = {
         "springback": lambda: dca_springback(prob, opts),
         "admm_l1": lambda: admm_l1(prob, opts),
@@ -472,12 +480,11 @@ def test_non_finite_x_update_reports_completed_iterations(monkeypatch, k):
         assert np.isfinite(rep.x_star).all(), name
 
 
-@pytest.mark.parametrize("k", [1, 6])
-def test_non_finite_x_update_leaves_last_finite_warm_state(monkeypatch, k):
+def _check_last_finite_warm_state_kept(monkeypatch, k, value):
     prob, _ = _gaussian_instance(16, 40, 3, 2)
     A, b, n = prob.A, prob.b, 40
     xi = 0.1 * np.ones(n)
-    calls = _failing_solve_on_call(monkeypatch, k)
+    calls = _failing_solve_on_call(monkeypatch, k, value)
     # the state after k - 1 clean iterations, the k-th solve never reached
     ref = fresh_admm_state(prob)
     if k > 1:
@@ -498,6 +505,49 @@ def test_non_finite_x_update_leaves_last_finite_warm_state(monkeypatch, k):
         solvers_mod._lasso_admm(A, b, 1e-6, None, state, 1e-5, 50)
     _assert_states_equal(state, ref, ("x", "y", "u"))
     assert state.iterations == k - 1
+
+
+@pytest.mark.parametrize("k", [1, 4, 27])
+def test_non_finite_x_update_reports_completed_iterations(monkeypatch, k):
+    _check_completed_iterations_reported(monkeypatch, k, np.nan)
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_non_finite_x_update_leaves_last_finite_warm_state(monkeypatch, k):
+    _check_last_finite_warm_state_kept(monkeypatch, k, np.nan)
+
+
+# ||x|| is computed before the entries are scanned: an infinite entry makes
+# x.dot(x) infinite, which the loops then check entry by entry.
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("k", [1, 4])
+def test_infinite_x_update_reports_completed_iterations(monkeypatch, k, value):
+    _check_completed_iterations_reported(monkeypatch, k, value)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("k", [1, 6])
+def test_infinite_x_update_leaves_last_finite_warm_state(monkeypatch, k, value):
+    _check_last_finite_warm_state_kept(monkeypatch, k, value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("noisy", [False, True])
+def test_finite_x_update_with_overflowing_norm_does_not_raise(monkeypatch, noisy):
+    # an entry of 1e200 overflows x.dot(x) to inf, yet every entry is finite
+    k = 3
+    prob = _oracle_instance((20, 50), noisy)
+    calls = _failing_solve_on_call(monkeypatch, k, 1e200)
+    state = fresh_admm_state(prob)
+    admm_subproblem(prob, np.zeros(50), SolverOptions(max_inner=k), warm=state)
+    assert calls[0] == k and state.iterations == k
+    assert state.x[25] == 1e200 and np.isfinite(state.z).all()
+
+    calls[0] = 0
+    lasso = solvers_mod._lasso_state(50, 1e-5)
+    solvers_mod._lasso_admm(prob.A, prob.b, 1e-6, None, lasso, 1e-5, k)
+    assert calls[0] == k and lasso.iterations == k
+    assert lasso.x[25] == 1e200
 
 
 def _overflowing_instance(scale):
