@@ -227,7 +227,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def test_soft_shrink_matches_sign_times_positive_part(t, data):
     # v - clamp(v, -t, t) against sgn(v) max(|v| - t, 0), boundaries and
     # subnormals included; == lets only the sign of a zero differ
-    edges = [t, -t, np.nextafter(t, 0.0), np.nextafter(t, np.inf), 5e-324, -5e-324, 0.0, -0.0]
+    edges = [t, -t, math.nextafter(t, 0.0), math.nextafter(t, math.inf), 5e-324, -5e-324, 0.0, -0.0]
     edges += [-e for e in edges[2:4]]
     edges = [e for e in edges if math.isfinite(e)]
     v = np.array(data.draw(st.lists(st.one_of(_FINITE, st.sampled_from(edges)), min_size=1, max_size=20)))
