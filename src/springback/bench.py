@@ -14,6 +14,7 @@ import configparser
 import csv
 import enum
 import io
+import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -100,15 +101,15 @@ class ExperimentSpec:
             raise InvalidParameterError("sweep_values must be distinct")
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
-        if self.success_tol <= 0:
-            raise InvalidParameterError("success_tol must be positive")
+        if not 0 < self.success_tol < math.inf:
+            raise InvalidParameterError("success_tol must be positive and finite")
         for sid in self.solvers:
             if sid not in SOLVERS:
                 raise InvalidParameterError(f"unknown solver id {sid!r}")
         if self.sep_factor < 0 or self.min_separation < 0:
             raise InvalidParameterError("separation settings must be nonnegative")
-        if self.omega <= 0:
-            raise InvalidParameterError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise InvalidParameterError("omega must be positive and finite")
         if self.master_seed < 0:
             raise InvalidParameterError(f"master_seed must be nonnegative, got {self.master_seed}")
 

@@ -2,10 +2,13 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` in row-major order; vectors are 1-D
 arrays.  Everything here is a pure function of its inputs (the factorization
-caches are immutable after construction), so concurrent use is safe.
+caches never change once built), so concurrent use is safe.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -87,11 +90,12 @@ class GramRidgeSolver:
 
     def __init__(self, A, rho: float, zeta: float):
         A = as_matrix(A)
-        if rho <= 0 or zeta <= 0:
-            raise InvalidParameterError("rho and zeta must be positive")
+        if not (0 < rho < math.inf and 0 < zeta < math.inf):
+            raise InvalidParameterError("rho and zeta must be positive and finite")
         m, n = A.shape
         self._A = A
         self._At = A.T
+        self._rho = rho
         self._zeta = zeta
         self._wide = m < n
         if self._wide:
@@ -111,6 +115,26 @@ class GramRidgeSolver:
                 x /= self._zeta
             return x
         return dpotrs(self._chol, r, lower=1)[0]
+
+    @functools.cached_property
+    def _H(self) -> np.ndarray:
+        """The m x n operator H with zeta (rho A^T A + zeta I)^-1 v = v - A^T H v.
+
+        H = (A A^T + (zeta/rho) I)^-1 A from the m x m factor of a wide A, and
+        the same matrix rho A (rho A^T A + zeta I)^-1 from the n x n factor
+        otherwise.  Built on first use, one vector potrs per column (wide) or
+        row: a single matrix right-hand side would be a multi-threaded BLAS-3
+        call, which leaves the BLAS threads slowing the rest of the process.
+        """
+        if self._wide:
+            cols = [dpotrs(self._chol, a, lower=1)[0] for a in self._At]
+            return np.array(cols).T.copy()
+        return np.array([dpotrs(self._chol, self._rho * a, lower=1)[0] for a in self._A])
+
+    def offset_solve(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """c + zeta (rho A^T A + zeta I)^-1 d, as (c + d) - A^T (H d); the
+        lasso ADMM's x-update, unchecked like ``solve``."""
+        return (c + d) - self._At.dot(self._H.dot(d))
 
 
 def singular_extremes(A) -> tuple[float, float]:

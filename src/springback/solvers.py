@@ -134,8 +134,8 @@ class SolverOptions:
 
     def __post_init__(self):
         for name in ("alpha", "zeta", "eps_outer", "eps_inner", "reg_lambda", "mu"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParameterError(f"{name} must be positive and finite")
         for name in ("max_inner", "sparsity_estimate"):
             if getattr(self, name) < 1:
                 raise InvalidParameterError(f"{name} must be a positive integer")
@@ -356,24 +356,29 @@ def _lasso_admm(
     Runs at most max_iter iterations and returns whether the stopping test
     fired.  With ``trace`` given, appends 0.5||Ay-b||^2 + lam||y||_1 at every
     sparse iterate y.  ``st`` is updated as in admm_subproblem.
+
+    The x-update (A^T A + zeta I)^-1 (A^T b + linear + zeta (y - u)) is split
+    into its constant part x_c, solved once per call, and x_c + (y - u) -
+    A^T H (y - u) through the solver's precomputed operator H.  The scaled
+    dual is u = clamp(x + u, -t, t), so y = (x + u) - u is the soft threshold.
     """
     zeta = st.zeta
     if st.solver is None:
         st.solver = GramRidgeSolver(A, 1.0, zeta)
-    solve = st.solver.solve
+    step = st.solver.offset_solve
     x, y, u = st.x, st.y, st.u
     iterations = st.iterations
-    rhs_const = A.T @ b if linear is None else A.T @ b + linear
+    x_c = st.solver.solve(A.T @ b if linear is None else A.T @ b + linear)
     thresh = lam / zeta
     xnorm = _norm(x)
     try:
         for _ in range(max_iter):
-            x_new = solve(rhs_const + zeta * (y - u))
+            x_new = step(x_c, y - u)
             xnorm_old, xnorm = xnorm, _checked_norm(x_new, "lasso ADMM x-update")
             x_old, x = x, x_new
             p = x + u
-            y = soft_shrink(p, thresh)
-            u = p - y
+            u = p.clip(-thresh, thresh)
+            y = p - u
             iterations += 1
             if trace is not None:
                 r = A.dot(y) - b

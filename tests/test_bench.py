@@ -70,6 +70,13 @@ def test_spec_validation():
             _small_spec(omega=omega)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["omega", "success_tol"])
+def test_spec_rejects_non_finite(name, value):
+    with pytest.raises(InvalidParameterError, match=name):
+        _small_spec(**{name: value})
+
+
 def _strip_time(records):
     return [
         (r.trial_index, r.solver_id, r.s, r.sweep_value, r.relative_error,

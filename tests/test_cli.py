@@ -153,6 +153,17 @@ def test_bench_config_rejects_preset_flags(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_bench_config_rejects_nan_success_tol(tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(_TINY_CONFIG + "success_tol = nan\n")
+    out = tmp_path / "run"
+    rc = main(["bench", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "success_tol" in err
+    assert not out.exists()
+
+
 def test_bench_directory_config(tmp_path, capsys):
     rc = main(["bench", "--config", str(tmp_path), "--out", str(tmp_path / "run")])
     assert rc == 2

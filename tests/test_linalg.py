@@ -92,12 +92,54 @@ def test_gram_ridge_solver_matches_dense_property(m, n, rho, zeta, seed):
     assert err <= 1e-13 * np.linalg.cond(M) * np.linalg.norm(expected)
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    rho=st.floats(1e-3, 1e6),
+    zeta=st.floats(1e-6, 1e2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=3, n=8, rho=1.0, zeta=1e-5, seed=2)  # wide, the lasso's setting
+@example(m=8, n=3, rho=1.0, zeta=1e-5, seed=2)  # tall
+@example(m=5, n=5, rho=1.0, zeta=1e-5, seed=2)  # square
+def test_gram_ridge_operator_matches_dense_property(m, n, rho, zeta, seed):
+    # c + v - A^T (H v) = c + zeta (rho A^T A + zeta I)^-1 v for every shape.
+    # The dense solve errs by up to cond(M) ||expected||, as in the property
+    # above; the operator cancels v against A^T H v, so it errs by up to the
+    # condition number of the matrix it factors (the smaller of the m x m and
+    # n x n Gram systems) times ||v||, plus the rounding of c + v
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    c, v = rng.standard_normal(n), rng.standard_normal(n)
+    M = rho * A.T @ A + zeta * np.eye(n)
+    G = A @ A.T + (zeta / rho) * np.eye(m)
+    expected = zeta * np.linalg.solve(M, v)
+    got = GramRidgeSolver(A, rho, zeta).offset_solve(c, v)
+    err = np.linalg.norm(got - c - expected)
+    factored = min(np.linalg.cond(M), np.linalg.cond(G))
+    bound = (
+        np.linalg.cond(M) * np.linalg.norm(expected)
+        + factored * np.linalg.norm(v)
+        + np.linalg.norm(c)
+    )
+    assert err <= 1e-13 * bound
+
+
 def test_gram_ridge_rejects_nonpositive_penalties():
     A = np.ones((2, 3))
     with pytest.raises(InvalidParameterError):
         GramRidgeSolver(A, 0.0, 1.0)
     with pytest.raises(InvalidParameterError):
         GramRidgeSolver(A, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["rho", "zeta"])
+def test_gram_ridge_rejects_non_finite_penalties(name, value):
+    penalties = {"rho": 1.0, "zeta": 1.0, name: value}
+    with pytest.raises(InvalidParameterError, match="finite"):
+        GramRidgeSolver(np.ones((2, 3)), **penalties)
 
 
 def test_gram_ridge_solver_validates_a_once():

@@ -63,6 +63,15 @@ def test_solver_options_validation():
         SolverOptions(zeta=-1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "name", ["alpha", "zeta", "eps_outer", "eps_inner", "reg_lambda", "mu"]
+)
+def test_solver_options_reject_non_finite(name, value):
+    with pytest.raises(InvalidParameterError, match=name):
+        SolverOptions(**{name: value})
+
+
 def test_dca_springback_identity_constraint_pins_solution():
     b = np.array([1.0, -2.0, 0.5])
     prob = ProblemInstance(np.eye(3), b, 0.0)
@@ -421,9 +430,19 @@ def test_admm_subproblem_is_bit_identical_to_reference_loop(shape, noisy):
     assert state.iterations > 0
 
 
+def _rel_diff(a, b):
+    return np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b)
+
+
+# The lasso solves its constant part once per call and each iteration's part
+# through the precomputed operator, so it rounds differently from the
+# reference loop.  x and y agree to 1e-9.  The scaled dual u settles at
+# A^T (b - A x) / zeta, which carries the rounding of A x times
+# ||A||^2 / zeta (zeta = 1e-5), and so does the trace's residual term: on
+# the wide case they agree to about 1.2e-8, hence 1e-7 for both.
 @pytest.mark.parametrize("linear", [False, True])
 @pytest.mark.parametrize("shape", _ORACLE_SHAPES)
-def test_lasso_admm_is_bit_identical_to_reference_loop(shape, linear):
+def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
     prob = _oracle_instance(shape, False)
     A, b = prob.A, prob.b
     n = shape[1]
@@ -437,27 +456,37 @@ def test_lasso_admm_is_bit_identical_to_reference_loop(shape, linear):
         done = solvers_mod._lasso_admm(A, b, lam, g, state, eps, 300, trace)
         ref_done = _ref_lasso_admm(A, b, lam, g, ref, eps, 300, ref_trace)
         assert done == ref_done
-        _assert_states_equal(state, ref, ("x", "y", "u"))
-        assert trace == ref_trace
+        assert state.iterations == ref.iterations
+        assert len(trace) == len(ref_trace)
+        assert _rel_diff(state.x, ref.x) <= 1e-9
+        assert _rel_diff(state.y, ref.y) <= 1e-9
+        assert _rel_diff(state.u, ref.u) <= 1e-7
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-7, atol=0.0)
         if linear:
             g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
 
 
-def _failing_solve_on_call(monkeypatch, k, value=np.nan):
-    """Patch GramRidgeSolver.solve to put ``value`` into one entry of its
+# The GramRidgeSolver method that computes each x-update: springback's loop
+# calls ``solve``; the lasso calls ``solve`` once per call, for its constant
+# part, and ``offset_solve`` at every iteration.
+_X_UPDATE = {"springback": "solve", "lasso": "offset_solve"}
+
+
+def _failing_solve_on_call(monkeypatch, k, value=np.nan, method="solve"):
+    """Patch GramRidgeSolver.<method> to put ``value`` into one entry of its
     k-th result; returns the call counter, a one-element list."""
-    solve = GramRidgeSolver.solve
+    original = getattr(GramRidgeSolver, method)
     calls = [0]
 
-    def failing(self, r):
+    def failing(self, *args):
         calls[0] += 1
-        out = solve(self, r)
+        out = original(self, *args)
         if calls[0] == k:
             out = out.copy()
             out[out.size // 2] = value
         return out
 
-    monkeypatch.setattr(GramRidgeSolver, "solve", failing)
+    monkeypatch.setattr(GramRidgeSolver, method, failing)
     return calls
 
 
@@ -465,15 +494,15 @@ def _check_completed_iterations_reported(monkeypatch, k, value):
     # the failing iteration is not counted: the report holds k - 1
     prob, _ = _gaussian_instance(16, 40, 3, 2)
     opts = SolverOptions(max_inner=20)
-    calls = _failing_solve_on_call(monkeypatch, k, value)
     runs = {
-        "springback": lambda: dca_springback(prob, opts),
-        "admm_l1": lambda: admm_l1(prob, opts),
-        "dca_l12": lambda: dca_unconstrained(PenaltyKind.L1_MINUS_2, prob, opts),
+        "springback": ("springback", lambda: dca_springback(prob, opts)),
+        "admm_l1": ("lasso", lambda: admm_l1(prob, opts)),
+        "dca_l12": ("lasso", lambda: dca_unconstrained(PenaltyKind.L1_MINUS_2, prob, opts)),
     }
-    for name, run in runs.items():
-        calls[0] = 0
-        rep = run()
+    for name, (loop, run) in runs.items():
+        with monkeypatch.context() as mp:
+            calls = _failing_solve_on_call(mp, k, value, _X_UPDATE[loop])
+            rep = run()
         assert calls[0] == k, name
         assert rep.status is SolverStatus.NUMERIC_FAILURE, name
         assert rep.inner_iterations_total == k - 1, name
@@ -484,25 +513,26 @@ def _check_last_finite_warm_state_kept(monkeypatch, k, value):
     prob, _ = _gaussian_instance(16, 40, 3, 2)
     A, b, n = prob.A, prob.b, 40
     xi = 0.1 * np.ones(n)
-    calls = _failing_solve_on_call(monkeypatch, k, value)
-    # the state after k - 1 clean iterations, the k-th solve never reached
+    # the state after k - 1 clean iterations, the k-th x-update never reached
     ref = fresh_admm_state(prob)
     if k > 1:
         admm_subproblem(prob, xi, SolverOptions(max_inner=k - 1), warm=ref)
-    calls[0] = 0
     state = fresh_admm_state(prob)
-    with pytest.raises(NumericError):
-        admm_subproblem(prob, xi, SolverOptions(max_inner=50), warm=state)
+    with monkeypatch.context() as mp:
+        _failing_solve_on_call(mp, k, value, _X_UPDATE["springback"])
+        with pytest.raises(NumericError):
+            admm_subproblem(prob, xi, SolverOptions(max_inner=50), warm=state)
     _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
     assert state.iterations == k - 1
 
     ref = solvers_mod._lasso_state(n, 1e-5)
     if k > 1:
         solvers_mod._lasso_admm(A, b, 1e-6, None, ref, 1e-5, k - 1)
-    calls[0] = 0
     state = solvers_mod._lasso_state(n, 1e-5)
-    with pytest.raises(NumericError):
-        solvers_mod._lasso_admm(A, b, 1e-6, None, state, 1e-5, 50)
+    with monkeypatch.context() as mp:
+        _failing_solve_on_call(mp, k, value, _X_UPDATE["lasso"])
+        with pytest.raises(NumericError):
+            solvers_mod._lasso_admm(A, b, 1e-6, None, state, 1e-5, 50)
     _assert_states_equal(state, ref, ("x", "y", "u"))
     assert state.iterations == k - 1
 
@@ -537,15 +567,17 @@ def test_finite_x_update_with_overflowing_norm_does_not_raise(monkeypatch, noisy
     # an entry of 1e200 overflows x.dot(x) to inf, yet every entry is finite
     k = 3
     prob = _oracle_instance((20, 50), noisy)
-    calls = _failing_solve_on_call(monkeypatch, k, 1e200)
     state = fresh_admm_state(prob)
-    admm_subproblem(prob, np.zeros(50), SolverOptions(max_inner=k), warm=state)
+    with monkeypatch.context() as mp:
+        calls = _failing_solve_on_call(mp, k, 1e200, _X_UPDATE["springback"])
+        admm_subproblem(prob, np.zeros(50), SolverOptions(max_inner=k), warm=state)
     assert calls[0] == k and state.iterations == k
     assert state.x[25] == 1e200 and np.isfinite(state.z).all()
 
-    calls[0] = 0
     lasso = solvers_mod._lasso_state(50, 1e-5)
-    solvers_mod._lasso_admm(prob.A, prob.b, 1e-6, None, lasso, 1e-5, k)
+    with monkeypatch.context() as mp:
+        calls = _failing_solve_on_call(mp, k, 1e200, _X_UPDATE["lasso"])
+        solvers_mod._lasso_admm(prob.A, prob.b, 1e-6, None, lasso, 1e-5, k)
     assert calls[0] == k and lasso.iterations == k
     assert lasso.x[25] == 1e200
 
