@@ -123,8 +123,8 @@ class GramRidgeSolver:
         H = (A A^T + (zeta/rho) I)^-1 A from the m x m factor of a wide A, and
         the same matrix rho A (rho A^T A + zeta I)^-1 from the n x n factor
         otherwise.  Built on first use, one vector potrs per column (wide) or
-        row: a single matrix right-hand side would be a multi-threaded BLAS-3
-        call, which leaves the BLAS threads slowing the rest of the process.
+        row, so that it makes no multi-threaded BLAS-3 call, as one potrs with
+        a matrix right-hand side would.
         """
         if self._wide:
             cols = [dpotrs(self._chol, a, lower=1)[0] for a in self._At]

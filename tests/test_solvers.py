@@ -466,15 +466,12 @@ def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
             g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
 
 
-# The GramRidgeSolver method that computes each x-update: springback's loop
-# calls ``solve``; the lasso calls ``solve`` once per call, for its constant
-# part, and ``offset_solve`` at every iteration.
-_X_UPDATE = {"springback": "solve", "lasso": "offset_solve"}
-
-
 def _failing_solve_on_call(monkeypatch, k, value=np.nan, method="solve"):
     """Patch GramRidgeSolver.<method> to put ``value`` into one entry of its
-    k-th result; returns the call counter, a one-element list."""
+    k-th result; returns the call counter, a one-element list.  The method
+    that computes each x-update is ``solve`` in springback's loop and
+    ``offset_solve`` in the lasso's, which calls ``solve`` once per call, for
+    its constant part."""
     original = getattr(GramRidgeSolver, method)
     calls = [0]
 
@@ -495,13 +492,13 @@ def _check_completed_iterations_reported(monkeypatch, k, value):
     prob, _ = _gaussian_instance(16, 40, 3, 2)
     opts = SolverOptions(max_inner=20)
     runs = {
-        "springback": ("springback", lambda: dca_springback(prob, opts)),
-        "admm_l1": ("lasso", lambda: admm_l1(prob, opts)),
-        "dca_l12": ("lasso", lambda: dca_unconstrained(PenaltyKind.L1_MINUS_2, prob, opts)),
+        "springback": ("solve", lambda: dca_springback(prob, opts)),
+        "admm_l1": ("offset_solve", lambda: admm_l1(prob, opts)),
+        "dca_l12": ("offset_solve", lambda: dca_unconstrained(PenaltyKind.L1_MINUS_2, prob, opts)),
     }
-    for name, (loop, run) in runs.items():
+    for name, (method, run) in runs.items():
         with monkeypatch.context() as mp:
-            calls = _failing_solve_on_call(mp, k, value, _X_UPDATE[loop])
+            calls = _failing_solve_on_call(mp, k, value, method)
             rep = run()
         assert calls[0] == k, name
         assert rep.status is SolverStatus.NUMERIC_FAILURE, name
@@ -519,7 +516,7 @@ def _check_last_finite_warm_state_kept(monkeypatch, k, value):
         admm_subproblem(prob, xi, SolverOptions(max_inner=k - 1), warm=ref)
     state = fresh_admm_state(prob)
     with monkeypatch.context() as mp:
-        _failing_solve_on_call(mp, k, value, _X_UPDATE["springback"])
+        _failing_solve_on_call(mp, k, value, "solve")
         with pytest.raises(NumericError):
             admm_subproblem(prob, xi, SolverOptions(max_inner=50), warm=state)
     _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
@@ -530,7 +527,7 @@ def _check_last_finite_warm_state_kept(monkeypatch, k, value):
         solvers_mod._lasso_admm(A, b, 1e-6, None, ref, 1e-5, k - 1)
     state = solvers_mod._lasso_state(n, 1e-5)
     with monkeypatch.context() as mp:
-        _failing_solve_on_call(mp, k, value, _X_UPDATE["lasso"])
+        _failing_solve_on_call(mp, k, value, "offset_solve")
         with pytest.raises(NumericError):
             solvers_mod._lasso_admm(A, b, 1e-6, None, state, 1e-5, 50)
     _assert_states_equal(state, ref, ("x", "y", "u"))
@@ -569,14 +566,14 @@ def test_finite_x_update_with_overflowing_norm_does_not_raise(monkeypatch, noisy
     prob = _oracle_instance((20, 50), noisy)
     state = fresh_admm_state(prob)
     with monkeypatch.context() as mp:
-        calls = _failing_solve_on_call(mp, k, 1e200, _X_UPDATE["springback"])
+        calls = _failing_solve_on_call(mp, k, 1e200, "solve")
         admm_subproblem(prob, np.zeros(50), SolverOptions(max_inner=k), warm=state)
     assert calls[0] == k and state.iterations == k
     assert state.x[25] == 1e200 and np.isfinite(state.z).all()
 
     lasso = solvers_mod._lasso_state(50, 1e-5)
     with monkeypatch.context() as mp:
-        calls = _failing_solve_on_call(mp, k, 1e200, _X_UPDATE["lasso"])
+        calls = _failing_solve_on_call(mp, k, 1e200, "offset_solve")
         solvers_mod._lasso_admm(prob.A, prob.b, 1e-6, None, lasso, 1e-5, k)
     assert calls[0] == k and lasso.iterations == k
     assert lasso.x[25] == 1e200
