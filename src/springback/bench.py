@@ -169,14 +169,12 @@ def _resolve_point(spec: ExperimentSpec, sweep_index: int):
 
 def solver_options(prob: ProblemInstance, sparsity: int, omega: float) -> SolverOptions:
     """Options every solver gets on an instance: alpha from the alpha
-    subroutine, mu = 1/alpha, the looser outer tolerance when the instance is
-    noisy (tau > 0), and the sparsity estimate max(s, 1)."""
-    alpha = alpha_subroutine(prob.A, prob.b, prob.tau, omega=omega)
+    subroutine, the looser outer tolerance when the instance is noisy
+    (tau > 0), and the sparsity estimate max(s, 1)."""
     return SolverOptions(
-        alpha=alpha,
+        alpha=alpha_subroutine(prob.A, prob.b, prob.tau, omega=omega),
         eps_outer=1e-3 if prob.tau > 0 else 1e-5,
         sparsity_estimate=max(sparsity, 1),
-        mu=1.0 / alpha,
     )
 
 

@@ -149,7 +149,8 @@ def singular_extremes(A) -> tuple[float, float]:
 def l2_ball_project(v, tau: float) -> np.ndarray:
     """Euclidean projection of v onto the ball of radius tau.
 
-    tau = 0 returns the zero vector exactly.
+    tau = 0 returns the zero vector exactly.  The inner ADMM projects inline;
+    perfbench/selftest.py calls this one to check its tracer.
     """
     v = as_vector(v)
     if tau < 0:

@@ -44,19 +44,17 @@ class PenaltyKind(enum.Enum):
 class ThresholdParams:
     """Scalar parameters shared by the penalty family.
 
-    lam is the proximal step weight; alpha the springback curvature; mu the
-    MCP saturation level; beta the transformed-l1 shape; p the lp exponent in
-    (0, 1).
+    alpha is the springback curvature; mu the MCP saturation level; beta the
+    transformed-l1 shape; p the lp exponent in (0, 1).
     """
 
-    lam: float = 0.25
     alpha: float = 0.5
     mu: float = 1.0
     beta: float = 1.0
     p: float = 0.5
 
     def __post_init__(self):
-        for name in ("lam", "alpha", "mu", "beta"):
+        for name in ("alpha", "mu", "beta"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
                 raise InvalidParameterError(f"{name} must be positive and finite")

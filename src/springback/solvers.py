@@ -53,17 +53,21 @@ _TINY = 1e-300
 # Fixed algorithm constants.  RHO and ZETA_INNER are the constraint and
 # splitting penalties of the springback inner ADMM.  The consensus penalty
 # ZETA_INNER is 1, which keeps the soft threshold 1/ZETA_INNER usable and lets
-# admm_subproblem drop its unit factors; ADMM_MAX caps the lasso
-# ADMM baseline; MAX_OUTER caps every DCA loop; TL1_BETA is the
-# transformed-l1 shape; IRLS_* set the lp exponent, the initial smoothing, the
-# stopping tolerance and the sweep cap of irls_lp; ALPHA_MAX caps the
-# curvature alpha_subroutine picks; COND_THRESHOLD is the condition number
-# above which alpha_subroutine treats A as coherent.
+# admm_subproblem drop its unit factors.  ZETA_LASSO is the splitting penalty
+# of the lasso ADMM and LAMBDA the weight of the unconstrained models
+# 0.5||Ax-b||^2 + LAMBDA R(x) (admm_l1, dca_unconstrained, irls_lp); ADMM_MAX
+# caps the lasso ADMM baseline; MAX_OUTER caps every DCA loop; AIHT_MAX caps
+# aiht; IRLS_* set the lp exponent, the initial smoothing, the stopping
+# tolerance and the sweep cap of irls_lp; ALPHA_MAX caps the curvature
+# alpha_subroutine picks; COND_THRESHOLD is the condition number above which
+# alpha_subroutine treats A as coherent.
 RHO = 1e5
 ZETA_INNER = 1.0
+ZETA_LASSO = 1e-5
+LAMBDA = 1e-6
 ADMM_MAX = 5000
 MAX_OUTER = 10
-TL1_BETA = 1.0
+AIHT_MAX = 500
 IRLS_P = 0.5
 IRLS_EPS0 = 1.0
 IRLS_TOL = 1e-8
@@ -119,21 +123,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class SolverOptions:
     """Shared solver parameters; defaults follow the standard experiment setup.
 
-    zeta is the splitting penalty of the lasso ADMM (the l1 baseline and the
-    DCA baselines); the springback inner ADMM uses the fixed RHO, ZETA_INNER.
+    The penalties and weights no experiment varies are module constants:
+    RHO, ZETA_INNER, ZETA_LASSO and LAMBDA.
     """
 
     alpha: float = ALPHA_MAX
-    zeta: float = 1e-5
     eps_outer: float = 1e-5
     eps_inner: float = 1e-5
     max_inner: int = 500
-    reg_lambda: float = 1e-6
     sparsity_estimate: int = 1
-    mu: float = 1.0
 
     def __post_init__(self):
-        for name in ("alpha", "zeta", "eps_outer", "eps_inner", "reg_lambda", "mu"):
+        for name in ("alpha", "eps_outer", "eps_inner"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidParameterError(f"{name} must be positive and finite")
         for name in ("max_inner", "sparsity_estimate"):
@@ -393,13 +394,13 @@ def _lasso_admm(
 
 
 def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
-    """ADMM for the unconstrained l1 model 0.5||Ax-b||^2 + lam||x||_1."""
+    """ADMM for the unconstrained l1 model 0.5||Ax-b||^2 + LAMBDA||x||_1."""
     A, b = prob.A, prob.b
-    st = _lasso_state(A.shape[1], opts.zeta)
+    st = _lasso_state(A.shape[1], ZETA_LASSO)
     trace: list[float] = []
     status = SolverStatus.MAX_ITER
     try:
-        if _lasso_admm(A, b, opts.reg_lambda, None, st, opts.eps_outer, ADMM_MAX, trace):
+        if _lasso_admm(A, b, LAMBDA, None, st, opts.eps_outer, ADMM_MAX, trace):
             status = SolverStatus.CONVERGED
     except NumericError:
         status = SolverStatus.NUMERIC_FAILURE
@@ -409,8 +410,8 @@ def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
 def dca_unconstrained(
     kind: PenaltyKind, prob: ProblemInstance, opts: SolverOptions
 ) -> SolverReport:
-    """DCA for unconstrained models 0.5||Ax-b||^2 + lam R(x) with R one of
-    the transformed l1, MCP, or l1-minus-l2 penalties.
+    """DCA for unconstrained models 0.5||Ax-b||^2 + lam R(x), lam = LAMBDA, with
+    R the transformed l1 (beta = 1), MCP (mu = 1/alpha) or l1-minus-l2 penalty.
 
     The concave part is linearized via its gradient, leaving an l1-regularized
     least-squares subproblem (weight lam for l1-2/MCP, lam (beta+1)/beta for
@@ -419,10 +420,11 @@ def dca_unconstrained(
     if kind not in (PenaltyKind.L1_MINUS_2, PenaltyKind.TL1, PenaltyKind.MCP):
         raise InvalidParameterError(f"no DCA baseline for {kind!r}")
     A, b = prob.A, prob.b
-    lam = opts.reg_lambda
-    l1_weight = lam * (TL1_BETA + 1.0) / TL1_BETA if kind is PenaltyKind.TL1 else lam
-    params = ThresholdParams(mu=opts.mu, beta=TL1_BETA)
-    st = _lasso_state(A.shape[1], opts.zeta)
+    lam = LAMBDA
+    params = ThresholdParams(mu=1.0 / opts.alpha)
+    beta = params.beta
+    l1_weight = lam * (beta + 1.0) / beta if kind is PenaltyKind.TL1 else lam
+    st = _lasso_state(A.shape[1], ZETA_LASSO)
 
     def step(x):
         g = lam * dc_concave_gradient(kind, x, params)
@@ -445,14 +447,14 @@ def dca_unconstrained(
 
 def irls_lp(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     """Iteratively reweighted least squares for the smoothed lp model
-    0.5||Ax-b||^2 + lam sum_j (x_j^2 + eps^2)^{p/2}.
+    0.5||Ax-b||^2 + LAMBDA sum_j (x_j^2 + eps^2)^{p/2}.
 
     Each sweep solves a weighted ridge problem through its m x m dual form;
     the smoothing eps shrinks geometrically as the iterates settle.
     """
     A, b = prob.A, prob.b
     m, n = A.shape
-    lam, p = opts.reg_lambda, IRLS_P
+    lam, p = LAMBDA, IRLS_P
     x = np.zeros(n)
     eps_s = IRLS_EPS0
     trace: list[float] = []
@@ -508,7 +510,7 @@ def aiht(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
 
     The gradient step uses mu = ||g_S||^2 / ||A g_S||^2 on the working
     support S; an overrelaxation step doubles the move and is kept only
-    when it lowers the residual.
+    when it lowers the residual.  Runs at most AIHT_MAX iterations.
     """
     A, b = prob.A, prob.b
     s = opts.sparsity_estimate
@@ -520,7 +522,7 @@ def aiht(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     status = SolverStatus.MAX_ITER
     it = 0
     try:  # hard_threshold takes a non-finite input for a caller error
-        for it in range(1, opts.max_inner + 1):
+        for it in range(1, AIHT_MAX + 1):
             g = _check_finite(A.T @ r, "AIHT gradient")
             support = np.flatnonzero(x)
             if support.size == 0:
@@ -567,10 +569,10 @@ def alpha_subroutine(A, b, tau: float, omega: float = 0.5) -> float:
     """
     A = as_matrix(A)
     b = as_vector(b)
-    if omega <= 0:
-        raise InvalidParameterError("omega must be positive")
-    if tau < 0:
-        raise InvalidParameterError("tau must be nonnegative")
+    if not 0 < omega < math.inf:
+        raise InvalidParameterError("omega must be positive and finite")
+    if not 0 <= tau < math.inf:
+        raise InvalidParameterError("tau must be nonnegative and finite")
     bnorm = float(np.linalg.norm(b))
     if bnorm == math.inf:  # ||b||^2 overflowed; ||b|| itself need not
         scale = float(np.abs(b).max())

@@ -215,6 +215,17 @@ def test_solve_npz_rejects_non_finite_tau(tmp_path, capsys, tau):
     assert "Traceback" not in out.err and out.out == ""
 
 
+@pytest.mark.parametrize("omega", ["nan", "inf"])
+def test_solve_npz_rejects_non_finite_omega(tmp_path, capsys, omega):
+    path = tmp_path / "inst.npz"
+    rng = np.random.default_rng(0)
+    np.savez(path, A=rng.standard_normal((8, 20)), b=rng.standard_normal(8))
+    assert main(["solve", "--npz", str(path), "--omega", omega]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and "omega" in out.err
+    assert "Traceback" not in out.err and out.out == ""
+
+
 def test_solve_npz_rejects_generation_flags(tmp_path, capsys):
     path = tmp_path / "inst.npz"
     np.savez(path, A=np.eye(3), b=np.ones(3))

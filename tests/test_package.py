@@ -1,12 +1,17 @@
 """Tests for the package's export lists and its module layering."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import springback
+from springback.penalties import ThresholdParams
+from springback.solvers import SolverOptions
 
 
 def test_export_lists_resolve():
@@ -59,3 +64,34 @@ def test_module_layering():
     assert sorted(found) == sorted(LAYERS)
     for module, imports in found.items():
         assert imports == LAYERS[module], module
+
+
+def _attributes_read(tree: ast.AST, name: str, skip_class: str) -> set[str]:
+    """Attributes read as ``<name>.<attr>`` outside the class ``skip_class``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name == skip_class:
+            continue
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == name
+        ):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+# Every setting some solver or penalty reads; a field nothing reads is dead.
+@pytest.mark.parametrize(
+    "cls, name", [(SolverOptions, "opts"), (ThresholdParams, "params")]
+)
+def test_every_setting_is_read(cls, name):
+    root = Path(springback.__file__).parent
+    read = set()
+    for path in sorted(root.glob("*.py")):
+        read |= _attributes_read(ast.parse(path.read_text()), name, cls.__name__)
+    fields = {f.name for f in dataclasses.fields(cls)}
+    assert sorted(fields - read) == []

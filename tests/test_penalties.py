@@ -23,7 +23,7 @@ from springback.penalties import (
 
 def test_threshold_params_validation():
     with pytest.raises(InvalidParameterError):
-        ThresholdParams(lam=0.0)
+        ThresholdParams(beta=0.0)
     with pytest.raises(InvalidParameterError):
         ThresholdParams(alpha=-1.0)
     with pytest.raises(InvalidParameterError):

@@ -1,5 +1,6 @@
 """Tests for the DCA-springback solver and the baseline solvers."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,13 +61,11 @@ def test_solver_options_validation():
     with pytest.raises(InvalidParameterError):
         SolverOptions(max_inner=0)
     with pytest.raises(InvalidParameterError):
-        SolverOptions(zeta=-1.0)
+        SolverOptions(eps_outer=-1.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize(
-    "name", ["alpha", "zeta", "eps_outer", "eps_inner", "reg_lambda", "mu"]
-)
+@pytest.mark.parametrize("name", ["alpha", "eps_outer", "eps_inner"])
 def test_solver_options_reject_non_finite(name, value):
     with pytest.raises(InvalidParameterError, match=name):
         SolverOptions(**{name: value})
@@ -149,24 +148,28 @@ def test_admm_subproblem_warm_start_fixed_point():
     np.testing.assert_allclose(x1, x2, atol=1e-4)
 
 
+def _lasso(A, b, lam, zeta, eps=1e-5):
+    """admm_l1's solve with its own lam and zeta: the sparse iterate y."""
+    st = solvers_mod._lasso_state(A.shape[1], zeta)
+    solvers_mod._lasso_admm(A, b, lam, None, st, eps, solvers_mod.ADMM_MAX)
+    return st.y
+
+
 def test_admm_l1_orthonormal_design_is_soft_thresholding():
     rng = np.random.default_rng(4)
     Q, _ = np.linalg.qr(rng.standard_normal((8, 4)))
     b = rng.standard_normal(8)
     lam = 0.3
-    opts = SolverOptions(reg_lambda=lam, zeta=1.0, eps_outer=1e-10)
-    rep = admm_l1(ProblemInstance(Q, b), opts)
     atb = Q.T @ b
     expected = np.sign(atb) * np.maximum(np.abs(atb) - lam, 0.0)
-    np.testing.assert_allclose(rep.x_star, expected, atol=1e-6)
+    np.testing.assert_allclose(_lasso(Q, b, lam, 1.0, eps=1e-10), expected, atol=1e-6)
 
 
 def test_admm_l1_small_lambda_square_system():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
     b = rng.standard_normal(4)
-    rep = admm_l1(ProblemInstance(A, b), SolverOptions(reg_lambda=1e-10, zeta=1e-6))
-    np.testing.assert_allclose(rep.x_star, np.linalg.solve(A, b), atol=1e-4)
+    np.testing.assert_allclose(_lasso(A, b, 1e-10, 1e-6), np.linalg.solve(A, b), atol=1e-4)
 
 
 def test_admm_l1_large_lambda_zero_solution():
@@ -174,8 +177,7 @@ def test_admm_l1_large_lambda_zero_solution():
     A = rng.standard_normal((6, 3))
     b = rng.standard_normal(6)
     lam = 2.0 * np.abs(A.T @ b).max()
-    rep = admm_l1(ProblemInstance(A, b), SolverOptions(reg_lambda=lam, zeta=1.0))
-    np.testing.assert_allclose(rep.x_star, np.zeros(3), atol=1e-8)
+    np.testing.assert_allclose(_lasso(A, b, lam, 1.0), np.zeros(3), atol=1e-8)
 
 
 def test_admm_l1_objective_decreases():
@@ -201,13 +203,13 @@ def test_dca_unconstrained_matches_support_oracle():
     xbar[2] = -0.8
     b = A @ xbar
     prob = ProblemInstance(A, b)
-    opts = SolverOptions(eps_inner=1e-9, max_inner=3000, mu=2.0)
+    opts = SolverOptions(alpha=0.5, eps_inner=1e-9, max_inner=3000)
     from itertools import combinations
 
     from springback.penalties import ThresholdParams, penalty_value
 
-    lam = opts.reg_lambda
-    params = ThresholdParams(lam=lam, mu=opts.mu)
+    lam = solvers_mod.LAMBDA
+    params = ThresholdParams(mu=1.0 / opts.alpha)
 
     def objective(x):
         r = A @ x - b
@@ -279,6 +281,18 @@ def test_aiht_recovers_sparse_signal():
     assert np.linalg.norm(rep.x_star - x) / np.linalg.norm(x) < 1e-3
 
 
+def test_aiht_cap_does_not_follow_max_inner():
+    prob, _ = _gaussian_instance(64, 250, 8, 12)
+    opts = SolverOptions(sparsity_estimate=8)
+    rep = aiht(prob, opts)
+    assert rep.outer_iterations > 1
+    capped = aiht(prob, replace(opts, max_inner=1))
+    assert capped.outer_iterations == rep.outer_iterations
+    assert capped.status is rep.status
+    assert np.array_equal(capped.x_star, rep.x_star)
+    assert capped.objective_trace == rep.objective_trace
+
+
 def test_alpha_subroutine_branches():
     # well-conditioned, sigma-based value above the safeguard -> ALPHA_MAX
     A = np.eye(3)
@@ -295,6 +309,18 @@ def test_alpha_subroutine_branches():
     assert alpha_subroutine(A, np.zeros(3), 0.0) == ALPHA_MAX
     with pytest.raises(InvalidParameterError):
         alpha_subroutine(A, b, -1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["tau", "omega"])
+def test_alpha_subroutine_rejects_non_finite(name, value):
+    # a coherent A and a Gaussian one: each takes a different branch
+    A_gauss = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=8, n=20, seed=0))
+    for A in (np.diag([100.0, 1.0]), A_gauss):
+        b = np.ones(A.shape[0])
+        kwargs = {"tau": 0.0, "omega": 0.5, name: value}
+        with pytest.raises(InvalidParameterError, match=name):
+            alpha_subroutine(A, b, **kwargs)
 
 
 def test_alpha_subroutine_zero_observation_skips_svd(monkeypatch):
@@ -446,8 +472,8 @@ def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
     prob = _oracle_instance(shape, False)
     A, b = prob.A, prob.b
     n = shape[1]
-    opts = SolverOptions()
-    lam, zeta, eps = opts.reg_lambda, opts.zeta, opts.eps_inner
+    lam, zeta = solvers_mod.LAMBDA, solvers_mod.ZETA_LASSO
+    eps = SolverOptions().eps_inner
     state = solvers_mod._lasso_state(n, zeta)
     ref = SimpleNamespace(**vars(state), solve=_ref_ridge_solve(A, 1.0, zeta))
     g = 1e-3 * np.ones(n) if linear else None
