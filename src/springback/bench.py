@@ -26,6 +26,7 @@ from .errors import InvalidParameterError, SpringbackError
 from .penalties import PenaltyKind
 from .sensing import EnsembleKind, EnsembleSpec, SignalSpec, add_noise_snr, gen_matrix, gen_signal
 from .solvers import (
+    OMEGA,
     ProblemInstance,
     SolverOptions,
     SolverStatus,
@@ -87,7 +88,7 @@ class ExperimentSpec:
     snr_db: float | None = None
     min_separation: int = 0
     sep_factor: int = 0
-    omega: float = 0.5
+    omega: float = OMEGA
     success_tol: float = 1e-3
     master_seed: int = 0
     literal_acceptance: bool = False
@@ -459,6 +460,9 @@ def preset_spec(
     fig7: noisy Gaussian error sweep over the SNR (literal_shape keeps the
           overdetermined 128x64 shape as printed in the source experiment).
     fig8: noisy theory-validation sweep over s with acceptance rates.
+
+    fig4 and fig5 floor alpha at the default omega, solvers.OMEGA; fig7 and
+    fig8 at 0.4.
     """
     if name == "fig4":
         spec = ExperimentSpec(
@@ -466,7 +470,6 @@ def preset_spec(
             sparsity=10,
             sweep_axis="s",
             sweep_values=tuple(range(6, 41, 2)),
-            omega=0.5,
         )
     elif name == "fig5":
         spec = ExperimentSpec(
@@ -477,7 +480,6 @@ def preset_spec(
             sweep_axis="refinement",
             sweep_values=(4, 6, 8, 10, 12, 16),
             sep_factor=2,
-            omega=0.5,
         )
     elif name == "fig7":
         m, n = (128, 64) if literal_shape else (64, 128)

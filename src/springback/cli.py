@@ -26,7 +26,7 @@ from .bounds import (
 from .errors import InvalidParameterError, SpringbackError
 from .penalties import firm_threshold, soft_threshold, springback_threshold
 from .sensing import EnsembleKind, EnsembleSpec
-from .solvers import ProblemInstance
+from .solvers import OMEGA, ProblemInstance
 
 __all__ = ["main"]
 
@@ -72,7 +72,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument(
         "--seed", type=int, default=0, help="draw the instance of trial 0 of this master seed"
     )
-    p.add_argument("--omega", type=float, default=0.5)
+    p.add_argument("--omega", type=float, default=OMEGA)
 
     p = sub.add_parser("bench", help="run a benchmark sweep")
     src = p.add_mutually_exclusive_group(required=True)

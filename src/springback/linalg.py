@@ -108,13 +108,20 @@ class GramRidgeSolver:
             raise NumericError("Gram matrix overflowed: the entries of A are too large")
         self._chol = SpdFactor(G).chol
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
+    def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(rho A^T A + zeta I)^-1 r, written into ``out`` when given (a
+        length-n float vector other than r) and returned."""
         if self._wide:
-            x = r - self._At.dot(dpotrs(self._chol, self._A.dot(r), lower=1)[0])
+            # potrs overwrites the temporary A r with its solution
+            x = self._At.dot(dpotrs(self._chol, self._A.dot(r), 1, 1)[0], out)
+            np.subtract(r, x, x)
             if self._zeta != 1.0:  # dividing by 1.0 changes nothing
                 x /= self._zeta
             return x
-        return dpotrs(self._chol, r, lower=1)[0]
+        if out is None:
+            return dpotrs(self._chol, r, lower=1)[0]
+        np.copyto(out, r)
+        return dpotrs(self._chol, out, 1, 1)[0]
 
     @functools.cached_property
     def _H(self) -> np.ndarray:
@@ -131,10 +138,16 @@ class GramRidgeSolver:
             return np.array(cols).T.copy()
         return np.array([dpotrs(self._chol, self._rho * a, lower=1)[0] for a in self._A])
 
-    def offset_solve(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def offset_solve(
+        self, c: np.ndarray, d: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """c + zeta (rho A^T A + zeta I)^-1 d, as (c + d) - A^T (H d); the
-        lasso ADMM's x-update, unchecked like ``solve``."""
-        return (c + d) - self._At.dot(self._H.dot(d))
+        lasso ADMM's x-update, unchecked like ``solve`` and written into
+        ``out`` when given (a length-n float vector other than c and d)."""
+        t = self._At.dot(self._H.dot(d))
+        x = np.add(c, d, out)
+        x -= t
+        return x
 
 
 def singular_extremes(A) -> tuple[float, float]:

@@ -100,7 +100,8 @@ def soft_threshold(w: float, lam: float) -> float:
 
 
 def soft_shrink(v: np.ndarray, t: float) -> np.ndarray:
-    """Elementwise sgn(v) * max(|v| - t, 0), unvalidated for the ADMM inner loop.
+    """Elementwise sgn(v) * max(|v| - t, 0), unvalidated.  The inner ADMM
+    loops compute the same values in their work vectors.
 
     Computed as v - clamp(v, -t, t), which rounds the same for finite v and
     t > 0: both give v - t above t and v + t below -t.  Only the sign of a

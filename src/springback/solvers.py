@@ -29,7 +29,6 @@ from .penalties import (
     ThresholdParams,
     dc_concave_gradient,
     penalty_value,
-    soft_shrink,
 )
 
 __all__ = [
@@ -60,7 +59,8 @@ _TINY = 1e-300
 # aiht; IRLS_* set the lp exponent, the initial smoothing, the stopping
 # tolerance and the sweep cap of irls_lp; ALPHA_MAX caps the curvature
 # alpha_subroutine picks; COND_THRESHOLD is the condition number above which
-# alpha_subroutine treats A as coherent.
+# alpha_subroutine treats A as coherent, and OMEGA the default floor of alpha
+# there.
 RHO = 1e5
 ZETA_INNER = 1.0
 ZETA_LASSO = 1e-5
@@ -74,6 +74,7 @@ IRLS_TOL = 1e-8
 IRLS_MAX = 1000
 ALPHA_MAX = 0.7
 COND_THRESHOLD = 5.0
+OMEGA = 0.5
 
 # Absolute slacks on the constraint ||Ax - b||_2 <= tau.
 FEAS_TOL_INNER = 1e-6  # inner ADMM stop: tight, it certifies a subproblem solution
@@ -193,7 +194,7 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
 def _checked_norm(x: np.ndarray, what: str) -> float:
     """||x||_2 of an x that must be finite; a non-finite entry makes the norm
     inf or NaN, so only then are the entries scanned."""
-    xnorm = _norm(x)
+    xnorm = math.sqrt(x.dot(x))
     if not math.isfinite(xnorm):
         _check_finite(x, what)
     return xnorm
@@ -221,6 +222,11 @@ def admm_subproblem(
     state gets the last finite iterate and the completed iterations on every
     exit, a NumericError from a non-finite x-update included.
 
+    The loop copies the warm state into work vectors allocated once per call
+    and updates them in place, so no step touches an array a caller holds;
+    the state takes the work vectors on exit and the returned x is a copy.
+    Each in-place step keeps the rounding of the expression it replaces.
+
     With ZETA_INNER = 1 the x-update right-hand side is
     rho A^T (b + z - eta) + xi + (y - u) and the soft threshold is 1.  At
     tau = 0 the ball is the origin, so z stays the zero vector and drops out
@@ -233,36 +239,54 @@ def admm_subproblem(
     if st.solver is None:
         st.solver = GramRidgeSolver(A, RHO, ZETA_INNER)
     solve = st.solver.solve
-    rho, eps, feas = RHO, opts.eps_inner, tau + FEAS_TOL_INNER
-    x, y, z, u, eta = st.x, st.y, st.z, st.u, st.eta
+    # Locally bound ufuncs with a positional out (the keyword for maximum and
+    # minimum) and 0-d array constants are the forms numpy dispatches fastest.
+    add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
+    rho, eps, feas = np.array(RHO), opts.eps_inner, tau + FEAS_TOL_INNER
+    lo, hi = np.array(-1.0), np.array(1.0)  # the soft threshold's clamp
+    x, y, z, u, eta = (v.copy() for v in (st.x, st.y, st.z, st.u, st.eta))
+    spare, rhs, p, clamped, diff = (np.empty_like(x) for _ in range(5))
+    w, Ax, r = (np.empty_like(eta) for _ in range(3))
     iterations = st.iterations
     xnorm = _norm(x)
     try:
         for _ in range(opts.max_inner):
-            w = b - eta if tau == 0.0 else b + z - eta
-            x_new = solve(rho * At.dot(w) + xi + (y - u))
+            if tau == 0.0:
+                subtract(b, eta, w)
+            else:
+                add(b, z, w)
+                w -= eta
+            At.dot(w, rhs)
+            rhs *= rho
+            rhs += xi
+            rhs += subtract(y, u, diff)
+            x_new = solve(rhs, spare)
             xnorm_old, xnorm = xnorm, _checked_norm(x_new, "inner ADMM x-update")
             x_old, x = x, x_new
-            p = x + u
-            y = soft_shrink(p, 1.0)
-            Ax = A.dot(x)
-            r = Ax - b
+            add(x, u, p)
+            subtract(p, minimum(maximum(p, lo, out=clamped), hi, out=clamped), y)
+            A.dot(x, Ax)
+            subtract(Ax, b, r)
             if tau == 0.0:
-                eta = eta + Ax - b
+                eta += Ax
+                eta -= b
             else:  # z = projection of r + eta onto the tau-ball
-                z = r + eta
+                add(r, eta, z)
                 znorm = _checked_norm(z, "inner ADMM projection")
                 if znorm > tau:
-                    z = z * (tau / znorm)
-                eta = eta + Ax - b - z
-            u = p - y
+                    z *= tau / znorm
+                eta += Ax
+                eta -= b
+                eta -= z
+            subtract(p, y, u)
             iterations += 1
             if (
-                _norm(x - x_old) / max(xnorm, xnorm_old, _TINY) < eps
-                and _norm(x - y) <= eps * max(1.0, xnorm)
+                _norm(subtract(x, x_old, diff)) / max(xnorm, xnorm_old, _TINY) < eps
+                and _norm(subtract(x, y, diff)) <= eps * max(1.0, xnorm)
                 and _norm(r) <= feas
             ):
                 break
+            spare = x_old
     finally:
         st.x, st.y, st.z, st.u, st.eta = x, y, z, u, eta
         st.iterations = iterations
@@ -356,7 +380,8 @@ def _lasso_admm(
 
     Runs at most max_iter iterations and returns whether the stopping test
     fired.  With ``trace`` given, appends 0.5||Ay-b||^2 + lam||y||_1 at every
-    sparse iterate y.  ``st`` is updated as in admm_subproblem.
+    sparse iterate y.  ``st`` is updated, through per-call work vectors, as
+    in admm_subproblem.
 
     The x-update (A^T A + zeta I)^-1 (A^T b + linear + zeta (y - u)) is split
     into its constant part x_c, solved once per call, and x_c + (y - u) -
@@ -367,26 +392,32 @@ def _lasso_admm(
     if st.solver is None:
         st.solver = GramRidgeSolver(A, 1.0, zeta)
     step = st.solver.offset_solve
-    x, y, u = st.x, st.y, st.u
+    x, y, u = st.x.copy(), st.y.copy(), st.u.copy()
+    spare, p, d = (np.empty_like(x) for _ in range(3))
+    r = np.empty_like(b) if trace is not None else None
     iterations = st.iterations
     x_c = st.solver.solve(A.T @ b if linear is None else A.T @ b + linear)
     thresh = lam / zeta
+    lo, hi = np.array(-thresh), np.array(thresh)  # the clamp of u
+    add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
     xnorm = _norm(x)
     try:
         for _ in range(max_iter):
-            x_new = step(x_c, y - u)
+            x_new = step(x_c, subtract(y, u, d), spare)
             xnorm_old, xnorm = xnorm, _checked_norm(x_new, "lasso ADMM x-update")
             x_old, x = x, x_new
-            p = x + u
-            u = p.clip(-thresh, thresh)
-            y = p - u
+            add(x, u, p)
+            minimum(maximum(p, lo, out=u), hi, out=u)
+            subtract(p, u, y)
             iterations += 1
             if trace is not None:
-                r = A.dot(y) - b
-                trace.append(0.5 * float(r.dot(r)) + lam * float(np.abs(y).sum()))
-            change = _norm(x - x_old) / max(xnorm, xnorm_old, _TINY)
-            if change < eps and _norm(x - y) <= eps * max(1.0, xnorm):
+                A.dot(y, r)
+                r -= b
+                trace.append(0.5 * float(r.dot(r)) + lam * float(np.abs(y, d).sum()))
+            change = _norm(subtract(x, x_old, d)) / max(xnorm, xnorm_old, _TINY)
+            if change < eps and _norm(subtract(x, y, d)) <= eps * max(1.0, xnorm):
                 return True
+            spare = x_old
         return False
     finally:
         st.x, st.y, st.u = x, y, u
@@ -558,7 +589,7 @@ def aiht(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     return _report(prob, x, it, it, trace, status)
 
 
-def alpha_subroutine(A, b, tau: float, omega: float = 0.5) -> float:
+def alpha_subroutine(A, b, tau: float, omega: float = OMEGA) -> float:
     """Data-driven choice of the springback curvature alpha, the only place
     alpha is decided.
 

@@ -492,6 +492,106 @@ def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
             g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
 
 
+# A reference copy of the lasso loop through the precomputed operator, as it
+# was before it ran on work vectors: every temporary allocated, the clamp
+# through ndarray.clip.  It takes the cached factor and H of a GramRidgeSolver
+# and applies them with the expressions of that time, so the kernel must
+# match it bit for bit.
+
+
+def _ref_operator_lasso_admm(A, b, lam, linear, st, eps, max_iter):
+    chol, At, H, zeta = st.solver._chol, A.T, st.solver._H, st.zeta
+    r = A.T @ b if linear is None else A.T @ b + linear
+    if A.shape[0] < A.shape[1]:
+        x_c = r - At.dot(scipy.linalg.lapack.dpotrs(chol, A.dot(r), lower=1)[0])
+        x_c /= zeta
+    else:
+        x_c = scipy.linalg.lapack.dpotrs(chol, r, lower=1)[0]
+    x, y, u = st.x, st.y, st.u
+    thresh = lam / zeta
+    for _ in range(max_iter):
+        d = y - u
+        x_old, x = x, (x_c + d) - At.dot(H.dot(d))
+        p = x + u
+        u = p.clip(-thresh, thresh)
+        y = p - u
+        st.x, st.y, st.u = x, y, u
+        st.iterations += 1
+        if _ref_rel_change(x, x_old) < eps and float(np.linalg.norm(x - y)) <= eps * max(
+            1.0, float(np.linalg.norm(x))
+        ):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("linear", [False, True])
+@pytest.mark.parametrize("shape", _ORACLE_SHAPES)
+def test_lasso_admm_is_bit_identical_to_operator_reference_loop(shape, linear):
+    prob = _oracle_instance(shape, False)
+    A, b = prob.A, prob.b
+    n = shape[1]
+    lam, zeta = solvers_mod.LAMBDA, solvers_mod.ZETA_LASSO
+    eps = SolverOptions().eps_inner
+    state = solvers_mod._lasso_state(n, zeta)
+    ref = solvers_mod._lasso_state(n, zeta)
+    ref.solver = GramRidgeSolver(A, 1.0, zeta)
+    g = 1e-3 * np.ones(n) if linear else None
+    for _ in range(2):  # a cold call, then a warm-started one
+        done = solvers_mod._lasso_admm(A, b, lam, g, state, eps, 300)
+        assert done == _ref_operator_lasso_admm(A, b, lam, g, ref, eps, 300)
+        _assert_states_equal(state, ref, ("x", "y", "u"))
+        if linear:
+            g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
+    assert state.iterations > 0
+
+
+def _held_arrays(state, names):
+    """The state's arrays, as a caller holds them, and copies of their values."""
+    return [(getattr(state, name), getattr(state, name).copy()) for name in names]
+
+
+def _assert_unchanged(held):
+    for array, value in held:
+        assert np.array_equal(array, value)
+
+
+# The loops update work vectors in place.  Neither may write into an array a
+# caller still holds: the x a call returned, the state arrays from before a
+# call, xi and linear.
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_admm_subproblem_leaves_caller_arrays_unchanged(noisy):
+    prob = _oracle_instance((20, 50), noisy)
+    opts = SolverOptions(max_inner=30)
+    state = fresh_admm_state(prob)
+    x1 = admm_subproblem(prob, np.zeros(50), opts, warm=state)
+    names = ("x", "y", "z", "u", "eta")
+    held = _held_arrays(state, names)
+    xi = 0.5 * x1
+    held += [(x1, x1.copy()), (xi, xi.copy())]
+    x2 = admm_subproblem(prob, xi, opts, warm=state)
+    _assert_unchanged(held)
+    assert state.iterations == 2 * opts.max_inner
+    assert not np.array_equal(state.x, held[0][1])  # the second call moved x
+    assert not np.shares_memory(x2, state.x)
+
+
+def test_lasso_admm_leaves_caller_arrays_unchanged():
+    prob = _oracle_instance((20, 50), False)
+    A, b = prob.A, prob.b
+    lam, eps = solvers_mod.LAMBDA, SolverOptions().eps_inner
+    state = solvers_mod._lasso_state(50, solvers_mod.ZETA_LASSO)
+    solvers_mod._lasso_admm(A, b, lam, 1e-3 * np.ones(50), state, eps, 30)
+    held = _held_arrays(state, ("x", "y", "u"))  # y is what a DCA step returns
+    g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
+    held.append((g, g.copy()))
+    solvers_mod._lasso_admm(A, b, lam, g, state, eps, 30, [])
+    _assert_unchanged(held)
+    assert state.iterations == 60
+    assert not np.array_equal(state.x, held[0][1])  # the second call moved x
+
+
 def _failing_solve_on_call(monkeypatch, k, value=np.nan, method="solve"):
     """Patch GramRidgeSolver.<method> to put ``value`` into one entry of its
     k-th result; returns the call counter, a one-element list.  The method
