@@ -11,6 +11,7 @@ the smoothed lp quasi-norm, and accelerated iterative hard thresholding.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,7 +61,8 @@ _TINY = 1e-300
 # tolerance and the sweep cap of irls_lp; ALPHA_MAX caps the curvature
 # alpha_subroutine picks; COND_THRESHOLD is the condition number above which
 # alpha_subroutine treats A as coherent, and OMEGA the default floor of alpha
-# there.
+# there; LASSO_BLOCK is the number of lasso ADMM iterations between two
+# evaluations of its stopping test (16 and 64 measure the same).
 RHO = 1e5
 ZETA_INNER = 1.0
 ZETA_LASSO = 1e-5
@@ -75,6 +77,7 @@ IRLS_MAX = 1000
 ALPHA_MAX = 0.7
 COND_THRESHOLD = 5.0
 OMEGA = 0.5
+LASSO_BLOCK = 32
 
 # Absolute slacks on the constraint ||Ax - b||_2 <= tau.
 FEAS_TOL_INNER = 1e-6  # inner ADMM stop: tight, it certifies a subproblem solution
@@ -112,6 +115,14 @@ class ProblemInstance:
             object.__setattr__(self, "ground_truth", _read_only(g))
         object.__setattr__(self, "A", _read_only(A))
         object.__setattr__(self, "b", _read_only(b))
+
+    @functools.cached_property
+    def lasso_solver(self) -> GramRidgeSolver:
+        """The (A^T A + ZETA_LASSO I) solver that admm_l1 and the
+        dca_unconstrained baselines share, with its operator H, built on first
+        use inside the solver that needs it, so that a Gram overflow is that
+        solver's numeric failure."""
+        return GramRidgeSolver(self.A, 1.0, ZETA_LASSO)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -244,6 +255,7 @@ def admm_subproblem(
     add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
     rho, eps, feas = np.array(RHO), opts.eps_inner, tau + FEAS_TOL_INNER
     lo, hi = np.array(-1.0), np.array(1.0)  # the soft threshold's clamp
+    scale = np.array(0.0)  # the ball projection's tau / ||z||
     x, y, z, u, eta = (v.copy() for v in (st.x, st.y, st.z, st.u, st.eta))
     spare, rhs, p, clamped, diff = (np.empty_like(x) for _ in range(5))
     w, Ax, r = (np.empty_like(eta) for _ in range(3))
@@ -274,7 +286,8 @@ def admm_subproblem(
                 add(r, eta, z)
                 znorm = _checked_norm(z, "inner ADMM projection")
                 if znorm > tau:
-                    z *= tau / znorm
+                    scale[()] = tau / znorm
+                    z *= scale
                 eta += Ax
                 eta -= b
                 eta -= z
@@ -351,7 +364,8 @@ def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
 @dataclass
 class _LassoState:
     """Warm-start state of the lasso ADMM; y is the sparse iterate and solver
-    the (A^T A + zeta I) factor, built by the first call."""
+    the (A^T A + zeta I) factor, built by the first call unless the caller
+    gives it one (the instance's lasso_solver)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -380,48 +394,97 @@ def _lasso_admm(
 
     Runs at most max_iter iterations and returns whether the stopping test
     fired.  With ``trace`` given, appends 0.5||Ay-b||^2 + lam||y||_1 at every
-    sparse iterate y.  ``st`` is updated, through per-call work vectors, as
-    in admm_subproblem.
+    sparse iterate y.  ``st`` gets the last finite iterate and the completed
+    iterations on every exit, as in admm_subproblem; the state arrays are
+    copies, so no step touches an array a caller holds.
 
     The x-update (A^T A + zeta I)^-1 (A^T b + linear + zeta (y - u)) is split
     into its constant part x_c, solved once per call, and x_c + (y - u) -
     A^T H (y - u) through the solver's precomputed operator H.  The scaled
     dual is u = clamp(x + u, -t, t), so y = (x + u) - u is the soft threshold.
+
+    The iterations run in blocks of LASSO_BLOCK.  Iteration k of a block
+    writes x, u, y (and A y for the trace) into row k of per-call history
+    arrays, whose row 0 holds the iterate the block starts from.  After the
+    block, row-wise calls give every row's ||x||, ||x - x_old||, ||x - y||
+    and trace value, bit for bit as a per-iteration loop computes them
+    (np.vecdot of a row is ndarray.dot of it, and a row sum of |y| is the
+    vector's sum).  The first row whose stopping test fires ends the call,
+    and the rows after it are discarded.  A row whose norm is not finite and
+    whose entries confirm it ends the call at the row before, with
+    NumericError; the block's later rows, computed from it, may raise numpy
+    RuntimeWarnings first.  An x-update returned in an array other than its
+    row (a wrapped solver) is copied into the row and ends the block there.
     """
     zeta = st.zeta
     if st.solver is None:
         st.solver = GramRidgeSolver(A, 1.0, zeta)
     step = st.solver.offset_solve
-    x, y, u = st.x.copy(), st.y.copy(), st.u.copy()
-    spare, p, d = (np.empty_like(x) for _ in range(3))
-    r = np.empty_like(b) if trace is not None else None
-    iterations = st.iterations
+    n = st.x.size
+    X, Y, U = (np.empty((LASSO_BLOCK + 1, n)) for _ in range(3))
+    X[0], Y[0], U[0] = st.x, st.y, st.u
+    xs, ys, us = list(X), list(Y), list(U)  # row views, made once
+    R = np.empty((LASSO_BLOCK + 1, b.size)) if trace is not None else None
+    rs = list(R) if trace is not None else None
+    p, d = (np.empty(n) for _ in range(2))
+    work = np.empty((LASSO_BLOCK, n))
     x_c = st.solver.solve(A.T @ b if linear is None else A.T @ b + linear)
     thresh = lam / zeta
     lo, hi = np.array(-thresh), np.array(thresh)  # the clamp of u
-    add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
-    xnorm = _norm(x)
+    add, subtract, maximum, minimum, vecdot = (
+        np.add, np.subtract, np.maximum, np.minimum, np.vecdot
+    )
+    done, last = 0, 0  # the iterations completed, the row holding the state
     try:
-        for _ in range(max_iter):
-            x_new = step(x_c, subtract(y, u, d), spare)
-            xnorm_old, xnorm = xnorm, _checked_norm(x_new, "lasso ADMM x-update")
-            x_old, x = x, x_new
-            add(x, u, p)
-            minimum(maximum(p, lo, out=u), hi, out=u)
-            subtract(p, u, y)
-            iterations += 1
-            if trace is not None:
-                A.dot(y, r)
-                r -= b
-                trace.append(0.5 * float(r.dot(r)) + lam * float(np.abs(y, d).sum()))
-            change = _norm(subtract(x, x_old, d)) / max(xnorm, xnorm_old, _TINY)
-            if change < eps and _norm(subtract(x, y, d)) <= eps * max(1.0, xnorm):
+        while done < max_iter:
+            for k in range(1, min(LASSO_BLOCK, max_iter - done) + 1):
+                row = xs[k]
+                x = step(x_c, subtract(ys[k - 1], us[k - 1], d), row)
+                add(x, us[k - 1], p)
+                minimum(maximum(p, lo, out=us[k]), hi, out=us[k])
+                subtract(p, us[k], ys[k])
+                if rs is not None:
+                    A.dot(ys[k], rs[k])
+                if x is not row:  # a wrapped solver: check this row now
+                    np.copyto(row, x)
+                    break
+            # Silent, as the Python float arithmetic of the scalar tests was
+            with np.errstate(all="ignore"):
+                xnorm = np.sqrt(vecdot(X[: k + 1], X[: k + 1]))
+                end = k  # the last row that counts
+                for i in np.flatnonzero(~np.isfinite(xnorm)):
+                    if not np.isfinite(xs[i]).all():
+                        end = int(i) - 1
+                        break
+                failed = end < k
+                new, old = slice(1, end + 1), slice(0, end)
+                dx = subtract(X[new], X[old], work[:end])
+                change = np.sqrt(vecdot(dx, dx)) / maximum(
+                    maximum(xnorm[new], xnorm[old]), _TINY
+                )
+                gap = subtract(X[new], Y[new], work[:end])
+                fired = np.flatnonzero(
+                    (change < eps)
+                    & (np.sqrt(vecdot(gap, gap)) <= eps * maximum(1.0, xnorm[new]))
+                )
+                if fired.size:
+                    end = int(fired[0]) + 1
+                if rs is not None:
+                    r = R[1 : end + 1]
+                    r -= b
+                    l1 = np.abs(Y[1 : end + 1], work[:end]).sum(axis=1)
+                    trace.extend((0.5 * vecdot(r, r) + lam * l1).tolist())
+            done, last = done + end, end
+            if fired.size:
                 return True
-            spare = x_old
+            if failed:
+                raise NumericError("lasso ADMM x-update produced non-finite values")
+            X[0], Y[0], U[0] = xs[end], ys[end], us[end]
+            last = 0
         return False
     finally:
-        st.x, st.y, st.u = x, y, u
-        st.iterations = iterations
+        st.x, st.y, st.u = xs[last].copy(), ys[last].copy(), us[last].copy()
+        st.iterations += done
 
 
 def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
@@ -431,6 +494,7 @@ def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     trace: list[float] = []
     status = SolverStatus.MAX_ITER
     try:
+        st.solver = prob.lasso_solver
         if _lasso_admm(A, b, LAMBDA, None, st, opts.eps_outer, ADMM_MAX, trace):
             status = SolverStatus.CONVERGED
     except NumericError:
@@ -466,6 +530,7 @@ def dca_unconstrained(
     trace: list[float] = []
     status = SolverStatus.MAX_ITER
     try:
+        st.solver = prob.lasso_solver
         for x, converged in _dca_iterates(x, opts, step):
             r = A @ x - b
             trace.append(0.5 * float(r @ r) + lam * penalty_value(kind, x, params))

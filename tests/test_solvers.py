@@ -545,6 +545,73 @@ def test_lasso_admm_is_bit_identical_to_operator_reference_loop(shape, linear):
     assert state.iterations > 0
 
 
+# The lasso loop as it was before it checked its stop once per block: every
+# test and trace value computed at every iteration.  Its x-update applies the
+# solver's H as _ref_operator_lasso_admm does, so the blocked loop must match
+# it bit for bit, trace included.
+
+
+def _ref_traced_lasso_admm(A, b, lam, linear, st, eps, max_iter, trace):
+    H, thresh = st.solver._H, lam / st.zeta
+    x_c = st.solver.solve(A.T @ b if linear is None else A.T @ b + linear)
+    x, y, u = st.x, st.y, st.u
+    for _ in range(max_iter):
+        d = y - u
+        x_old, x = x, (x_c + d) - A.T.dot(H.dot(d))
+        p = x + u
+        u = p.clip(-thresh, thresh)
+        y = p - u
+        st.x, st.y, st.u = x, y, u
+        st.iterations += 1
+        r = A.dot(y) - b
+        trace.append(0.5 * float(r.dot(r)) + lam * float(np.abs(y).sum()))
+        if _ref_rel_change(x, x_old) < eps and float(np.linalg.norm(x - y)) <= eps * max(
+            1.0, float(np.linalg.norm(x))
+        ):
+            return True
+    return False
+
+
+def _lasso_pair(n, A):
+    """A lasso state and a reference state with its own solver."""
+    ref = solvers_mod._lasso_state(n, solvers_mod.ZETA_LASSO)
+    ref.solver = GramRidgeSolver(A, 1.0, solvers_mod.ZETA_LASSO)
+    return solvers_mod._lasso_state(n, solvers_mod.ZETA_LASSO), ref
+
+
+# (linear, max_iter, eps, the iteration of the cold call's stop or None).  On
+# the (20, 50) oracle instance the stopping test first fires at iteration 45
+# (row 13 of the second block) at eps = 2.2e-3, at 64 (the second block's
+# last row) at 4.5e-4, and with linear = 1e-3 at 32 (the first block's last
+# row) at 3.18e-2; at eps_inner it does not fire within 67 iterations.
+_LASSO_BLOCK_CASES = [(False, k, 1e-5, None) for k in (1, 31, 32, 33, 67)] + [
+    (False, 200, 2.2e-3, 45),
+    (False, 200, 4.5e-4, 64),
+    (True, 200, 3.18e-2, 32),
+]
+
+
+@pytest.mark.parametrize("linear, max_iter, eps, stop", _LASSO_BLOCK_CASES)
+def test_lasso_admm_blocks_match_per_iteration_loop(linear, max_iter, eps, stop):
+    assert solvers_mod.LASSO_BLOCK == 32  # the cases are set for this block
+    prob = _oracle_instance((20, 50), False)
+    A, b, lam = prob.A, prob.b, solvers_mod.LAMBDA
+    state, ref = _lasso_pair(50, A)
+    g = 1e-3 * np.ones(50) if linear else None
+    trace, ref_trace = [], []
+    for call in range(2):  # a cold call, then a warm-started one
+        done = solvers_mod._lasso_admm(A, b, lam, g, state, eps, max_iter, trace)
+        ref_done = _ref_traced_lasso_admm(A, b, lam, g, ref, eps, max_iter, ref_trace)
+        if call == 0:
+            assert ref_done == (stop is not None)
+            assert ref.iterations == (stop or max_iter)
+        assert done == ref_done
+        _assert_states_equal(state, ref, ("x", "y", "u"))
+        assert trace == ref_trace
+        if linear:
+            g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
+
+
 def _held_arrays(state, names):
     """The state's arrays, as a caller holds them, and copies of their values."""
     return [(getattr(state, name), getattr(state, name).copy()) for name in names]
@@ -705,6 +772,81 @@ def test_finite_x_update_with_overflowing_norm_does_not_raise(monkeypatch, noisy
     assert lasso.x[25] == 1e200
 
 
+def _failing_in_place_on_call(monkeypatch, k, value):
+    """Patch GramRidgeSolver.offset_solve to put ``value`` into one entry of
+    its k-th result, in the array it returns, so that the lasso meets it only
+    at the end of the block; returns the call counter, a one-element list."""
+    original = GramRidgeSolver.offset_solve
+    calls = [0]
+
+    def failing(self, *args):
+        calls[0] += 1
+        out = original(self, *args)
+        if calls[0] == k:
+            out[out.size // 2] = value
+        return out
+
+    monkeypatch.setattr(GramRidgeSolver, "offset_solve", failing)
+    return calls
+
+
+def _inject(monkeypatch, k, value, in_place):
+    if in_place:
+        return _failing_in_place_on_call(monkeypatch, k, value)
+    return _failing_solve_on_call(monkeypatch, k, value, "offset_solve")
+
+
+# In place, the bad x-update is found when its block ends, after the block's
+# remaining x-updates, which compute on non-finite values and may warn;
+# returned in a copy, it is checked at once.
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("in_place", [True, False])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_x_update_in_a_later_block(monkeypatch, value, in_place):
+    k, block = 35, solvers_mod.LASSO_BLOCK
+    prob, _ = _gaussian_instance(16, 40, 3, 2)
+    A, b, n = prob.A, prob.b, 40
+    lam, eps = solvers_mod.LAMBDA, SolverOptions().eps_outer
+    state, ref = _lasso_pair(n, A)
+    ref_trace = []
+    assert not _ref_traced_lasso_admm(A, b, lam, None, ref, eps, k - 1, ref_trace)
+    trace = []
+    with monkeypatch.context() as mp:
+        calls = _inject(mp, k, value, in_place)
+        with pytest.raises(NumericError):
+            solvers_mod._lasso_admm(A, b, lam, None, state, eps, 100, trace)
+    assert calls[0] == (2 * block if in_place else k)
+    _assert_states_equal(state, ref, ("x", "y", "u"))
+    assert state.iterations == k - 1
+    assert trace == ref_trace
+
+    with monkeypatch.context() as mp:
+        _inject(mp, k, value, in_place)
+        rep = admm_l1(prob, SolverOptions())
+    assert rep.status is SolverStatus.NUMERIC_FAILURE
+    assert rep.inner_iterations_total == k - 1
+    assert rep.objective_trace == ref_trace
+    assert np.array_equal(rep.x_star, ref.y)
+
+
+@pytest.mark.parametrize("in_place", [True, False])
+def test_non_finite_x_update_after_the_stop_does_not_surface(monkeypatch, in_place):
+    # the stopping test fires at iteration 45, row 13 of the second block
+    prob = _oracle_instance((20, 50), False)
+    A, b, lam, eps = prob.A, prob.b, solvers_mod.LAMBDA, 2.2e-3
+    state, ref = _lasso_pair(50, A)
+    ref_trace = []
+    assert _ref_traced_lasso_admm(A, b, lam, None, ref, eps, 200, ref_trace)
+    assert ref.iterations == 45
+    trace = []
+    with monkeypatch.context() as mp:
+        calls = _inject(mp, 50, np.nan, in_place)
+        assert solvers_mod._lasso_admm(A, b, lam, None, state, eps, 200, trace)
+    assert calls[0] == (2 * solvers_mod.LASSO_BLOCK if in_place else 50)
+    _assert_states_equal(state, ref, ("x", "y", "u"))
+    assert trace == ref_trace
+
+
 def _overflowing_instance(scale):
     # finite data; at 1e200 the Gram matrix A A^T overflows, at 1e100 the
     # springback x-update and the AIHT step size do
@@ -735,3 +877,20 @@ def test_overflow_inside_a_solver_is_a_numeric_failure():
     reports = _all_solvers(_overflowing_instance(1e100), SolverOptions())
     for name in ("springback", "aiht"):
         assert reports[name].status is SolverStatus.NUMERIC_FAILURE, name
+
+
+def test_lasso_solvers_share_one_factor_per_instance(monkeypatch):
+    prob, _ = _gaussian_instance(16, 40, 3, 2)
+    opts = SolverOptions(max_inner=20)
+    built = []
+    original = GramRidgeSolver.__init__
+
+    def counting(self, A, rho, zeta):
+        built.append((rho, zeta))
+        original(self, A, rho, zeta)
+
+    monkeypatch.setattr(GramRidgeSolver, "__init__", counting)
+    admm_l1(prob, opts)
+    for kind in (PenaltyKind.TL1, PenaltyKind.L1_MINUS_2, PenaltyKind.MCP):
+        dca_unconstrained(kind, prob, opts)
+    assert built == [(1.0, solvers_mod.ZETA_LASSO)]
