@@ -84,8 +84,8 @@ class GramRidgeSolver:
             = (r - A^T ((zeta/rho) I + A A^T)^-1 A r) / zeta
 
     which is both faster and better conditioned than factoring the n x n
-    normal matrix when n is large.  A is validated once, here; ``solve`` is
-    the inner loops' hot call and takes r unchecked (finite, length n).
+    normal matrix when n is large.  A is validated once, here; ``solve`` and
+    ``offset_solve`` take their vectors unchecked (finite, length n).
     """
 
     def __init__(self, A, rho: float, zeta: float):
@@ -108,20 +108,16 @@ class GramRidgeSolver:
             raise NumericError("Gram matrix overflowed: the entries of A are too large")
         self._chol = SpdFactor(G).chol
 
-    def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(rho A^T A + zeta I)^-1 r, written into ``out`` when given (a
-        length-n float vector other than r) and returned."""
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """(rho A^T A + zeta I)^-1 r."""
         if self._wide:
             # potrs overwrites the temporary A r with its solution
-            x = self._At.dot(dpotrs(self._chol, self._A.dot(r), 1, 1)[0], out)
+            x = self._At.dot(dpotrs(self._chol, self._A.dot(r), 1, 1)[0])
             np.subtract(r, x, x)
             if self._zeta != 1.0:  # dividing by 1.0 changes nothing
                 x /= self._zeta
             return x
-        if out is None:
-            return dpotrs(self._chol, r, lower=1)[0]
-        np.copyto(out, r)
-        return dpotrs(self._chol, out, 1, 1)[0]
+        return dpotrs(self._chol, r, lower=1)[0]
 
     @functools.cached_property
     def _H(self) -> np.ndarray:
@@ -139,11 +135,15 @@ class GramRidgeSolver:
         return np.array([dpotrs(self._chol, self._rho * a, lower=1)[0] for a in self._A])
 
     def offset_solve(
-        self, c: np.ndarray, d: np.ndarray, out: np.ndarray | None = None
+        self, c: np.ndarray | None, d: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """c + zeta (rho A^T A + zeta I)^-1 d, as (c + d) - A^T (H d); the
-        lasso ADMM's x-update, unchecked like ``solve`` and written into
-        ``out`` when given (a length-n float vector other than c and d)."""
+        """c + zeta (rho A^T A + zeta I)^-1 d, as (c + d) - A^T (H d), and
+        d - A^T (H d) when c is None; the x-update of both inner ADMM loops,
+        unchecked like ``solve`` and written into ``out`` when given (a
+        length-n float vector other than c and d)."""
+        if c is None:
+            t = self._At.dot(self._H.dot(d), out)
+            return np.subtract(d, t, t)
         t = self._At.dot(self._H.dot(d))
         x = np.add(c, d, out)
         x -= t

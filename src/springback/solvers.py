@@ -54,7 +54,9 @@ _TINY = 1e-300
 # splitting penalties of the springback inner ADMM.  The consensus penalty
 # ZETA_INNER is 1, which keeps the soft threshold 1/ZETA_INNER usable and lets
 # admm_subproblem drop its unit factors.  ZETA_LASSO is the splitting penalty
-# of the lasso ADMM and LAMBDA the weight of the unconstrained models
+# of the lasso ADMM; it equals ZETA_INNER / RHO, so that both loops take their
+# x-update from the instance's one gram_solver.  LAMBDA is the weight of the
+# unconstrained models
 # 0.5||Ax-b||^2 + LAMBDA R(x) (admm_l1, dca_unconstrained, irls_lp); ADMM_MAX
 # caps the lasso ADMM baseline; MAX_OUTER caps every DCA loop; AIHT_MAX caps
 # aiht; IRLS_* set the lp exponent, the initial smoothing, the stopping
@@ -62,7 +64,8 @@ _TINY = 1e-300
 # alpha_subroutine picks; COND_THRESHOLD is the condition number above which
 # alpha_subroutine treats A as coherent, and OMEGA the default floor of alpha
 # there; LASSO_BLOCK is the number of lasso ADMM iterations between two
-# evaluations of its stopping test (16 and 64 measure the same).
+# evaluations of the inner ADMM loops' stopping tests (16 and 64 measured the
+# same on the lasso).
 RHO = 1e5
 ZETA_INNER = 1.0
 ZETA_LASSO = 1e-5
@@ -117,11 +120,12 @@ class ProblemInstance:
         object.__setattr__(self, "b", _read_only(b))
 
     @functools.cached_property
-    def lasso_solver(self) -> GramRidgeSolver:
-        """The (A^T A + ZETA_LASSO I) solver that admm_l1 and the
-        dca_unconstrained baselines share, with its operator H, built on first
-        use inside the solver that needs it, so that a Gram overflow is that
-        solver's numeric failure."""
+    def gram_solver(self) -> GramRidgeSolver:
+        """The (A^T A + ZETA_LASSO I) solver that springback's inner ADMM,
+        admm_l1 and the dca_unconstrained baselines share, with its operator
+        H, built on first use inside the solver that needs it, so that a Gram
+        overflow is that solver's numeric failure.  With ZETA_LASSO = 1/RHO
+        its offset_solve(None, r) is springback's (RHO A^T A + I)^-1 r."""
         return GramRidgeSolver(self.A, 1.0, ZETA_LASSO)
 
 
@@ -173,15 +177,13 @@ class SolverReport:
 
 @dataclass
 class AdmmState:
-    """Warm-start state of the constrained inner ADMM; the first call builds
-    the x-update factor ``solver``."""
+    """Warm-start state of the constrained inner ADMM."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     u: np.ndarray
     eta: np.ndarray
-    solver: GramRidgeSolver | None = None
     iterations: int = 0
 
 
@@ -191,24 +193,39 @@ def _report(prob, x, outer, inner, trace, status) -> SolverReport:
     return SolverReport(x, outer, inner, trace, residual, status)
 
 
-def _norm(v: np.ndarray) -> float:
-    """||v||_2 of a contiguous vector, computed as np.linalg.norm does."""
-    return math.sqrt(v.dot(v))
-
-
 def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(x).all():
         raise NumericError(f"{what} produced non-finite values")
     return x
 
 
-def _checked_norm(x: np.ndarray, what: str) -> float:
-    """||x||_2 of an x that must be finite; a non-finite entry makes the norm
-    inf or NaN, so only then are the entries scanned."""
-    xnorm = math.sqrt(x.dot(x))
-    if not math.isfinite(xnorm):
-        _check_finite(x, what)
-    return xnorm
+def _block_tests(X: np.ndarray, Y: np.ndarray, k: int, eps: float, work: np.ndarray):
+    """The stopping tests both inner ADMM loops share, for rows 1..k of a
+    block's history arrays, whose row 0 holds the iterate the block starts
+    from; called under np.errstate(all="ignore").
+
+    Returns (end, passed).  end is the row before the first row from 1 on
+    whose ||x|| is not finite and whose entries confirm it, or k; row 0's x
+    enters only row 1's change test, which a non-finite one fails.
+    passed[i - 1] says whether row i in 1..end has ||x - x_old|| /
+    max(||x||, ||x_old||) < eps and ||x - y|| <= eps max(1, ||x||), bit for
+    bit as a per-iteration loop computes them: np.vecdot of a row is
+    ndarray.dot of it.
+    """
+    vecdot, maximum, subtract = np.vecdot, np.maximum, np.subtract
+    xnorm = np.sqrt(vecdot(X[: k + 1], X[: k + 1]))
+    end = k
+    for i in np.flatnonzero(~np.isfinite(xnorm[1:])):
+        if not np.isfinite(X[i + 1]).all():
+            end = int(i)
+            break
+    new, old = slice(1, end + 1), slice(0, end)
+    dx = subtract(X[new], X[old], work[:end])
+    passed = np.sqrt(vecdot(dx, dx)) / maximum(maximum(xnorm[new], xnorm[old]), _TINY) < eps
+    if passed.any():  # the later tests matter only where this one passes
+        gap = subtract(X[new], Y[new], work[:end])
+        passed &= np.sqrt(vecdot(gap, gap)) <= eps * maximum(1.0, xnorm[new])
+    return end, passed
 
 
 def fresh_admm_state(prob: ProblemInstance) -> AdmmState:
@@ -231,79 +248,111 @@ def admm_subproblem(
     be small together; the change test alone fires spuriously in the first
     iterations when the soft threshold keeps both iterates at zero.  The warm
     state gets the last finite iterate and the completed iterations on every
-    exit, a NumericError from a non-finite x-update included.
+    exit, a NumericError from a non-finite x-update included; its arrays are
+    copies, so no step touches an array a caller holds.
 
-    The loop copies the warm state into work vectors allocated once per call
-    and updates them in place, so no step touches an array a caller holds;
-    the state takes the work vectors on exit and the returned x is a copy.
-    Each in-place step keeps the rounding of the expression it replaces.
+    With ZETA_INNER = 1 the x-update is (RHO A^T A + I)^-1 rhs with
+    rhs = RHO A^T (b + z - eta) + xi + (y - u), computed as
+    rhs - A^T (H rhs) through the instance's gram_solver (ZETA_LASSO = 1/RHO),
+    and the soft threshold is 1.  At tau = 0 the ball is the origin, so z
+    stays the zero vector and drops out of both sums.
 
-    With ZETA_INNER = 1 the x-update right-hand side is
-    rho A^T (b + z - eta) + xi + (y - u) and the soft threshold is 1.  At
-    tau = 0 the ball is the origin, so z stays the zero vector and drops out
-    of both sums.
+    The iterations run in blocks of LASSO_BLOCK, as in _lasso_admm: iteration
+    k of a block writes x, y, u, eta, A x (and z at tau > 0) into row k of
+    per-call history arrays, and after the block _block_tests and one
+    row-wise ||A x - b|| <= tau + FEAS_TOL_INNER give every row's stopping
+    test.  The first row that passes ends the call.  A row whose x is not
+    finite ends the call at the row before, with NumericError: found after
+    the block, or at once at tau > 0, where the ball projection needs ||z||
+    and a non-finite x makes z non-finite.  An x-update returned in an array
+    other than its row (a wrapped solver) is copied into the row, checked,
+    and ends the block there.
     """
     A, b, tau = prob.A, prob.b, prob.tau
     At = A.T
     xi = as_vector(xi)
     st = warm if warm is not None else fresh_admm_state(prob)
-    if st.solver is None:
-        st.solver = GramRidgeSolver(A, RHO, ZETA_INNER)
-    solve = st.solver.solve
+    step = prob.gram_solver.offset_solve
     # Locally bound ufuncs with a positional out (the keyword for maximum and
     # minimum) and 0-d array constants are the forms numpy dispatches fastest.
     add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
     rho, eps, feas = np.array(RHO), opts.eps_inner, tau + FEAS_TOL_INNER
     lo, hi = np.array(-1.0), np.array(1.0)  # the soft threshold's clamp
     scale = np.array(0.0)  # the ball projection's tau / ||z||
-    x, y, z, u, eta = (v.copy() for v in (st.x, st.y, st.z, st.u, st.eta))
-    spare, rhs, p, clamped, diff = (np.empty_like(x) for _ in range(5))
-    w, Ax, r = (np.empty_like(eta) for _ in range(3))
-    iterations = st.iterations
-    xnorm = _norm(x)
+    m, n = A.shape
+    X, Y, U = (np.empty((LASSO_BLOCK + 1, n)) for _ in range(3))
+    Z, ETA, AX = (np.empty((LASSO_BLOCK + 1, m)) for _ in range(3))
+    X[0], Y[0], U[0], Z[0], ETA[0] = st.x, st.y, st.u, st.z, st.eta
+    xs, ys, us, zs, etas, axs = (list(V) for V in (X, Y, U, Z, ETA, AX))  # row views
+    rhs, p, clamped, diff = (np.empty(n) for _ in range(4))
+    w, r = np.empty(m), np.empty(m)
+    work, rwork = np.empty((LASSO_BLOCK, n)), np.empty((LASSO_BLOCK, m))
+    max_inner = opts.max_inner
+    done, last = 0, 0  # the iterations completed, the row holding the state
     try:
-        for _ in range(opts.max_inner):
-            if tau == 0.0:
-                subtract(b, eta, w)
-            else:
-                add(b, z, w)
-                w -= eta
-            At.dot(w, rhs)
-            rhs *= rho
-            rhs += xi
-            rhs += subtract(y, u, diff)
-            x_new = solve(rhs, spare)
-            xnorm_old, xnorm = xnorm, _checked_norm(x_new, "inner ADMM x-update")
-            x_old, x = x, x_new
-            add(x, u, p)
-            subtract(p, minimum(maximum(p, lo, out=clamped), hi, out=clamped), y)
-            A.dot(x, Ax)
-            subtract(Ax, b, r)
-            if tau == 0.0:
-                eta += Ax
-                eta -= b
-            else:  # z = projection of r + eta onto the tau-ball
-                add(r, eta, z)
-                znorm = _checked_norm(z, "inner ADMM projection")
-                if znorm > tau:
-                    scale[()] = tau / znorm
-                    z *= scale
-                eta += Ax
-                eta -= b
-                eta -= z
-            subtract(p, y, u)
-            iterations += 1
-            if (
-                _norm(subtract(x, x_old, diff)) / max(xnorm, xnorm_old, _TINY) < eps
-                and _norm(subtract(x, y, diff)) <= eps * max(1.0, xnorm)
-                and _norm(r) <= feas
-            ):
+        while done < max_inner:
+            bad = 0  # the row left unfinished on a non-finite x or z, if any
+            for k in range(1, min(LASSO_BLOCK, max_inner - done) + 1):
+                eta, eta_k, u = etas[k - 1], etas[k], us[k - 1]
+                if tau == 0.0:
+                    subtract(b, eta, w)
+                else:
+                    add(b, zs[k - 1], w)
+                    w -= eta
+                At.dot(w, rhs)
+                rhs *= rho
+                rhs += xi
+                rhs += subtract(ys[k - 1], u, diff)
+                row, y, Ax = xs[k], ys[k], axs[k]
+                x = step(None, rhs, row)
+                if x is not row:  # a wrapped solver: check this row now
+                    np.copyto(row, x)
+                    if not np.isfinite(row).all():
+                        bad = k
+                        break
+                add(x, u, p)
+                subtract(p, minimum(maximum(p, lo, out=clamped), hi, out=clamped), y)
+                A.dot(x, Ax)
+                add(eta, Ax, eta_k)
+                eta_k -= b
+                if tau != 0.0:  # z = projection of A x - b + eta onto the tau-ball
+                    z = zs[k]
+                    add(subtract(Ax, b, r), eta, z)
+                    znorm = math.sqrt(z.dot(z))
+                    if not math.isfinite(znorm) and not np.isfinite(z).all():
+                        bad = k
+                        break
+                    if znorm > tau:
+                        scale[()] = tau / znorm
+                        z *= scale
+                    eta_k -= z
+                subtract(p, y, us[k])
+                if x is not row:
+                    break
+            top = k - 1 if bad else k  # the last row computed in full
+            # Silent, as the Python float arithmetic of the scalar tests was
+            with np.errstate(all="ignore"):
+                end, passed = _block_tests(X, Y, top, eps, work)
+                if passed.any():
+                    res = subtract(AX[1 : end + 1], b, rwork[:end])
+                    passed &= np.sqrt(np.vecdot(res, res)) <= feas
+                fired = np.flatnonzero(passed)
+            failed = end < k
+            if fired.size:
+                end = int(fired[0]) + 1
+            done, last = done + end, end
+            if fired.size:
                 break
-            spare = x_old
+            if failed:
+                raise NumericError("inner ADMM produced non-finite values")
+            X[0], Y[0], U[0], Z[0], ETA[0] = xs[end], ys[end], us[end], zs[end], etas[end]
+            last = 0
     finally:
-        st.x, st.y, st.z, st.u, st.eta = x, y, z, u, eta
-        st.iterations = iterations
-    return x.copy()
+        st.x, st.y, st.u, st.eta = (V[last].copy() for V in (X, Y, U, ETA))
+        if tau != 0.0:  # at tau = 0 z is never written
+            st.z = Z[last].copy()
+        st.iterations += done
+    return st.x.copy()
 
 
 def _dca_iterates(x: np.ndarray, opts: SolverOptions, step):
@@ -365,7 +414,7 @@ def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
 class _LassoState:
     """Warm-start state of the lasso ADMM; y is the sparse iterate and solver
     the (A^T A + zeta I) factor, built by the first call unless the caller
-    gives it one (the instance's lasso_solver)."""
+    gives it one (the instance's gram_solver)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -406,14 +455,13 @@ def _lasso_admm(
     The iterations run in blocks of LASSO_BLOCK.  Iteration k of a block
     writes x, u, y (and A y for the trace) into row k of per-call history
     arrays, whose row 0 holds the iterate the block starts from.  After the
-    block, row-wise calls give every row's ||x||, ||x - x_old||, ||x - y||
-    and trace value, bit for bit as a per-iteration loop computes them
-    (np.vecdot of a row is ndarray.dot of it, and a row sum of |y| is the
-    vector's sum).  The first row whose stopping test fires ends the call,
-    and the rows after it are discarded.  A row whose norm is not finite and
-    whose entries confirm it ends the call at the row before, with
-    NumericError; the block's later rows, computed from it, may raise numpy
-    RuntimeWarnings first.  An x-update returned in an array other than its
+    block, _block_tests and row-wise calls give every row's stopping test and
+    trace value, bit for bit as a per-iteration loop computes them (a row sum
+    of |y| is the vector's sum).  The first row whose stopping test fires
+    ends the call, and the rows after it are discarded.  A row whose norm is
+    not finite and whose entries confirm it ends the call at the row before,
+    with NumericError; the block's later rows, computed from it, may raise
+    numpy RuntimeWarnings first.  An x-update returned in an array other than its
     row (a wrapped solver) is copied into the row and ends the block there.
     """
     zeta = st.zeta
@@ -431,9 +479,7 @@ def _lasso_admm(
     x_c = st.solver.solve(A.T @ b if linear is None else A.T @ b + linear)
     thresh = lam / zeta
     lo, hi = np.array(-thresh), np.array(thresh)  # the clamp of u
-    add, subtract, maximum, minimum, vecdot = (
-        np.add, np.subtract, np.maximum, np.minimum, np.vecdot
-    )
+    add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
     done, last = 0, 0  # the iterations completed, the row holding the state
     try:
         while done < max_iter:
@@ -450,30 +496,16 @@ def _lasso_admm(
                     break
             # Silent, as the Python float arithmetic of the scalar tests was
             with np.errstate(all="ignore"):
-                xnorm = np.sqrt(vecdot(X[: k + 1], X[: k + 1]))
-                end = k  # the last row that counts
-                for i in np.flatnonzero(~np.isfinite(xnorm)):
-                    if not np.isfinite(xs[i]).all():
-                        end = int(i) - 1
-                        break
+                end, passed = _block_tests(X, Y, k, eps, work)
                 failed = end < k
-                new, old = slice(1, end + 1), slice(0, end)
-                dx = subtract(X[new], X[old], work[:end])
-                change = np.sqrt(vecdot(dx, dx)) / maximum(
-                    maximum(xnorm[new], xnorm[old]), _TINY
-                )
-                gap = subtract(X[new], Y[new], work[:end])
-                fired = np.flatnonzero(
-                    (change < eps)
-                    & (np.sqrt(vecdot(gap, gap)) <= eps * maximum(1.0, xnorm[new]))
-                )
+                fired = np.flatnonzero(passed)
                 if fired.size:
                     end = int(fired[0]) + 1
                 if rs is not None:
                     r = R[1 : end + 1]
                     r -= b
                     l1 = np.abs(Y[1 : end + 1], work[:end]).sum(axis=1)
-                    trace.extend((0.5 * vecdot(r, r) + lam * l1).tolist())
+                    trace.extend((0.5 * np.vecdot(r, r) + lam * l1).tolist())
             done, last = done + end, end
             if fired.size:
                 return True
@@ -494,7 +526,7 @@ def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     trace: list[float] = []
     status = SolverStatus.MAX_ITER
     try:
-        st.solver = prob.lasso_solver
+        st.solver = prob.gram_solver
         if _lasso_admm(A, b, LAMBDA, None, st, opts.eps_outer, ADMM_MAX, trace):
             status = SolverStatus.CONVERGED
     except NumericError:
@@ -530,7 +562,7 @@ def dca_unconstrained(
     trace: list[float] = []
     status = SolverStatus.MAX_ITER
     try:
-        st.solver = prob.lasso_solver
+        st.solver = prob.gram_solver
         for x, converged in _dca_iterates(x, opts, step):
             r = A @ x - b
             trace.append(0.5 * float(r @ r) + lam * penalty_value(kind, x, params))

@@ -134,25 +134,28 @@ def test_gram_ridge_operator_matches_dense_property(m, n, rho, zeta, seed):
     zeta=st.floats(1e-6, 1e2),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(m=3, n=8, rho=1e5, zeta=1.0, seed=2)  # wide, springback's setting
+@example(m=3, n=8, rho=1e5, zeta=1.0, seed=2)  # wide, a large rho
 @example(m=3, n=8, rho=1.0, zeta=1e-5, seed=2)  # wide, the lasso's setting
 @example(m=8, n=3, rho=1e3, zeta=0.5, seed=2)  # tall
 @example(m=5, n=5, rho=1e3, zeta=0.5, seed=2)  # square
 def test_gram_ridge_buffered_forms_match_allocating_forms(m, n, rho, zeta, seed):
     # the inner loops pass a work vector as out: the result must be written
     # into it and returned, equal bit for bit to the allocating form, and the
-    # inputs must come back unchanged
+    # inputs must come back unchanged; with c = None (springback's x-update)
+    # it is d - A^T (H d)
     rng = np.random.default_rng(seed)
-    solver = GramRidgeSolver(rng.standard_normal((m, n)), rho, zeta)
-    r, c, d = (rng.standard_normal(n) for _ in range(3))
-    inputs = [v.copy() for v in (r, c, d)]
-    out = np.full(n, np.nan)
-    assert solver.solve(r, out) is out
-    assert np.array_equal(out, solver.solve(r))
+    A = rng.standard_normal((m, n))
+    solver = GramRidgeSolver(A, rho, zeta)
+    c, d = (rng.standard_normal(n) for _ in range(2))
+    inputs = [v.copy() for v in (c, d)]
     out = np.full(n, np.nan)
     assert solver.offset_solve(c, d, out) is out
     assert np.array_equal(out, solver.offset_solve(c, d))
-    for v, kept in zip((r, c, d), inputs):
+    out = np.full(n, np.nan)
+    assert solver.offset_solve(None, d, out) is out
+    assert np.array_equal(out, solver.offset_solve(None, d))
+    assert np.array_equal(out, d - A.T @ (solver._H @ d))
+    for v, kept in zip((c, d), inputs):
         assert np.array_equal(v, kept)
 
 

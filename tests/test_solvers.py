@@ -340,8 +340,10 @@ def test_feasibility_at_exit_constrained():
 
 
 # Reference copies of the two inner ADMM loops as they were before they ran
-# on local arrays, with the x-update through scipy's cho_solve.  The kernels
-# must reproduce them bit for bit, warm state included.
+# on local arrays, with the x-update through scipy's cho_solve.  Both kernels
+# now take their x-update through the precomputed operator H, so they match
+# these loops to rounding; springback's loop with H in place of cho_solve
+# must match the kernel bit for bit, warm state included.
 
 
 def _ref_ridge_solve(A, rho, zeta):
@@ -437,26 +439,76 @@ def _assert_states_equal(state, ref, names):
     assert state.iterations == ref.iterations
 
 
+def _operator_solve(prob):
+    """Springback's x-update through the instance's H, as (RHO A^T A + I)^-1
+    rhs = rhs - A^T (H rhs) with ZETA_LASSO = ZETA_INNER / RHO."""
+    A, H = prob.A, prob.gram_solver._H
+    return lambda rhs: rhs - A.T @ (H @ rhs)
+
+
+def _springback_pair(prob, solve):
+    """A springback warm state and a reference state whose x-update is solve."""
+    return fresh_admm_state(prob), SimpleNamespace(**vars(fresh_admm_state(prob)), solve=solve)
+
+
+# On the clean oracle instances the cold call's stopping test fires inside a
+# block: at iteration 109 (20 x 50), 55 (30 x 30) and 16 (50 x 20) at
+# eps = 1e-5, and at 55, 54 and 16 at 1e-3; on the noisy ones at 55, 403 and
+# 19 at 1e-3 and not within 200 iterations at 1e-5.  The caps cover the block
+# edges, 1 and 31 to 33.
+@pytest.mark.parametrize("eps", [1e-5, 1e-3])
+@pytest.mark.parametrize("max_inner", [1, 31, 32, 33, 200])
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("shape", _ORACLE_SHAPES)
-def test_admm_subproblem_is_bit_identical_to_reference_loop(shape, noisy):
+def test_admm_subproblem_is_bit_identical_to_operator_reference_loop(
+    shape, noisy, max_inner, eps
+):
+    assert solvers_mod.LASSO_BLOCK == 32  # the caps are set for this block
     prob = _oracle_instance(shape, noisy)
     n = shape[1]
-    opts = SolverOptions(max_inner=200)
-    state = fresh_admm_state(prob)
-    solve = _ref_ridge_solve(prob.A, solvers_mod.RHO, solvers_mod.ZETA_INNER)
-    ref = SimpleNamespace(**vars(fresh_admm_state(prob)), solve=solve)
+    opts = SolverOptions(max_inner=max_inner, eps_inner=eps)
+    state, ref = _springback_pair(prob, _operator_solve(prob))
     xi = np.zeros(n)
     for _ in range(2):  # a cold call, then a warm-started one
         x = admm_subproblem(prob, xi, opts, warm=state)
-        x_ref = _ref_springback_admm(prob.A, prob.b, prob.tau, xi, ref, opts.eps_inner, 200)
+        x_ref = _ref_springback_admm(prob.A, prob.b, prob.tau, xi, ref, eps, max_inner)
         assert np.array_equal(x, x_ref)
         _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
         xi = 0.5 * x
     assert state.iterations > 0
 
 
+# Against the dense Cholesky reference, H rounds differently.  On the oracle
+# instances both loops take the same iterations, cold and warm, and x and y
+# agree to 3.2e-9 at most.  The duals carry the rounding of A x divided by
+# their own small size: u, at most 1 in each entry, agrees to 2.3e-7, and
+# eta, the constraint's multiplier over RHO = 1e5, to 1e-5 (noisy 30 x 30,
+# warm), as does z, which eta shifts onto the tau-ball.  Hence 1e-8 for x
+# and y, 1e-6 for u, and 1e-4 for z and eta.
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("shape", _ORACLE_SHAPES)
+def test_admm_subproblem_matches_reference_loop_to_rounding(shape, noisy):
+    prob = _oracle_instance(shape, noisy)
+    n = shape[1]
+    opts = SolverOptions(max_inner=200)
+    solve = _ref_ridge_solve(prob.A, solvers_mod.RHO, solvers_mod.ZETA_INNER)
+    state, ref = _springback_pair(prob, solve)
+    xi = np.zeros(n)
+    for _ in range(2):  # a cold call, then a warm-started one
+        x = admm_subproblem(prob, xi, opts, warm=state)
+        x_ref = _ref_springback_admm(prob.A, prob.b, prob.tau, xi, ref, opts.eps_inner, 200)
+        assert state.iterations == ref.iterations
+        assert _rel_diff(x, x_ref) <= 1e-8
+        assert _rel_diff(state.y, ref.y) <= 1e-8
+        assert _rel_diff(state.u, ref.u) <= 1e-6
+        assert _rel_diff(state.z, ref.z) <= 1e-4
+        assert _rel_diff(state.eta, ref.eta) <= 1e-4
+        xi = 0.5 * x
+
+
 def _rel_diff(a, b):
+    if not np.any(b):
+        return np.linalg.norm(a)
     return np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b)
 
 
@@ -659,12 +711,11 @@ def test_lasso_admm_leaves_caller_arrays_unchanged():
     assert not np.array_equal(state.x, held[0][1])  # the second call moved x
 
 
-def _failing_solve_on_call(monkeypatch, k, value=np.nan, method="solve"):
-    """Patch GramRidgeSolver.<method> to put ``value`` into one entry of its
-    k-th result; returns the call counter, a one-element list.  The method
-    that computes each x-update is ``solve`` in springback's loop and
-    ``offset_solve`` in the lasso's, which calls ``solve`` once per call, for
-    its constant part."""
+def _failing_solve_on_call(monkeypatch, k, value=np.nan, method="offset_solve"):
+    """Patch GramRidgeSolver.<method> to put ``value`` into one entry of a copy
+    of its k-th result; returns the call counter, a one-element list.  Both
+    inner loops compute each x-update with ``offset_solve``; the lasso's also
+    calls ``solve`` once per call, for its constant part."""
     original = getattr(GramRidgeSolver, method)
     calls = [0]
 
@@ -685,7 +736,7 @@ def _check_completed_iterations_reported(monkeypatch, k, value):
     prob, _ = _gaussian_instance(16, 40, 3, 2)
     opts = SolverOptions(max_inner=20)
     runs = {
-        "springback": ("solve", lambda: dca_springback(prob, opts)),
+        "springback": ("offset_solve", lambda: dca_springback(prob, opts)),
         "admm_l1": ("offset_solve", lambda: admm_l1(prob, opts)),
         "dca_l12": ("offset_solve", lambda: dca_unconstrained(PenaltyKind.L1_MINUS_2, prob, opts)),
     }
@@ -709,7 +760,7 @@ def _check_last_finite_warm_state_kept(monkeypatch, k, value):
         admm_subproblem(prob, xi, SolverOptions(max_inner=k - 1), warm=ref)
     state = fresh_admm_state(prob)
     with monkeypatch.context() as mp:
-        _failing_solve_on_call(mp, k, value, "solve")
+        _failing_solve_on_call(mp, k, value)
         with pytest.raises(NumericError):
             admm_subproblem(prob, xi, SolverOptions(max_inner=50), warm=state)
     _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
@@ -759,7 +810,7 @@ def test_finite_x_update_with_overflowing_norm_does_not_raise(monkeypatch, noisy
     prob = _oracle_instance((20, 50), noisy)
     state = fresh_admm_state(prob)
     with monkeypatch.context() as mp:
-        calls = _failing_solve_on_call(mp, k, 1e200, "solve")
+        calls = _failing_solve_on_call(mp, k, 1e200)
         admm_subproblem(prob, np.zeros(50), SolverOptions(max_inner=k), warm=state)
     assert calls[0] == k and state.iterations == k
     assert state.x[25] == 1e200 and np.isfinite(state.z).all()
@@ -774,8 +825,9 @@ def test_finite_x_update_with_overflowing_norm_does_not_raise(monkeypatch, noisy
 
 def _failing_in_place_on_call(monkeypatch, k, value):
     """Patch GramRidgeSolver.offset_solve to put ``value`` into one entry of
-    its k-th result, in the array it returns, so that the lasso meets it only
-    at the end of the block; returns the call counter, a one-element list."""
+    its k-th result, in the array it returns, so that a loop meets it only at
+    the end of the block (or, in springback's at tau > 0, at the ball
+    projection); returns the call counter, a one-element list."""
     original = GramRidgeSolver.offset_solve
     calls = [0]
 
@@ -829,6 +881,42 @@ def test_non_finite_x_update_in_a_later_block(monkeypatch, value, in_place):
     assert np.array_equal(rep.x_star, ref.y)
 
 
+def _springback_calls_to_failure(k, noisy, in_place):
+    """The x-updates springback computes when the k-th is not finite: the
+    rest of its block at tau = 0, none at tau > 0, where the ball projection
+    meets it at once, and none when it comes in a copy."""
+    block = solvers_mod.LASSO_BLOCK
+    return -(-k // block) * block if in_place and not noisy else k
+
+
+# On the (20, 50) oracle instances springback's stopping test does not fire
+# within 34 iterations at eps_inner, and not at all on the noisy one.
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("in_place", [True, False])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_non_finite_springback_x_update_in_a_later_block(monkeypatch, noisy, value, in_place):
+    k = 35
+    prob = _oracle_instance((20, 50), noisy)
+    xi = 0.1 * np.ones(50)
+    state, ref = _springback_pair(prob, _operator_solve(prob))
+    _ref_springback_admm(prob.A, prob.b, prob.tau, xi, ref, 1e-5, k - 1)
+    assert ref.iterations == k - 1
+    with monkeypatch.context() as mp:
+        calls = _inject(mp, k, value, in_place)
+        with pytest.raises(NumericError):
+            admm_subproblem(prob, xi, SolverOptions(max_inner=100), warm=state)
+    assert calls[0] == _springback_calls_to_failure(k, noisy, in_place)
+    _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
+
+    with monkeypatch.context() as mp:
+        _inject(mp, k, value, in_place)
+        rep = dca_springback(prob, SolverOptions(max_inner=100))
+    assert rep.status is SolverStatus.NUMERIC_FAILURE
+    assert rep.inner_iterations_total == k - 1
+    assert np.isfinite(rep.x_star).all()
+
+
 @pytest.mark.parametrize("in_place", [True, False])
 def test_non_finite_x_update_after_the_stop_does_not_surface(monkeypatch, in_place):
     # the stopping test fires at iteration 45, row 13 of the second block
@@ -843,6 +931,45 @@ def test_non_finite_x_update_after_the_stop_does_not_surface(monkeypatch, in_pla
         calls = _inject(mp, 50, np.nan, in_place)
         assert solvers_mod._lasso_admm(A, b, lam, None, state, eps, 200, trace)
     assert calls[0] == (2 * solvers_mod.LASSO_BLOCK if in_place else 50)
+    _assert_states_equal(state, ref, ("x", "y", "u"))
+    assert trace == ref_trace
+
+
+# Springback's stopping test fires at iteration 109 (row 13 of the fourth
+# block) on the clean (20, 50) oracle instance at eps = 1e-5, and at 55 (row
+# 23 of the second) on the noisy one at eps = 1e-3.
+@pytest.mark.parametrize("in_place", [True, False])
+@pytest.mark.parametrize("noisy, eps, stop", [(False, 1e-5, 109), (True, 1e-3, 55)])
+def test_non_finite_springback_x_update_after_the_stop_does_not_surface(
+    monkeypatch, noisy, eps, stop, in_place
+):
+    prob = _oracle_instance((20, 50), noisy)
+    state, ref = _springback_pair(prob, _operator_solve(prob))
+    _ref_springback_admm(prob.A, prob.b, prob.tau, np.zeros(50), ref, eps, 200)
+    assert ref.iterations == stop
+    with monkeypatch.context() as mp:
+        calls = _inject(mp, stop + 5, np.nan, in_place)
+        admm_subproblem(prob, np.zeros(50), SolverOptions(eps_inner=eps, max_inner=200), warm=state)
+    assert calls[0] == _springback_calls_to_failure(stop + 5, noisy, in_place)
+    _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
+
+
+# Neither loop reads the warm state's x except in the first change test,
+# which a non-finite x fails, as the per-iteration loops' comparison did.
+def test_non_finite_warm_x_is_not_an_error():
+    prob = _oracle_instance((20, 50), False)
+    A, b, lam = prob.A, prob.b, solvers_mod.LAMBDA
+    state, ref = _springback_pair(prob, _operator_solve(prob))
+    state.x[3] = ref.x[3] = np.nan
+    admm_subproblem(prob, np.zeros(50), SolverOptions(max_inner=40), warm=state)
+    _ref_springback_admm(A, b, 0.0, np.zeros(50), ref, 1e-5, 40)
+    _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
+
+    state, ref = _lasso_pair(50, A)
+    state.x[3] = ref.x[3] = np.nan
+    trace, ref_trace = [], []
+    solvers_mod._lasso_admm(A, b, lam, None, state, 1e-5, 40, trace)
+    _ref_traced_lasso_admm(A, b, lam, None, ref, 1e-5, 40, ref_trace)
     _assert_states_equal(state, ref, ("x", "y", "u"))
     assert trace == ref_trace
 
@@ -880,6 +1007,8 @@ def test_overflow_inside_a_solver_is_a_numeric_failure():
 
 
 def test_lasso_solvers_share_one_factor_per_instance(monkeypatch):
+    # all seven solvers: springback and the four lasso solvers share the
+    # instance's one GramRidgeSolver, and irls_lp and aiht build none
     prob, _ = _gaussian_instance(16, 40, 3, 2)
     opts = SolverOptions(max_inner=20)
     built = []
@@ -890,7 +1019,13 @@ def test_lasso_solvers_share_one_factor_per_instance(monkeypatch):
         original(self, A, rho, zeta)
 
     monkeypatch.setattr(GramRidgeSolver, "__init__", counting)
-    admm_l1(prob, opts)
-    for kind in (PenaltyKind.TL1, PenaltyKind.L1_MINUS_2, PenaltyKind.MCP):
-        dca_unconstrained(kind, prob, opts)
+    reports = _all_solvers(prob, opts)
+    assert len(reports) == 7
     assert built == [(1.0, solvers_mod.ZETA_LASSO)]
+
+
+def test_shared_operator_constants():
+    # springback's x-update (RHO A^T A + ZETA_INNER I)^-1 r is the shared
+    # solver's ZETA_LASSO (A^T A + ZETA_LASSO I)^-1 r only while these hold
+    assert solvers_mod.ZETA_INNER == 1.0
+    assert solvers_mod.ZETA_INNER / solvers_mod.RHO == solvers_mod.ZETA_LASSO
