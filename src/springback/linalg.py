@@ -75,69 +75,68 @@ class SpdFactor:
 
 
 class GramRidgeSolver:
-    """Reusable solver for systems (rho * A^T A + zeta * I) x = r.
+    """Reusable solver for systems (A^T A + zeta * I) x = r.
 
     For wide matrices (m < n) the matrix-inversion lemma keeps the cached
     factor at size m x m:
 
-        (zeta I + rho A^T A)^-1 r
-            = (r - A^T ((zeta/rho) I + A A^T)^-1 A r) / zeta
+        (zeta I + A^T A)^-1 r = (r - A^T (zeta I + A A^T)^-1 A r) / zeta
 
     which is both faster and better conditioned than factoring the n x n
     normal matrix when n is large.  A is validated once, here; ``solve`` and
-    ``offset_solve`` take their vectors unchecked (finite, length n).
+    ``offset_solve`` take their vectors unchecked (finite, length n).  The
+    lasso ADMM reads ``zeta``, its splitting penalty.
     """
 
-    def __init__(self, A, rho: float, zeta: float):
+    def __init__(self, A, zeta: float):
         A = as_matrix(A)
-        if not (0 < rho < math.inf and 0 < zeta < math.inf):
-            raise InvalidParameterError("rho and zeta must be positive and finite")
+        if not 0 < zeta < math.inf:
+            raise InvalidParameterError("zeta must be positive and finite")
         m, n = A.shape
         self._A = A
         self._At = A.T
-        self._rho = rho
-        self._zeta = zeta
+        self.zeta = zeta
         self._wide = m < n
         if self._wide:
             G = A @ A.T
-            G[np.diag_indices(m)] += zeta / rho
+            G[np.diag_indices(m)] += zeta
         else:
-            G = rho * (A.T @ A)
+            G = A.T @ A
             G[np.diag_indices(n)] += zeta
         if not np.isfinite(G).all():
             raise NumericError("Gram matrix overflowed: the entries of A are too large")
         self._chol = SpdFactor(G).chol
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """(rho A^T A + zeta I)^-1 r."""
+        """(A^T A + zeta I)^-1 r."""
         if self._wide:
             # potrs overwrites the temporary A r with its solution
             x = self._At.dot(dpotrs(self._chol, self._A.dot(r), 1, 1)[0])
             np.subtract(r, x, x)
-            if self._zeta != 1.0:  # dividing by 1.0 changes nothing
-                x /= self._zeta
+            if self.zeta != 1.0:  # dividing by 1.0 changes nothing
+                x /= self.zeta
             return x
         return dpotrs(self._chol, r, lower=1)[0]
 
     @functools.cached_property
     def _H(self) -> np.ndarray:
-        """The m x n operator H with zeta (rho A^T A + zeta I)^-1 v = v - A^T H v.
+        """The m x n operator H with zeta (A^T A + zeta I)^-1 v = v - A^T H v.
 
-        H = (A A^T + (zeta/rho) I)^-1 A from the m x m factor of a wide A, and
-        the same matrix rho A (rho A^T A + zeta I)^-1 from the n x n factor
-        otherwise.  Built on first use, one vector potrs per column (wide) or
-        row, so that it makes no multi-threaded BLAS-3 call, as one potrs with
-        a matrix right-hand side would.
+        H = (A A^T + zeta I)^-1 A from the m x m factor of a wide A, and the
+        same matrix A (A^T A + zeta I)^-1 from the n x n factor otherwise.
+        Built on first use, one vector potrs per column (wide) or row, so that
+        it makes no multi-threaded BLAS-3 call, as one potrs with a matrix
+        right-hand side would.
         """
         if self._wide:
             cols = [dpotrs(self._chol, a, lower=1)[0] for a in self._At]
             return np.array(cols).T.copy()
-        return np.array([dpotrs(self._chol, self._rho * a, lower=1)[0] for a in self._A])
+        return np.array([dpotrs(self._chol, a, lower=1)[0] for a in self._A])
 
     def offset_solve(
         self, c: np.ndarray | None, d: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """c + zeta (rho A^T A + zeta I)^-1 d, as (c + d) - A^T (H d), and
+        """c + zeta (A^T A + zeta I)^-1 d, as (c + d) - A^T (H d), and
         d - A^T (H d) when c is None; the x-update of both inner ADMM loops,
         unchecked like ``solve`` and written into ``out`` when given (a
         length-n float vector other than c and d)."""

@@ -63,9 +63,8 @@ _TINY = 1e-300
 # tolerance and the sweep cap of irls_lp; ALPHA_MAX caps the curvature
 # alpha_subroutine picks; COND_THRESHOLD is the condition number above which
 # alpha_subroutine treats A as coherent, and OMEGA the default floor of alpha
-# there; LASSO_BLOCK is the number of lasso ADMM iterations between two
-# evaluations of the inner ADMM loops' stopping tests (16 and 64 measured the
-# same on the lasso).
+# there; ADMM_BLOCK is the block length of _admm_blocks, the driver of both
+# inner ADMM loops (16 and 64 measured the same on the lasso).
 RHO = 1e5
 ZETA_INNER = 1.0
 ZETA_LASSO = 1e-5
@@ -80,7 +79,7 @@ IRLS_MAX = 1000
 ALPHA_MAX = 0.7
 COND_THRESHOLD = 5.0
 OMEGA = 0.5
-LASSO_BLOCK = 32
+ADMM_BLOCK = 32
 
 # Absolute slacks on the constraint ||Ax - b||_2 <= tau.
 FEAS_TOL_INNER = 1e-6  # inner ADMM stop: tight, it certifies a subproblem solution
@@ -126,7 +125,7 @@ class ProblemInstance:
         H, built on first use inside the solver that needs it, so that a Gram
         overflow is that solver's numeric failure.  With ZETA_LASSO = 1/RHO
         its offset_solve(None, r) is springback's (RHO A^T A + I)^-1 r."""
-        return GramRidgeSolver(self.A, 1.0, ZETA_LASSO)
+        return GramRidgeSolver(self.A, ZETA_LASSO)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -199,33 +198,78 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _block_tests(X: np.ndarray, Y: np.ndarray, k: int, eps: float, work: np.ndarray):
-    """The stopping tests both inner ADMM loops share, for rows 1..k of a
-    block's history arrays, whose row 0 holds the iterate the block starts
-    from; called under np.errstate(all="ignore").
+def _admm_blocks(st, names, eps, max_iter, block, feasible=None, record=None) -> bool:
+    """The block driver of both inner ADMM loops: runs at most max_iter
+    iterations from the warm state ``st`` and returns whether the stopping
+    test fired.
 
-    Returns (end, passed).  end is the row before the first row from 1 on
-    whose ||x|| is not finite and whose entries confirm it, or k; row 0's x
-    enters only row 1's change test, which a non-finite one fails.
-    passed[i - 1] says whether row i in 1..end has ||x - x_old|| /
-    max(||x||, ||x_old||) < eps and ||x - y|| <= eps max(1, ||x||), bit for
-    bit as a per-iteration loop computes them: np.vecdot of a row is
-    ndarray.dot of it.
+    The iterates ``names`` of st (x and y first) each get a per-call
+    (ADMM_BLOCK + 1)-row history array whose row 0 holds the iterate the
+    block starts from.  ``block(count, *rows)``, with the arrays' row views in
+    names order, runs count iterations, the k-th writing row k, and returns
+    how many it completed: fewer only when a non-finite value left the next
+    row unfinished, as when a wrapped solver returns a non-finite x-update in
+    an array of its own, which the block copies into its row.
+
+    After each block, row-wise calls give every row's stopping test,
+    ||x - x_old|| / max(||x||, ||x_old||) < eps, ||x - y|| <= eps max(1, ||x||)
+    and ``feasible(end)`` where given, each only where the ones before it
+    pass, as a per-iteration ``and``, and bit for bit as a per-iteration loop
+    computes them (np.vecdot of a row is ndarray.dot of it).  The first row
+    that passes ends the call; the rows after it are discarded.  A row whose
+    ||x|| is not finite and whose entries confirm it, or an unfinished row,
+    ends the call at the row before with NumericError; row 0's x enters only
+    row 1's change test, which a non-finite one fails.  ``record(end, Y)``,
+    Y the history of y, then sees the rows 1..end kept.  The tests and hooks
+    run silent, as the Python float arithmetic of scalar tests was.  ``st``
+    gets copies of the kept row and the completed iterations on every exit.
     """
+    hist = [np.empty((ADMM_BLOCK + 1, getattr(st, name).size)) for name in names]
+    for V, name in zip(hist, names):
+        V[0] = getattr(st, name)
+    rows = [list(V) for V in hist]  # row views, made once
+    X, Y = hist[0], hist[1]
+    work = np.empty((ADMM_BLOCK, X.shape[1]))
     vecdot, maximum, subtract = np.vecdot, np.maximum, np.subtract
-    xnorm = np.sqrt(vecdot(X[: k + 1], X[: k + 1]))
-    end = k
-    for i in np.flatnonzero(~np.isfinite(xnorm[1:])):
-        if not np.isfinite(X[i + 1]).all():
-            end = int(i)
-            break
-    new, old = slice(1, end + 1), slice(0, end)
-    dx = subtract(X[new], X[old], work[:end])
-    passed = np.sqrt(vecdot(dx, dx)) / maximum(maximum(xnorm[new], xnorm[old]), _TINY) < eps
-    if passed.any():  # the later tests matter only where this one passes
-        gap = subtract(X[new], Y[new], work[:end])
-        passed &= np.sqrt(vecdot(gap, gap)) <= eps * maximum(1.0, xnorm[new])
-    return end, passed
+    done, last = 0, 0  # the iterations completed, the row holding the state
+    try:
+        while done < max_iter:
+            count = min(ADMM_BLOCK, max_iter - done)
+            top = block(count, *rows)  # the last row computed in full
+            with np.errstate(all="ignore"):
+                xnorm = np.sqrt(vecdot(X[: top + 1], X[: top + 1]))
+                end = top
+                for i in np.flatnonzero(~np.isfinite(xnorm[1:])):
+                    if not np.isfinite(X[i + 1]).all():
+                        end = int(i)
+                        break
+                new, old = slice(1, end + 1), slice(0, end)
+                dx = subtract(X[new], X[old], work[:end])
+                passed = np.sqrt(vecdot(dx, dx)) / maximum(maximum(xnorm[new], xnorm[old]), _TINY) < eps
+                if passed.any():
+                    gap = subtract(X[new], Y[new], work[:end])
+                    passed &= np.sqrt(vecdot(gap, gap)) <= eps * maximum(1.0, xnorm[new])
+                if feasible is not None and passed.any():
+                    passed &= feasible(end)
+                fired = np.flatnonzero(passed)
+                failed = end < count
+                if fired.size:
+                    end = int(fired[0]) + 1
+                if record is not None:
+                    record(end, Y)
+            done, last = done + end, end
+            if fired.size:
+                return True
+            if failed:
+                raise NumericError("inner ADMM produced non-finite values")
+            for V in hist:
+                V[0] = V[end]
+            last = 0
+        return False
+    finally:
+        for V, name in zip(hist, names):
+            setattr(st, name, V[last].copy())
+        st.iterations += done
 
 
 def fresh_admm_state(prob: ProblemInstance) -> AdmmState:
@@ -257,101 +301,74 @@ def admm_subproblem(
     and the soft threshold is 1.  At tau = 0 the ball is the origin, so z
     stays the zero vector and drops out of both sums.
 
-    The iterations run in blocks of LASSO_BLOCK, as in _lasso_admm: iteration
-    k of a block writes x, y, u, eta, A x (and z at tau > 0) into row k of
-    per-call history arrays, and after the block _block_tests and one
-    row-wise ||A x - b|| <= tau + FEAS_TOL_INNER give every row's stopping
-    test.  The first row that passes ends the call.  A row whose x is not
-    finite ends the call at the row before, with NumericError: found after
-    the block, or at once at tau > 0, where the ball projection needs ||z||
-    and a non-finite x makes z non-finite.  An x-update returned in an array
-    other than its row (a wrapped solver) is copied into the row, checked,
-    and ends the block there.
+    The iterations run through _admm_blocks, whose stopping test here also
+    asks ||A x - b|| <= tau + FEAS_TOL_INNER.  At tau > 0 the ball projection
+    needs ||z|| at once, so a non-finite z (which a non-finite x makes) ends
+    the block at the row before.
     """
     A, b, tau = prob.A, prob.b, prob.tau
     At = A.T
+    m, n = A.shape
     xi = as_vector(xi)
+    if xi.shape[0] != n:
+        raise InvalidParameterError(f"A has {n} columns but xi has length {xi.shape[0]}")
     st = warm if warm is not None else fresh_admm_state(prob)
     step = prob.gram_solver.offset_solve
     # Locally bound ufuncs with a positional out (the keyword for maximum and
     # minimum) and 0-d array constants are the forms numpy dispatches fastest.
     add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
-    rho, eps, feas = np.array(RHO), opts.eps_inner, tau + FEAS_TOL_INNER
+    rho, feas = np.array(RHO), tau + FEAS_TOL_INNER
     lo, hi = np.array(-1.0), np.array(1.0)  # the soft threshold's clamp
     scale = np.array(0.0)  # the ball projection's tau / ||z||
-    m, n = A.shape
-    X, Y, U = (np.empty((LASSO_BLOCK + 1, n)) for _ in range(3))
-    Z, ETA, AX = (np.empty((LASSO_BLOCK + 1, m)) for _ in range(3))
-    X[0], Y[0], U[0], Z[0], ETA[0] = st.x, st.y, st.u, st.z, st.eta
-    xs, ys, us, zs, etas, axs = (list(V) for V in (X, Y, U, Z, ETA, AX))  # row views
-    rhs, p, clamped, diff = (np.empty(n) for _ in range(4))
-    w, r = np.empty(m), np.empty(m)
-    work, rwork = np.empty((LASSO_BLOCK, n)), np.empty((LASSO_BLOCK, m))
-    max_inner = opts.max_inner
-    done, last = 0, 0  # the iterations completed, the row holding the state
-    try:
-        while done < max_inner:
-            bad = 0  # the row left unfinished on a non-finite x or z, if any
-            for k in range(1, min(LASSO_BLOCK, max_inner - done) + 1):
-                eta, eta_k, u = etas[k - 1], etas[k], us[k - 1]
-                if tau == 0.0:
-                    subtract(b, eta, w)
-                else:
-                    add(b, zs[k - 1], w)
-                    w -= eta
-                At.dot(w, rhs)
-                rhs *= rho
-                rhs += xi
-                rhs += subtract(ys[k - 1], u, diff)
-                row, y, Ax = xs[k], ys[k], axs[k]
-                x = step(None, rhs, row)
-                if x is not row:  # a wrapped solver: check this row now
-                    np.copyto(row, x)
-                    if not np.isfinite(row).all():
-                        bad = k
-                        break
-                add(x, u, p)
-                subtract(p, minimum(maximum(p, lo, out=clamped), hi, out=clamped), y)
-                A.dot(x, Ax)
-                add(eta, Ax, eta_k)
-                eta_k -= b
-                if tau != 0.0:  # z = projection of A x - b + eta onto the tau-ball
-                    z = zs[k]
-                    add(subtract(Ax, b, r), eta, z)
-                    znorm = math.sqrt(z.dot(z))
-                    if not math.isfinite(znorm) and not np.isfinite(z).all():
-                        bad = k
-                        break
-                    if znorm > tau:
-                        scale[()] = tau / znorm
-                        z *= scale
-                    eta_k -= z
-                subtract(p, y, us[k])
-                if x is not row:
-                    break
-            top = k - 1 if bad else k  # the last row computed in full
-            # Silent, as the Python float arithmetic of the scalar tests was
-            with np.errstate(all="ignore"):
-                end, passed = _block_tests(X, Y, top, eps, work)
-                if passed.any():
-                    res = subtract(AX[1 : end + 1], b, rwork[:end])
-                    passed &= np.sqrt(np.vecdot(res, res)) <= feas
-                fired = np.flatnonzero(passed)
-            failed = end < k
-            if fired.size:
-                end = int(fired[0]) + 1
-            done, last = done + end, end
-            if fired.size:
-                break
-            if failed:
-                raise NumericError("inner ADMM produced non-finite values")
-            X[0], Y[0], U[0], Z[0], ETA[0] = xs[end], ys[end], us[end], zs[end], etas[end]
-            last = 0
-    finally:
-        st.x, st.y, st.u, st.eta = (V[last].copy() for V in (X, Y, U, ETA))
-        if tau != 0.0:  # at tau = 0 z is never written
-            st.z = Z[last].copy()
-        st.iterations += done
+    AX = np.empty((ADMM_BLOCK + 1, m))
+    axs = list(AX)  # row views, made once
+    rhs_n, p, clamped, diff = (np.empty(n) for _ in range(4))
+    w_m, r = np.empty(m), np.empty(m)
+    rwork = np.empty((ADMM_BLOCK, m))
+
+    def block(count, xs, ys, us, etas, zs=None):
+        rhs, w = rhs_n, w_m  # locals: the in-place operators below assign them
+        for k in range(1, count + 1):
+            eta, eta_k, u = etas[k - 1], etas[k], us[k - 1]
+            if tau == 0.0:
+                subtract(b, eta, w)
+            else:
+                add(b, zs[k - 1], w)
+                w -= eta
+            At.dot(w, rhs)
+            rhs *= rho
+            rhs += xi
+            rhs += subtract(ys[k - 1], u, diff)
+            row, y, Ax = xs[k], ys[k], axs[k]
+            x = step(None, rhs, row)
+            if x is not row:  # a wrapped solver
+                np.copyto(row, x)
+                if not np.isfinite(row).all():
+                    return k - 1
+            add(x, u, p)
+            subtract(p, minimum(maximum(p, lo, out=clamped), hi, out=clamped), y)
+            A.dot(x, Ax)
+            add(eta, Ax, eta_k)
+            eta_k -= b
+            if tau != 0.0:  # z = projection of A x - b + eta onto the tau-ball
+                z = zs[k]
+                add(subtract(Ax, b, r), eta, z)
+                znorm = math.sqrt(z.dot(z))
+                if not math.isfinite(znorm) and not np.isfinite(z).all():
+                    return k - 1
+                if znorm > tau:
+                    scale[()] = tau / znorm
+                    z *= scale
+                eta_k -= z
+            subtract(p, y, us[k])
+        return count
+
+    def feasible(end):
+        res = subtract(AX[1 : end + 1], b, rwork[:end])
+        return np.sqrt(np.vecdot(res, res)) <= feas
+
+    names = ("x", "y", "u", "eta") + (("z",) if tau != 0.0 else ())  # z is unwritten at tau = 0
+    _admm_blocks(st, names, opts.eps_inner, opts.max_inner, block, feasible)
     return st.x.copy()
 
 
@@ -412,20 +429,16 @@ def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
 
 @dataclass
 class _LassoState:
-    """Warm-start state of the lasso ADMM; y is the sparse iterate and solver
-    the (A^T A + zeta I) factor, built by the first call unless the caller
-    gives it one (the instance's gram_solver)."""
+    """Warm-start state of the lasso ADMM; y is the sparse iterate."""
 
     x: np.ndarray
     y: np.ndarray
     u: np.ndarray
-    zeta: float
-    solver: GramRidgeSolver | None = None
     iterations: int = 0
 
 
-def _lasso_state(n: int, zeta: float) -> _LassoState:
-    return _LassoState(np.zeros(n), np.zeros(n), np.zeros(n), zeta)
+def _lasso_state(n: int) -> _LassoState:
+    return _LassoState(np.zeros(n), np.zeros(n), np.zeros(n))
 
 
 def _lasso_admm(
@@ -433,101 +446,70 @@ def _lasso_admm(
     b: np.ndarray,
     lam: float,
     linear: np.ndarray | None,
+    solver: GramRidgeSolver,
     st: _LassoState,
     eps: float,
     max_iter: int,
     trace: list[float] | None = None,
 ) -> bool:
     """Two-block ADMM for min 0.5||Ax-b||^2 + lam||x||_1 - <linear, x>
-    (Boyd et al. 2011, section 6.4), continued from the warm state ``st``.
+    (Boyd et al. 2011, section 6.4), continued from the warm state ``st``,
+    with ``solver`` the GramRidgeSolver of A and the splitting penalty zeta.
 
-    Runs at most max_iter iterations and returns whether the stopping test
-    fired.  With ``trace`` given, appends 0.5||Ay-b||^2 + lam||y||_1 at every
-    sparse iterate y.  ``st`` gets the last finite iterate and the completed
-    iterations on every exit, as in admm_subproblem; the state arrays are
-    copies, so no step touches an array a caller holds.
+    Runs at most max_iter iterations through _admm_blocks and returns whether
+    the stopping test fired.  With ``trace`` given, appends 0.5||Ay-b||^2 +
+    lam||y||_1 at every sparse iterate y kept, bit for bit as a per-iteration
+    loop computes it (a row sum of |y| is the vector's sum).
 
     The x-update (A^T A + zeta I)^-1 (A^T b + linear + zeta (y - u)) is split
     into its constant part x_c, solved once per call, and x_c + (y - u) -
     A^T H (y - u) through the solver's precomputed operator H.  The scaled
     dual is u = clamp(x + u, -t, t), so y = (x + u) - u is the soft threshold.
-
-    The iterations run in blocks of LASSO_BLOCK.  Iteration k of a block
-    writes x, u, y (and A y for the trace) into row k of per-call history
-    arrays, whose row 0 holds the iterate the block starts from.  After the
-    block, _block_tests and row-wise calls give every row's stopping test and
-    trace value, bit for bit as a per-iteration loop computes them (a row sum
-    of |y| is the vector's sum).  The first row whose stopping test fires
-    ends the call, and the rows after it are discarded.  A row whose norm is
-    not finite and whose entries confirm it ends the call at the row before,
-    with NumericError; the block's later rows, computed from it, may raise
-    numpy RuntimeWarnings first.  An x-update returned in an array other than its
-    row (a wrapped solver) is copied into the row and ends the block there.
     """
-    zeta = st.zeta
-    if st.solver is None:
-        st.solver = GramRidgeSolver(A, 1.0, zeta)
-    step = st.solver.offset_solve
+    step = solver.offset_solve
     n = st.x.size
-    X, Y, U = (np.empty((LASSO_BLOCK + 1, n)) for _ in range(3))
-    X[0], Y[0], U[0] = st.x, st.y, st.u
-    xs, ys, us = list(X), list(Y), list(U)  # row views, made once
-    R = np.empty((LASSO_BLOCK + 1, b.size)) if trace is not None else None
-    rs = list(R) if trace is not None else None
+    R = np.empty((ADMM_BLOCK + 1, b.size)) if trace is not None else None
+    rs = list(R) if trace is not None else None  # rows of A y, for the trace
     p, d = (np.empty(n) for _ in range(2))
-    work = np.empty((LASSO_BLOCK, n))
-    x_c = st.solver.solve(A.T @ b if linear is None else A.T @ b + linear)
-    thresh = lam / zeta
+    x_c = solver.solve(A.T @ b if linear is None else A.T @ b + linear)
+    thresh = lam / solver.zeta
     lo, hi = np.array(-thresh), np.array(thresh)  # the clamp of u
     add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
-    done, last = 0, 0  # the iterations completed, the row holding the state
-    try:
-        while done < max_iter:
-            for k in range(1, min(LASSO_BLOCK, max_iter - done) + 1):
-                row = xs[k]
-                x = step(x_c, subtract(ys[k - 1], us[k - 1], d), row)
-                add(x, us[k - 1], p)
-                minimum(maximum(p, lo, out=us[k]), hi, out=us[k])
-                subtract(p, us[k], ys[k])
-                if rs is not None:
-                    A.dot(ys[k], rs[k])
-                if x is not row:  # a wrapped solver: check this row now
-                    np.copyto(row, x)
-                    break
-            # Silent, as the Python float arithmetic of the scalar tests was
-            with np.errstate(all="ignore"):
-                end, passed = _block_tests(X, Y, k, eps, work)
-                failed = end < k
-                fired = np.flatnonzero(passed)
-                if fired.size:
-                    end = int(fired[0]) + 1
-                if rs is not None:
-                    r = R[1 : end + 1]
-                    r -= b
-                    l1 = np.abs(Y[1 : end + 1], work[:end]).sum(axis=1)
-                    trace.extend((0.5 * np.vecdot(r, r) + lam * l1).tolist())
-            done, last = done + end, end
-            if fired.size:
-                return True
-            if failed:
-                raise NumericError("lasso ADMM x-update produced non-finite values")
-            X[0], Y[0], U[0] = xs[end], ys[end], us[end]
-            last = 0
-        return False
-    finally:
-        st.x, st.y, st.u = xs[last].copy(), ys[last].copy(), us[last].copy()
-        st.iterations += done
+
+    def block(count, xs, ys, us):
+        for k in range(1, count + 1):
+            row = xs[k]
+            x = step(x_c, subtract(ys[k - 1], us[k - 1], d), row)
+            if x is not row:  # a wrapped solver
+                np.copyto(row, x)
+                if not np.isfinite(row).all():
+                    return k - 1
+            add(x, us[k - 1], p)
+            minimum(maximum(p, lo, out=us[k]), hi, out=us[k])
+            subtract(p, us[k], ys[k])
+            if rs is not None:
+                A.dot(ys[k], rs[k])
+        return count
+
+    def record(end, Y):
+        r = R[1 : end + 1]
+        r -= b
+        l1 = np.abs(Y[1 : end + 1]).sum(axis=1)
+        trace.extend((0.5 * np.vecdot(r, r) + lam * l1).tolist())
+
+    return _admm_blocks(
+        st, ("x", "y", "u"), eps, max_iter, block, record=record if trace is not None else None
+    )
 
 
 def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     """ADMM for the unconstrained l1 model 0.5||Ax-b||^2 + LAMBDA||x||_1."""
     A, b = prob.A, prob.b
-    st = _lasso_state(A.shape[1], ZETA_LASSO)
+    st = _lasso_state(A.shape[1])
     trace: list[float] = []
     status = SolverStatus.MAX_ITER
     try:
-        st.solver = prob.gram_solver
-        if _lasso_admm(A, b, LAMBDA, None, st, opts.eps_outer, ADMM_MAX, trace):
+        if _lasso_admm(A, b, LAMBDA, None, prob.gram_solver, st, opts.eps_outer, ADMM_MAX, trace):
             status = SolverStatus.CONVERGED
     except NumericError:
         status = SolverStatus.NUMERIC_FAILURE
@@ -551,18 +533,17 @@ def dca_unconstrained(
     params = ThresholdParams(mu=1.0 / opts.alpha)
     beta = params.beta
     l1_weight = lam * (beta + 1.0) / beta if kind is PenaltyKind.TL1 else lam
-    st = _lasso_state(A.shape[1], ZETA_LASSO)
+    st = _lasso_state(A.shape[1])
 
     def step(x):
         g = lam * dc_concave_gradient(kind, x, params)
-        _lasso_admm(A, b, l1_weight, g, st, opts.eps_inner, opts.max_inner)
+        _lasso_admm(A, b, l1_weight, g, prob.gram_solver, st, opts.eps_inner, opts.max_inner)
         return st.y
 
     x = np.zeros(A.shape[1])
     trace: list[float] = []
     status = SolverStatus.MAX_ITER
     try:
-        st.solver = prob.gram_solver
         for x, converged in _dca_iterates(x, opts, step):
             r = A @ x - b
             trace.append(0.5 * float(r @ r) + lam * penalty_value(kind, x, params))

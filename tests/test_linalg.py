@@ -62,10 +62,10 @@ def test_spd_rejects_indefinite():
 def test_gram_ridge_solver_matches_dense(shape):
     rng = np.random.default_rng(2)
     A = rng.standard_normal(shape)
-    rho, zeta = 1e3, 0.5
-    solver = GramRidgeSolver(A, rho, zeta)
+    zeta = 0.5
+    solver = GramRidgeSolver(A, zeta)
     r = rng.standard_normal(shape[1])
-    expected = np.linalg.solve(rho * A.T @ A + zeta * np.eye(shape[1]), r)
+    expected = np.linalg.solve(A.T @ A + zeta * np.eye(shape[1]), r)
     np.testing.assert_allclose(solver.solve(r), expected, atol=1e-8)
 
 
@@ -73,22 +73,21 @@ def test_gram_ridge_solver_matches_dense(shape):
 @given(
     m=st.integers(1, 12),
     n=st.integers(1, 12),
-    rho=st.floats(1e-3, 1e6),
     zeta=st.floats(1e-6, 1e2),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(m=3, n=8, rho=1e3, zeta=0.5, seed=2)  # wide
-@example(m=8, n=3, rho=1e3, zeta=0.5, seed=2)  # tall
-@example(m=5, n=5, rho=1e3, zeta=0.5, seed=2)  # square
-def test_gram_ridge_solver_matches_dense_property(m, n, rho, zeta, seed):
+@example(m=3, n=8, zeta=0.5, seed=2)  # wide
+@example(m=8, n=3, zeta=0.5, seed=2)  # tall
+@example(m=5, n=5, zeta=0.5, seed=2)  # square
+def test_gram_ridge_solver_matches_dense_property(m, n, zeta, seed):
     # wide A takes the m x m Woodbury form, square and tall A the n x n one;
     # both must agree with a dense solve to within the system's conditioning
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     r = rng.standard_normal(n)
-    M = rho * A.T @ A + zeta * np.eye(n)
+    M = A.T @ A + zeta * np.eye(n)
     expected = np.linalg.solve(M, r)
-    err = np.linalg.norm(GramRidgeSolver(A, rho, zeta).solve(r) - expected)
+    err = np.linalg.norm(GramRidgeSolver(A, zeta).solve(r) - expected)
     assert err <= 1e-13 * np.linalg.cond(M) * np.linalg.norm(expected)
 
 
@@ -96,15 +95,14 @@ def test_gram_ridge_solver_matches_dense_property(m, n, rho, zeta, seed):
 @given(
     m=st.integers(1, 12),
     n=st.integers(1, 12),
-    rho=st.floats(1e-3, 1e6),
     zeta=st.floats(1e-6, 1e2),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(m=3, n=8, rho=1.0, zeta=1e-5, seed=2)  # wide, the lasso's setting
-@example(m=8, n=3, rho=1.0, zeta=1e-5, seed=2)  # tall
-@example(m=5, n=5, rho=1.0, zeta=1e-5, seed=2)  # square
-def test_gram_ridge_operator_matches_dense_property(m, n, rho, zeta, seed):
-    # c + v - A^T (H v) = c + zeta (rho A^T A + zeta I)^-1 v for every shape.
+@example(m=3, n=8, zeta=1e-5, seed=2)  # wide, the solvers' setting
+@example(m=8, n=3, zeta=1e-5, seed=2)  # tall
+@example(m=5, n=5, zeta=1e-5, seed=2)  # square
+def test_gram_ridge_operator_matches_dense_property(m, n, zeta, seed):
+    # c + v - A^T (H v) = c + zeta (A^T A + zeta I)^-1 v for every shape.
     # The dense solve errs by up to cond(M) ||expected||, as in the property
     # above; the operator cancels v against A^T H v, so it errs by up to the
     # condition number of the matrix it factors (the smaller of the m x m and
@@ -112,10 +110,10 @@ def test_gram_ridge_operator_matches_dense_property(m, n, rho, zeta, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     c, v = rng.standard_normal(n), rng.standard_normal(n)
-    M = rho * A.T @ A + zeta * np.eye(n)
-    G = A @ A.T + (zeta / rho) * np.eye(m)
+    M = A.T @ A + zeta * np.eye(n)
+    G = A @ A.T + zeta * np.eye(m)
     expected = zeta * np.linalg.solve(M, v)
-    got = GramRidgeSolver(A, rho, zeta).offset_solve(c, v)
+    got = GramRidgeSolver(A, zeta).offset_solve(c, v)
     err = np.linalg.norm(got - c - expected)
     factored = min(np.linalg.cond(M), np.linalg.cond(G))
     bound = (
@@ -130,22 +128,20 @@ def test_gram_ridge_operator_matches_dense_property(m, n, rho, zeta, seed):
 @given(
     m=st.integers(1, 12),
     n=st.integers(1, 12),
-    rho=st.floats(1e-3, 1e6),
     zeta=st.floats(1e-6, 1e2),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(m=3, n=8, rho=1e5, zeta=1.0, seed=2)  # wide, a large rho
-@example(m=3, n=8, rho=1.0, zeta=1e-5, seed=2)  # wide, the lasso's setting
-@example(m=8, n=3, rho=1e3, zeta=0.5, seed=2)  # tall
-@example(m=5, n=5, rho=1e3, zeta=0.5, seed=2)  # square
-def test_gram_ridge_buffered_forms_match_allocating_forms(m, n, rho, zeta, seed):
+@example(m=3, n=8, zeta=1e-5, seed=2)  # wide, the solvers' setting
+@example(m=8, n=3, zeta=0.5, seed=2)  # tall
+@example(m=5, n=5, zeta=0.5, seed=2)  # square
+def test_gram_ridge_buffered_forms_match_allocating_forms(m, n, zeta, seed):
     # the inner loops pass a work vector as out: the result must be written
     # into it and returned, equal bit for bit to the allocating form, and the
     # inputs must come back unchanged; with c = None (springback's x-update)
     # it is d - A^T (H d)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
-    solver = GramRidgeSolver(A, rho, zeta)
+    solver = GramRidgeSolver(A, zeta)
     c, d = (rng.standard_normal(n) for _ in range(2))
     inputs = [v.copy() for v in (c, d)]
     out = np.full(n, np.nan)
@@ -162,28 +158,26 @@ def test_gram_ridge_buffered_forms_match_allocating_forms(m, n, rho, zeta, seed)
 def test_gram_ridge_rejects_nonpositive_penalties():
     A = np.ones((2, 3))
     with pytest.raises(InvalidParameterError):
-        GramRidgeSolver(A, 0.0, 1.0)
+        GramRidgeSolver(A, 0.0)
     with pytest.raises(InvalidParameterError):
-        GramRidgeSolver(A, 1.0, -1.0)
+        GramRidgeSolver(A, -1.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["rho", "zeta"])
-def test_gram_ridge_rejects_non_finite_penalties(name, value):
-    penalties = {"rho": 1.0, "zeta": 1.0, name: value}
+def test_gram_ridge_rejects_non_finite_penalties(value):
     with pytest.raises(InvalidParameterError, match="finite"):
-        GramRidgeSolver(np.ones((2, 3)), **penalties)
+        GramRidgeSolver(np.ones((2, 3)), value)
 
 
 def test_gram_ridge_solver_validates_a_once():
     # a non-finite A is the caller's error; a Gram matrix that overflows from
     # finite A is a numeric failure (wide and tall forms alike)
     with pytest.raises(InvalidParameterError):
-        GramRidgeSolver(np.array([[1.0, np.nan, 0.0]]), 1.0, 1.0)
+        GramRidgeSolver(np.array([[1.0, np.nan, 0.0]]), 1.0)
     with np.errstate(over="ignore"):
         for shape in [(2, 3), (3, 2)]:
             with pytest.raises(NumericError):
-                GramRidgeSolver(np.full(shape, 1e200), 1.0, 1.0)
+                GramRidgeSolver(np.full(shape, 1e200), 1.0)
 
 
 def test_singular_extremes():

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import springback
+from springback.bench import preset_spec, run_trial
 from springback.penalties import ThresholdParams
 from springback.solvers import SolverOptions
 
@@ -95,3 +97,23 @@ def test_every_setting_is_read(cls, name):
         read |= _attributes_read(ast.parse(path.read_text()), name, cls.__name__)
     fields = {f.name for f in dataclasses.fields(cls)}
     assert sorted(fields - read) == []
+
+
+def test_benchmark_tracer_finds_every_span():
+    # perfbench/tracing.py wraps the package's functions by name and reads
+    # admm_subproblem's warm= keyword and AdmmState.iterations; a name it
+    # cannot find is reported absent, not raised
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(springback)
+        run_trial(preset_spec("fig8", trials=1), 0, 0)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    admm = [s for s in tracer.spans if s[tracing.NAME] == "solvers.admm_subproblem"]
+    assert admm and all(s[tracing.VALUE] is not None for s in admm)
+    assert sum(s[tracing.VALUE][0] for s in admm) > 0

@@ -148,10 +148,19 @@ def test_admm_subproblem_warm_start_fixed_point():
     np.testing.assert_allclose(x1, x2, atol=1e-4)
 
 
+@pytest.mark.parametrize("length", [1, 39])
+def test_admm_subproblem_rejects_xi_of_another_length(length):
+    # a length-1 xi would broadcast into every entry of the right-hand side
+    prob, _ = _gaussian_instance(16, 40, 3, 2)
+    with pytest.raises(InvalidParameterError, match=f"40 columns but xi has length {length}"):
+        admm_subproblem(prob, np.full(length, 0.3), SolverOptions())
+
+
 def _lasso(A, b, lam, zeta, eps=1e-5):
     """admm_l1's solve with its own lam and zeta: the sparse iterate y."""
-    st = solvers_mod._lasso_state(A.shape[1], zeta)
-    solvers_mod._lasso_admm(A, b, lam, None, st, eps, solvers_mod.ADMM_MAX)
+    st = solvers_mod._lasso_state(A.shape[1])
+    solver = GramRidgeSolver(A, zeta)
+    solvers_mod._lasso_admm(A, b, lam, None, solver, st, eps, solvers_mod.ADMM_MAX)
     return st.y
 
 
@@ -463,7 +472,7 @@ def _springback_pair(prob, solve):
 def test_admm_subproblem_is_bit_identical_to_operator_reference_loop(
     shape, noisy, max_inner, eps
 ):
-    assert solvers_mod.LASSO_BLOCK == 32  # the caps are set for this block
+    assert solvers_mod.ADMM_BLOCK == 32  # the caps are set for this block
     prob = _oracle_instance(shape, noisy)
     n = shape[1]
     opts = SolverOptions(max_inner=max_inner, eps_inner=eps)
@@ -526,12 +535,12 @@ def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
     n = shape[1]
     lam, zeta = solvers_mod.LAMBDA, solvers_mod.ZETA_LASSO
     eps = SolverOptions().eps_inner
-    state = solvers_mod._lasso_state(n, zeta)
-    ref = SimpleNamespace(**vars(state), solve=_ref_ridge_solve(A, 1.0, zeta))
+    state = solvers_mod._lasso_state(n)
+    ref = SimpleNamespace(**vars(state), zeta=zeta, solve=_ref_ridge_solve(A, 1.0, zeta))
     g = 1e-3 * np.ones(n) if linear else None
     trace, ref_trace = [], []
     for _ in range(2):  # a cold call, then a warm-started one
-        done = solvers_mod._lasso_admm(A, b, lam, g, state, eps, 300, trace)
+        done = solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, 300, trace)
         ref_done = _ref_lasso_admm(A, b, lam, g, ref, eps, 300, ref_trace)
         assert done == ref_done
         assert state.iterations == ref.iterations
@@ -552,7 +561,7 @@ def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
 
 
 def _ref_operator_lasso_admm(A, b, lam, linear, st, eps, max_iter):
-    chol, At, H, zeta = st.solver._chol, A.T, st.solver._H, st.zeta
+    chol, At, H, zeta = st.solver._chol, A.T, st.solver._H, st.solver.zeta
     r = A.T @ b if linear is None else A.T @ b + linear
     if A.shape[0] < A.shape[1]:
         x_c = r - At.dot(scipy.linalg.lapack.dpotrs(chol, A.dot(r), lower=1)[0])
@@ -584,12 +593,12 @@ def test_lasso_admm_is_bit_identical_to_operator_reference_loop(shape, linear):
     n = shape[1]
     lam, zeta = solvers_mod.LAMBDA, solvers_mod.ZETA_LASSO
     eps = SolverOptions().eps_inner
-    state = solvers_mod._lasso_state(n, zeta)
-    ref = solvers_mod._lasso_state(n, zeta)
-    ref.solver = GramRidgeSolver(A, 1.0, zeta)
+    state = solvers_mod._lasso_state(n)
+    ref = solvers_mod._lasso_state(n)
+    ref.solver = GramRidgeSolver(A, zeta)
     g = 1e-3 * np.ones(n) if linear else None
     for _ in range(2):  # a cold call, then a warm-started one
-        done = solvers_mod._lasso_admm(A, b, lam, g, state, eps, 300)
+        done = solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, 300)
         assert done == _ref_operator_lasso_admm(A, b, lam, g, ref, eps, 300)
         _assert_states_equal(state, ref, ("x", "y", "u"))
         if linear:
@@ -604,7 +613,7 @@ def test_lasso_admm_is_bit_identical_to_operator_reference_loop(shape, linear):
 
 
 def _ref_traced_lasso_admm(A, b, lam, linear, st, eps, max_iter, trace):
-    H, thresh = st.solver._H, lam / st.zeta
+    H, thresh = st.solver._H, lam / st.solver.zeta
     x_c = st.solver.solve(A.T @ b if linear is None else A.T @ b + linear)
     x, y, u = st.x, st.y, st.u
     for _ in range(max_iter):
@@ -626,9 +635,9 @@ def _ref_traced_lasso_admm(A, b, lam, linear, st, eps, max_iter, trace):
 
 def _lasso_pair(n, A):
     """A lasso state and a reference state with its own solver."""
-    ref = solvers_mod._lasso_state(n, solvers_mod.ZETA_LASSO)
-    ref.solver = GramRidgeSolver(A, 1.0, solvers_mod.ZETA_LASSO)
-    return solvers_mod._lasso_state(n, solvers_mod.ZETA_LASSO), ref
+    ref = solvers_mod._lasso_state(n)
+    ref.solver = GramRidgeSolver(A, solvers_mod.ZETA_LASSO)
+    return solvers_mod._lasso_state(n), ref
 
 
 # (linear, max_iter, eps, the iteration of the cold call's stop or None).  On
@@ -645,14 +654,14 @@ _LASSO_BLOCK_CASES = [(False, k, 1e-5, None) for k in (1, 31, 32, 33, 67)] + [
 
 @pytest.mark.parametrize("linear, max_iter, eps, stop", _LASSO_BLOCK_CASES)
 def test_lasso_admm_blocks_match_per_iteration_loop(linear, max_iter, eps, stop):
-    assert solvers_mod.LASSO_BLOCK == 32  # the cases are set for this block
+    assert solvers_mod.ADMM_BLOCK == 32  # the cases are set for this block
     prob = _oracle_instance((20, 50), False)
     A, b, lam = prob.A, prob.b, solvers_mod.LAMBDA
     state, ref = _lasso_pair(50, A)
     g = 1e-3 * np.ones(50) if linear else None
     trace, ref_trace = [], []
     for call in range(2):  # a cold call, then a warm-started one
-        done = solvers_mod._lasso_admm(A, b, lam, g, state, eps, max_iter, trace)
+        done = solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, max_iter, trace)
         ref_done = _ref_traced_lasso_admm(A, b, lam, g, ref, eps, max_iter, ref_trace)
         if call == 0:
             assert ref_done == (stop is not None)
@@ -700,12 +709,12 @@ def test_lasso_admm_leaves_caller_arrays_unchanged():
     prob = _oracle_instance((20, 50), False)
     A, b = prob.A, prob.b
     lam, eps = solvers_mod.LAMBDA, SolverOptions().eps_inner
-    state = solvers_mod._lasso_state(50, solvers_mod.ZETA_LASSO)
-    solvers_mod._lasso_admm(A, b, lam, 1e-3 * np.ones(50), state, eps, 30)
+    state = solvers_mod._lasso_state(50)
+    solvers_mod._lasso_admm(A, b, lam, 1e-3 * np.ones(50), prob.gram_solver, state, eps, 30)
     held = _held_arrays(state, ("x", "y", "u"))  # y is what a DCA step returns
     g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
     held.append((g, g.copy()))
-    solvers_mod._lasso_admm(A, b, lam, g, state, eps, 30, [])
+    solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, 30, [])
     _assert_unchanged(held)
     assert state.iterations == 60
     assert not np.array_equal(state.x, held[0][1])  # the second call moved x
@@ -766,14 +775,14 @@ def _check_last_finite_warm_state_kept(monkeypatch, k, value):
     _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
     assert state.iterations == k - 1
 
-    ref = solvers_mod._lasso_state(n, 1e-5)
+    ref = solvers_mod._lasso_state(n)
     if k > 1:
-        solvers_mod._lasso_admm(A, b, 1e-6, None, ref, 1e-5, k - 1)
-    state = solvers_mod._lasso_state(n, 1e-5)
+        solvers_mod._lasso_admm(A, b, 1e-6, None, prob.gram_solver, ref, 1e-5, k - 1)
+    state = solvers_mod._lasso_state(n)
     with monkeypatch.context() as mp:
         _failing_solve_on_call(mp, k, value, "offset_solve")
         with pytest.raises(NumericError):
-            solvers_mod._lasso_admm(A, b, 1e-6, None, state, 1e-5, 50)
+            solvers_mod._lasso_admm(A, b, 1e-6, None, prob.gram_solver, state, 1e-5, 50)
     _assert_states_equal(state, ref, ("x", "y", "u"))
     assert state.iterations == k - 1
 
@@ -815,10 +824,10 @@ def test_finite_x_update_with_overflowing_norm_does_not_raise(monkeypatch, noisy
     assert calls[0] == k and state.iterations == k
     assert state.x[25] == 1e200 and np.isfinite(state.z).all()
 
-    lasso = solvers_mod._lasso_state(50, 1e-5)
+    lasso = solvers_mod._lasso_state(50)
     with monkeypatch.context() as mp:
         calls = _failing_solve_on_call(mp, k, 1e200, "offset_solve")
-        solvers_mod._lasso_admm(prob.A, prob.b, 1e-6, None, lasso, 1e-5, k)
+        solvers_mod._lasso_admm(prob.A, prob.b, 1e-6, None, prob.gram_solver, lasso, 1e-5, k)
     assert calls[0] == k and lasso.iterations == k
     assert lasso.x[25] == 1e200
 
@@ -855,7 +864,7 @@ def _inject(monkeypatch, k, value, in_place):
 @pytest.mark.parametrize("in_place", [True, False])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_x_update_in_a_later_block(monkeypatch, value, in_place):
-    k, block = 35, solvers_mod.LASSO_BLOCK
+    k, block = 35, solvers_mod.ADMM_BLOCK
     prob, _ = _gaussian_instance(16, 40, 3, 2)
     A, b, n = prob.A, prob.b, 40
     lam, eps = solvers_mod.LAMBDA, SolverOptions().eps_outer
@@ -866,7 +875,7 @@ def test_non_finite_x_update_in_a_later_block(monkeypatch, value, in_place):
     with monkeypatch.context() as mp:
         calls = _inject(mp, k, value, in_place)
         with pytest.raises(NumericError):
-            solvers_mod._lasso_admm(A, b, lam, None, state, eps, 100, trace)
+            solvers_mod._lasso_admm(A, b, lam, None, prob.gram_solver, state, eps, 100, trace)
     assert calls[0] == (2 * block if in_place else k)
     _assert_states_equal(state, ref, ("x", "y", "u"))
     assert state.iterations == k - 1
@@ -885,7 +894,7 @@ def _springback_calls_to_failure(k, noisy, in_place):
     """The x-updates springback computes when the k-th is not finite: the
     rest of its block at tau = 0, none at tau > 0, where the ball projection
     meets it at once, and none when it comes in a copy."""
-    block = solvers_mod.LASSO_BLOCK
+    block = solvers_mod.ADMM_BLOCK
     return -(-k // block) * block if in_place and not noisy else k
 
 
@@ -929,8 +938,8 @@ def test_non_finite_x_update_after_the_stop_does_not_surface(monkeypatch, in_pla
     trace = []
     with monkeypatch.context() as mp:
         calls = _inject(mp, 50, np.nan, in_place)
-        assert solvers_mod._lasso_admm(A, b, lam, None, state, eps, 200, trace)
-    assert calls[0] == (2 * solvers_mod.LASSO_BLOCK if in_place else 50)
+        assert solvers_mod._lasso_admm(A, b, lam, None, prob.gram_solver, state, eps, 200, trace)
+    assert calls[0] == (2 * solvers_mod.ADMM_BLOCK if in_place else 50)
     _assert_states_equal(state, ref, ("x", "y", "u"))
     assert trace == ref_trace
 
@@ -968,10 +977,47 @@ def test_non_finite_warm_x_is_not_an_error():
     state, ref = _lasso_pair(50, A)
     state.x[3] = ref.x[3] = np.nan
     trace, ref_trace = [], []
-    solvers_mod._lasso_admm(A, b, lam, None, state, 1e-5, 40, trace)
+    solvers_mod._lasso_admm(A, b, lam, None, prob.gram_solver, state, 1e-5, 40, trace)
     _ref_traced_lasso_admm(A, b, lam, None, ref, 1e-5, 40, ref_trace)
     _assert_states_equal(state, ref, ("x", "y", "u"))
     assert trace == ref_trace
+
+
+def _assert_reports_equal(rep, ref):
+    assert np.array_equal(rep.x_star, ref.x_star)
+    assert rep.status is ref.status
+    assert rep.outer_iterations == ref.outer_iterations
+    assert rep.inner_iterations_total == ref.inner_iterations_total
+    assert rep.objective_trace == ref.objective_trace
+    assert rep.residual == ref.residual
+
+
+# A wrapper that returns every x-update in a copy of its own, as a copying
+# tracer span would, sends both loops through their copy path at every
+# iteration; no report may change.
+@pytest.mark.parametrize("name", ["springback", "springback_noisy", "admm_l1", "dca_l12"])
+def test_copying_x_update_changes_no_report(monkeypatch, name):
+    prob = _oracle_instance((20, 50), name == "springback_noisy")
+    opts = SolverOptions()
+    run = {
+        "springback": dca_springback,
+        "springback_noisy": dca_springback,
+        "admm_l1": admm_l1,
+        "dca_l12": lambda prob, opts: dca_unconstrained(PenaltyKind.L1_MINUS_2, prob, opts),
+    }[name]
+    ref = run(prob, opts)
+    original = GramRidgeSolver.offset_solve
+    calls = [0]
+
+    def copying(self, *args):
+        calls[0] += 1
+        return original(self, *args).copy()
+
+    with monkeypatch.context() as mp:
+        mp.setattr(GramRidgeSolver, "offset_solve", copying)
+        rep = run(prob, opts)
+    assert calls[0] >= ref.inner_iterations_total > solvers_mod.ADMM_BLOCK
+    _assert_reports_equal(rep, ref)
 
 
 def _overflowing_instance(scale):
@@ -1014,14 +1060,14 @@ def test_lasso_solvers_share_one_factor_per_instance(monkeypatch):
     built = []
     original = GramRidgeSolver.__init__
 
-    def counting(self, A, rho, zeta):
-        built.append((rho, zeta))
-        original(self, A, rho, zeta)
+    def counting(self, A, zeta):
+        built.append(zeta)
+        original(self, A, zeta)
 
     monkeypatch.setattr(GramRidgeSolver, "__init__", counting)
     reports = _all_solvers(prob, opts)
     assert len(reports) == 7
-    assert built == [(1.0, solvers_mod.ZETA_LASSO)]
+    assert built == [solvers_mod.ZETA_LASSO]
 
 
 def test_shared_operator_constants():
