@@ -464,6 +464,8 @@ def preset_spec(
     fig4 and fig5 floor alpha at the default omega, solvers.OMEGA; fig7 and
     fig8 at 0.4.
     """
+    if literal_shape and name != "fig7":
+        raise InvalidParameterError(f"--literal-shape applies only to fig7, not to {name!r}")
     if name == "fig4":
         spec = ExperimentSpec(
             ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=64, n=160),

@@ -165,9 +165,9 @@ def a_of_s(s: int) -> float:
 
 def exact_condition(kind: PenaltyKind, prof: RipProfile, params: ThresholdParams) -> bool:
     """Exact recovery condition of the penalized model for the given kind."""
-    d3, d4 = prof.delta3s, prof.delta4s
     if kind in (PenaltyKind.L1, PenaltyKind.SPRINGBACK):
-        return d3 < 3.0 * (1.0 - d4) - 1.0
+        return rip_condition(prof)
+    d3, d4 = prof.delta3s, prof.delta4s
     if kind is PenaltyKind.LP:
         p = params.p
         return d3 < 3.0 ** ((2.0 - p) / p) * (1.0 - d4) - 1.0

@@ -98,21 +98,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return top, sub.choices
 
 
-# (command, mode flag, flags that mode does not read, why).  In that mode, a
-# flag set away from its default is an error rather than silently dropped.
+# (command, mode, flags that mode does not read, why).  In a mode, a flag set
+# away from its default is an error rather than silently dropped.
 _UNREAD_FLAGS = (
-    ("bench", "config", ("seed", "literal_shape", "literal_acceptance"),
+    ("bench", lambda a: a.config, ("seed", "literal_shape", "literal_acceptance"),
      "preset options; a config file sets its own master_seed, shape and literal_acceptance"),
-    ("solve", "npz", ("ensemble", "m", "n", "refinement", "snr", "seed", "min_separation"),
+    ("solve", lambda a: a.npz,
+     ("ensemble", "m", "n", "refinement", "snr", "seed", "min_separation"),
      "instance-generation options; --npz loads a stored instance"),
-    ("bounds", "toy", ("s", "delta3s", "delta4s", "tau", "tail", "improved"),
+    ("bounds", lambda a: a.toy, ("s", "delta3s", "delta4s", "tau", "tail", "improved"),
      "the worked example fixes its profile; --toy reads only --alpha"),
+    ("threshold", lambda a: a.kind != "springback", ("alpha",), "only springback reads --alpha"),
+    ("threshold", lambda a: a.kind != "firm", ("mu",), "only firm reads --mu"),
 )
 
 
 def _reject_unread_flags(args, parser: argparse.ArgumentParser) -> None:
     for command, mode, dests, why in _UNREAD_FLAGS:
-        if args.command == command and getattr(args, mode):
+        if args.command == command and mode(args):
             given = [d for d in dests if getattr(args, d) != parser.get_default(d)]
             if given:
                 flags = ", ".join("--" + d.replace("_", "-") for d in given)

@@ -7,7 +7,6 @@ caches never change once built), so concurrent use is safe.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -106,6 +105,16 @@ class GramRidgeSolver:
         if not np.isfinite(G).all():
             raise NumericError("Gram matrix overflowed: the entries of A are too large")
         self._chol = SpdFactor(G).chol
+        # The m x n operator H with zeta (A^T A + zeta I)^-1 v = v - A^T H v:
+        # H = (A A^T + zeta I)^-1 A from the m x m factor of a wide A, and the
+        # same matrix A (A^T A + zeta I)^-1 from the n x n factor otherwise.
+        # One vector potrs per column (wide) or row, so that it makes no
+        # multi-threaded BLAS-3 call, as one potrs with a matrix right-hand
+        # side would.
+        if self._wide:
+            self._H = np.array([dpotrs(self._chol, a, lower=1)[0] for a in self._At]).T.copy()
+        else:
+            self._H = np.array([dpotrs(self._chol, a, lower=1)[0] for a in self._A])
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """(A^T A + zeta I)^-1 r."""
@@ -117,21 +126,6 @@ class GramRidgeSolver:
                 x /= self.zeta
             return x
         return dpotrs(self._chol, r, lower=1)[0]
-
-    @functools.cached_property
-    def _H(self) -> np.ndarray:
-        """The m x n operator H with zeta (A^T A + zeta I)^-1 v = v - A^T H v.
-
-        H = (A A^T + zeta I)^-1 A from the m x m factor of a wide A, and the
-        same matrix A (A^T A + zeta I)^-1 from the n x n factor otherwise.
-        Built on first use, one vector potrs per column (wide) or row, so that
-        it makes no multi-threaded BLAS-3 call, as one potrs with a matrix
-        right-hand side would.
-        """
-        if self._wide:
-            cols = [dpotrs(self._chol, a, lower=1)[0] for a in self._At]
-            return np.array(cols).T.copy()
-        return np.array([dpotrs(self._chol, a, lower=1)[0] for a in self._A])
 
     def offset_solve(
         self, c: np.ndarray | None, d: np.ndarray, out: np.ndarray | None = None

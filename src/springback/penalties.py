@@ -2,8 +2,9 @@
 
 The catalog covers the convex l1 penalty, the nonconvex lp / transformed-l1 /
 MCP / l1-minus-l2 penalties, and the weakly convex springback penalty
-``||x||_1 - (alpha/2) ||x||_2^2``.  The scalar thresholding operators (soft,
-firm, springback) realize the corresponding proximal mappings in closed form;
+``||x||_1 - (alpha/2) ||x||_2^2``.  The thresholding operators (soft, firm,
+springback, and the springback prox) realize the corresponding proximal
+mappings in closed form, all through the one kernel ``soft_shrink``;
 ``dc_concave_gradient`` supplies the linearization used by
 difference-of-convex solvers.
 """
@@ -11,6 +12,7 @@ difference-of-convex solvers.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +64,6 @@ class ThresholdParams:
             raise InvalidParameterError("p must lie in (0, 1)")
 
 
-def _check_finite_scalar(w: float) -> float:
-    w = float(w)
-    if not np.isfinite(w):
-        raise InvalidParameterError("thresholding operators require finite input")
-    return w
-
-
 def penalty_value(kind: PenaltyKind, x, params: ThresholdParams) -> float:
     """Evaluate the scalar penalty of the given kind at x."""
     x = as_vector(x)
@@ -91,52 +86,57 @@ def penalty_value(kind: PenaltyKind, x, params: ThresholdParams) -> float:
     raise InvalidParameterError(f"unknown penalty kind: {kind!r}")
 
 
-def soft_threshold(w: float, lam: float) -> float:
-    """sgn(w) * max(|w| - lam, 0)."""
-    w = _check_finite_scalar(w)
-    if lam <= 0:
-        raise InvalidParameterError("lam must be positive")
-    return float(np.sign(w) * max(abs(w) - lam, 0.0))
-
-
 def soft_shrink(v: np.ndarray, t: float) -> np.ndarray:
-    """Elementwise sgn(v) * max(|v| - t, 0), unvalidated.  The inner ADMM
-    loops compute the same values in their work vectors.
+    """Elementwise sgn(v) * max(|v| - t, 0), unvalidated: the one shrinkage
+    kernel behind every thresholding operator here.  The inner ADMM loops
+    compute the same values in their work vectors.
 
     Computed as v - clamp(v, -t, t), which rounds the same for finite v and
     t > 0: both give v - t above t and v + t below -t.  Only the sign of a
-    zero may differ.
+    zero may differ: this one is +0.0 throughout the dead zone.
     """
     return v - v.clip(-t, t)
 
 
-def firm_threshold(w: float, lam: float, mu: float) -> float:
-    """Three-branch firm thresholding: zero, linear ramp, identity."""
-    w = _check_finite_scalar(w)
-    if not (0 < lam < mu):
-        raise InvalidParameterError("firm thresholding requires 0 < lam < mu")
-    aw = abs(w)
-    if aw <= lam:
-        return 0.0
-    if aw >= mu:
-        return float(w)
-    # mu (|w| - lam) / (mu - lam), written so the ramp is bit-identical to
-    # springback thresholding with alpha = 1/mu.
-    return float(np.sign(w) * (aw - lam) / (1.0 - lam * (1.0 / mu)))
-
-
-def springback_threshold(w: float, lam: float, alpha: float) -> float:
-    """Springback shrinkage: zero below lam, amplified soft threshold above."""
-    w = _check_finite_scalar(w)
+def _springback_scale(lam: float, alpha: float) -> float:
+    """The springback divisor 1 - lam*alpha, checked with its parameters."""
     if lam <= 0 or alpha <= 0:
         raise InvalidParameterError("lam and alpha must be positive")
     scale = 1.0 - lam * alpha
     if scale <= 0:
         raise InvalidParameterError("springback thresholding requires 1 - lam*alpha > 0")
-    aw = abs(w)
-    if aw <= lam:
-        return 0.0
-    return float(np.sign(w) * (aw - lam) / scale)
+    return scale
+
+
+def _threshold(w: float, lam: float, scale: float = 1.0) -> float:
+    """soft_shrink(w, lam) / scale for one finite scalar w, taken as a numpy
+    scalar: a one-entry array costs several times more per call."""
+    w = np.float64(w)
+    if not math.isfinite(w):
+        raise InvalidParameterError("thresholding operators require finite input")
+    return float(soft_shrink(w, lam) / scale)
+
+
+def soft_threshold(w: float, lam: float) -> float:
+    """sgn(w) * max(|w| - lam, 0)."""
+    if lam <= 0:
+        raise InvalidParameterError("lam must be positive")
+    return _threshold(w, lam)
+
+
+def springback_threshold(w: float, lam: float, alpha: float) -> float:
+    """Springback shrinkage: zero below lam, amplified soft threshold above."""
+    return _threshold(w, lam, _springback_scale(lam, alpha))
+
+
+def firm_threshold(w: float, lam: float, mu: float) -> float:
+    """Three-branch firm thresholding: zero, linear ramp, identity.  Below mu
+    it is springback thresholding with alpha = 1/mu, computed as such."""
+    if not (0 < lam < mu):
+        raise InvalidParameterError("firm thresholding requires 0 < lam < mu")
+    if mu <= abs(w) < math.inf:  # _threshold rejects an infinite or NaN w
+        return float(w)
+    return _threshold(w, lam, _springback_scale(lam, 1.0 / mu))
 
 
 def prox_springback(x, lam: float, alpha: float) -> np.ndarray:
@@ -145,13 +145,7 @@ def prox_springback(x, lam: float, alpha: float) -> np.ndarray:
     Equals the exact minimizer of lam * R_spb(y) + 0.5 ||y - x||^2 whenever
     1 - lam*alpha > 0, which makes that objective strongly convex.
     """
-    x = as_vector(x)
-    if lam <= 0 or alpha <= 0:
-        raise InvalidParameterError("lam and alpha must be positive")
-    scale = 1.0 - lam * alpha
-    if scale <= 0:
-        raise InvalidParameterError("springback prox requires 1 - lam*alpha > 0")
-    return soft_shrink(x, lam) / scale
+    return soft_shrink(as_vector(x), lam) / _springback_scale(lam, alpha)
 
 
 def dc_concave_gradient(kind: PenaltyKind, x, params: ThresholdParams) -> np.ndarray:

@@ -14,10 +14,23 @@ def test_threshold_springback(capsys):
 
 
 def test_threshold_multiple_points(capsys):
-    rc = main(["threshold", "soft", "--w", "0.2", "1.0", "--lambda", "0.25"])
+    rc = main(["threshold", "soft", "--w", "0.2", "1.0", "-0.2", "--lambda", "0.25"])
     assert rc == 0
-    vals = [float(v) for v in capsys.readouterr().out.split()]
-    assert vals == pytest.approx([0.0, 0.75])
+    out = capsys.readouterr().out.split()
+    assert [float(v) for v in out] == pytest.approx([0.0, 0.75, 0.0])
+    # the dead zone prints an unsigned zero, as firm and springback do
+    assert out[2] == "0"
+
+
+def test_threshold_rejects_flags_its_operator_does_not_read(capsys):
+    for argv, flags in ((["soft", "--w", "1.0", "--alpha", "3", "--mu", "9"], "--alpha:"),
+                        (["springback", "--w", "1.0", "--mu", "9"], "--mu:"),
+                        (["firm", "--w", "0.5", "--alpha", "3"], "--alpha:")):
+        assert main(["threshold", *argv]) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error: " + flags) and out.out == ""
+    # a flag left at its default is accepted
+    assert main(["threshold", "soft", "--w", "1.0", "--alpha", "0.5", "--mu", "1.0"]) == 0
 
 
 def test_bounds_toy_table(capsys):
@@ -151,6 +164,17 @@ def test_bench_config_rejects_preset_flags(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flags[0] in err
         assert not out.exists()
+
+
+def test_bench_literal_shape_is_fig7_only(tmp_path, capsys):
+    out = tmp_path / "run"
+    for preset in ("fig4", "fig5", "fig8"):
+        rc = main(["bench", "--preset", preset, "--literal-shape", "--trials", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --literal-shape") and repr(preset) in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 def test_bench_config_rejects_nan_success_tol(tmp_path, capsys):

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,3 +119,26 @@ def test_benchmark_tracer_finds_every_span():
     admm = [s for s in tracer.spans if s[tracing.NAME] == "solvers.admm_subproblem"]
     assert admm and all(s[tracing.VALUE] is not None for s in admm)
     assert sum(s[tracing.VALUE][0] for s in admm) > 0
+
+
+def test_failing_property_test_fails_alone(tmp_path):
+    # Hypothesis writes a patch for a failing @given test through libcst,
+    # whose import raises a DeprecationWarning from mypy_extensions; the
+    # project's filterwarnings must not turn that into an INTERNALERROR that
+    # stops the whole test run
+    (tmp_path / "test_prop.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_prop.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

@@ -74,6 +74,8 @@ def test_soft_threshold_examples():
     assert soft_threshold(0.2, 0.25) == 0.0
     assert soft_threshold(1.0, 0.25) == pytest.approx(0.75)
     assert soft_threshold(-1.0, 0.25) == pytest.approx(-0.75)
+    # the dead zone gives +0.0 from either side, as firm and springback do
+    assert not np.signbit(soft_threshold(-0.2, 0.25))
     with pytest.raises(InvalidParameterError):
         soft_threshold(np.nan, 0.25)
 
