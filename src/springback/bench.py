@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import InvalidParameterError, SpringbackError
+from .errors import InvalidParameterError, NumericError
 from .penalties import PenaltyKind
 from .sensing import EnsembleKind, EnsembleSpec, SignalSpec, add_noise_snr, gen_matrix, gen_signal
 from .solvers import (
@@ -100,6 +100,8 @@ class ExperimentSpec:
             raise InvalidParameterError("sweep_values must be nonempty")
         if len({float(v) for v in self.sweep_values}) != len(self.sweep_values):
             raise InvalidParameterError("sweep_values must be distinct")
+        if self.sweep_axis != "snr" and not all(float(v).is_integer() for v in self.sweep_values):
+            raise InvalidParameterError(f"sweep_values on the {self.sweep_axis!r} axis must be integers")
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
         if not 0 < self.success_tol < math.inf:
@@ -201,8 +203,8 @@ def trial_setup(
 def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[TrialRecord]:
     """Generate one instance and run every configured solver on it.
 
-    A solver that fails numerically is recorded as numeric_failure; any
-    other error (a bug, such as writing into the read-only instance) raises.
+    A solver's NumericError is recorded as numeric_failure; any other error
+    (a bug, such as a write into the read-only instance) raises.
     """
     prob, opts, s = trial_setup(spec, sweep_index, trial_index)
     xbar = prob.ground_truth
@@ -216,7 +218,7 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[
             report = SOLVERS[sid](prob, opts)
             status = report.status.value
             x_star = report.x_star
-        except (SpringbackError, np.linalg.LinAlgError):
+        except NumericError:
             status = SolverStatus.NUMERIC_FAILURE.value
             x_star = np.zeros(xbar.shape[0])
         wall = time.perf_counter() - t0

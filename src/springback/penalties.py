@@ -100,8 +100,8 @@ def soft_shrink(v: np.ndarray, t: float) -> np.ndarray:
 
 def _springback_scale(lam: float, alpha: float) -> float:
     """The springback divisor 1 - lam*alpha, checked with its parameters."""
-    if lam <= 0 or alpha <= 0:
-        raise InvalidParameterError("lam and alpha must be positive")
+    if not (0 < lam < math.inf and 0 < alpha < math.inf):
+        raise InvalidParameterError("lam and alpha must be positive and finite")
     scale = 1.0 - lam * alpha
     if scale <= 0:
         raise InvalidParameterError("springback thresholding requires 1 - lam*alpha > 0")
@@ -119,8 +119,8 @@ def _threshold(w: float, lam: float, scale: float = 1.0) -> float:
 
 def soft_threshold(w: float, lam: float) -> float:
     """sgn(w) * max(|w| - lam, 0)."""
-    if lam <= 0:
-        raise InvalidParameterError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise InvalidParameterError("lam must be positive and finite")
     return _threshold(w, lam)
 
 

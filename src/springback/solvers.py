@@ -282,6 +282,7 @@ def admm_subproblem(
     prob: ProblemInstance,
     xi: np.ndarray,
     opts: SolverOptions,
+    *,
     warm: AdmmState | None = None,
 ) -> np.ndarray:
     """Scaled ADMM for min ||x||_1 - <x, xi> s.t. ||Ax - b||_2 <= tau.
@@ -372,24 +373,32 @@ def admm_subproblem(
     return st.x.copy()
 
 
-def _dca_iterates(x: np.ndarray, opts: SolverOptions, step):
+def _dca(prob: ProblemInstance, opts: SolverOptions, step, objective, state) -> SolverReport:
     """The outer DCA loop shared by every difference-of-convex solver.
 
     ``step`` maps the iterate x^k to the solution x^{k+1} of the convex
-    subproblem linearized at x^k.  Starting from x, yields (x^{k+1},
-    converged) per outer step, for at most MAX_OUTER steps; converged
-    means min(delta, delta / ||x^k||) <= eps_outer with delta = ||x^{k+1} -
-    x^k||, and ends the loop.
+    subproblem linearized at x^k, continuing the warm inner state ``state``,
+    whose iteration count the report takes.  From x^0 = 0, runs at most
+    MAX_OUTER steps, tracing objective(x^{k+1}) per step, and converges once
+    min(delta, delta / ||x^k||) <= eps_outer with delta = ||x^{k+1} - x^k||.
+    A NumericError ends the loop at the last completed iterate.
     """
-    for _ in range(MAX_OUTER):
-        x_new = step(x)
-        delta = float(np.linalg.norm(x_new - x))
-        xnorm = float(np.linalg.norm(x))
-        converged = (min(delta, delta / xnorm) if xnorm > 0 else delta) <= opts.eps_outer
-        x = x_new
-        yield x, converged
-        if converged:
-            return
+    x = np.zeros(prob.A.shape[1])
+    trace: list[float] = []
+    status = SolverStatus.MAX_ITER
+    try:
+        for _ in range(MAX_OUTER):
+            x_new = step(x)
+            delta = float(np.linalg.norm(x_new - x))
+            xnorm = float(np.linalg.norm(x))
+            x = x_new
+            trace.append(objective(x))
+            if (min(delta, delta / xnorm) if xnorm > 0 else delta) <= opts.eps_outer:
+                status = SolverStatus.CONVERGED
+                break
+    except NumericError:
+        status = SolverStatus.NUMERIC_FAILURE
+    return _report(prob, x, len(trace), state.iterations, trace, status)
 
 
 def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
@@ -399,32 +408,27 @@ def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     hands the resulting convex subproblem to the warm-started inner ADMM.
     The objective trace records F at the inner solutions; the infeasible
     zero start itself is excluded because F(0) = 0 carries no information
-    about the constrained objective.
+    about the constrained objective.  An x^1 more than FEAS_TOL_START outside
+    the noise ball reports INFEASIBLE_START in place of any status but
+    NUMERIC_FAILURE.
     """
     A, b, tau = prob.A, prob.b, prob.tau
     alpha = opts.alpha
     params = ThresholdParams(alpha=alpha)
     state = fresh_admm_state(prob)
+    infeasible = None  # judged at the first outer step
 
     def step(x):
-        return admm_subproblem(prob, alpha * x, opts, warm=state)
+        nonlocal infeasible
+        x = admm_subproblem(prob, alpha * x, opts, warm=state)
+        if infeasible is None:
+            infeasible = float(np.linalg.norm(A @ x - b)) > tau + FEAS_TOL_START
+        return x
 
-    x = np.zeros(A.shape[1])
-    trace: list[float] = []
-    status = SolverStatus.MAX_ITER
-    infeasible = False
-    try:
-        for x, converged in _dca_iterates(x, opts, step):
-            if not trace:  # feasibility is judged at the first outer step
-                infeasible = float(np.linalg.norm(A @ x - b)) > tau + FEAS_TOL_START
-            trace.append(penalty_value(PenaltyKind.SPRINGBACK, x, params))
-            if converged:
-                status = SolverStatus.CONVERGED
-    except NumericError:
-        status = SolverStatus.NUMERIC_FAILURE
-    if infeasible and status is not SolverStatus.NUMERIC_FAILURE:
-        status = SolverStatus.INFEASIBLE_START
-    return _report(prob, x, len(trace), state.iterations, trace, status)
+    report = _dca(prob, opts, step, lambda x: penalty_value(PenaltyKind.SPRINGBACK, x, params), state)
+    if infeasible and report.status is not SolverStatus.NUMERIC_FAILURE:
+        report.status = SolverStatus.INFEASIBLE_START
+    return report
 
 
 @dataclass
@@ -540,18 +544,11 @@ def dca_unconstrained(
         _lasso_admm(A, b, l1_weight, g, prob.gram_solver, st, opts.eps_inner, opts.max_inner)
         return st.y
 
-    x = np.zeros(A.shape[1])
-    trace: list[float] = []
-    status = SolverStatus.MAX_ITER
-    try:
-        for x, converged in _dca_iterates(x, opts, step):
-            r = A @ x - b
-            trace.append(0.5 * float(r @ r) + lam * penalty_value(kind, x, params))
-            if converged:
-                status = SolverStatus.CONVERGED
-    except NumericError:
-        status = SolverStatus.NUMERIC_FAILURE
-    return _report(prob, x, len(trace), st.iterations, trace, status)
+    def objective(x):
+        r = A @ x - b
+        return 0.5 * float(r @ r) + lam * penalty_value(kind, x, params)
+
+    return _dca(prob, opts, step, objective, st)
 
 
 def irls_lp(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:

@@ -26,7 +26,8 @@ from springback.sensing import (
 from springback.solvers import (
     ProblemInstance,
     SolverOptions,
-    _dca_iterates,
+    SolverStatus,
+    _dca,
     admm_subproblem,
     alpha_subroutine,
     dca_springback,
@@ -122,14 +123,18 @@ def _dca_iterate_history(prob, opts):
     """Outer DCA iterates x^1..x^K with F values, from the solver's DCA loop
     stepping through the public subproblem."""
     state = fresh_admm_state(prob)
+    iterates = []
 
     def step(x):
         return admm_subproblem(prob, opts.alpha * x, opts, warm=state)
 
-    return [
-        (x, float(np.abs(x).sum() - 0.5 * opts.alpha * (x @ x)))
-        for x, _ in _dca_iterates(np.zeros(prob.A.shape[1]), opts, step)
-    ]
+    def objective(x):
+        iterates.append(x)
+        return float(np.abs(x).sum() - 0.5 * opts.alpha * (x @ x))
+
+    report = _dca(prob, opts, step, objective, state)
+    assert report.status is not SolverStatus.NUMERIC_FAILURE, report
+    return list(zip(iterates, report.objective_trace))
 
 
 _RUN_CACHE = []

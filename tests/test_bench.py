@@ -25,7 +25,7 @@ from springback.bench import (
     run_trial,
     summarize,
 )
-from springback.errors import InvalidParameterError, SpringbackError
+from springback.errors import InvalidParameterError, NumericError, SpringbackError
 from springback.sensing import EnsembleKind, EnsembleSpec
 from springback.solvers import ALPHA_MAX
 
@@ -75,6 +75,16 @@ def test_spec_validation():
 def test_spec_rejects_non_finite(name, value):
     with pytest.raises(InvalidParameterError, match=name):
         _small_spec(**{name: value})
+
+
+# int() would truncate 2.5 and raise OverflowError on inf
+@pytest.mark.parametrize("value", [2.5, np.inf, np.nan])
+@pytest.mark.parametrize("axis", ["s", "refinement", "m"])
+def test_spec_rejects_non_integer_values_on_integer_axes(axis, value):
+    with pytest.raises(InvalidParameterError, match="integers"):
+        _small_spec(sweep_axis=axis, sweep_values=(3, value))
+    _small_spec(sweep_axis=axis, sweep_values=(3, 4.0))
+    _small_spec(sweep_axis="snr", sweep_values=(3, 2.5))
 
 
 def _strip_time(records):
@@ -133,6 +143,22 @@ def test_solver_writing_into_instance_raises(monkeypatch):
     with pytest.raises(ValueError, match="read-only") as exc:
         run_trial(_small_spec(solvers=("aiht",)), 0, 0)
     assert not isinstance(exc.value, SpringbackError)
+
+
+def test_run_trial_records_only_numeric_errors_as_failures(monkeypatch):
+    def numeric(prob, opts):
+        raise NumericError("non-finite iterate")
+
+    def invalid(prob, opts):
+        raise InvalidParameterError("a bug inside a solver")
+
+    spec = _small_spec(solvers=("aiht",))
+    monkeypatch.setitem(bench.SOLVERS, "aiht", numeric)
+    (rec,) = run_trial(spec, 0, 0)
+    assert rec.status == "numeric_failure" and not rec.success
+    monkeypatch.setitem(bench.SOLVERS, "aiht", invalid)
+    with pytest.raises(InvalidParameterError, match="a bug"):
+        run_trial(spec, 0, 0)
 
 
 def test_degenerate_zero_signal_trial():

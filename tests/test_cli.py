@@ -33,6 +33,15 @@ def test_threshold_rejects_flags_its_operator_does_not_read(capsys):
     assert main(["threshold", "soft", "--w", "1.0", "--alpha", "0.5", "--mu", "1.0"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["soft", "--w", "1", "--lambda", "nan"], ["springback", "--w", "1", "--alpha", "nan"]]
+)
+def test_threshold_rejects_nan_parameters(capsys, argv):
+    assert main(["threshold", *argv]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and out.out == ""
+
+
 def test_bounds_toy_table(capsys):
     rc = main(["bounds", "--toy"])
     assert rc == 0
@@ -185,6 +194,17 @@ def test_bench_config_rejects_nan_success_tol(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "success_tol" in err
+    assert not out.exists()
+
+
+def test_bench_config_rejects_fractional_sparsity_values(tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(_TINY_CONFIG.replace("sweep_values = 2\n", "sweep_values = 2.5 3.5\n"))
+    out = tmp_path / "run"
+    rc = main(["bench", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "integers" in err
     assert not out.exists()
 
 

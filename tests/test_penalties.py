@@ -95,6 +95,25 @@ def test_springback_threshold_examples():
         springback_threshold(1.0, 0.5, 2.0)  # 1 - lam*alpha = 0
 
 
+# NaN fails every comparison, so each check is written as not 0 < v < inf
+_NON_FINITE_PARAMETER_CALLS = {
+    "soft-lam": lambda: soft_threshold(1.0, np.nan),
+    "soft-lam-inf": lambda: soft_threshold(1.0, np.inf),
+    "springback-lam": lambda: springback_threshold(1.0, np.nan, 0.5),
+    "springback-alpha": lambda: springback_threshold(1.0, 0.25, np.nan),
+    "firm-lam": lambda: firm_threshold(0.5, np.nan, 0.75),
+    "firm-mu": lambda: firm_threshold(0.5, 0.25, np.nan),
+    "prox-lam": lambda: prox_springback(np.ones(3), np.nan, 0.5),
+    "prox-alpha": lambda: prox_springback(np.ones(3), 0.25, np.nan),
+}
+
+
+@pytest.mark.parametrize("call", list(_NON_FINITE_PARAMETER_CALLS))
+def test_thresholding_operators_reject_non_finite_parameters(call):
+    with pytest.raises(InvalidParameterError):
+        _NON_FINITE_PARAMETER_CALLS[call]()
+
+
 def test_springback_reduces_to_soft_for_small_alpha():
     rng = np.random.default_rng(2)
     for w in rng.uniform(-5, 5, 200):

@@ -90,13 +90,51 @@ def test_dca_springback_recovers_sparse_signal():
     assert successes >= 4
 
 
-def test_dca_springback_report_flags():
+# kind None is springback, the others the three DCA baselines
+@pytest.mark.parametrize(
+    "kind",
+    [None, PenaltyKind.TL1, PenaltyKind.L1_MINUS_2, PenaltyKind.MCP],
+    ids=["springback", "dca_tl1", "dca_l12", "dca_mcp"],
+)
+def test_dca_springback_report_flags(kind):
     prob, _ = _gaussian_instance(64, 250, 10, 0)
     alpha = alpha_subroutine(prob.A, prob.b, 0.0)
-    rep = dca_springback(prob, SolverOptions(alpha=alpha))
-    assert alpha <= convergence_alpha_bound(prob.A, prob.b, 0.0)
+    opts = SolverOptions(alpha=alpha)
+    if kind is None:
+        rep = dca_springback(prob, opts)
+        assert alpha <= convergence_alpha_bound(prob.A, prob.b, 0.0)
+    else:
+        rep = dca_unconstrained(kind, prob, opts)
     assert rep.status in (SolverStatus.CONVERGED, SolverStatus.MAX_ITER)
-    assert len(rep.objective_trace) == rep.outer_iterations
+    assert len(rep.objective_trace) == rep.outer_iterations <= solvers_mod.MAX_OUTER
+
+
+def _infeasible_start_instance():
+    # one inner iteration on a large b leaves x^1 far outside the ball
+    prob, x = _gaussian_instance(16, 40, 3, 2)
+    return ProblemInstance(prob.A, 100 * prob.b, 0.0, 100 * x), SolverOptions(alpha=1e-5, max_inner=1)
+
+
+def test_dca_springback_reports_infeasible_start():
+    prob, opts = _infeasible_start_instance()
+    rep = dca_springback(prob, opts)
+    assert rep.status is SolverStatus.INFEASIBLE_START
+    assert len(rep.objective_trace) == rep.outer_iterations >= 1
+    assert rep.inner_iterations_total == rep.outer_iterations
+
+
+def test_numeric_failure_after_an_infeasible_start_is_reported(monkeypatch):
+    # x^1 is infeasible; a NaN x-update at outer step 2 still reports the failure
+    prob, opts = _infeasible_start_instance()
+    first = dca_springback(prob, replace(opts, eps_outer=1e300))
+    assert first.status is SolverStatus.INFEASIBLE_START and first.outer_iterations == 1
+    calls = _failing_solve_on_call(monkeypatch, 2)
+    rep = dca_springback(prob, opts)
+    assert calls[0] == 2
+    assert rep.status is SolverStatus.NUMERIC_FAILURE
+    assert rep.outer_iterations == 1 and rep.inner_iterations_total == 1
+    assert rep.objective_trace == first.objective_trace
+    assert np.array_equal(rep.x_star, first.x_star)
 
 
 def test_dca_springback_descent_with_tight_inner_tolerance():
@@ -146,6 +184,12 @@ def test_admm_subproblem_warm_start_fixed_point():
     x2 = admm_subproblem(prob, np.zeros(40), opts, warm=state)
     assert state.iterations - before <= 1
     np.testing.assert_allclose(x1, x2, atol=1e-4)
+
+
+def test_admm_subproblem_takes_the_warm_state_by_keyword_only():
+    prob, _ = _gaussian_instance(16, 40, 3, 2)
+    with pytest.raises(TypeError):
+        admm_subproblem(prob, np.zeros(40), SolverOptions(), fresh_admm_state(prob))
 
 
 @pytest.mark.parametrize("length", [1, 39])

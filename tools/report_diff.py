@@ -1,0 +1,116 @@
+"""Compare every solver report of this tree with another checkout, bit for bit.
+
+Imports the ``springback`` package of this tree and then that of OTHER_TREE,
+one after the other in one process, and runs all seven solvers on the first
+trials of every sweep point of each preset (the same instance, options and
+seeds ``bench`` uses).  Every ``SolverReport`` field is compared by its bits:
+x_star by dtype, shape and bytes, the trace and the residual as float64
+bytes, the status by its value, the iteration counts as integers.  A solver
+that raises stops the comparison with its traceback.  A change that claims
+to restructure without touching any result shows 0 differences here.
+
+Run from the repository root, with the other tree made by, for example,
+``git archive HEAD | tar -x -C ../parent``:
+
+    python3 tools/report_diff.py ../parent
+    python3 tools/report_diff.py ../parent --trials 3
+
+Exits with status 1 when any report differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import enum
+import importlib
+import os
+import sys
+import time
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PRESETS = ("fig4", "fig5", "fig7", "fig8")
+
+
+def _bits(value):
+    """A value's exact bits, in a form that compares across two imports."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (float, list)):
+        return np.asarray(value, dtype=np.float64).tobytes()
+    return value
+
+
+def _import_bench(tree: str):
+    """springback.bench from ``<tree>/src``, dropping any copy imported before."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    if not os.path.isfile(os.path.join(src, "springback", "__init__.py")):
+        raise SystemExit(f"error: no springback package under {src!r}")
+    for name in [m for m in sys.modules if m == "springback" or m.startswith("springback.")]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        importlib.invalidate_caches()
+        bench = importlib.import_module("springback.bench")
+    finally:
+        sys.path.remove(src)
+    if not bench.__file__.startswith(src + os.sep):
+        raise SystemExit(f"error: imported {bench.__file__}, not the package under {src!r}")
+    return bench
+
+
+def reports(tree: str, trials: int) -> dict:
+    """(preset, sweep value, trial, solver) -> {field: bits} for one tree."""
+    bench = _import_bench(tree)
+    out = {}
+    for preset in PRESETS:
+        spec = bench.preset_spec(preset, trials=trials)
+        for si, value in enumerate(spec.sweep_values):
+            for ti in range(trials):
+                prob, opts, _ = bench.trial_setup(spec, si, ti)
+                for sid, solve in bench.SOLVERS.items():
+                    rep = solve(prob, opts)
+                    out[(preset, float(value), ti, sid)] = {
+                        f.name: _bits(getattr(rep, f.name)) for f in dataclasses.fields(rep)
+                    }
+    return out
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other_tree", help="root of the checkout to compare against")
+    parser.add_argument("--trials", type=int, default=1, help="first trials per sweep point")
+    args = parser.parse_args(argv)
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
+    t0 = time.perf_counter()
+    mine = reports(ROOT, args.trials)
+    theirs = reports(args.other_tree, args.trials)
+    diffs: dict[str, list[str]] = {}
+    counts: dict[str, int] = {}
+    for key in sorted(set(mine) | set(theirs), key=str):
+        sid = key[3]
+        counts[sid] = counts.get(sid, 0) + 1
+        a, b = mine.get(key), theirs.get(key)
+        if a is None or b is None:
+            what = "missing here" if a is None else "missing in the other tree"
+        else:
+            what = ", ".join(name for name in sorted(set(a) | set(b)) if a.get(name) != b.get(name))
+        if what:
+            diffs.setdefault(sid, []).append(f"{key[0]} {key[1]:g} trial {key[2]}: {what}")
+    print(f"{sum(counts.values())} reports of {len(counts)} solvers on {','.join(PRESETS)}, "
+          f"{args.trials} trial(s) per point, {time.perf_counter() - t0:.0f} s")
+    for sid, n in counts.items():
+        lines = diffs.get(sid, [])
+        print(f"{sid}: {len(lines)} of {n} reports differ")
+        for line in lines:
+            print(f"  {line}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
