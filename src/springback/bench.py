@@ -109,6 +109,8 @@ class ExperimentSpec:
         for sid in self.solvers:
             if sid not in SOLVERS:
                 raise InvalidParameterError(f"unknown solver id {sid!r}")
+        if len(set(self.solvers)) != len(self.solvers):
+            raise InvalidParameterError("solvers must be distinct")
         if self.sep_factor < 0 or self.min_separation < 0:
             raise InvalidParameterError("separation settings must be nonnegative")
         if not 0 < self.omega < math.inf:
@@ -422,12 +424,12 @@ def dump_config(spec: ExperimentSpec) -> str:
 def load_config(path: str) -> ExperimentSpec:
     """Read an experiment spec from an INI config file.
 
-    A missing key takes the dataclass default (sparsity, which has none,
-    reads as 0).  Unknown sections and keys are rejected rather than
-    silently defaulted.  A file that cannot be opened raises its OSError.
+    A missing key takes the dataclass default; sparsity, which has none, is
+    0 on the s axis and required on the others.  Unknown sections and keys
+    are rejected, not defaulted.  A file that cannot be opened raises its OSError.
     """
     cp = configparser.ConfigParser()
-    ens, exp = {}, {"sparsity": 0}
+    ens, exp = {}, {}
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -443,6 +445,8 @@ def load_config(path: str) -> ExperimentSpec:
             types = get_type_hints(cls)
             for key, text in cp.items(section):
                 target[key] = _parse(text, types[key])
+        if exp.get("sweep_axis") == "s":  # s sets the sparsity; no other axis does
+            exp.setdefault("sparsity", 0)
         return ExperimentSpec(ensemble=EnsembleSpec(**ens), **exp)
     except (configparser.Error, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"invalid experiment config: {exc}") from exc

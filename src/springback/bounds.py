@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, RipConditionError
-from .linalg import as_matrix, as_vector, singular_extremes
+from .linalg import as_matrix, as_vector, safe_norm, singular_extremes
 from .penalties import PenaltyKind, ThresholdParams
 
 import numpy as np
@@ -236,7 +236,7 @@ def convergence_alpha_bound(A, b, tau: float) -> float:
     objective values along the solver iterates."""
     A = as_matrix(A)
     b = as_vector(b)
-    denom = float(np.linalg.norm(b)) + tau
+    denom = safe_norm(b) + tau
     if denom <= 0:
         raise InvalidParameterError("||b||_2 + tau must be positive")
     smin, _ = singular_extremes(A)

@@ -21,6 +21,7 @@ __all__ = [
     "SpdFactor",
     "GramRidgeSolver",
     "singular_extremes",
+    "safe_norm",
     "l2_ball_project",
 ]
 
@@ -122,8 +123,7 @@ class GramRidgeSolver:
             # potrs overwrites the temporary A r with its solution
             x = self._At.dot(dpotrs(self._chol, self._A.dot(r), 1, 1)[0])
             np.subtract(r, x, x)
-            if self.zeta != 1.0:  # dividing by 1.0 changes nothing
-                x /= self.zeta
+            x /= self.zeta
             return x
         return dpotrs(self._chol, r, lower=1)[0]
 
@@ -150,6 +150,17 @@ def singular_extremes(A) -> tuple[float, float]:
         raise InvalidParameterError("matrix must be nonzero")
     sv = np.linalg.svd(A, compute_uv=False)
     return float(sv[-1]), float(sv[0])
+
+
+def safe_norm(v: np.ndarray) -> float:
+    """||v||_2 of a finite vector, rescaled by max |v_i| when ||v||^2
+    overflows, as ||v|| itself need not."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if norm == math.inf:
+        scale = float(np.abs(v).max())
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
 
 
 def l2_ball_project(v, tau: float) -> np.ndarray:

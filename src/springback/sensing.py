@@ -102,17 +102,15 @@ def gen_matrix(spec: EnsembleSpec) -> np.ndarray:
 def gen_support(spec: SignalSpec) -> np.ndarray:
     """Sample a sorted support of size s, honoring the minimum separation.
 
-    With separation L > 0 the support is drawn by gap allocation: choose a
-    uniform s-subset of the n - (s-1)(L-1) compacted slots, then stretch it
-    back by adding (L-1) * rank to each index.  This is uniform over all
-    feasible supports and never rejects.
+    The support is drawn by gap allocation, with L the separation (0 reads
+    as 1, no constraint): choose a uniform s-subset of the n - (s-1)(L-1)
+    compacted slots, then stretch it back by adding (L-1) * rank to each
+    index.  This is uniform over all feasible supports and never rejects.
     """
     rng = _rng(spec.seed)
-    s, n, sep = spec.sparsity, spec.n, spec.min_separation
+    s, n, sep = spec.sparsity, spec.n, max(spec.min_separation, 1)
     if s == 0:
         return np.empty(0, dtype=np.intp)
-    if sep <= 1:
-        return np.sort(rng.choice(n, size=s, replace=False))
     free = n - (s - 1) * (sep - 1)
     base = np.sort(rng.choice(free, size=s, replace=False))
     return base + (sep - 1) * np.arange(s)

@@ -23,6 +23,7 @@ from .linalg import (
     SpdFactor,
     as_matrix,
     as_vector,
+    safe_norm,
     singular_extremes,
 )
 from .penalties import (
@@ -373,32 +374,36 @@ def admm_subproblem(
     return st.x.copy()
 
 
-def _dca(prob: ProblemInstance, opts: SolverOptions, step, objective, state) -> SolverReport:
-    """The outer DCA loop shared by every difference-of-convex solver.
+def _outer(prob: ProblemInstance, cap: int, step, trace: list[float], state=None) -> SolverReport:
+    """The outer loop of every solver but admm_l1.
 
-    ``step`` maps the iterate x^k to the solution x^{k+1} of the convex
-    subproblem linearized at x^k, continuing the warm inner state ``state``,
-    whose iteration count the report takes.  From x^0 = 0, runs at most
-    MAX_OUTER steps, tracing objective(x^{k+1}) per step, and converges once
-    min(delta, delta / ||x^k||) <= eps_outer with delta = ||x^{k+1} - x^k||.
-    A NumericError ends the loop at the last completed iterate.
+    From x^0 = 0, runs ``x, stop = step(x)`` at most ``cap`` times; ``step``
+    appends to ``trace`` itself.  The first stop converges, ``cap`` steps
+    without one end at MAX_ITER, and a NumericError ends the loop at the last
+    completed iterate.  The report counts the completed steps; its inner
+    iterations are those of the warm inner ``state`` when one is given, and
+    the step count otherwise.
     """
     x = np.zeros(prob.A.shape[1])
-    trace: list[float] = []
-    status = SolverStatus.MAX_ITER
+    status, done = SolverStatus.MAX_ITER, 0
     try:
-        for _ in range(MAX_OUTER):
-            x_new = step(x)
-            delta = float(np.linalg.norm(x_new - x))
-            xnorm = float(np.linalg.norm(x))
-            x = x_new
-            trace.append(objective(x))
-            if (min(delta, delta / xnorm) if xnorm > 0 else delta) <= opts.eps_outer:
+        while done < cap:
+            x, stop = step(x)
+            done += 1
+            if stop:
                 status = SolverStatus.CONVERGED
                 break
     except NumericError:
         status = SolverStatus.NUMERIC_FAILURE
-    return _report(prob, x, len(trace), state.iterations, trace, status)
+    return _report(prob, x, done, done if state is None else state.iterations, trace, status)
+
+
+def _dca_settled(x_new: np.ndarray, x: np.ndarray, eps: float) -> bool:
+    """The DCA stop: min(delta, delta / ||x^k||) <= eps, with
+    delta = ||x^{k+1} - x^k|| (delta alone when x^k = 0)."""
+    delta = float(np.linalg.norm(x_new - x))
+    xnorm = float(np.linalg.norm(x))
+    return (min(delta, delta / xnorm) if xnorm > 0 else delta) <= eps
 
 
 def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
@@ -416,16 +421,18 @@ def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     alpha = opts.alpha
     params = ThresholdParams(alpha=alpha)
     state = fresh_admm_state(prob)
+    trace: list[float] = []
     infeasible = None  # judged at the first outer step
 
     def step(x):
         nonlocal infeasible
-        x = admm_subproblem(prob, alpha * x, opts, warm=state)
+        x_new = admm_subproblem(prob, alpha * x, opts, warm=state)
         if infeasible is None:
-            infeasible = float(np.linalg.norm(A @ x - b)) > tau + FEAS_TOL_START
-        return x
+            infeasible = float(np.linalg.norm(A @ x_new - b)) > tau + FEAS_TOL_START
+        trace.append(penalty_value(PenaltyKind.SPRINGBACK, x_new, params))
+        return x_new, _dca_settled(x_new, x, opts.eps_outer)
 
-    report = _dca(prob, opts, step, lambda x: penalty_value(PenaltyKind.SPRINGBACK, x, params), state)
+    report = _outer(prob, MAX_OUTER, step, trace, state)
     if infeasible and report.status is not SolverStatus.NUMERIC_FAILURE:
         report.status = SolverStatus.INFEASIBLE_START
     return report
@@ -538,17 +545,17 @@ def dca_unconstrained(
     beta = params.beta
     l1_weight = lam * (beta + 1.0) / beta if kind is PenaltyKind.TL1 else lam
     st = _lasso_state(A.shape[1])
+    trace: list[float] = []
 
     def step(x):
         g = lam * dc_concave_gradient(kind, x, params)
         _lasso_admm(A, b, l1_weight, g, prob.gram_solver, st, opts.eps_inner, opts.max_inner)
-        return st.y
+        x_new = st.y
+        r = A @ x_new - b
+        trace.append(0.5 * float(r @ r) + lam * penalty_value(kind, x_new, params))
+        return x_new, _dca_settled(x_new, x, opts.eps_outer)
 
-    def objective(x):
-        r = A @ x - b
-        return 0.5 * float(r @ r) + lam * penalty_value(kind, x, params)
-
-    return _dca(prob, opts, step, objective, st)
+    return _outer(prob, MAX_OUTER, step, trace, st)
 
 
 def irls_lp(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
@@ -559,37 +566,31 @@ def irls_lp(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     the smoothing eps shrinks geometrically as the iterates settle.
     """
     A, b = prob.A, prob.b
-    m, n = A.shape
     lam, p = LAMBDA, IRLS_P
-    x = np.zeros(n)
     eps_s = IRLS_EPS0
     trace: list[float] = []
-    status = SolverStatus.MAX_ITER
-    it = 0
-    eye = np.eye(m)
-    try:
-        for it in range(1, IRLS_MAX + 1):
-            w = 0.5 * p * (x * x + eps_s * eps_s) ** (0.5 * p - 1.0)
-            d = 2.0 * lam * w
-            Ad = A / d
-            t = SpdFactor(_check_finite(eye + Ad @ A.T, "IRLS normal matrix")).solve(b)
-            x_new = _check_finite(Ad.T @ t, "IRLS ridge solve")
-            r = A @ x_new - b
-            trace.append(
-                0.5 * float(r @ r)
-                + lam * float(np.sum((x_new * x_new + eps_s * eps_s) ** (0.5 * p)))
-            )
-            change = float(np.linalg.norm(x_new - x))
-            x = x_new
-            if change < IRLS_TOL:
-                status = SolverStatus.CONVERGED
-                break
-            if change < np.sqrt(eps_s):
-                eps_s = max(0.1 * eps_s, 1e-8)
-    except NumericError:
-        status = SolverStatus.NUMERIC_FAILURE
-        it -= 1  # report the completed sweeps
-    return _report(prob, x, it, it, trace, status)
+    eye = np.eye(A.shape[0])
+
+    def sweep(x):
+        nonlocal eps_s
+        w = 0.5 * p * (x * x + eps_s * eps_s) ** (0.5 * p - 1.0)
+        d = 2.0 * lam * w
+        Ad = A / d
+        t = SpdFactor(_check_finite(eye + Ad @ A.T, "IRLS normal matrix")).solve(b)
+        x_new = _check_finite(Ad.T @ t, "IRLS ridge solve")
+        r = A @ x_new - b
+        trace.append(
+            0.5 * float(r @ r)
+            + lam * float(np.sum((x_new * x_new + eps_s * eps_s) ** (0.5 * p)))
+        )
+        change = float(np.linalg.norm(x_new - x))
+        if change < IRLS_TOL:
+            return x_new, True
+        if change < np.sqrt(eps_s):
+            eps_s = max(0.1 * eps_s, 1e-8)
+        return x_new, False
+
+    return _outer(prob, IRLS_MAX, sweep, trace)
 
 
 def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:
@@ -621,47 +622,36 @@ def aiht(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     A, b = prob.A, prob.b
     s = opts.sparsity_estimate
     n = A.shape[1]
-    x = np.zeros(n)
     r = b.copy()
     rnorm = float(np.linalg.norm(r))
     trace: list[float] = [rnorm]
-    status = SolverStatus.MAX_ITER
-    it = 0
-    try:  # hard_threshold takes a non-finite input for a caller error
-        for it in range(1, AIHT_MAX + 1):
-            g = _check_finite(A.T @ r, "AIHT gradient")
-            support = np.flatnonzero(x)
-            if support.size == 0:
-                support = np.flatnonzero(hard_threshold(g, s))
-            gS = np.zeros(n)
-            gS[support] = g[support]
-            AgS = A @ gS
-            denom = float(AgS @ AgS)
-            if denom <= 0.0:
-                status = SolverStatus.CONVERGED
-                break
-            step = float(gS @ gS) / denom
-            x_new = hard_threshold(_check_finite(x + step * g, "AIHT step"), s)
-            r_new = b - A @ x_new
-            x_acc = hard_threshold(_check_finite(x_new + (x_new - x), "AIHT step"), s)
-            r_acc = b - A @ x_acc
-            if float(np.linalg.norm(r_acc)) < float(np.linalg.norm(r_new)):
-                x_new, r_new = x_acc, r_acc
-            change = float(np.linalg.norm(x_new - x))
-            x, r = x_new, r_new
-            rnorm_new = float(np.linalg.norm(r))
-            trace.append(rnorm_new)
-            if change <= opts.eps_outer * max(1.0, float(np.linalg.norm(x))) or abs(
-                rnorm - rnorm_new
-            ) <= 1e-12 * max(1.0, rnorm):
-                status = SolverStatus.CONVERGED
-                rnorm = rnorm_new
-                break
-            rnorm = rnorm_new
-    except NumericError:
-        status = SolverStatus.NUMERIC_FAILURE
-        it -= 1  # report the completed iterations
-    return _report(prob, x, it, it, trace, status)
+
+    def iteration(x):  # checked first: hard_threshold calls non-finite input a caller error
+        nonlocal r, rnorm
+        g = _check_finite(A.T @ r, "AIHT gradient")
+        support = np.flatnonzero(x)
+        if support.size == 0:
+            support = np.flatnonzero(hard_threshold(g, s))
+        gS = np.zeros(n)
+        gS[support] = g[support]
+        AgS = A @ gS
+        denom = float(AgS @ AgS)
+        if denom <= 0.0:
+            return x, True
+        step = float(gS @ gS) / denom
+        x_new = hard_threshold(_check_finite(x + step * g, "AIHT step"), s)
+        r_new = b - A @ x_new
+        x_acc = hard_threshold(_check_finite(x_new + (x_new - x), "AIHT step"), s)
+        r_acc = b - A @ x_acc
+        if float(np.linalg.norm(r_acc)) < float(np.linalg.norm(r_new)):
+            x_new, r_new = x_acc, r_acc
+        change = float(np.linalg.norm(x_new - x))
+        last, r, rnorm = rnorm, r_new, float(np.linalg.norm(r_new))
+        trace.append(rnorm)
+        settled = abs(last - rnorm) <= 1e-12 * max(1.0, last)
+        return x_new, change <= opts.eps_outer * max(1.0, float(np.linalg.norm(x_new))) or settled
+
+    return _outer(prob, AIHT_MAX, iteration, trace)
 
 
 def alpha_subroutine(A, b, tau: float, omega: float = OMEGA) -> float:
@@ -679,11 +669,7 @@ def alpha_subroutine(A, b, tau: float, omega: float = OMEGA) -> float:
         raise InvalidParameterError("omega must be positive and finite")
     if not 0 <= tau < math.inf:
         raise InvalidParameterError("tau must be nonnegative and finite")
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == math.inf:  # ||b||^2 overflowed; ||b|| itself need not
-        scale = float(np.abs(b).max())
-        bnorm = scale * float(np.linalg.norm(b / scale))
-    denom = bnorm + tau
+    denom = safe_norm(b) + tau
     if denom == 0:
         return ALPHA_MAX
     smin, smax = singular_extremes(A)

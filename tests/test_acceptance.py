@@ -24,10 +24,12 @@ from springback.sensing import (
     gen_support,
 )
 from springback.solvers import (
+    MAX_OUTER,
     ProblemInstance,
     SolverOptions,
     SolverStatus,
-    _dca,
+    _dca_settled,
+    _outer,
     admm_subproblem,
     alpha_subroutine,
     dca_springback,
@@ -120,19 +122,18 @@ def test_criterion_03_operator_identities():
 
 
 def _dca_iterate_history(prob, opts):
-    """Outer DCA iterates x^1..x^K with F values, from the solver's DCA loop
-    stepping through the public subproblem."""
+    """Outer DCA iterates x^1..x^K with F values, from the solvers' outer loop
+    and DCA stop stepping through the public subproblem."""
     state = fresh_admm_state(prob)
-    iterates = []
+    iterates, trace = [], []
 
     def step(x):
-        return admm_subproblem(prob, opts.alpha * x, opts, warm=state)
+        x_new = admm_subproblem(prob, opts.alpha * x, opts, warm=state)
+        iterates.append(x_new)
+        trace.append(float(np.abs(x_new).sum() - 0.5 * opts.alpha * (x_new @ x_new)))
+        return x_new, _dca_settled(x_new, x, opts.eps_outer)
 
-    def objective(x):
-        iterates.append(x)
-        return float(np.abs(x).sum() - 0.5 * opts.alpha * (x @ x))
-
-    report = _dca(prob, opts, step, objective, state)
+    report = _outer(prob, MAX_OUTER, step, trace, state)
     assert report.status is not SolverStatus.NUMERIC_FAILURE, report
     return list(zip(iterates, report.objective_trace))
 

@@ -57,6 +57,9 @@ def test_spec_validation():
         _small_spec(trials=0)
     with pytest.raises(InvalidParameterError):
         _small_spec(solvers=("nope",))
+    # a repeated id would write its records twice per trial
+    with pytest.raises(InvalidParameterError, match="solvers must be distinct"):
+        _small_spec(solvers=("springback", "admm_l1", "springback"))
     with pytest.raises(InvalidParameterError):
         _small_spec(sweep_values=())
     # duplicates compare as floats: 3 and 3.0 name the same sweep point
@@ -342,6 +345,19 @@ def test_load_config_missing_keys_take_spec_defaults(tmp_path):
         _load_text(tmp_path, text + "trials = 3\n")
     with pytest.raises(InvalidParameterError, match="invalid experiment config"):
         _load_text(tmp_path, "[experiment]\nsweep_axis = s\nsweep_values = 3\n")
+
+
+def test_load_config_requires_sparsity_off_the_s_axis(tmp_path):
+    # only the s axis sets the sparsity; elsewhere a missing one would run
+    # every trial on the zero signal
+    text = (
+        "[ensemble]\nkind = gaussian\nm = 20\nn = 50\n"
+        "[experiment]\nsweep_axis = m\nsweep_values = 20\n"
+    )
+    with pytest.raises(InvalidParameterError, match="sparsity"):
+        _load_text(tmp_path, text)
+    spec = _load_text(tmp_path, text + "[signal]\nsparsity = 3\n")
+    assert spec.sparsity == 3 and spec.sweep_axis == "m"
 
 
 def test_load_config_rejects_unknown_sections_and_keys(tmp_path):

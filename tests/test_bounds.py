@@ -23,6 +23,7 @@ from springback.bounds import (
     rip_condition,
     toy_noise_thresholds,
 )
+from springback.solvers import alpha_subroutine
 from springback.errors import InvalidParameterError, RipConditionError
 from springback.penalties import PenaltyKind, ThresholdParams
 
@@ -186,6 +187,16 @@ def test_convergence_alpha_bound():
     assert convergence_alpha_bound(A, b, 0.0) == pytest.approx(2.0 / np.sqrt(2.0))
     with pytest.raises(InvalidParameterError):
         convergence_alpha_bound(A, np.zeros(2), 0.0)
+
+
+def test_convergence_alpha_bound_survives_an_overflowing_norm():
+    # ||b||^2 overflows while ||b|| = sqrt(2) 1e160 does not; the bound reads
+    # the same ||b|| as alpha_subroutine, which takes it unchanged here
+    A = np.eye(3)[:2]
+    b = np.array([1e160, 1e160])
+    bound = convergence_alpha_bound(A, b, 0.0)
+    assert bound == pytest.approx(2.0 / (math.sqrt(2.0) * 1e160), rel=1e-12)
+    assert bound == alpha_subroutine(A, b, 0.0)
 
 
 def test_alpha_relation():

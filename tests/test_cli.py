@@ -197,6 +197,17 @@ def test_bench_config_rejects_nan_success_tol(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_config_requires_sparsity_off_the_s_axis(tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(_TINY_CONFIG.replace("sweep_axis = s\n", "sweep_axis = m\n"))
+    out = tmp_path / "run"
+    rc = main(["bench", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sparsity" in err
+    assert not out.exists()
+
+
 def test_bench_config_rejects_fractional_sparsity_values(tmp_path, capsys):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(_TINY_CONFIG.replace("sweep_values = 2\n", "sweep_values = 2.5 3.5\n"))

@@ -13,6 +13,7 @@ from springback.linalg import (
     as_matrix,
     as_vector,
     l2_ball_project,
+    safe_norm,
     singular_extremes,
 )
 
@@ -187,6 +188,19 @@ def test_singular_extremes():
     assert smax == pytest.approx(3.0)
     with pytest.raises(InvalidParameterError):
         singular_extremes(np.zeros((2, 2)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(v=arrays(float, st.integers(1, 8), elements=st.floats(-1e150, 1e150)))
+def test_safe_norm_is_numpy_norm_unless_the_square_overflows(v):
+    assert safe_norm(v) == float(np.linalg.norm(v))
+
+
+def test_safe_norm_rescales_an_overflowing_square():
+    v = np.array([1e160, -1e160, 0.0])
+    with np.errstate(over="ignore"):
+        assert float(np.linalg.norm(v)) == np.inf
+    assert safe_norm(v) == 1e160 * float(np.linalg.norm([1.0, -1.0, 0.0]))
 
 
 def test_l2_ball_project():

@@ -81,6 +81,18 @@ def test_support_contract():
     assert sup.size == 0
 
 
+def test_support_without_separation_is_a_plain_draw():
+    # at separations 0 and 1 the gap path stretches nothing: the support is
+    # the sorted uniform s-subset of range(n) from the signal's stream
+    for seed in range(20):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        expect = np.sort(rng.choice(40, size=7, replace=False))
+        for sep in (0, 1):
+            got = gen_support(SignalSpec(n=40, sparsity=7, min_separation=sep, seed=seed))
+            np.testing.assert_array_equal(got, expect)
+            assert got.dtype == expect.dtype
+
+
 def test_support_separation_holds_broadly():
     for seed in range(200):
         spec = SignalSpec(n=64, sparsity=6, min_separation=8, seed=seed)

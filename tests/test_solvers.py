@@ -334,6 +334,47 @@ def test_aiht_recovers_sparse_signal():
     assert np.linalg.norm(rep.x_star - x) / np.linalg.norm(x) < 1e-3
 
 
+def _check_raising_at_step(mp, k, first):
+    """solvers._check_finite, raising NumericError at the k-th check named
+    ``first``: the first check of each IRLS sweep or AIHT iteration."""
+    real, seen = solvers_mod._check_finite, [0]
+
+    def checking(x, what):
+        if what == first:
+            seen[0] += 1
+            if seen[0] == k:
+                raise NumericError(f"{what} failed at step {k}")
+        return real(x, what)
+
+    mp.setattr(solvers_mod, "_check_finite", checking)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize(
+    "name, cap, first, seeded",
+    [("irls_lp", "IRLS_MAX", "IRLS normal matrix", 0), ("aiht", "AIHT_MAX", "AIHT gradient", 1)],
+)
+def test_numeric_failure_at_step_k_reports_the_completed_steps(monkeypatch, name, cap, first, seeded, k):
+    # the shared outer loop: a NumericError in step k ends the solve with the
+    # k - 1 completed steps, as a run capped at k - 1 steps ends
+    prob, _ = _gaussian_instance(32, 80, 6, 5)
+    opts = SolverOptions(sparsity_estimate=6)
+    solve = getattr(solvers_mod, name)
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers_mod, cap, k - 1)
+        capped = solve(prob, opts)
+    with monkeypatch.context() as mp:
+        _check_raising_at_step(mp, k, first)
+        rep = solve(prob, opts)
+    assert capped.status is SolverStatus.MAX_ITER
+    assert rep.status is SolverStatus.NUMERIC_FAILURE
+    assert rep.outer_iterations == rep.inner_iterations_total == k - 1
+    assert np.array_equal(rep.x_star, capped.x_star)
+    assert rep.objective_trace == capped.objective_trace
+    assert len(rep.objective_trace) == rep.outer_iterations + seeded
+    assert rep.residual == capped.residual
+
+
 def test_aiht_cap_does_not_follow_max_inner():
     prob, _ = _gaussian_instance(64, 250, 8, 12)
     opts = SolverOptions(sparsity_estimate=8)

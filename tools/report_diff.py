@@ -2,8 +2,8 @@
 
 Imports the ``springback`` package of this tree and then that of OTHER_TREE,
 one after the other in one process, and runs all seven solvers on the first
-trials of every sweep point of each preset (the same instance, options and
-seeds ``bench`` uses).  Every ``SolverReport`` field is compared by its bits:
+trials of every sweep point of each preset in that tree's ``bench.PRESETS``
+(the same instance, options and seeds ``bench`` uses).  Every ``SolverReport`` field is compared by its bits:
 x_star by dtype, shape and bytes, the trace and the residual as float64
 bytes, the status by its value, the iteration counts as integers.  A solver
 that raises stops the comparison with its traceback.  A change that claims
@@ -31,7 +31,6 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PRESETS = ("fig4", "fig5", "fig7", "fig8")
 
 
 def _bits(value):
@@ -67,7 +66,7 @@ def reports(tree: str, trials: int) -> dict:
     """(preset, sweep value, trial, solver) -> {field: bits} for one tree."""
     bench = _import_bench(tree)
     out = {}
-    for preset in PRESETS:
+    for preset in bench.PRESETS:
         spec = bench.preset_spec(preset, trials=trials)
         for si, value in enumerate(spec.sweep_values):
             for ti in range(trials):
@@ -102,7 +101,8 @@ def main(argv: list[str]) -> int:
             what = ", ".join(name for name in sorted(set(a) | set(b)) if a.get(name) != b.get(name))
         if what:
             diffs.setdefault(sid, []).append(f"{key[0]} {key[1]:g} trial {key[2]}: {what}")
-    print(f"{sum(counts.values())} reports of {len(counts)} solvers on {','.join(PRESETS)}, "
+    presets = sorted({key[0] for key in set(mine) | set(theirs)})
+    print(f"{sum(counts.values())} reports of {len(counts)} solvers on {','.join(presets)}, "
           f"{args.trials} trial(s) per point, {time.perf_counter() - t0:.0f} s")
     for sid, n in counts.items():
         lines = diffs.get(sid, [])
