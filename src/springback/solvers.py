@@ -187,19 +187,13 @@ class AdmmState:
     iterations: int = 0
 
 
-def _report(prob, x, outer, inner, trace, status) -> SolverReport:
-    """Report of a finished solve, with residual ||A x - b||_2."""
-    residual = float(np.linalg.norm(prob.A @ x - prob.b))
-    return SolverReport(x, outer, inner, trace, residual, status)
-
-
 def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(x).all():
         raise NumericError(f"{what} produced non-finite values")
     return x
 
 
-def _admm_blocks(st, names, eps, max_iter, block, feasible=None, record=None) -> bool:
+def _admm_blocks(st, names, eps, max_iter, block, feasible=None) -> bool:
     """The block driver of both inner ADMM loops: runs at most max_iter
     iterations from the warm state ``st`` and returns whether the stopping
     test fired.
@@ -220,10 +214,9 @@ def _admm_blocks(st, names, eps, max_iter, block, feasible=None, record=None) ->
     that passes ends the call; the rows after it are discarded.  A row whose
     ||x|| is not finite and whose entries confirm it, or an unfinished row,
     ends the call at the row before with NumericError; row 0's x enters only
-    row 1's change test, which a non-finite one fails.  ``record(end, Y)``,
-    Y the history of y, then sees the rows 1..end kept.  The tests and hooks
-    run silent, as the Python float arithmetic of scalar tests was.  ``st``
-    gets copies of the kept row and the completed iterations on every exit.
+    row 1's change test, which a non-finite one fails.  The tests run silent,
+    as the Python float arithmetic of scalar tests was.  ``st`` gets copies of
+    the kept row and the completed iterations on every exit.
     """
     hist = [np.empty((ADMM_BLOCK + 1, getattr(st, name).size)) for name in names]
     for V, name in zip(hist, names):
@@ -256,8 +249,6 @@ def _admm_blocks(st, names, eps, max_iter, block, feasible=None, record=None) ->
                 failed = end < count
                 if fired.size:
                     end = int(fired[0]) + 1
-                if record is not None:
-                    record(end, Y)
             done, last = done + end, end
             if fired.size:
                 return True
@@ -375,14 +366,14 @@ def admm_subproblem(
 
 
 def _outer(prob: ProblemInstance, cap: int, step, trace: list[float], state=None) -> SolverReport:
-    """The outer loop of every solver but admm_l1.
+    """The outer loop of every solver.
 
     From x^0 = 0, runs ``x, stop = step(x)`` at most ``cap`` times; ``step``
     appends to ``trace`` itself.  The first stop converges, ``cap`` steps
     without one end at MAX_ITER, and a NumericError ends the loop at the last
-    completed iterate.  The report counts the completed steps; its inner
-    iterations are those of the warm inner ``state`` when one is given, and
-    the step count otherwise.
+    completed iterate.  The report holds that iterate, its residual
+    ||A x - b||_2 and the completed steps; its inner iterations are those of
+    the warm inner ``state`` when one is given, and the step count otherwise.
     """
     x = np.zeros(prob.A.shape[1])
     status, done = SolverStatus.MAX_ITER, 0
@@ -395,7 +386,9 @@ def _outer(prob: ProblemInstance, cap: int, step, trace: list[float], state=None
                 break
     except NumericError:
         status = SolverStatus.NUMERIC_FAILURE
-    return _report(prob, x, done, done if state is None else state.iterations, trace, status)
+    inner = done if state is None else state.iterations
+    residual = float(np.linalg.norm(prob.A @ x - prob.b))
+    return SolverReport(x, done, inner, trace, residual, status)
 
 
 def _dca_settled(x_new: np.ndarray, x: np.ndarray, eps: float) -> bool:
@@ -461,16 +454,13 @@ def _lasso_admm(
     st: _LassoState,
     eps: float,
     max_iter: int,
-    trace: list[float] | None = None,
 ) -> bool:
     """Two-block ADMM for min 0.5||Ax-b||^2 + lam||x||_1 - <linear, x>
     (Boyd et al. 2011, section 6.4), continued from the warm state ``st``,
     with ``solver`` the GramRidgeSolver of A and the splitting penalty zeta.
 
     Runs at most max_iter iterations through _admm_blocks and returns whether
-    the stopping test fired.  With ``trace`` given, appends 0.5||Ay-b||^2 +
-    lam||y||_1 at every sparse iterate y kept, bit for bit as a per-iteration
-    loop computes it (a row sum of |y| is the vector's sum).
+    the stopping test fired.
 
     The x-update (A^T A + zeta I)^-1 (A^T b + linear + zeta (y - u)) is split
     into its constant part x_c, solved once per call, and x_c + (y - u) -
@@ -479,8 +469,6 @@ def _lasso_admm(
     """
     step = solver.offset_solve
     n = st.x.size
-    R = np.empty((ADMM_BLOCK + 1, b.size)) if trace is not None else None
-    rs = list(R) if trace is not None else None  # rows of A y, for the trace
     p, d = (np.empty(n) for _ in range(2))
     x_c = solver.solve(A.T @ b if linear is None else A.T @ b + linear)
     thresh = lam / solver.zeta
@@ -498,33 +486,28 @@ def _lasso_admm(
             add(x, us[k - 1], p)
             minimum(maximum(p, lo, out=us[k]), hi, out=us[k])
             subtract(p, us[k], ys[k])
-            if rs is not None:
-                A.dot(ys[k], rs[k])
         return count
 
-    def record(end, Y):
-        r = R[1 : end + 1]
-        r -= b
-        l1 = np.abs(Y[1 : end + 1]).sum(axis=1)
-        trace.extend((0.5 * np.vecdot(r, r) + lam * l1).tolist())
-
-    return _admm_blocks(
-        st, ("x", "y", "u"), eps, max_iter, block, record=record if trace is not None else None
-    )
+    return _admm_blocks(st, ("x", "y", "u"), eps, max_iter, block)
 
 
 def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
-    """ADMM for the unconstrained l1 model 0.5||Ax-b||^2 + LAMBDA||x||_1."""
+    """ADMM for the unconstrained l1 model 0.5||Ax-b||^2 + LAMBDA||x||_1.
+
+    One outer step: the lasso ADMM from the zero state to its own stop or
+    ADMM_MAX iterations; the trace holds the objective at its final y.
+    """
     A, b = prob.A, prob.b
     st = _lasso_state(A.shape[1])
     trace: list[float] = []
-    status = SolverStatus.MAX_ITER
-    try:
-        if _lasso_admm(A, b, LAMBDA, None, prob.gram_solver, st, opts.eps_outer, ADMM_MAX, trace):
-            status = SolverStatus.CONVERGED
-    except NumericError:
-        status = SolverStatus.NUMERIC_FAILURE
-    return _report(prob, st.y, st.iterations, st.iterations, trace, status)
+
+    def step(_):
+        fired = _lasso_admm(A, b, LAMBDA, None, prob.gram_solver, st, opts.eps_outer, ADMM_MAX)
+        r = A.dot(st.y) - b
+        trace.append(0.5 * float(r.dot(r)) + LAMBDA * float(np.abs(st.y).sum()))
+        return st.y, fired
+
+    return _outer(prob, 1, step, trace, st)
 
 
 def dca_unconstrained(

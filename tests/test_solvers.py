@@ -90,11 +90,12 @@ def test_dca_springback_recovers_sparse_signal():
     assert successes >= 4
 
 
-# kind None is springback, the others the three DCA baselines
+# kind None is springback, "admm_l1" the lasso, whose one outer step is a
+# whole solve, and the others the three DCA baselines
 @pytest.mark.parametrize(
     "kind",
-    [None, PenaltyKind.TL1, PenaltyKind.L1_MINUS_2, PenaltyKind.MCP],
-    ids=["springback", "dca_tl1", "dca_l12", "dca_mcp"],
+    [None, PenaltyKind.TL1, PenaltyKind.L1_MINUS_2, PenaltyKind.MCP, "admm_l1"],
+    ids=["springback", "dca_tl1", "dca_l12", "dca_mcp", "admm_l1"],
 )
 def test_dca_springback_report_flags(kind):
     prob, _ = _gaussian_instance(64, 250, 10, 0)
@@ -103,6 +104,9 @@ def test_dca_springback_report_flags(kind):
     if kind is None:
         rep = dca_springback(prob, opts)
         assert alpha <= convergence_alpha_bound(prob.A, prob.b, 0.0)
+    elif kind == "admm_l1":
+        rep = admm_l1(prob, opts)
+        assert rep.outer_iterations == 1
     else:
         rep = dca_unconstrained(kind, prob, opts)
     assert rep.status in (SolverStatus.CONVERGED, SolverStatus.MAX_ITER)
@@ -233,10 +237,13 @@ def test_admm_l1_large_lambda_zero_solution():
     np.testing.assert_allclose(_lasso(A, b, lam, 1.0), np.zeros(3), atol=1e-8)
 
 
-def test_admm_l1_objective_decreases():
+def test_admm_l1_trace_is_the_objective_at_x_star():
     prob, _ = _gaussian_instance(20, 60, 4, 8)
     rep = admm_l1(prob, SolverOptions())
-    assert rep.objective_trace[-1] <= rep.objective_trace[0] + 1e-12
+    r = prob.A @ rep.x_star - prob.b
+    objective = 0.5 * float(r @ r) + solvers_mod.LAMBDA * float(np.abs(rep.x_star).sum())
+    assert rep.objective_trace == [pytest.approx(objective, rel=1e-12)]
+    assert rep.objective_trace[0] < 0.5 * float(prob.b @ prob.b)  # the objective at x^0 = 0
 
 
 def test_dca_unconstrained_zero_data():
@@ -490,7 +497,7 @@ def _ref_springback_admm(A, b, tau, xi, st, eps, max_inner):
     return st.x.copy()
 
 
-def _ref_lasso_admm(A, b, lam, linear, st, eps, max_iter, trace):
+def _ref_lasso_admm(A, b, lam, linear, st, eps, max_iter):
     zeta = st.zeta
     x, y, u = st.x, st.y, st.u
     rhs_const = A.T @ b if linear is None else A.T @ b + linear
@@ -501,8 +508,6 @@ def _ref_lasso_admm(A, b, lam, linear, st, eps, max_iter, trace):
         u = u + x - y
         st.x, st.y, st.u = x, y, u
         st.iterations += 1
-        r = A @ y - b
-        trace.append(0.5 * float(r @ r) + lam * float(np.abs(y).sum()))
         if _ref_rel_change(x, x_old) < eps and float(np.linalg.norm(x - y)) <= eps * max(
             1.0, float(np.linalg.norm(x))
         ):
@@ -610,8 +615,8 @@ def _rel_diff(a, b):
 # through the precomputed operator, so it rounds differently from the
 # reference loop.  x and y agree to 1e-9.  The scaled dual u settles at
 # A^T (b - A x) / zeta, which carries the rounding of A x times
-# ||A||^2 / zeta (zeta = 1e-5), and so does the trace's residual term: on
-# the wide case they agree to about 1.2e-8, hence 1e-7 for both.
+# ||A||^2 / zeta (zeta = 1e-5): on the wide case it agrees to about 1.2e-8,
+# hence 1e-7.
 @pytest.mark.parametrize("linear", [False, True])
 @pytest.mark.parametrize("shape", _ORACLE_SHAPES)
 def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
@@ -623,26 +628,24 @@ def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
     state = solvers_mod._lasso_state(n)
     ref = SimpleNamespace(**vars(state), zeta=zeta, solve=_ref_ridge_solve(A, 1.0, zeta))
     g = 1e-3 * np.ones(n) if linear else None
-    trace, ref_trace = [], []
     for _ in range(2):  # a cold call, then a warm-started one
-        done = solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, 300, trace)
-        ref_done = _ref_lasso_admm(A, b, lam, g, ref, eps, 300, ref_trace)
+        done = solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, 300)
+        ref_done = _ref_lasso_admm(A, b, lam, g, ref, eps, 300)
         assert done == ref_done
         assert state.iterations == ref.iterations
-        assert len(trace) == len(ref_trace)
         assert _rel_diff(state.x, ref.x) <= 1e-9
         assert _rel_diff(state.y, ref.y) <= 1e-9
         assert _rel_diff(state.u, ref.u) <= 1e-7
-        np.testing.assert_allclose(trace, ref_trace, rtol=1e-7, atol=0.0)
         if linear:
             g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
 
 
 # A reference copy of the lasso loop through the precomputed operator, as it
-# was before it ran on work vectors: every temporary allocated, the clamp
-# through ndarray.clip.  It takes the cached factor and H of a GramRidgeSolver
-# and applies them with the expressions of that time, so the kernel must
-# match it bit for bit.
+# was before it ran on work vectors and checked its stop once per block:
+# every temporary allocated, the clamp through ndarray.clip, every stopping
+# test computed at every iteration.  It takes the cached factor and H of a
+# GramRidgeSolver and applies them with the expressions of that time, so the
+# kernel must match it bit for bit.
 
 
 def _ref_operator_lasso_admm(A, b, lam, linear, st, eps, max_iter):
@@ -670,17 +673,21 @@ def _ref_operator_lasso_admm(A, b, lam, linear, st, eps, max_iter):
     return False
 
 
+def _lasso_pair(n, A):
+    """A lasso state and a reference state with its own solver."""
+    ref = solvers_mod._lasso_state(n)
+    ref.solver = GramRidgeSolver(A, solvers_mod.ZETA_LASSO)
+    return solvers_mod._lasso_state(n), ref
+
+
 @pytest.mark.parametrize("linear", [False, True])
 @pytest.mark.parametrize("shape", _ORACLE_SHAPES)
 def test_lasso_admm_is_bit_identical_to_operator_reference_loop(shape, linear):
     prob = _oracle_instance(shape, False)
     A, b = prob.A, prob.b
     n = shape[1]
-    lam, zeta = solvers_mod.LAMBDA, solvers_mod.ZETA_LASSO
-    eps = SolverOptions().eps_inner
-    state = solvers_mod._lasso_state(n)
-    ref = solvers_mod._lasso_state(n)
-    ref.solver = GramRidgeSolver(A, zeta)
+    lam, eps = solvers_mod.LAMBDA, SolverOptions().eps_inner
+    state, ref = _lasso_pair(n, A)
     g = 1e-3 * np.ones(n) if linear else None
     for _ in range(2):  # a cold call, then a warm-started one
         done = solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, 300)
@@ -689,40 +696,6 @@ def test_lasso_admm_is_bit_identical_to_operator_reference_loop(shape, linear):
         if linear:
             g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
     assert state.iterations > 0
-
-
-# The lasso loop as it was before it checked its stop once per block: every
-# test and trace value computed at every iteration.  Its x-update applies the
-# solver's H as _ref_operator_lasso_admm does, so the blocked loop must match
-# it bit for bit, trace included.
-
-
-def _ref_traced_lasso_admm(A, b, lam, linear, st, eps, max_iter, trace):
-    H, thresh = st.solver._H, lam / st.solver.zeta
-    x_c = st.solver.solve(A.T @ b if linear is None else A.T @ b + linear)
-    x, y, u = st.x, st.y, st.u
-    for _ in range(max_iter):
-        d = y - u
-        x_old, x = x, (x_c + d) - A.T.dot(H.dot(d))
-        p = x + u
-        u = p.clip(-thresh, thresh)
-        y = p - u
-        st.x, st.y, st.u = x, y, u
-        st.iterations += 1
-        r = A.dot(y) - b
-        trace.append(0.5 * float(r.dot(r)) + lam * float(np.abs(y).sum()))
-        if _ref_rel_change(x, x_old) < eps and float(np.linalg.norm(x - y)) <= eps * max(
-            1.0, float(np.linalg.norm(x))
-        ):
-            return True
-    return False
-
-
-def _lasso_pair(n, A):
-    """A lasso state and a reference state with its own solver."""
-    ref = solvers_mod._lasso_state(n)
-    ref.solver = GramRidgeSolver(A, solvers_mod.ZETA_LASSO)
-    return solvers_mod._lasso_state(n), ref
 
 
 # (linear, max_iter, eps, the iteration of the cold call's stop or None).  On
@@ -744,16 +717,14 @@ def test_lasso_admm_blocks_match_per_iteration_loop(linear, max_iter, eps, stop)
     A, b, lam = prob.A, prob.b, solvers_mod.LAMBDA
     state, ref = _lasso_pair(50, A)
     g = 1e-3 * np.ones(50) if linear else None
-    trace, ref_trace = [], []
     for call in range(2):  # a cold call, then a warm-started one
-        done = solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, max_iter, trace)
-        ref_done = _ref_traced_lasso_admm(A, b, lam, g, ref, eps, max_iter, ref_trace)
+        done = solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, max_iter)
+        ref_done = _ref_operator_lasso_admm(A, b, lam, g, ref, eps, max_iter)
         if call == 0:
             assert ref_done == (stop is not None)
             assert ref.iterations == (stop or max_iter)
         assert done == ref_done
         _assert_states_equal(state, ref, ("x", "y", "u"))
-        assert trace == ref_trace
         if linear:
             g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
 
@@ -799,7 +770,7 @@ def test_lasso_admm_leaves_caller_arrays_unchanged():
     held = _held_arrays(state, ("x", "y", "u"))  # y is what a DCA step returns
     g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
     held.append((g, g.copy()))
-    solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, 30, [])
+    solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, 30)
     _assert_unchanged(held)
     assert state.iterations == 60
     assert not np.array_equal(state.x, held[0][1])  # the second call moved x
@@ -954,25 +925,24 @@ def test_non_finite_x_update_in_a_later_block(monkeypatch, value, in_place):
     A, b, n = prob.A, prob.b, 40
     lam, eps = solvers_mod.LAMBDA, SolverOptions().eps_outer
     state, ref = _lasso_pair(n, A)
-    ref_trace = []
-    assert not _ref_traced_lasso_admm(A, b, lam, None, ref, eps, k - 1, ref_trace)
-    trace = []
+    assert not _ref_operator_lasso_admm(A, b, lam, None, ref, eps, k - 1)
     with monkeypatch.context() as mp:
         calls = _inject(mp, k, value, in_place)
         with pytest.raises(NumericError):
-            solvers_mod._lasso_admm(A, b, lam, None, prob.gram_solver, state, eps, 100, trace)
+            solvers_mod._lasso_admm(A, b, lam, None, prob.gram_solver, state, eps, 100)
     assert calls[0] == (2 * block if in_place else k)
     _assert_states_equal(state, ref, ("x", "y", "u"))
     assert state.iterations == k - 1
-    assert trace == ref_trace
 
+    # admm_l1's one outer step fails: the report holds x^0 and no step
     with monkeypatch.context() as mp:
         _inject(mp, k, value, in_place)
         rep = admm_l1(prob, SolverOptions())
     assert rep.status is SolverStatus.NUMERIC_FAILURE
     assert rep.inner_iterations_total == k - 1
-    assert rep.objective_trace == ref_trace
-    assert np.array_equal(rep.x_star, ref.y)
+    assert rep.outer_iterations == 0
+    assert rep.objective_trace == []
+    assert np.array_equal(rep.x_star, np.zeros(n))
 
 
 def _springback_calls_to_failure(k, noisy, in_place):
@@ -1017,16 +987,13 @@ def test_non_finite_x_update_after_the_stop_does_not_surface(monkeypatch, in_pla
     prob = _oracle_instance((20, 50), False)
     A, b, lam, eps = prob.A, prob.b, solvers_mod.LAMBDA, 2.2e-3
     state, ref = _lasso_pair(50, A)
-    ref_trace = []
-    assert _ref_traced_lasso_admm(A, b, lam, None, ref, eps, 200, ref_trace)
+    assert _ref_operator_lasso_admm(A, b, lam, None, ref, eps, 200)
     assert ref.iterations == 45
-    trace = []
     with monkeypatch.context() as mp:
         calls = _inject(mp, 50, np.nan, in_place)
-        assert solvers_mod._lasso_admm(A, b, lam, None, prob.gram_solver, state, eps, 200, trace)
+        assert solvers_mod._lasso_admm(A, b, lam, None, prob.gram_solver, state, eps, 200)
     assert calls[0] == (2 * solvers_mod.ADMM_BLOCK if in_place else 50)
     _assert_states_equal(state, ref, ("x", "y", "u"))
-    assert trace == ref_trace
 
 
 # Springback's stopping test fires at iteration 109 (row 13 of the fourth
@@ -1061,11 +1028,9 @@ def test_non_finite_warm_x_is_not_an_error():
 
     state, ref = _lasso_pair(50, A)
     state.x[3] = ref.x[3] = np.nan
-    trace, ref_trace = [], []
-    solvers_mod._lasso_admm(A, b, lam, None, prob.gram_solver, state, 1e-5, 40, trace)
-    _ref_traced_lasso_admm(A, b, lam, None, ref, 1e-5, 40, ref_trace)
+    solvers_mod._lasso_admm(A, b, lam, None, prob.gram_solver, state, 1e-5, 40)
+    _ref_operator_lasso_admm(A, b, lam, None, ref, 1e-5, 40)
     _assert_states_equal(state, ref, ("x", "y", "u"))
-    assert trace == ref_trace
 
 
 def _assert_reports_equal(rep, ref):
