@@ -84,8 +84,9 @@ class GramRidgeSolver:
 
     which is both faster and better conditioned than factoring the n x n
     normal matrix when n is large.  A is validated once, here; ``solve`` and
-    ``offset_solve`` take their vectors unchecked (finite, length n).  The
-    lasso ADMM reads ``zeta``, its splitting penalty.
+    ``offset_solve`` take their vectors unchecked (finite, of the lengths
+    they name).  The inner ADMM loops read ``zeta``: the lasso's splitting
+    penalty, and the factor of A x in springback's at tau = 0.
     """
 
     def __init__(self, A, zeta: float):
@@ -106,16 +107,26 @@ class GramRidgeSolver:
         if not np.isfinite(G).all():
             raise NumericError("Gram matrix overflowed: the entries of A are too large")
         self._chol = SpdFactor(G).chol
-        # The m x n operator H with zeta (A^T A + zeta I)^-1 v = v - A^T H v:
-        # H = (A A^T + zeta I)^-1 A from the m x m factor of a wide A, and the
-        # same matrix A (A^T A + zeta I)^-1 from the n x n factor otherwise.
-        # One vector potrs per column (wide) or row, so that it makes no
-        # multi-threaded BLAS-3 call, as one potrs with a matrix right-hand
-        # side would.
+        # With G = A A^T + zeta I, the m x n operator H = G^-1 A gives
+        # zeta (A^T A + zeta I)^-1 v = v - A^T H v, and the m x (n + m)
+        # operator F = [H, -M], M = G^-1, gives the whole x-update
+        # (A^T A + zeta I)^-1 (A^T w + zeta v) = v - A^T q, q = F [v; w].
+        # A wide A solves its m x m factor against each column of [A, -I];
+        # a tall one has H = A (A^T A + zeta I)^-1 from its n x n factor, a
+        # row of A at a time, and M = (I - H A^T) / zeta.  On a wide A the
+        # vector potrs calls make no multi-threaded BLAS-3 call, as one potrs
+        # with a matrix right-hand side would.
         if self._wide:
-            self._H = np.array([dpotrs(self._chol, a, lower=1)[0] for a in self._At]).T.copy()
+            cols = np.vstack([self._At, -np.eye(m)])
+            F = np.array([dpotrs(self._chol, c, lower=1)[0] for c in cols]).T.copy()
+            self._H = F[:, :n].copy()
         else:
-            self._H = np.array([dpotrs(self._chol, a, lower=1)[0] for a in self._A])
+            self._H = np.array([dpotrs(self._chol, a, lower=1)[0] for a in A])
+            M = np.eye(m) - self._H @ self._At
+            M /= zeta
+            F = np.hstack([self._H, -M])
+        self._F = F
+        self._n = n
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """(A^T A + zeta I)^-1 r."""
@@ -128,19 +139,19 @@ class GramRidgeSolver:
         return dpotrs(self._chol, r, lower=1)[0]
 
     def offset_solve(
-        self, c: np.ndarray | None, d: np.ndarray, out: np.ndarray | None = None
+        self,
+        c: np.ndarray,
+        d: np.ndarray,
+        q: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """c + zeta (A^T A + zeta I)^-1 d, as (c + d) - A^T (H d), and
-        d - A^T (H d) when c is None; the x-update of both inner ADMM loops,
-        unchecked like ``solve`` and written into ``out`` when given (a
-        length-n float vector other than c and d)."""
-        if c is None:
-            t = self._At.dot(self._H.dot(d), out)
-            return np.subtract(d, t, t)
-        t = self._At.dot(self._H.dot(d))
-        x = np.add(c, d, out)
-        x -= t
-        return x
+        """c - A^T q with q = H d for d of length n, and q = F d = H v - M w
+        for d = [v; w] of length n + m; the x-update of every inner ADMM
+        loop.  Unchecked like ``solve``, and written into the length-m q and
+        the length-n ``out`` when given (float vectors other than c and d)."""
+        op = self._H if d.shape[0] == self._n else self._F
+        t = self._At.dot(op.dot(d, q), out)
+        return np.subtract(c, t, t)
 
 
 def singular_extremes(A) -> tuple[float, float]:

@@ -55,7 +55,7 @@ _TINY = 1e-300
 # splitting penalties of the springback inner ADMM.  The consensus penalty
 # ZETA_INNER is 1, which keeps the soft threshold 1/ZETA_INNER usable and lets
 # admm_subproblem drop its unit factors.  ZETA_LASSO is the splitting penalty
-# of the lasso ADMM; it equals ZETA_INNER / RHO, so that both loops take their
+# of the lasso ADMM; it equals ZETA_INNER / RHO, so that every loop takes its
 # x-update from the instance's one gram_solver.  LAMBDA is the weight of the
 # unconstrained models
 # 0.5||Ax-b||^2 + LAMBDA R(x) (admm_l1, dca_unconstrained, irls_lp); ADMM_MAX
@@ -122,10 +122,12 @@ class ProblemInstance:
     @functools.cached_property
     def gram_solver(self) -> GramRidgeSolver:
         """The (A^T A + ZETA_LASSO I) solver that springback's inner ADMM,
-        admm_l1 and the dca_unconstrained baselines share, with its operator
-        H, built on first use inside the solver that needs it, so that a Gram
-        overflow is that solver's numeric failure.  With ZETA_LASSO = 1/RHO
-        its offset_solve(None, r) is springback's (RHO A^T A + I)^-1 r."""
+        admm_l1 and the dca_unconstrained baselines share, with its operators
+        H and F = [H, -M], built on first use inside the solver that needs
+        it, so that a Gram overflow is that solver's numeric failure.  With
+        ZETA_LASSO = 1/RHO its offset_solve(r, r) is springback's
+        (RHO A^T A + I)^-1 r, and offset_solve(c, [c - u; w]) its
+        (RHO A^T A + I)^-1 (RHO A^T w + c - u) + u."""
         return GramRidgeSolver(self.A, ZETA_LASSO)
 
 
@@ -193,18 +195,28 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _admm_blocks(st, names, eps, max_iter, block, feasible=None) -> bool:
+def _history(st, names) -> dict[str, np.ndarray]:
+    """Per-call (ADMM_BLOCK + 1)-row history arrays of the iterates ``names``
+    of st, in names order, row 0 holding the warm state's."""
+    hist = {}
+    for name in names:
+        V = hist[name] = np.empty((ADMM_BLOCK + 1, getattr(st, name).size))
+        V[0] = getattr(st, name)
+    return hist
+
+
+def _admm_blocks(st, hist, eps, max_iter, block, feasible=None) -> bool:
     """The block driver of both inner ADMM loops: runs at most max_iter
     iterations from the warm state ``st`` and returns whether the stopping
     test fired.
 
-    The iterates ``names`` of st (x and y first) each get a per-call
-    (ADMM_BLOCK + 1)-row history array whose row 0 holds the iterate the
-    block starts from.  ``block(count, *rows)``, with the arrays' row views in
-    names order, runs count iterations, the k-th writing row k, and returns
-    how many it completed: fewer only when a non-finite value left the next
-    row unfinished, as when a wrapped solver returns a non-finite x-update in
-    an array of its own, which the block copies into its row.
+    ``hist``, from _history, holds the history arrays of the iterates of st
+    (x and y first); row 0 holds the iterate the block starts from.
+    ``block(count)`` runs count iterations, the k-th writing row k of each,
+    and returns how many it completed: fewer only when a non-finite value
+    left the next row unfinished, as when a wrapped solver returns a
+    non-finite x-update in an array of its own, which the block copies into
+    its row.
 
     After each block, row-wise calls give every row's stopping test,
     ||x - x_old|| / max(||x||, ||x_old||) < eps, ||x - y|| <= eps max(1, ||x||)
@@ -218,18 +230,14 @@ def _admm_blocks(st, names, eps, max_iter, block, feasible=None) -> bool:
     as the Python float arithmetic of scalar tests was.  ``st`` gets copies of
     the kept row and the completed iterations on every exit.
     """
-    hist = [np.empty((ADMM_BLOCK + 1, getattr(st, name).size)) for name in names]
-    for V, name in zip(hist, names):
-        V[0] = getattr(st, name)
-    rows = [list(V) for V in hist]  # row views, made once
-    X, Y = hist[0], hist[1]
+    X, Y = list(hist.values())[:2]
     work = np.empty((ADMM_BLOCK, X.shape[1]))
     vecdot, maximum, subtract = np.vecdot, np.maximum, np.subtract
     done, last = 0, 0  # the iterations completed, the row holding the state
     try:
         while done < max_iter:
             count = min(ADMM_BLOCK, max_iter - done)
-            top = block(count, *rows)  # the last row computed in full
+            top = block(count)  # the last row computed in full
             with np.errstate(all="ignore"):
                 xnorm = np.sqrt(vecdot(X[: top + 1], X[: top + 1]))
                 end = top
@@ -254,14 +262,28 @@ def _admm_blocks(st, names, eps, max_iter, block, feasible=None) -> bool:
                 return True
             if failed:
                 raise NumericError("inner ADMM produced non-finite values")
-            for V in hist:
+            for V in hist.values():
                 V[0] = V[end]
             last = 0
         return False
     finally:
-        for V, name in zip(hist, names):
+        for name, V in hist.items():
             setattr(st, name, V[last].copy())
         st.iterations += done
+
+
+def _prox_rows(hist):
+    """For the loops that compute only p = x + u: the row views of the
+    history arrays and of a history array P of p, and a function that fills
+    x rows 1..k as P - U_prev and returns k."""
+    X, U = hist["x"], hist["u"]
+    P = np.empty_like(X)
+
+    def fill_x(k):
+        np.subtract(P[1 : k + 1], U[:k], X[1 : k + 1])
+        return k
+
+    return [list(V) for V in hist.values()], list(P), fill_x
 
 
 def fresh_admm_state(prob: ProblemInstance) -> AdmmState:
@@ -288,16 +310,22 @@ def admm_subproblem(
     exit, a NumericError from a non-finite x-update included; its arrays are
     copies, so no step touches an array a caller holds.
 
-    With ZETA_INNER = 1 the x-update is (RHO A^T A + I)^-1 rhs with
-    rhs = RHO A^T (b + z - eta) + xi + (y - u), computed as
-    rhs - A^T (H rhs) through the instance's gram_solver (ZETA_LASSO = 1/RHO),
-    and the soft threshold is 1.  At tau = 0 the ball is the origin, so z
-    stays the zero vector and drops out of both sums.
+    With ZETA_INNER = 1 the x-update is (RHO A^T A + I)^-1 (RHO A^T w + v)
+    with w = b + z - eta and v = xi + y - u, and the soft threshold is 1.
+    At tau > 0 it is computed as rhs - A^T (H rhs), rhs = RHO A^T w + v,
+    through the instance's gram_solver (ZETA_LASSO = 1/RHO).  At tau = 0 the
+    ball is the origin and z stays the zero vector; the subproblem is basis
+    pursuit (Boyd et al. 2011, section 6.2) and runs in m-space: the
+    x-update is v - A^T q with q = H v - M w (the gram_solver's F [v; w]),
+    so that A x = w + ZETA_LASSO q and eta takes ZETA_LASSO q.  Its loop
+    forms neither RHO A^T w nor A x, computes only p = x + u, with
+    u = clamp(p) and y = p - u, and fills its x rows once per block.
 
     The iterations run through _admm_blocks, whose stopping test here also
-    asks ||A x - b|| <= tau + FEAS_TOL_INNER.  At tau > 0 the ball projection
-    needs ||z|| at once, so a non-finite z (which a non-finite x makes) ends
-    the block at the row before.
+    asks ||A x - b|| <= tau + FEAS_TOL_INNER, with A x - b = eta - eta_prev at
+    tau = 0.  At tau > 0 the ball projection needs ||z|| at once, so a
+    non-finite z (which a non-finite x makes) ends the block at the row
+    before.
     """
     A, b, tau = prob.A, prob.b, prob.tau
     At = A.T
@@ -306,45 +334,75 @@ def admm_subproblem(
     if xi.shape[0] != n:
         raise InvalidParameterError(f"A has {n} columns but xi has length {xi.shape[0]}")
     st = warm if warm is not None else fresh_admm_state(prob)
-    step = prob.gram_solver.offset_solve
+    solver = prob.gram_solver
+    step = solver.offset_solve
     # Locally bound ufuncs with a positional out (the keyword for maximum and
     # minimum) and 0-d array constants are the forms numpy dispatches fastest.
     add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
-    rho, feas = np.array(RHO), tau + FEAS_TOL_INNER
+    feas = tau + FEAS_TOL_INNER
     lo, hi = np.array(-1.0), np.array(1.0)  # the soft threshold's clamp
-    scale = np.array(0.0)  # the ball projection's tau / ||z||
-    AX = np.empty((ADMM_BLOCK + 1, m))
-    axs = list(AX)  # row views, made once
-    rhs_n, p, clamped, diff = (np.empty(n) for _ in range(4))
-    w_m, r = np.empty(m), np.empty(m)
+    q = np.empty(m)
     rwork = np.empty((ADMM_BLOCK, m))
 
-    def block(count, xs, ys, us, etas, zs=None):
-        rhs, w = rhs_n, w_m  # locals: the in-place operators below assign them
-        for k in range(1, count + 1):
-            eta, eta_k, u = etas[k - 1], etas[k], us[k - 1]
-            if tau == 0.0:
-                subtract(b, eta, w)
-            else:
+    if tau == 0.0:  # z is unwritten
+        hist = _history(st, ("x", "y", "u", "eta"))
+        (_, ys, us, etas), ps, fill_x = _prox_rows(hist)
+        ETA = hist["eta"]
+        vw, c = np.empty(n + m), np.empty(n)
+        v, w = vw[:n], vw[n:]
+        zeta = np.array(solver.zeta)
+
+        def block(count):
+            for k in range(1, count + 1):
+                y, u, p = ys[k - 1], us[k - 1], ps[k]
+                subtract(b, etas[k - 1], w)
+                subtract(add(xi, y, c), u, v)
+                t = step(c, vw, q, p)
+                if t is not p:  # a wrapped solver
+                    np.copyto(p, t)
+                    if not np.isfinite(p).all():
+                        return fill_x(k - 1)
+                minimum(maximum(p, lo, out=us[k]), hi, out=us[k])
+                subtract(p, us[k], ys[k])
+                np.multiply(q, zeta, etas[k])
+            return fill_x(count)
+
+        def feasible(end):
+            res = subtract(ETA[1 : end + 1], ETA[:end], rwork[:end])
+            return np.sqrt(np.vecdot(res, res)) <= feas
+
+    else:
+        hist = _history(st, ("x", "y", "u", "eta", "z"))
+        xs, ys, us, etas, zs = (list(V) for V in hist.values())
+        rho = np.array(RHO)
+        scale = np.array(0.0)  # the ball projection's tau / ||z||
+        AX = np.empty((ADMM_BLOCK + 1, m))
+        axs = list(AX)  # row views, made once
+        rhs_n, p, clamped, diff = (np.empty(n) for _ in range(4))
+        w_m, r = np.empty(m), np.empty(m)
+
+        def block(count):
+            rhs, w = rhs_n, w_m  # locals: the in-place operators below assign them
+            for k in range(1, count + 1):
+                eta, eta_k, u = etas[k - 1], etas[k], us[k - 1]
                 add(b, zs[k - 1], w)
                 w -= eta
-            At.dot(w, rhs)
-            rhs *= rho
-            rhs += xi
-            rhs += subtract(ys[k - 1], u, diff)
-            row, y, Ax = xs[k], ys[k], axs[k]
-            x = step(None, rhs, row)
-            if x is not row:  # a wrapped solver
-                np.copyto(row, x)
-                if not np.isfinite(row).all():
-                    return k - 1
-            add(x, u, p)
-            subtract(p, minimum(maximum(p, lo, out=clamped), hi, out=clamped), y)
-            A.dot(x, Ax)
-            add(eta, Ax, eta_k)
-            eta_k -= b
-            if tau != 0.0:  # z = projection of A x - b + eta onto the tau-ball
-                z = zs[k]
+                At.dot(w, rhs)
+                rhs *= rho
+                rhs += xi
+                rhs += subtract(ys[k - 1], u, diff)
+                row, y, Ax = xs[k], ys[k], axs[k]
+                x = step(rhs, rhs, q, row)
+                if x is not row:  # a wrapped solver
+                    np.copyto(row, x)
+                    if not np.isfinite(row).all():
+                        return k - 1
+                add(x, u, p)
+                subtract(p, minimum(maximum(p, lo, out=clamped), hi, out=clamped), y)
+                A.dot(x, Ax)
+                add(eta, Ax, eta_k)
+                eta_k -= b
+                z = zs[k]  # the projection of A x - b + eta onto the tau-ball
                 add(subtract(Ax, b, r), eta, z)
                 znorm = math.sqrt(z.dot(z))
                 if not math.isfinite(znorm) and not np.isfinite(z).all():
@@ -353,15 +411,14 @@ def admm_subproblem(
                     scale[()] = tau / znorm
                     z *= scale
                 eta_k -= z
-            subtract(p, y, us[k])
-        return count
+                subtract(p, y, us[k])
+            return count
 
-    def feasible(end):
-        res = subtract(AX[1 : end + 1], b, rwork[:end])
-        return np.sqrt(np.vecdot(res, res)) <= feas
+        def feasible(end):
+            res = subtract(AX[1 : end + 1], b, rwork[:end])
+            return np.sqrt(np.vecdot(res, res)) <= feas
 
-    names = ("x", "y", "u", "eta") + (("z",) if tau != 0.0 else ())  # z is unwritten at tau = 0
-    _admm_blocks(st, names, opts.eps_inner, opts.max_inner, block, feasible)
+    _admm_blocks(st, hist, opts.eps_inner, opts.max_inner, block, feasible)
     return st.x.copy()
 
 
@@ -465,30 +522,34 @@ def _lasso_admm(
     The x-update (A^T A + zeta I)^-1 (A^T b + linear + zeta (y - u)) is split
     into its constant part x_c, solved once per call, and x_c + (y - u) -
     A^T H (y - u) through the solver's precomputed operator H.  The scaled
-    dual is u = clamp(x + u, -t, t), so y = (x + u) - u is the soft threshold.
+    dual is u = clamp(x + u, -t, t), so y = (x + u) - u is the soft
+    threshold.  An iteration never forms x: it computes
+    p = x + u = (x_c + y) - A^T H (y - u), then u = clamp(p) and y = p - u,
+    and the block fills its x rows once, as p - u_prev.
     """
     step = solver.offset_solve
     n = st.x.size
-    p, d = (np.empty(n) for _ in range(2))
+    hist = _history(st, ("x", "y", "u"))
+    (_, ys, us), ps, fill_x = _prox_rows(hist)
+    c, d, q = np.empty(n), np.empty(n), np.empty(A.shape[0])
     x_c = solver.solve(A.T @ b if linear is None else A.T @ b + linear)
     thresh = lam / solver.zeta
     lo, hi = np.array(-thresh), np.array(thresh)  # the clamp of u
     add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
 
-    def block(count, xs, ys, us):
+    def block(count):
         for k in range(1, count + 1):
-            row = xs[k]
-            x = step(x_c, subtract(ys[k - 1], us[k - 1], d), row)
-            if x is not row:  # a wrapped solver
-                np.copyto(row, x)
-                if not np.isfinite(row).all():
-                    return k - 1
-            add(x, us[k - 1], p)
+            y, u, p = ys[k - 1], us[k - 1], ps[k]
+            t = step(add(x_c, y, c), subtract(y, u, d), q, p)
+            if t is not p:  # a wrapped solver
+                np.copyto(p, t)
+                if not np.isfinite(p).all():
+                    return fill_x(k - 1)
             minimum(maximum(p, lo, out=us[k]), hi, out=us[k])
             subtract(p, us[k], ys[k])
-        return count
+        return fill_x(count)
 
-    return _admm_blocks(st, ("x", "y", "u"), eps, max_iter, block)
+    return _admm_blocks(st, hist, eps, max_iter, block)
 
 
 def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
@@ -585,11 +646,13 @@ def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:
     v = as_vector(v)
     if s < 0:
         raise InvalidParameterError("s must be nonnegative")
+    return _top_s(v, s)
+
+
+def _top_s(v: np.ndarray, s: int) -> np.ndarray:
+    """hard_threshold's kernel, for a finite vector and s >= 0, unchecked."""
     out = np.zeros_like(v)
-    if s == 0:
-        return out
-    order = np.argsort(-np.abs(v), kind="stable")
-    keep = order[:s]
+    keep = np.argsort(-np.abs(v), kind="stable")[:s]
     keep = keep[v[keep] != 0.0]
     out[keep] = v[keep]
     return out
@@ -600,21 +663,22 @@ def aiht(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
 
     The gradient step uses mu = ||g_S||^2 / ||A g_S||^2 on the working
     support S; an overrelaxation step doubles the move and is kept only
-    when it lowers the residual.  Runs at most AIHT_MAX iterations.
+    when it lowers the residual.  Runs at most AIHT_MAX iterations.  Its
+    norms are sqrt(v.dot(v)), the expression np.linalg.norm evaluates.
     """
     A, b = prob.A, prob.b
     s = opts.sparsity_estimate
     n = A.shape[1]
     r = b.copy()
-    rnorm = float(np.linalg.norm(r))
+    rnorm = math.sqrt(r.dot(r))
     trace: list[float] = [rnorm]
 
-    def iteration(x):  # checked first: hard_threshold calls non-finite input a caller error
+    def iteration(x):  # checked first: _top_s takes finite input only
         nonlocal r, rnorm
         g = _check_finite(A.T @ r, "AIHT gradient")
         support = np.flatnonzero(x)
         if support.size == 0:
-            support = np.flatnonzero(hard_threshold(g, s))
+            support = np.flatnonzero(_top_s(g, s))
         gS = np.zeros(n)
         gS[support] = g[support]
         AgS = A @ gS
@@ -622,17 +686,19 @@ def aiht(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
         if denom <= 0.0:
             return x, True
         step = float(gS @ gS) / denom
-        x_new = hard_threshold(_check_finite(x + step * g, "AIHT step"), s)
+        x_new = _top_s(_check_finite(x + step * g, "AIHT step"), s)
         r_new = b - A @ x_new
-        x_acc = hard_threshold(_check_finite(x_new + (x_new - x), "AIHT step"), s)
+        x_acc = _top_s(_check_finite(x_new + (x_new - x), "AIHT step"), s)
         r_acc = b - A @ x_acc
-        if float(np.linalg.norm(r_acc)) < float(np.linalg.norm(r_new)):
-            x_new, r_new = x_acc, r_acc
-        change = float(np.linalg.norm(x_new - x))
-        last, r, rnorm = rnorm, r_new, float(np.linalg.norm(r_new))
+        new_norm, acc_norm = math.sqrt(r_new.dot(r_new)), math.sqrt(r_acc.dot(r_acc))
+        if acc_norm < new_norm:
+            x_new, r_new, new_norm = x_acc, r_acc, acc_norm
+        dx = x_new - x
+        change = math.sqrt(dx.dot(dx))
+        last, r, rnorm = rnorm, r_new, new_norm
         trace.append(rnorm)
         settled = abs(last - rnorm) <= 1e-12 * max(1.0, last)
-        return x_new, change <= opts.eps_outer * max(1.0, float(np.linalg.norm(x_new))) or settled
+        return x_new, change <= opts.eps_outer * max(1.0, math.sqrt(x_new.dot(x_new))) or settled
 
     return _outer(prob, AIHT_MAX, iteration, trace)
 

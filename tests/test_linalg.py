@@ -103,7 +103,7 @@ def test_gram_ridge_solver_matches_dense_property(m, n, zeta, seed):
 @example(m=8, n=3, zeta=1e-5, seed=2)  # tall
 @example(m=5, n=5, zeta=1e-5, seed=2)  # square
 def test_gram_ridge_operator_matches_dense_property(m, n, zeta, seed):
-    # c + v - A^T (H v) = c + zeta (A^T A + zeta I)^-1 v for every shape.
+    # (c + v) - A^T (H v) = c + zeta (A^T A + zeta I)^-1 v for every shape.
     # The dense solve errs by up to cond(M) ||expected||, as in the property
     # above; the operator cancels v against A^T H v, so it errs by up to the
     # condition number of the matrix it factors (the smaller of the m x m and
@@ -114,7 +114,7 @@ def test_gram_ridge_operator_matches_dense_property(m, n, zeta, seed):
     M = A.T @ A + zeta * np.eye(n)
     G = A @ A.T + zeta * np.eye(m)
     expected = zeta * np.linalg.solve(M, v)
-    got = GramRidgeSolver(A, zeta).offset_solve(c, v)
+    got = GramRidgeSolver(A, zeta).offset_solve(c + v, v)
     err = np.linalg.norm(got - c - expected)
     factored = min(np.linalg.cond(M), np.linalg.cond(G))
     bound = (
@@ -136,24 +136,60 @@ def test_gram_ridge_operator_matches_dense_property(m, n, zeta, seed):
 @example(m=8, n=3, zeta=0.5, seed=2)  # tall
 @example(m=5, n=5, zeta=0.5, seed=2)  # square
 def test_gram_ridge_buffered_forms_match_allocating_forms(m, n, zeta, seed):
-    # the inner loops pass a work vector as out: the result must be written
-    # into it and returned, equal bit for bit to the allocating form, and the
-    # inputs must come back unchanged; with c = None (springback's x-update)
-    # it is d - A^T (H d)
+    # the inner loops pass work vectors as q and out: the results must be
+    # written into them, out returned, equal bit for bit to the allocating
+    # form, and the inputs must come back unchanged; d of length n takes H,
+    # d = [v; w] of length n + m the fused operator F = [H, -M], and with
+    # c = d (springback's x-update at tau > 0) it is d - A^T (H d)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     solver = GramRidgeSolver(A, zeta)
     c, d = (rng.standard_normal(n) for _ in range(2))
-    inputs = [v.copy() for v in (c, d)]
+    vw = rng.standard_normal(n + m)
+    inputs = [v.copy() for v in (c, d, vw)]
+    for vec, op in ((d, solver._H), (vw, solver._F)):
+        q, out = np.full(m, np.nan), np.full(n, np.nan)
+        assert solver.offset_solve(c, vec, q, out) is out
+        assert np.array_equal(out, solver.offset_solve(c, vec))
+        assert np.array_equal(q, op @ vec)
+        assert np.array_equal(out, c - A.T @ q)
     out = np.full(n, np.nan)
-    assert solver.offset_solve(c, d, out) is out
-    assert np.array_equal(out, solver.offset_solve(c, d))
-    out = np.full(n, np.nan)
-    assert solver.offset_solve(None, d, out) is out
-    assert np.array_equal(out, solver.offset_solve(None, d))
+    assert solver.offset_solve(d, d, np.empty(m), out) is out
     assert np.array_equal(out, d - A.T @ (solver._H @ d))
-    for v, kept in zip((c, d), inputs):
+    for v, kept in zip((c, d, vw), inputs):
         assert np.array_equal(v, kept)
+
+
+# The fused operator F = [H, -M] of the m-space x-update, on wide, square and
+# tall A at the solvers' zeta = 1e-5: M = (A A^T + zeta I)^-1 (from the m x m
+# factor of a wide A, as (I - H A^T) / zeta from the n x n one otherwise),
+# and q = H v - M w gives the x-update (A^T A + zeta I)^-1 (A^T w + zeta v)
+# as v - A^T q and its A x as w + zeta q.  On a tall A, M carries the
+# eigenvalue 1 / zeta on the complement of range(A), so q is about 1e5 times
+# larger there and w + zeta q cancels it.  The largest errors over the 20
+# seeds are 1.3e-11 (M, square and tall), 9.8e-11 (x, square, mostly the
+# dense solve's: A^T A + zeta I has condition ~1e5 and more) and 2.0e-13
+# (A x, square); the tolerances hold 10x margin or more.
+@pytest.mark.parametrize("shape", [(20, 50), (30, 30), (50, 20)])
+def test_gram_ridge_fused_operator_matches_dense(shape):
+    m, n = shape
+    zeta = 1e-5
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal(shape) / np.sqrt(m)
+        v, w = rng.standard_normal(n), rng.standard_normal(m)
+        solver = GramRidgeSolver(A, zeta)
+        G = A @ A.T + zeta * np.eye(m)
+        assert _rel(-solver._F[:, n:], np.linalg.inv(G)) <= 2e-10
+        q = np.empty(m)
+        x = solver.offset_solve(v, np.concatenate([v, w]), q)
+        x_ref = np.linalg.solve(A.T @ A + zeta * np.eye(n), A.T @ w + zeta * v)
+        assert _rel(x, x_ref) <= 1e-9
+        assert _rel(w + zeta * q, A @ x_ref) <= 2e-12
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
 def test_gram_ridge_rejects_nonpositive_penalties():

@@ -442,9 +442,10 @@ def test_feasibility_at_exit_constrained():
 
 # Reference copies of the two inner ADMM loops as they were before they ran
 # on local arrays, with the x-update through scipy's cho_solve.  Both kernels
-# now take their x-update through the precomputed operator H, so they match
-# these loops to rounding; springback's loop with H in place of cho_solve
-# must match the kernel bit for bit, warm state included.
+# now take their x-update through the precomputed operators, so they match
+# these loops to rounding; at tau > 0 springback's loop with H in place of
+# cho_solve must match the kernel bit for bit, warm state included, and at
+# tau = 0 _ref_bp_admm, which computes the m-space expressions, must.
 
 
 def _ref_ridge_solve(A, rho, zeta):
@@ -495,6 +496,42 @@ def _ref_springback_admm(A, b, tau, xi, st, eps, max_inner):
         ):
             break
     return st.x.copy()
+
+
+def _ref_bp_admm(prob, xi, st, eps, max_inner):
+    """Springback's loop at tau = 0 in the m-space expressions of the kernel,
+    every temporary allocated and every stopping test computed at every
+    iteration: q = F [v; w] = H v - M w with v = xi + y - u and w = b - eta,
+    p = x + u = (xi + y) - A^T q, u = clamp(p, -1, 1), y = p - u, x = p - u_old
+    and eta = ZETA_LASSO q, so that A x - b = eta - eta_old."""
+    A, b = prob.A, prob.b
+    F, zeta = prob.gram_solver._F, prob.gram_solver.zeta
+    for _ in range(max_inner):
+        c = xi + st.y
+        q = F @ np.concatenate([c - st.u, b - st.eta])
+        p = c - A.T @ q
+        x_old, x = st.x, p - st.u
+        u = p.clip(-1.0, 1.0)
+        eta = q * zeta
+        res = float(np.linalg.norm(eta - st.eta))
+        st.x, st.y, st.u, st.eta = x, p - u, u, eta
+        st.iterations += 1
+        xnorm = float(np.linalg.norm(x))
+        if (
+            _ref_rel_change(x, x_old) < eps
+            and float(np.linalg.norm(x - st.y)) <= eps * max(1.0, xnorm)
+            and res <= solvers_mod.FEAS_TOL_INNER
+        ):
+            break
+    return st.x.copy()
+
+
+def _ref_operator_springback(prob, xi, st, eps, max_inner):
+    """The kernel's per-iteration reference: _ref_bp_admm at tau = 0, and at
+    tau > 0 _ref_springback_admm with st.solve = _operator_solve(prob)."""
+    if prob.tau == 0.0:
+        return _ref_bp_admm(prob, xi, st, eps, max_inner)
+    return _ref_springback_admm(prob.A, prob.b, prob.tau, xi, st, eps, max_inner)
 
 
 def _ref_lasso_admm(A, b, lam, linear, st, eps, max_iter):
@@ -570,7 +607,7 @@ def test_admm_subproblem_is_bit_identical_to_operator_reference_loop(
     xi = np.zeros(n)
     for _ in range(2):  # a cold call, then a warm-started one
         x = admm_subproblem(prob, xi, opts, warm=state)
-        x_ref = _ref_springback_admm(prob.A, prob.b, prob.tau, xi, ref, eps, max_inner)
+        x_ref = _ref_operator_springback(prob, xi, ref, eps, max_inner)
         assert np.array_equal(x, x_ref)
         _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
         xi = 0.5 * x
@@ -640,12 +677,12 @@ def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
             g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
 
 
-# A reference copy of the lasso loop through the precomputed operator, as it
-# was before it ran on work vectors and checked its stop once per block:
-# every temporary allocated, the clamp through ndarray.clip, every stopping
-# test computed at every iteration.  It takes the cached factor and H of a
-# GramRidgeSolver and applies them with the expressions of that time, so the
-# kernel must match it bit for bit.
+# A reference copy of the lasso loop through the precomputed operator, with
+# none of the kernel's work vectors or blocks: every temporary allocated, the
+# clamp through ndarray.clip, every stopping test computed at every
+# iteration.  It takes the cached factor and H of a GramRidgeSolver and
+# applies them in the kernel's expressions, p = x + u = (x_c + y) -
+# A^T H (y - u) and x = p - u_old, so the kernel must match it bit for bit.
 
 
 def _ref_operator_lasso_admm(A, b, lam, linear, st, eps, max_iter):
@@ -659,9 +696,8 @@ def _ref_operator_lasso_admm(A, b, lam, linear, st, eps, max_iter):
     x, y, u = st.x, st.y, st.u
     thresh = lam / zeta
     for _ in range(max_iter):
-        d = y - u
-        x_old, x = x, (x_c + d) - At.dot(H.dot(d))
-        p = x + u
+        p = (x_c + y) - At.dot(H.dot(y - u))
+        x_old, x = x, p - u
         u = p.clip(-thresh, thresh)
         y = p - u
         st.x, st.y, st.u = x, y, u
@@ -778,9 +814,11 @@ def test_lasso_admm_leaves_caller_arrays_unchanged():
 
 def _failing_solve_on_call(monkeypatch, k, value=np.nan, method="offset_solve"):
     """Patch GramRidgeSolver.<method> to put ``value`` into one entry of a copy
-    of its k-th result; returns the call counter, a one-element list.  Both
-    inner loops compute each x-update with ``offset_solve``; the lasso's also
-    calls ``solve`` once per call, for its constant part."""
+    of its k-th result; returns the call counter, a one-element list.  Every
+    inner loop computes each x-update with ``offset_solve``: x itself in
+    springback's at tau > 0, and p = x + u in the lasso's and in springback's
+    at tau = 0, whose x rows are p - u_old; the lasso's also calls ``solve``
+    once per call, for its constant part."""
     original = getattr(GramRidgeSolver, method)
     calls = [0]
 
@@ -871,6 +909,7 @@ def test_infinite_x_update_leaves_last_finite_warm_state(monkeypatch, k, value):
 @pytest.mark.parametrize("noisy", [False, True])
 def test_finite_x_update_with_overflowing_norm_does_not_raise(monkeypatch, noisy):
     # an entry of 1e200 overflows x.dot(x) to inf, yet every entry is finite
+    # (in p = x + u it is x's too: |u| is at most 1)
     k = 3
     prob = _oracle_instance((20, 50), noisy)
     state = fresh_admm_state(prob)
@@ -964,7 +1003,7 @@ def test_non_finite_springback_x_update_in_a_later_block(monkeypatch, noisy, val
     prob = _oracle_instance((20, 50), noisy)
     xi = 0.1 * np.ones(50)
     state, ref = _springback_pair(prob, _operator_solve(prob))
-    _ref_springback_admm(prob.A, prob.b, prob.tau, xi, ref, 1e-5, k - 1)
+    _ref_operator_springback(prob, xi, ref, 1e-5, k - 1)
     assert ref.iterations == k - 1
     with monkeypatch.context() as mp:
         calls = _inject(mp, k, value, in_place)
@@ -1006,7 +1045,7 @@ def test_non_finite_springback_x_update_after_the_stop_does_not_surface(
 ):
     prob = _oracle_instance((20, 50), noisy)
     state, ref = _springback_pair(prob, _operator_solve(prob))
-    _ref_springback_admm(prob.A, prob.b, prob.tau, np.zeros(50), ref, eps, 200)
+    _ref_operator_springback(prob, np.zeros(50), ref, eps, 200)
     assert ref.iterations == stop
     with monkeypatch.context() as mp:
         calls = _inject(mp, stop + 5, np.nan, in_place)
@@ -1023,7 +1062,7 @@ def test_non_finite_warm_x_is_not_an_error():
     state, ref = _springback_pair(prob, _operator_solve(prob))
     state.x[3] = ref.x[3] = np.nan
     admm_subproblem(prob, np.zeros(50), SolverOptions(max_inner=40), warm=state)
-    _ref_springback_admm(A, b, 0.0, np.zeros(50), ref, 1e-5, 40)
+    _ref_operator_springback(prob, np.zeros(50), ref, 1e-5, 40)
     _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
 
     state, ref = _lasso_pair(50, A)
@@ -1070,11 +1109,12 @@ def test_copying_x_update_changes_no_report(monkeypatch, name):
     _assert_reports_equal(rep, ref)
 
 
-def _overflowing_instance(scale):
+def _overflowing_instance(scale, tau=0.0):
     # finite data; at 1e200 the Gram matrix A A^T overflows, at 1e100 the
-    # springback x-update and the AIHT step size do
+    # springback x-update at tau > 0 (RHO A^T w cancels against A^T H of
+    # itself) and the AIHT step size do
     A = scale * np.hstack([np.eye(3), np.eye(3)[:, :1], np.zeros((3, 1))])
-    return ProblemInstance(A, scale * np.ones(3))
+    return ProblemInstance(A, scale * np.ones(3), tau)
 
 
 def _all_solvers(prob, opts):
@@ -1098,8 +1138,15 @@ def test_overflow_inside_a_solver_is_a_numeric_failure():
     # the alpha the solvers get is still a valid curvature
     assert alpha_subroutine(prob.A, prob.b, 0.0) == ALPHA_MAX
     reports = _all_solvers(_overflowing_instance(1e100), SolverOptions())
-    for name in ("springback", "aiht"):
-        assert reports[name].status is SolverStatus.NUMERIC_FAILURE, name
+    assert reports["aiht"].status is SolverStatus.NUMERIC_FAILURE
+    rep = dca_springback(_overflowing_instance(1e100, 1.0), SolverOptions())
+    assert rep.status is SolverStatus.NUMERIC_FAILURE
+    assert np.isfinite(rep.x_star).all()
+    # at tau = 0 the m-space x-update is scale-free: w, q and eta take the
+    # scales of b, 1 / scale and 1 / scale, and nothing overflows
+    rep = reports["springback"]
+    assert rep.status is SolverStatus.CONVERGED
+    np.testing.assert_allclose(rep.x_star, [0.5, 1.0, 1.0, 0.5, 0.0], atol=1e-9)
 
 
 def test_lasso_solvers_share_one_factor_per_instance(monkeypatch):

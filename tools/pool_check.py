@@ -1,7 +1,8 @@
 """Check chosen solvers against the benchmark's reference pool of a preset.
 
-Runs the named solvers over every (sweep point, master seed) unit of the
-preset's reference pool in ``perfbench/reference/`` and compares each solve
+Runs the named solvers (by default every solver of the preset) over every
+(sweep point, master seed) unit of the preset's reference pool in
+``perfbench/reference/`` and compares each solve
 with the captured reference, as the benchmark's output check does: status,
 stable-recovery bit (noisy presets), summary.csv row and log10 relative
 error.  It prints, per solver, the mismatches of each kind and the largest
@@ -12,7 +13,7 @@ what the benchmark's sample of units would show only by chance.
 
 Run from the repository root:
 
-    python3 tools/pool_check.py fig8 --solvers springback
+    python3 tools/pool_check.py fig8
     python3 tools/pool_check.py fig4 --solvers springback,admm_l1,dca_l12
 
 Exits with status 1 when any status, stable bit or summary row differs.
@@ -82,11 +83,11 @@ def check(bench, preset: str, solvers: tuple[str, ...], out: str) -> dict[str, d
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("preset", help="a preset with a reference pool: fig4, fig5 or fig8")
-    parser.add_argument("--solvers", required=True, help="comma-separated solver ids")
+    parser.add_argument("--solvers", help="comma-separated solver ids (default: all of the preset's)")
     args = parser.parse_args(argv)
     springback = import_springback(ROOT)
     preset = springback.bench.preset_spec(args.preset)
-    solvers = tuple(args.solvers.split(","))
+    solvers = tuple(args.solvers.split(",")) if args.solvers else preset.solvers
     unknown = [s for s in solvers if s not in preset.solvers]
     if unknown:
         parser.error(f"{args.preset} has no reference for {', '.join(unknown)}; "
