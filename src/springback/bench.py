@@ -29,6 +29,7 @@ from .solvers import (
     OMEGA,
     ProblemInstance,
     SolverOptions,
+    SolverReport,
     SolverStatus,
     admm_l1,
     aiht,
@@ -47,6 +48,7 @@ __all__ = [
     "SummaryRow",
     "solver_options",
     "trial_setup",
+    "solve_trial",
     "run_trial",
     "run_experiment",
     "summarize",
@@ -66,11 +68,19 @@ SOLVERS = {
     "admm_l1": lambda p, o: admm_l1(p, o),
     "irls_lp": lambda p, o: irls_lp(p, o),
     "aiht": lambda p, o: aiht(p, o),
-    "dca_tl1": lambda p, o: dca_unconstrained(PenaltyKind.TL1, p, o),
-    "dca_l12": lambda p, o: dca_unconstrained(PenaltyKind.L1_MINUS_2, p, o),
-    "dca_mcp": lambda p, o: dca_unconstrained(PenaltyKind.MCP, p, o),
+    "dca_tl1": lambda p, o: dca_unconstrained((PenaltyKind.TL1,), p, o)[0],
+    "dca_l12": lambda p, o: dca_unconstrained((PenaltyKind.L1_MINUS_2,), p, o)[0],
+    "dca_mcp": lambda p, o: dca_unconstrained((PenaltyKind.MCP,), p, o)[0],
 }
 SOLVER_IDS = tuple(SOLVERS)
+
+# The DCA baselines' penalties: solve_trial runs the ids a trial names as
+# one stack, one dca_unconstrained call.
+_DCA_KINDS = {
+    "dca_tl1": PenaltyKind.TL1,
+    "dca_l12": PenaltyKind.L1_MINUS_2,
+    "dca_mcp": PenaltyKind.MCP,
+}
 
 SWEEP_AXES = ("s", "refinement", "snr", "m")
 
@@ -202,11 +212,45 @@ def trial_setup(
     return prob, solver_options(prob, s, spec.omega), s
 
 
-def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[TrialRecord]:
-    """Generate one instance and run every configured solver on it.
+def solve_trial(
+    solvers: tuple[str, ...], prob: ProblemInstance, opts: SolverOptions
+) -> dict[str, tuple[SolverReport | None, float]]:
+    """Run the solver ids ``solvers`` on one instance: per id, its report
+    (None when the solver raised NumericError) and its wall time in seconds.
 
-    A solver's NumericError is recorded as numeric_failure; any other error
-    (a bug, such as a write into the read-only instance) raises.
+    The DCA ids among them run as one stack of lasso rows, a single
+    dca_unconstrained call made in the place of the first, in their order
+    here, and each gets the stack's wall time divided by their number; every
+    other id runs alone through SOLVERS.  Each report is bit for bit the one
+    its SOLVERS entry returns.
+    """
+    dca = [sid for sid in solvers if sid in _DCA_KINDS]
+    results: dict[str, tuple[SolverReport | None, float]] = {}
+    for sid in solvers:
+        if sid in results:
+            continue
+        group = dca if sid in _DCA_KINDS else [sid]
+        t0 = time.perf_counter()
+        try:
+            if group is dca:
+                reports = dca_unconstrained(tuple(_DCA_KINDS[g] for g in dca), prob, opts)
+            else:
+                reports = [SOLVERS[sid](prob, opts)]
+        except NumericError:
+            reports = [None] * len(group)
+        wall = (time.perf_counter() - t0) / len(group)
+        results.update((g, (report, wall)) for g, report in zip(group, reports))
+    return results
+
+
+def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[TrialRecord]:
+    """Generate one instance, run every configured solver on it through
+    solve_trial, and keep one record per solver in the spec's order.
+
+    The DCA baselines run as one stack, and each of their records holds the
+    stack's wall time divided by their number.  A solver's NumericError is
+    recorded as numeric_failure; any other error (a bug, such as a write
+    into the read-only instance) raises.
     """
     prob, opts, s = trial_setup(spec, sweep_index, trial_index)
     xbar = prob.ground_truth
@@ -214,16 +258,15 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[
     xnorm = float(np.linalg.norm(xbar))
     records = []
     errors = {}
+    results = solve_trial(spec.solvers, prob, opts)
     for sid in spec.solvers:
-        t0 = time.perf_counter()
-        try:
-            report = SOLVERS[sid](prob, opts)
-            status = report.status.value
-            x_star = report.x_star
-        except NumericError:
+        report, wall = results[sid]
+        if report is None:
             status = SolverStatus.NUMERIC_FAILURE.value
             x_star = np.zeros(xbar.shape[0])
-        wall = time.perf_counter() - t0
+        else:
+            status = report.status.value
+            x_star = report.x_star
         abs_err = float(np.linalg.norm(x_star - xbar))
         rel_err = abs_err / xnorm if xnorm > 0 else float("nan")
         success = rel_err < spec.success_tol if xnorm > 0 else abs_err < spec.success_tol

@@ -144,11 +144,24 @@ class GramRidgeSolver:
         d: np.ndarray,
         q: np.ndarray | None = None,
         out: np.ndarray | None = None,
+        rows=None,
     ) -> np.ndarray:
         """c - A^T q with q = H d for d of length n, and q = F d = H v - M w
         for d = [v; w] of length n + m; the x-update of every inner ADMM
         loop.  Unchecked like ``solve``, and written into the length-m q and
-        the length-n ``out`` when given (float vectors other than c and d)."""
+        the length-n ``out`` when given (float arrays other than c and d).
+
+        On a stack of lasso rows, c, d, q and ``out`` are 2-D with one
+        problem per row, d of width n, and ``rows`` holds the views (d_r,
+        q_r, out_r) of the rows to update, made once by the caller: each gets
+        q_r = H d_r and A^T q_r, the very calls of a lone vector, so that it
+        rounds as it would alone.  The subtraction then covers every row at
+        once: a row not listed gets c minus the ``out`` row it held."""
+        if rows is not None:
+            At, H = self._At, self._H
+            for d_r, q_r, t_r in rows:
+                At.dot(H.dot(d_r, q_r), t_r)
+            return np.subtract(c, out, out)
         op = self._H if d.shape[0] == self._n else self._F
         t = self._At.dot(op.dot(d, q), out)
         return np.subtract(c, t, t)

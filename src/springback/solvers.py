@@ -195,95 +195,110 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _history(st, names) -> dict[str, np.ndarray]:
-    """Per-call (ADMM_BLOCK + 1)-row history arrays of the iterates ``names``
-    of st, in names order, row 0 holding the warm state's."""
+def _history(states, names) -> dict[str, np.ndarray]:
+    """Per-call (ADMM_BLOCK + 1, k, size) history arrays of the iterates
+    ``names`` of the k warm states, in names order: slot 0 holds the states'
+    iterates, one row each."""
     hist = {}
     for name in names:
-        V = hist[name] = np.empty((ADMM_BLOCK + 1, getattr(st, name).size))
-        V[0] = getattr(st, name)
+        V = hist[name] = np.empty((ADMM_BLOCK + 1, len(states), getattr(states[0], name).size))
+        for r, st in enumerate(states):
+            V[0, r] = getattr(st, name)
     return hist
 
 
-def _admm_blocks(st, hist, eps, max_iter, block, feasible=None) -> bool:
-    """The block driver of both inner ADMM loops: runs at most max_iter
-    iterations from the warm state ``st`` and returns whether the stopping
-    test fired.
+def _admm_blocks(states, hist, eps, max_iter, block, feasible=None) -> list[SolverStatus]:
+    """The block driver of both inner ADMM loops, over a stack of k rows:
+    runs each row at most max_iter iterations from its warm state in
+    ``states`` and returns per row CONVERGED when its stopping test fired,
+    MAX_ITER when it did not, and NUMERIC_FAILURE when its iterate turned
+    non-finite.
 
-    ``hist``, from _history, holds the history arrays of the iterates of st
-    (x and y first); row 0 holds the iterate the block starts from.
-    ``block(count)`` runs count iterations, the k-th writing row k of each,
-    and returns how many it completed: fewer only when a non-finite value
-    left the next row unfinished, as when a wrapped solver returns a
-    non-finite x-update in an array of its own, which the block copies into
-    its row.
+    ``hist``, from _history, holds the history arrays of the iterates (x and
+    y first); slot 0 holds the iterates the block starts from.
+    ``block(count, rows)`` runs count iterations of the listed rows, the j-th
+    writing slot j, and returns per row the last slot it completed: fewer
+    than count only when a non-finite value left the next one unfinished, as
+    when a wrapped solver returns a non-finite x-update in an array of its
+    own, which the block copies into its slot.
 
-    After each block, row-wise calls give every row's stopping test,
+    After each block, row-wise calls give every slot's stopping test,
     ||x - x_old|| / max(||x||, ||x_old||) < eps, ||x - y|| <= eps max(1, ||x||)
-    and ``feasible(end)`` where given, each only where the ones before it
-    pass, as a per-iteration ``and``, and bit for bit as a per-iteration loop
-    computes them (np.vecdot of a row is ndarray.dot of it).  The first row
-    that passes ends the call; the rows after it are discarded.  A row whose
-    ||x|| is not finite and whose entries confirm it, or an unfinished row,
-    ends the call at the row before with NumericError; row 0's x enters only
-    row 1's change test, which a non-finite one fails.  The tests run silent,
-    as the Python float arithmetic of scalar tests was.  ``st`` gets copies of
-    the kept row and the completed iterations on every exit.
+    and ``feasible(top)`` where given, as a per-iteration ``and``, and bit for
+    bit as a per-iteration loop computes them (np.vecdot of a row is
+    ndarray.dot of it).  A row's first slot that passes ends that row, and
+    its later slots are discarded.  A slot whose ||x|| is not finite and
+    whose entries confirm it, or an unfinished slot, ends its row at the
+    slot before with NUMERIC_FAILURE; slot 0's x enters only slot 1's change
+    test, which a non-finite one fails.  A row that ends leaves the stack,
+    whose other rows carry on, and its state gets copies of the kept slot
+    and its completed iterations.  Blocks and tests run silent, as the
+    Python float arithmetic of scalar tests was: the tests find non-finite
+    values, and the rows that ended compute on unread.
     """
     X, Y = list(hist.values())[:2]
-    work = np.empty((ADMM_BLOCK, X.shape[1]))
-    vecdot, maximum, subtract = np.vecdot, np.maximum, np.subtract
-    done, last = 0, 0  # the iterations completed, the row holding the state
-    try:
-        while done < max_iter:
-            count = min(ADMM_BLOCK, max_iter - done)
-            top = block(count)  # the last row computed in full
-            with np.errstate(all="ignore"):
-                xnorm = np.sqrt(vecdot(X[: top + 1], X[: top + 1]))
-                end = top
-                for i in np.flatnonzero(~np.isfinite(xnorm[1:])):
-                    if not np.isfinite(X[i + 1]).all():
+    work = np.empty((ADMM_BLOCK,) + X.shape[1:])
+    vecdot, maximum, subtract, nonzero = np.vecdot, np.maximum, np.subtract, np.count_nonzero
+    status = [SolverStatus.MAX_ITER] * len(states)
+    rows = list(range(len(states)))  # the rows still running
+    done = 0  # the iterations every running row completed
+
+    def leave(r, slot):
+        for name, V in hist.items():
+            setattr(states[r], name, V[slot, r].copy())
+        states[r].iterations += done + slot
+
+    while rows and done < max_iter:
+        count = min(ADMM_BLOCK, max_iter - done)
+        with np.errstate(all="ignore"):
+            tops = block(count, rows)  # per row, the last slot computed in full
+            top = max(tops)
+            xnorm = np.sqrt(vecdot(X[: top + 1], X[: top + 1]))
+            new, old = slice(1, top + 1), slice(0, top)
+            dx = subtract(X[new], X[old], work[:top])
+            passed = np.sqrt(vecdot(dx, dx)) / maximum(maximum(xnorm[new], xnorm[old]), _TINY) < eps
+            if nonzero(passed):
+                gap = subtract(X[new], Y[new], work[:top])
+                passed &= np.sqrt(vecdot(gap, gap)) <= eps * maximum(1.0, xnorm[new])
+            if feasible is not None and nonzero(passed):
+                passed &= feasible(top)
+        going = rows  # a block with no stop, no short row and finite norms
+        if nonzero(passed) or min(tops) < count or nonzero(np.isfinite(xnorm[new])) < passed.size:
+            going = []
+            for r, end in zip(rows, tops):
+                for i in np.flatnonzero(~np.isfinite(xnorm[1 : end + 1, r])):
+                    if not np.isfinite(X[i + 1, r]).all():
                         end = int(i)
                         break
-                new, old = slice(1, end + 1), slice(0, end)
-                dx = subtract(X[new], X[old], work[:end])
-                passed = np.sqrt(vecdot(dx, dx)) / maximum(maximum(xnorm[new], xnorm[old]), _TINY) < eps
-                if passed.any():
-                    gap = subtract(X[new], Y[new], work[:end])
-                    passed &= np.sqrt(vecdot(gap, gap)) <= eps * maximum(1.0, xnorm[new])
-                if feasible is not None and passed.any():
-                    passed &= feasible(end)
-                fired = np.flatnonzero(passed)
-                failed = end < count
+                fired = np.flatnonzero(passed[:end, r])
                 if fired.size:
-                    end = int(fired[0]) + 1
-            done, last = done + end, end
-            if fired.size:
-                return True
-            if failed:
-                raise NumericError("inner ADMM produced non-finite values")
-            for V in hist.values():
-                V[0] = V[end]
-            last = 0
-        return False
-    finally:
-        for name, V in hist.items():
-            setattr(st, name, V[last].copy())
-        st.iterations += done
+                    status[r] = SolverStatus.CONVERGED
+                    leave(r, int(fired[0]) + 1)
+                elif end < count:
+                    status[r] = SolverStatus.NUMERIC_FAILURE
+                    leave(r, end)
+                else:
+                    going.append(r)
+        done += count
+        for V in hist.values():
+            V[0] = V[count]
+        rows = going
+    for r in rows:
+        leave(r, 0)
+    return status
 
 
 def _prox_rows(hist):
-    """For the loops that compute only p = x + u: the row views of the
-    history arrays and of a history array P of p, and a function that fills
-    x rows 1..k as P - U_prev and returns k."""
+    """For the loops that compute only p = x + u: a history array P of p and
+    a function that fills x slots 1..j as P - U_prev and returns j."""
     X, U = hist["x"], hist["u"]
     P = np.empty_like(X)
 
-    def fill_x(k):
-        np.subtract(P[1 : k + 1], U[:k], X[1 : k + 1])
-        return k
+    def fill_x(j):
+        np.subtract(P[1 : j + 1], U[:j], X[1 : j + 1])
+        return j
 
-    return [list(V) for V in hist.values()], list(P), fill_x
+    return P, fill_x
 
 
 def fresh_admm_state(prob: ProblemInstance) -> AdmmState:
@@ -306,8 +321,8 @@ def admm_subproblem(
     relative x-change, the x/y consensus gap, and the constraint residual to
     be small together; the change test alone fires spuriously in the first
     iterations when the soft threshold keeps both iterates at zero.  The warm
-    state gets the last finite iterate and the completed iterations on every
-    exit, a NumericError from a non-finite x-update included; its arrays are
+    state gets the last finite iterate and the completed iterations on
+    return and on the NumericError of a non-finite x-update; its arrays are
     copies, so no step touches an array a caller holds.
 
     With ZETA_INNER = 1 the x-update is (RHO A^T A + I)^-1 (RHO A^T w + v)
@@ -321,7 +336,8 @@ def admm_subproblem(
     forms neither RHO A^T w nor A x, computes only p = x + u, with
     u = clamp(p) and y = p - u, and fills its x rows once per block.
 
-    The iterations run through _admm_blocks, whose stopping test here also
+    The iterations run through _admm_blocks as a stack of one row, whose
+    1-D slot views the loop computes on, and whose stopping test here also
     asks ||A x - b|| <= tau + FEAS_TOL_INNER, with A x - b = eta - eta_prev at
     tau = 0.  At tau > 0 the ball projection needs ||z|| at once, so a
     non-finite z (which a non-finite x makes) ends the block at the row
@@ -342,17 +358,18 @@ def admm_subproblem(
     feas = tau + FEAS_TOL_INNER
     lo, hi = np.array(-1.0), np.array(1.0)  # the soft threshold's clamp
     q = np.empty(m)
-    rwork = np.empty((ADMM_BLOCK, m))
+    rwork = np.empty((ADMM_BLOCK, 1, m))
 
     if tau == 0.0:  # z is unwritten
-        hist = _history(st, ("x", "y", "u", "eta"))
-        (_, ys, us, etas), ps, fill_x = _prox_rows(hist)
+        hist = _history([st], ("x", "y", "u", "eta"))
+        P, fill_x = _prox_rows(hist)
         ETA = hist["eta"]
+        ys, us, etas, ps = (list(V[:, 0]) for V in (hist["y"], hist["u"], ETA, P))
         vw, c = np.empty(n + m), np.empty(n)
         v, w = vw[:n], vw[n:]
         zeta = np.array(solver.zeta)
 
-        def block(count):
+        def block(count, _):
             for k in range(1, count + 1):
                 y, u, p = ys[k - 1], us[k - 1], ps[k]
                 subtract(b, etas[k - 1], w)
@@ -361,27 +378,27 @@ def admm_subproblem(
                 if t is not p:  # a wrapped solver
                     np.copyto(p, t)
                     if not np.isfinite(p).all():
-                        return fill_x(k - 1)
+                        return [fill_x(k - 1)]
                 minimum(maximum(p, lo, out=us[k]), hi, out=us[k])
                 subtract(p, us[k], ys[k])
                 np.multiply(q, zeta, etas[k])
-            return fill_x(count)
+            return [fill_x(count)]
 
         def feasible(end):
             res = subtract(ETA[1 : end + 1], ETA[:end], rwork[:end])
             return np.sqrt(np.vecdot(res, res)) <= feas
 
     else:
-        hist = _history(st, ("x", "y", "u", "eta", "z"))
-        xs, ys, us, etas, zs = (list(V) for V in hist.values())
+        hist = _history([st], ("x", "y", "u", "eta", "z"))
+        xs, ys, us, etas, zs = (list(V[:, 0]) for V in hist.values())
         rho = np.array(RHO)
         scale = np.array(0.0)  # the ball projection's tau / ||z||
-        AX = np.empty((ADMM_BLOCK + 1, m))
-        axs = list(AX)  # row views, made once
+        AX = np.empty((ADMM_BLOCK + 1, 1, m))
+        axs = list(AX[:, 0])  # row views, made once
         rhs_n, p, clamped, diff = (np.empty(n) for _ in range(4))
         w_m, r = np.empty(m), np.empty(m)
 
-        def block(count):
+        def block(count, _):
             rhs, w = rhs_n, w_m  # locals: the in-place operators below assign them
             for k in range(1, count + 1):
                 eta, eta_k, u = etas[k - 1], etas[k], us[k - 1]
@@ -396,7 +413,7 @@ def admm_subproblem(
                 if x is not row:  # a wrapped solver
                     np.copyto(row, x)
                     if not np.isfinite(row).all():
-                        return k - 1
+                        return [k - 1]
                 add(x, u, p)
                 subtract(p, minimum(maximum(p, lo, out=clamped), hi, out=clamped), y)
                 A.dot(x, Ax)
@@ -406,46 +423,71 @@ def admm_subproblem(
                 add(subtract(Ax, b, r), eta, z)
                 znorm = math.sqrt(z.dot(z))
                 if not math.isfinite(znorm) and not np.isfinite(z).all():
-                    return k - 1
+                    return [k - 1]
                 if znorm > tau:
                     scale[()] = tau / znorm
                     z *= scale
                 eta_k -= z
                 subtract(p, y, us[k])
-            return count
+            return [count]
 
         def feasible(end):
             res = subtract(AX[1 : end + 1], b, rwork[:end])
             return np.sqrt(np.vecdot(res, res)) <= feas
 
-    _admm_blocks(st, hist, opts.eps_inner, opts.max_inner, block, feasible)
+    (status,) = _admm_blocks([st], hist, opts.eps_inner, opts.max_inner, block, feasible)
+    if status is SolverStatus.NUMERIC_FAILURE:
+        raise NumericError("inner ADMM produced non-finite values")
     return st.x.copy()
 
 
-def _outer(prob: ProblemInstance, cap: int, step, trace: list[float], state=None) -> SolverReport:
-    """The outer loop of every solver.
+def _outer(prob: ProblemInstance, cap: int, step, traces, states=None) -> list[SolverReport]:
+    """The outer loop of every solver, over rows run in lockstep: one report
+    per row of ``traces``.
 
-    From x^0 = 0, runs ``x, stop = step(x)`` at most ``cap`` times; ``step``
-    appends to ``trace`` itself.  The first stop converges, ``cap`` steps
-    without one end at MAX_ITER, and a NumericError ends the loop at the last
-    completed iterate.  The report holds that iterate, its residual
-    ||A x - b||_2 and the completed steps; its inner iterations are those of
-    the warm inner ``state`` when one is given, and the step count otherwise.
+    Every row starts from x^0 = 0.  Each round, ``step(rows, xs)`` takes the
+    indices of the rows still running and their iterates, appends to their
+    traces itself, and returns per row (x, stop), or None for a row whose
+    step met a non-finite value; a NumericError it raises is a None for each
+    of its rows.  A row's first stop converges, ``cap`` steps without one
+    end at MAX_ITER, and a None ends the row at its last completed iterate
+    with NUMERIC_FAILURE; the other rows carry on.  A report holds its row's
+    iterate, its residual ||A x - b||_2 and the completed steps; its inner
+    iterations are those of the row's warm inner state in ``states`` when
+    given, and the step count otherwise.
     """
-    x = np.zeros(prob.A.shape[1])
-    status, done = SolverStatus.MAX_ITER, 0
-    try:
-        while done < cap:
-            x, stop = step(x)
-            done += 1
+    k = len(traces)
+    xs = [np.zeros(prob.A.shape[1]) for _ in range(k)]
+    done, status = [0] * k, [SolverStatus.MAX_ITER] * k
+    rows = list(range(k)) if cap > 0 else []
+    while rows:
+        try:
+            outcomes = step(rows, [xs[r] for r in rows])
+        except NumericError:
+            outcomes = [None] * len(rows)
+        going = []
+        for r, outcome in zip(rows, outcomes):
+            if outcome is None:
+                status[r] = SolverStatus.NUMERIC_FAILURE
+                continue
+            xs[r], stop = outcome
+            done[r] += 1
             if stop:
-                status = SolverStatus.CONVERGED
-                break
-    except NumericError:
-        status = SolverStatus.NUMERIC_FAILURE
-    inner = done if state is None else state.iterations
-    residual = float(np.linalg.norm(prob.A @ x - prob.b))
-    return SolverReport(x, done, inner, trace, residual, status)
+                status[r] = SolverStatus.CONVERGED
+            elif done[r] < cap:
+                going.append(r)
+        rows = going
+    reports = []
+    for r in range(k):
+        inner = done[r] if states is None else states[r].iterations
+        residual = float(np.linalg.norm(prob.A @ xs[r] - prob.b))
+        reports.append(SolverReport(xs[r], done[r], inner, traces[r], residual, status[r]))
+    return reports
+
+
+def _solo(step):
+    """A one-row solver's ``x, stop = step(x)`` as a step of _outer."""
+    return lambda rows, xs: [step(xs[0])]
 
 
 def _dca_settled(x_new: np.ndarray, x: np.ndarray, eps: float) -> bool:
@@ -482,7 +524,7 @@ def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
         trace.append(penalty_value(PenaltyKind.SPRINGBACK, x_new, params))
         return x_new, _dca_settled(x_new, x, opts.eps_outer)
 
-    report = _outer(prob, MAX_OUTER, step, trace, state)
+    (report,) = _outer(prob, MAX_OUTER, _solo(step), [trace], [state])
     if infeasible and report.status is not SolverStatus.NUMERIC_FAILURE:
         report.status = SolverStatus.INFEASIBLE_START
     return report
@@ -505,19 +547,22 @@ def _lasso_state(n: int) -> _LassoState:
 def _lasso_admm(
     A: np.ndarray,
     b: np.ndarray,
-    lam: float,
-    linear: np.ndarray | None,
+    lams,
+    linears,
     solver: GramRidgeSolver,
-    st: _LassoState,
+    states,
     eps: float,
     max_iter: int,
-) -> bool:
-    """Two-block ADMM for min 0.5||Ax-b||^2 + lam||x||_1 - <linear, x>
-    (Boyd et al. 2011, section 6.4), continued from the warm state ``st``,
-    with ``solver`` the GramRidgeSolver of A and the splitting penalty zeta.
+) -> list[SolverStatus]:
+    """Two-block ADMM for a stack of lasso problems on one A and b, row r
+    being min 0.5||Ax-b||^2 + lams[r] ||x||_1 - <linears[r], x> (Boyd et al.
+    2011, section 6.4; a linear term None is none), continued from the warm
+    state ``states[r]``, with ``solver`` the GramRidgeSolver of A and the
+    splitting penalty zeta.
 
-    Runs at most max_iter iterations through _admm_blocks and returns whether
-    the stopping test fired.
+    Runs each row at most max_iter iterations through _admm_blocks and
+    returns per row its status there: CONVERGED when the stopping test
+    fired, MAX_ITER, or NUMERIC_FAILURE.
 
     The x-update (A^T A + zeta I)^-1 (A^T b + linear + zeta (y - u)) is split
     into its constant part x_c, solved once per call, and x_c + (y - u) -
@@ -525,81 +570,122 @@ def _lasso_admm(
     dual is u = clamp(x + u, -t, t), so y = (x + u) - u is the soft
     threshold.  An iteration never forms x: it computes
     p = x + u = (x_c + y) - A^T H (y - u), then u = clamp(p) and y = p - u,
-    and the block fills its x rows once, as p - u_prev.
+    and the block fills its x slots once, as p - u_prev.
+
+    Each elementwise update runs once for the whole stack, with the clamp
+    bounds as full per-row arrays, while the x-update makes one
+    matrix-vector product pair per running row: every row is bit for bit
+    the run it makes alone, as a stack of one.  The rows that have ended
+    are still updated elementwise, silently, and never read.
     """
     step = solver.offset_solve
-    n = st.x.size
-    hist = _history(st, ("x", "y", "u"))
-    (_, ys, us), ps, fill_x = _prox_rows(hist)
-    c, d, q = np.empty(n), np.empty(n), np.empty(A.shape[0])
-    x_c = solver.solve(A.T @ b if linear is None else A.T @ b + linear)
-    thresh = lam / solver.zeta
-    lo, hi = np.array(-thresh), np.array(thresh)  # the clamp of u
+    k, (m, n) = len(states), A.shape
+    hist = _history(states, ("x", "y", "u"))
+    P, fill_x = _prox_rows(hist)
+    ys, us, ps = list(hist["y"]), list(hist["u"]), list(P)
+    C, D, Q = np.empty((k, n)), np.empty((k, n)), np.empty((k, m))
+    # per slot, every row's views (d, q, p) for the x-update, made once
+    slots = ADMM_BLOCK + 1
+    views = list(zip(list(D) * slots, list(Q) * slots, P.reshape(-1, n)))
+    views = [views[j * k : j * k + k] for j in range(slots)]
+    Atb = A.T @ b
+    XC = np.array([solver.solve(Atb if g is None else Atb + g) for g in linears])
+    HI = np.empty((k, n))  # the clamp of u: t = lam / zeta per row
+    HI[:] = np.array([[lam / solver.zeta] for lam in lams])
+    LO = -HI
     add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
 
-    def block(count):
-        for k in range(1, count + 1):
-            y, u, p = ys[k - 1], us[k - 1], ps[k]
-            t = step(add(x_c, y, c), subtract(y, u, d), q, p)
-            if t is not p:  # a wrapped solver
-                np.copyto(p, t)
-                if not np.isfinite(p).all():
-                    return fill_x(k - 1)
-            minimum(maximum(p, lo, out=us[k]), hi, out=us[k])
-            subtract(p, us[k], ys[k])
-        return fill_x(count)
+    def block(count, rows):
+        tops, going = dict.fromkeys(rows, count), list(rows)
+        calls = views if len(rows) == k else [[v[r] for r in rows] for v in views]
+        for j, Y, U, Pj, U1, Y1 in zip(range(1, count + 1), ys, us, ps[1:], us[1:], ys[1:]):
+            t = step(add(XC, Y, C), subtract(Y, U, D), Q, Pj, calls[j])
+            if t is not Pj:  # a wrapped solver
+                np.copyto(Pj, t)
+                for r in [r for r in going if not np.isfinite(Pj[r]).all()]:
+                    tops[r] = j - 1
+                    going.remove(r)
+                    calls = [[v[g] for g in going] for v in views]
+                if not going:
+                    break
+            minimum(maximum(Pj, LO, out=U1), HI, out=U1)
+            subtract(Pj, U1, Y1)
+        fill_x(max(tops.values()))
+        return [tops[r] for r in rows]
 
-    return _admm_blocks(st, hist, eps, max_iter, block)
+    return _admm_blocks(states, hist, eps, max_iter, block)
 
 
 def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     """ADMM for the unconstrained l1 model 0.5||Ax-b||^2 + LAMBDA||x||_1.
 
-    One outer step: the lasso ADMM from the zero state to its own stop or
-    ADMM_MAX iterations; the trace holds the objective at its final y.
+    One outer step: the lasso ADMM, a stack of one, from the zero state to
+    its own stop or ADMM_MAX iterations; the trace holds the objective at its
+    final y.
     """
     A, b = prob.A, prob.b
     st = _lasso_state(A.shape[1])
     trace: list[float] = []
 
     def step(_):
-        fired = _lasso_admm(A, b, LAMBDA, None, prob.gram_solver, st, opts.eps_outer, ADMM_MAX)
+        solver = prob.gram_solver
+        (end,) = _lasso_admm(A, b, [LAMBDA], [None], solver, [st], opts.eps_outer, ADMM_MAX)
+        if end is SolverStatus.NUMERIC_FAILURE:
+            raise NumericError("lasso ADMM produced non-finite values")
         r = A.dot(st.y) - b
         trace.append(0.5 * float(r.dot(r)) + LAMBDA * float(np.abs(st.y).sum()))
-        return st.y, fired
+        return st.y, end is SolverStatus.CONVERGED
 
-    return _outer(prob, 1, step, trace, st)
+    return _outer(prob, 1, _solo(step), [trace], [st])[0]
 
 
 def dca_unconstrained(
-    kind: PenaltyKind, prob: ProblemInstance, opts: SolverOptions
-) -> SolverReport:
+    kinds: tuple[PenaltyKind, ...], prob: ProblemInstance, opts: SolverOptions
+) -> list[SolverReport]:
     """DCA for unconstrained models 0.5||Ax-b||^2 + lam R(x), lam = LAMBDA, with
-    R the transformed l1 (beta = 1), MCP (mu = 1/alpha) or l1-minus-l2 penalty.
+    R the transformed l1 (beta = 1), MCP (mu = 1/alpha) or l1-minus-l2 penalty:
+    one report per PenaltyKind of the ordered tuple ``kinds``, in its order.
 
     The concave part is linearized via its gradient, leaving an l1-regularized
     least-squares subproblem (weight lam for l1-2/MCP, lam (beta+1)/beta for
     the transformed l1) handled by the lasso ADMM core with warm restarts.
+    The kinds run as one stack of lasso rows on the instance's A, b and
+    gram_solver, in lockstep outer steps: each unsettled row takes its linear
+    term, the stack runs until every row has stopped, and each row then
+    records its objective and asks the DCA stop.  A row that has settled or
+    failed leaves the stack, so each report is bit for bit that of its kind
+    run alone, as ``dca_unconstrained((kind,), prob, opts)``.
     """
-    if kind not in (PenaltyKind.L1_MINUS_2, PenaltyKind.TL1, PenaltyKind.MCP):
-        raise InvalidParameterError(f"no DCA baseline for {kind!r}")
+    kinds = tuple(kinds)
+    for kind in kinds:
+        if kind not in (PenaltyKind.L1_MINUS_2, PenaltyKind.TL1, PenaltyKind.MCP):
+            raise InvalidParameterError(f"no DCA baseline for {kind!r}")
     A, b = prob.A, prob.b
     lam = LAMBDA
     params = ThresholdParams(mu=1.0 / opts.alpha)
     beta = params.beta
-    l1_weight = lam * (beta + 1.0) / beta if kind is PenaltyKind.TL1 else lam
-    st = _lasso_state(A.shape[1])
-    trace: list[float] = []
+    weights = [lam * (beta + 1.0) / beta if kind is PenaltyKind.TL1 else lam for kind in kinds]
+    states = [_lasso_state(A.shape[1]) for _ in kinds]
+    traces: list[list[float]] = [[] for _ in kinds]
 
-    def step(x):
-        g = lam * dc_concave_gradient(kind, x, params)
-        _lasso_admm(A, b, l1_weight, g, prob.gram_solver, st, opts.eps_inner, opts.max_inner)
-        x_new = st.y
-        r = A @ x_new - b
-        trace.append(0.5 * float(r @ r) + lam * penalty_value(kind, x_new, params))
-        return x_new, _dca_settled(x_new, x, opts.eps_outer)
+    def step(rows, xs):
+        gs = [lam * dc_concave_gradient(kinds[r], x, params) for r, x in zip(rows, xs)]
+        ends = _lasso_admm(
+            A, b, [weights[r] for r in rows], gs, prob.gram_solver,
+            [states[r] for r in rows], opts.eps_inner, opts.max_inner,
+        )
+        outcomes = []
+        for r, x, end in zip(rows, xs, ends):
+            if end is SolverStatus.NUMERIC_FAILURE:
+                outcomes.append(None)
+                continue
+            x_new = states[r].y
+            res = A @ x_new - b
+            traces[r].append(0.5 * float(res @ res) + lam * penalty_value(kinds[r], x_new, params))
+            outcomes.append((x_new, _dca_settled(x_new, x, opts.eps_outer)))
+        return outcomes
 
-    return _outer(prob, MAX_OUTER, step, trace, st)
+    return _outer(prob, MAX_OUTER, step, traces, states)
 
 
 def irls_lp(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
@@ -634,7 +720,7 @@ def irls_lp(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
             eps_s = max(0.1 * eps_s, 1e-8)
         return x_new, False
 
-    return _outer(prob, IRLS_MAX, sweep, trace)
+    return _outer(prob, IRLS_MAX, _solo(sweep), [trace])[0]
 
 
 def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:
@@ -700,7 +786,7 @@ def aiht(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
         settled = abs(last - rnorm) <= 1e-12 * max(1.0, last)
         return x_new, change <= opts.eps_outer * max(1.0, math.sqrt(x_new.dot(x_new))) or settled
 
-    return _outer(prob, AIHT_MAX, iteration, trace)
+    return _outer(prob, AIHT_MAX, _solo(iteration), [trace])[0]
 
 
 def alpha_subroutine(A, b, tau: float, omega: float = OMEGA) -> float:

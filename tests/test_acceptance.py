@@ -30,6 +30,7 @@ from springback.solvers import (
     SolverStatus,
     _dca_settled,
     _outer,
+    _solo,
     admm_subproblem,
     alpha_subroutine,
     dca_springback,
@@ -133,7 +134,7 @@ def _dca_iterate_history(prob, opts):
         trace.append(float(np.abs(x_new).sum() - 0.5 * opts.alpha * (x_new @ x_new)))
         return x_new, _dca_settled(x_new, x, opts.eps_outer)
 
-    report = _outer(prob, MAX_OUTER, step, trace, state)
+    (report,) = _outer(prob, MAX_OUTER, _solo(step), [trace], [state])
     assert report.status is not SolverStatus.NUMERIC_FAILURE, report
     return list(zip(iterates, report.objective_trace))
 

@@ -110,6 +110,50 @@ def test_run_trial_deterministic_and_complete():
     assert spb.accepted is not None
 
 
+def test_run_trial_runs_the_dca_baselines_as_one_stack(monkeypatch):
+    # the DCA ids a spec names run as one dca_unconstrained call, in the
+    # spec's order and in the place of the first; the records keep the
+    # spec's order, each grouped record holds the stack's wall time over
+    # their number, and each report is that of its SOLVERS entry
+    from springback.penalties import PenaltyKind
+
+    calls, order = [], []
+    stack, solo = bench.dca_unconstrained, bench.SOLVERS["aiht"]
+
+    def recording(kinds, prob, opts):
+        calls.append(tuple(kinds))
+        order.append("dca")
+        return stack(kinds, prob, opts)
+
+    def aiht(prob, opts):
+        order.append("aiht")
+        return solo(prob, opts)
+
+    monkeypatch.setattr(bench, "dca_unconstrained", recording)
+    monkeypatch.setitem(bench.SOLVERS, "aiht", aiht)
+    spec = _small_spec(solvers=("dca_mcp", "aiht", "dca_tl1"))
+    recs = run_trial(spec, 0, 0)
+    assert calls == [(PenaltyKind.MCP, PenaltyKind.TL1)] and order == ["dca", "aiht"]
+    assert [r.solver_id for r in recs] == list(spec.solvers)
+    assert recs[0].wall_time == recs[2].wall_time > 0.0
+    prob, opts, _ = bench.trial_setup(spec, 0, 0)
+    results = bench.solve_trial(spec.solvers, prob, opts)
+    for sid in spec.solvers:
+        report = bench.SOLVERS[sid](prob, opts)
+        assert results[sid][0].x_star.tobytes() == report.x_star.tobytes()
+        assert results[sid][0].status is report.status
+
+
+def test_numeric_error_of_the_dca_stack_fails_each_of_its_records(monkeypatch):
+    def numeric(kinds, prob, opts):
+        raise NumericError("non-finite iterate")
+
+    monkeypatch.setattr(bench, "dca_unconstrained", numeric)
+    recs = run_trial(_small_spec(solvers=("dca_l12", "aiht", "dca_tl1")), 0, 0)
+    assert recs[0].status == recs[2].status == "numeric_failure"
+    assert recs[1].status != "numeric_failure"
+
+
 def test_trial_seeds_order_independent():
     spec = _small_spec(sweep_values=(3, 5))
     keys = [(si, ti) for si in range(2) for ti in range(2)]

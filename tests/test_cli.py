@@ -305,3 +305,40 @@ def test_bounds_toy_rejects_profile_flags(capsys):
     assert "--s, --tau:" in capsys.readouterr().err
     # --alpha is read by the worked example
     assert main(["bounds", "--toy", "--alpha", "2"]) == 0
+
+
+def test_solve_dca_baseline_is_its_grouped_bench_record(monkeypatch, capsys):
+    # solve runs dca_tl1 alone; a bench trial runs the three DCA baselines as
+    # one stack.  On the same trial both give the same x_star and status.
+    from springback import bench
+    from springback.penalties import PenaltyKind
+    from springback.sensing import EnsembleKind, EnsembleSpec
+
+    calls = []
+    original = bench.dca_unconstrained
+
+    def recording(kinds, prob, opts):
+        reports = original(kinds, prob, opts)
+        calls.append((tuple(kinds), reports))
+        return reports
+
+    monkeypatch.setattr(bench, "dca_unconstrained", recording)
+    argv = ["solve", "--solver", "dca_tl1", "--m", "32", "--n", "80", "--s", "4", "--seed", "3"]
+    assert main(argv) == 0
+    printed = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines())
+    spec = bench.ExperimentSpec(
+        ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=32, n=80),
+        sparsity=4,
+        sweep_axis="s",
+        sweep_values=(4,),
+        master_seed=3,
+    )
+    records = {r.solver_id: r for r in bench.run_trial(spec, 0, 0)}
+    (solo_kinds, (solo,)), (group_kinds, group) = calls
+    assert solo_kinds == (PenaltyKind.TL1,)
+    assert group_kinds == (PenaltyKind.TL1, PenaltyKind.L1_MINUS_2, PenaltyKind.MCP)
+    grouped = group[group_kinds.index(PenaltyKind.TL1)]
+    assert solo.x_star.tobytes() == grouped.x_star.tobytes()
+    assert solo.status is grouped.status
+    assert printed["status"] == records["dca_tl1"].status == grouped.status.value
+    assert printed["rel error"] == f"{records['dca_tl1'].relative_error:.6g}"

@@ -160,6 +160,29 @@ def test_gram_ridge_buffered_forms_match_allocating_forms(m, n, zeta, seed):
         assert np.array_equal(v, kept)
 
 
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(m=st.integers(1, 12), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(m=20, n=50, seed=2)  # wide, the solvers' shape class
+@example(m=50, n=20, seed=2)  # tall
+def test_gram_ridge_stacked_rows_are_lone_vectors(m, n, seed):
+    # a stack of three lasso rows with rows 0 and 2 listed: each listed row
+    # is bit for bit the x-update of its lone vectors, q included, and row 1
+    # takes c - out from the out row it held; the result is out itself
+    rng = np.random.default_rng(seed)
+    solver = GramRidgeSolver(rng.standard_normal((m, n)), 1e-5)
+    c, d = rng.standard_normal((3, n)), rng.standard_normal((3, n))
+    q, out = np.full((3, m), np.nan), rng.standard_normal((3, n))
+    held = out[1].copy()
+    rows = [(d[r], q[r], out[r]) for r in (0, 2)]
+    assert solver.offset_solve(c, d, q, out, rows) is out
+    for r in (0, 2):
+        q_r = np.empty(m)
+        assert out[r].tobytes() == solver.offset_solve(c[r], d[r], q_r).tobytes()
+        assert q[r].tobytes() == q_r.tobytes()
+    assert out[1].tobytes() == (c[1] - held).tobytes()
+    assert np.isnan(q[1]).all()
+
+
 # The fused operator F = [H, -M] of the m-space x-update, on wide, square and
 # tall A at the solvers' zeta = 1e-5: M = (A A^T + zeta I)^-1 (from the m x m
 # factor of a wide A, as (I - H A^T) / zeta from the n x n one otherwise),

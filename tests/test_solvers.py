@@ -108,7 +108,7 @@ def test_dca_springback_report_flags(kind):
         rep = admm_l1(prob, opts)
         assert rep.outer_iterations == 1
     else:
-        rep = dca_unconstrained(kind, prob, opts)
+        (rep,) = dca_unconstrained((kind,), prob, opts)
     assert rep.status in (SolverStatus.CONVERGED, SolverStatus.MAX_ITER)
     assert len(rep.objective_trace) == rep.outer_iterations <= solvers_mod.MAX_OUTER
 
@@ -204,11 +204,21 @@ def test_admm_subproblem_rejects_xi_of_another_length(length):
         admm_subproblem(prob, np.full(length, 0.3), SolverOptions())
 
 
+def _lasso_row(A, b, lam, linear, solver, st, eps, max_iter):
+    """_lasso_admm on a stack of one row: whether its stopping test fired,
+    and a NumericError for a row that turned non-finite, as the one-row loop
+    raised."""
+    (status,) = solvers_mod._lasso_admm(A, b, [lam], [linear], solver, [st], eps, max_iter)
+    if status is SolverStatus.NUMERIC_FAILURE:
+        raise NumericError("lasso row turned non-finite")
+    return status is SolverStatus.CONVERGED
+
+
 def _lasso(A, b, lam, zeta, eps=1e-5):
     """admm_l1's solve with its own lam and zeta: the sparse iterate y."""
     st = solvers_mod._lasso_state(A.shape[1])
     solver = GramRidgeSolver(A, zeta)
-    solvers_mod._lasso_admm(A, b, lam, None, solver, st, eps, solvers_mod.ADMM_MAX)
+    _lasso_row(A, b, lam, None, solver, st, eps, solvers_mod.ADMM_MAX)
     return st.y
 
 
@@ -248,11 +258,11 @@ def test_admm_l1_trace_is_the_objective_at_x_star():
 
 def test_dca_unconstrained_zero_data():
     prob = ProblemInstance(np.ones((2, 4)), np.zeros(2))
-    for kind in (PenaltyKind.TL1, PenaltyKind.MCP, PenaltyKind.L1_MINUS_2):
-        rep = dca_unconstrained(kind, prob, SolverOptions())
+    kinds = (PenaltyKind.TL1, PenaltyKind.MCP, PenaltyKind.L1_MINUS_2)
+    for rep in dca_unconstrained(kinds, prob, SolverOptions()):
         np.testing.assert_allclose(rep.x_star, np.zeros(4), atol=1e-10)
     with pytest.raises(InvalidParameterError):
-        dca_unconstrained(PenaltyKind.L1, prob, SolverOptions())
+        dca_unconstrained((PenaltyKind.TL1, PenaltyKind.L1), prob, SolverOptions())
 
 
 def test_dca_unconstrained_matches_support_oracle():
@@ -282,7 +292,7 @@ def test_dca_unconstrained_matches_support_oracle():
             sol, *_ = np.linalg.lstsq(A[:, sup], b, rcond=None)
             xs[list(sup)] = sol
             best = min(best, objective(xs))
-    rep = dca_unconstrained(PenaltyKind.MCP, prob, opts)
+    (rep,) = dca_unconstrained((PenaltyKind.MCP,), prob, opts)
     assert objective(rep.x_star) <= best + 1e-3
 
 
@@ -666,7 +676,7 @@ def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
     ref = SimpleNamespace(**vars(state), zeta=zeta, solve=_ref_ridge_solve(A, 1.0, zeta))
     g = 1e-3 * np.ones(n) if linear else None
     for _ in range(2):  # a cold call, then a warm-started one
-        done = solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, 300)
+        done = _lasso_row(A, b, lam, g, prob.gram_solver, state, eps, 300)
         ref_done = _ref_lasso_admm(A, b, lam, g, ref, eps, 300)
         assert done == ref_done
         assert state.iterations == ref.iterations
@@ -726,7 +736,7 @@ def test_lasso_admm_is_bit_identical_to_operator_reference_loop(shape, linear):
     state, ref = _lasso_pair(n, A)
     g = 1e-3 * np.ones(n) if linear else None
     for _ in range(2):  # a cold call, then a warm-started one
-        done = solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, 300)
+        done = _lasso_row(A, b, lam, g, prob.gram_solver, state, eps, 300)
         assert done == _ref_operator_lasso_admm(A, b, lam, g, ref, eps, 300)
         _assert_states_equal(state, ref, ("x", "y", "u"))
         if linear:
@@ -754,7 +764,7 @@ def test_lasso_admm_blocks_match_per_iteration_loop(linear, max_iter, eps, stop)
     state, ref = _lasso_pair(50, A)
     g = 1e-3 * np.ones(50) if linear else None
     for call in range(2):  # a cold call, then a warm-started one
-        done = solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, max_iter)
+        done = _lasso_row(A, b, lam, g, prob.gram_solver, state, eps, max_iter)
         ref_done = _ref_operator_lasso_admm(A, b, lam, g, ref, eps, max_iter)
         if call == 0:
             assert ref_done == (stop is not None)
@@ -802,11 +812,11 @@ def test_lasso_admm_leaves_caller_arrays_unchanged():
     A, b = prob.A, prob.b
     lam, eps = solvers_mod.LAMBDA, SolverOptions().eps_inner
     state = solvers_mod._lasso_state(50)
-    solvers_mod._lasso_admm(A, b, lam, 1e-3 * np.ones(50), prob.gram_solver, state, eps, 30)
+    _lasso_row(A, b, lam, 1e-3 * np.ones(50), prob.gram_solver, state, eps, 30)
     held = _held_arrays(state, ("x", "y", "u"))  # y is what a DCA step returns
     g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
     held.append((g, g.copy()))
-    solvers_mod._lasso_admm(A, b, lam, g, prob.gram_solver, state, eps, 30)
+    _lasso_row(A, b, lam, g, prob.gram_solver, state, eps, 30)
     _assert_unchanged(held)
     assert state.iterations == 60
     assert not np.array_equal(state.x, held[0][1])  # the second call moved x
@@ -827,7 +837,7 @@ def _failing_solve_on_call(monkeypatch, k, value=np.nan, method="offset_solve"):
         out = original(self, *args)
         if calls[0] == k:
             out = out.copy()
-            out[out.size // 2] = value
+            out.flat[out.size // 2] = value
         return out
 
     monkeypatch.setattr(GramRidgeSolver, method, failing)
@@ -841,7 +851,7 @@ def _check_completed_iterations_reported(monkeypatch, k, value):
     runs = {
         "springback": ("offset_solve", lambda: dca_springback(prob, opts)),
         "admm_l1": ("offset_solve", lambda: admm_l1(prob, opts)),
-        "dca_l12": ("offset_solve", lambda: dca_unconstrained(PenaltyKind.L1_MINUS_2, prob, opts)),
+        "dca_l12": ("offset_solve", lambda: dca_unconstrained((PenaltyKind.L1_MINUS_2,), prob, opts)[0]),
     }
     for name, (method, run) in runs.items():
         with monkeypatch.context() as mp:
@@ -871,12 +881,12 @@ def _check_last_finite_warm_state_kept(monkeypatch, k, value):
 
     ref = solvers_mod._lasso_state(n)
     if k > 1:
-        solvers_mod._lasso_admm(A, b, 1e-6, None, prob.gram_solver, ref, 1e-5, k - 1)
+        _lasso_row(A, b, 1e-6, None, prob.gram_solver, ref, 1e-5, k - 1)
     state = solvers_mod._lasso_state(n)
     with monkeypatch.context() as mp:
         _failing_solve_on_call(mp, k, value, "offset_solve")
         with pytest.raises(NumericError):
-            solvers_mod._lasso_admm(A, b, 1e-6, None, prob.gram_solver, state, 1e-5, 50)
+            _lasso_row(A, b, 1e-6, None, prob.gram_solver, state, 1e-5, 50)
     _assert_states_equal(state, ref, ("x", "y", "u"))
     assert state.iterations == k - 1
 
@@ -922,7 +932,7 @@ def test_finite_x_update_with_overflowing_norm_does_not_raise(monkeypatch, noisy
     lasso = solvers_mod._lasso_state(50)
     with monkeypatch.context() as mp:
         calls = _failing_solve_on_call(mp, k, 1e200, "offset_solve")
-        solvers_mod._lasso_admm(prob.A, prob.b, 1e-6, None, prob.gram_solver, lasso, 1e-5, k)
+        _lasso_row(prob.A, prob.b, 1e-6, None, prob.gram_solver, lasso, 1e-5, k)
     assert calls[0] == k and lasso.iterations == k
     assert lasso.x[25] == 1e200
 
@@ -939,7 +949,7 @@ def _failing_in_place_on_call(monkeypatch, k, value):
         calls[0] += 1
         out = original(self, *args)
         if calls[0] == k:
-            out[out.size // 2] = value
+            out.flat[out.size // 2] = value
         return out
 
     monkeypatch.setattr(GramRidgeSolver, "offset_solve", failing)
@@ -968,7 +978,7 @@ def test_non_finite_x_update_in_a_later_block(monkeypatch, value, in_place):
     with monkeypatch.context() as mp:
         calls = _inject(mp, k, value, in_place)
         with pytest.raises(NumericError):
-            solvers_mod._lasso_admm(A, b, lam, None, prob.gram_solver, state, eps, 100)
+            _lasso_row(A, b, lam, None, prob.gram_solver, state, eps, 100)
     assert calls[0] == (2 * block if in_place else k)
     _assert_states_equal(state, ref, ("x", "y", "u"))
     assert state.iterations == k - 1
@@ -1030,7 +1040,7 @@ def test_non_finite_x_update_after_the_stop_does_not_surface(monkeypatch, in_pla
     assert ref.iterations == 45
     with monkeypatch.context() as mp:
         calls = _inject(mp, 50, np.nan, in_place)
-        assert solvers_mod._lasso_admm(A, b, lam, None, prob.gram_solver, state, eps, 200)
+        assert _lasso_row(A, b, lam, None, prob.gram_solver, state, eps, 200)
     assert calls[0] == (2 * solvers_mod.ADMM_BLOCK if in_place else 50)
     _assert_states_equal(state, ref, ("x", "y", "u"))
 
@@ -1067,7 +1077,7 @@ def test_non_finite_warm_x_is_not_an_error():
 
     state, ref = _lasso_pair(50, A)
     state.x[3] = ref.x[3] = np.nan
-    solvers_mod._lasso_admm(A, b, lam, None, prob.gram_solver, state, 1e-5, 40)
+    _lasso_row(A, b, lam, None, prob.gram_solver, state, 1e-5, 40)
     _ref_operator_lasso_admm(A, b, lam, None, ref, 1e-5, 40)
     _assert_states_equal(state, ref, ("x", "y", "u"))
 
@@ -1083,18 +1093,19 @@ def _assert_reports_equal(rep, ref):
 
 # A wrapper that returns every x-update in a copy of its own, as a copying
 # tracer span would, sends both loops through their copy path at every
-# iteration; no report may change.
-@pytest.mark.parametrize("name", ["springback", "springback_noisy", "admm_l1", "dca_l12"])
+# iteration, a stack of three lasso rows included; no report may change.
+@pytest.mark.parametrize("name", ["springback", "springback_noisy", "admm_l1", "dca_l12", "dca_stack"])
 def test_copying_x_update_changes_no_report(monkeypatch, name):
     prob = _oracle_instance((20, 50), name == "springback_noisy")
     opts = SolverOptions()
     run = {
-        "springback": dca_springback,
-        "springback_noisy": dca_springback,
-        "admm_l1": admm_l1,
-        "dca_l12": lambda prob, opts: dca_unconstrained(PenaltyKind.L1_MINUS_2, prob, opts),
+        "springback": lambda prob, opts: [dca_springback(prob, opts)],
+        "springback_noisy": lambda prob, opts: [dca_springback(prob, opts)],
+        "admm_l1": lambda prob, opts: [admm_l1(prob, opts)],
+        "dca_l12": lambda prob, opts: dca_unconstrained((PenaltyKind.L1_MINUS_2,), prob, opts),
+        "dca_stack": lambda prob, opts: dca_unconstrained(_DCA_KINDS, prob, opts),
     }[name]
-    ref = run(prob, opts)
+    refs = run(prob, opts)
     original = GramRidgeSolver.offset_solve
     calls = [0]
 
@@ -1104,9 +1115,125 @@ def test_copying_x_update_changes_no_report(monkeypatch, name):
 
     with monkeypatch.context() as mp:
         mp.setattr(GramRidgeSolver, "offset_solve", copying)
-        rep = run(prob, opts)
-    assert calls[0] >= ref.inner_iterations_total > solvers_mod.ADMM_BLOCK
-    _assert_reports_equal(rep, ref)
+        reps = run(prob, opts)
+    assert calls[0] >= max(ref.inner_iterations_total for ref in refs) > solvers_mod.ADMM_BLOCK
+    assert len(reps) == len(refs)
+    for rep, ref in zip(reps, refs):
+        _assert_reports_equal(rep, ref)
+
+
+_DCA_KINDS = (PenaltyKind.TL1, PenaltyKind.L1_MINUS_2, PenaltyKind.MCP)
+
+
+def _assert_reports_bit_identical(rep, ref):
+    assert rep.x_star.dtype == ref.x_star.dtype and rep.x_star.shape == ref.x_star.shape
+    assert rep.x_star.tobytes() == ref.x_star.tobytes()
+    assert np.array(rep.objective_trace).tobytes() == np.array(ref.objective_trace).tobytes()
+    assert np.float64(rep.residual).tobytes() == np.float64(ref.residual).tobytes()
+    assert rep.status is ref.status
+    assert rep.outer_iterations == ref.outer_iterations
+    assert rep.inner_iterations_total == ref.inner_iterations_total
+
+
+# The DCA baselines run as one stack of lasso rows.  Whatever the kinds and
+# their order, each row is bit for bit the run of its kind alone, a stack of
+# one, while the rows stop their inner solves and settle at different steps.
+@settings(max_examples=12, deadline=None)
+@given(
+    shape=st.sampled_from([(12, 30), (30, 12)]),
+    seed=st.integers(0, 2**16),
+    kinds=st.permutations(_DCA_KINDS).flatmap(lambda p: st.sampled_from([p[:1], p[:2], p[:3]])),
+    max_inner=st.sampled_from([1, 31, 33, 120]),
+    eps_inner=st.sampled_from([1e-5, 1e-3]),
+)
+def test_stacked_dca_rows_are_their_solo_runs(shape, seed, kinds, max_inner, eps_inner):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal(shape) / np.sqrt(m)
+    x = np.zeros(n)
+    x[rng.choice(n, 3, replace=False)] = rng.standard_normal(3)
+    prob = ProblemInstance(A, A @ x)
+    opts = SolverOptions(alpha=0.5, eps_inner=eps_inner, max_inner=max_inner)
+    stacked = dca_unconstrained(kinds, prob, opts)
+    assert len(stacked) == len(kinds)
+    for kind, rep in zip(kinds, stacked):
+        (solo,) = dca_unconstrained((kind,), prob, opts)
+        _assert_reports_bit_identical(rep, solo)
+
+
+def _failing_row_on_call(monkeypatch, pos, k, value=np.nan):
+    """Patch GramRidgeSolver.offset_solve so that its k-th stacked x-update
+    that computes stack row ``pos`` returns, in a copy, ``value`` in one entry
+    of that row; returns the calls counted up to it and the stack height
+    there."""
+    original = GramRidgeSolver.offset_solve
+    calls, heights = [0], []
+
+    def failing(self, c, d, q=None, out=None, rows=None):
+        result = original(self, c, d, q, out, rows)
+        if rows is not None and calls[0] < k and pos < out.shape[0]:
+            if any(np.shares_memory(t, out[pos]) for _, _, t in rows):
+                calls[0] += 1
+                if calls[0] == k:
+                    heights.append(out.shape[0])
+                    result = result.copy()
+                    result[pos, result.shape[1] // 2] = value
+        return result
+
+    monkeypatch.setattr(GramRidgeSolver, "offset_solve", failing)
+    return calls, heights
+
+
+# A row whose x-update turns non-finite ends its own solver only: its report
+# is the NUMERIC_FAILURE report of its kind alone, at its last completed step,
+# and the other rows carry on to their reports of a clean run.  The 9th
+# x-update falls in the first outer step, the 27th in the second
+# (max_inner = 20), where every row is still in the stack.
+@pytest.mark.parametrize("k", [9, 27])
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_non_finite_row_fails_alone_in_the_stack(monkeypatch, pos, k):
+    prob, _ = _gaussian_instance(16, 40, 3, 2)
+    opts = SolverOptions(max_inner=20)
+    with monkeypatch.context() as mp:
+        _failing_row_on_call(mp, 0, k)
+        (solo,) = dca_unconstrained((_DCA_KINDS[pos],), prob, opts)
+    with monkeypatch.context() as mp:
+        calls, heights = _failing_row_on_call(mp, pos, k)
+        stacked = dca_unconstrained(_DCA_KINDS, prob, opts)
+    assert heights == [3] and calls[0] == k
+    clean = dca_unconstrained(_DCA_KINDS, prob, opts)
+    assert solo.status is SolverStatus.NUMERIC_FAILURE
+    assert solo.outer_iterations == (k - 1) // opts.max_inner
+    assert solo.inner_iterations_total == k - 1
+    for r, rep in enumerate(stacked):
+        _assert_reports_bit_identical(rep, solo if r == pos else clean[r])
+
+
+# At xi = 0 and tau = 0 the springback subproblem is basis pursuit,
+# min ||x||_1 s.t. A x = b, a linear program in x = x+ - x-.  The instances
+# are as small as ACCEPTANCE 8's support enumeration makes cheap (m = 2-4,
+# n <= 8, unit columns) with a 1-sparse signal, which basis pursuit recovers
+# as its unique solution (|<a_i, a_j>| < 1).  The ADMM run to a tight
+# tolerance gives the LP's solution: over these 20 instances it stops after
+# 25-232 iterations with the largest entrywise gap 1.5e-12, hence 1e-9.
+def test_admm_subproblem_at_tau_zero_is_the_lp_solution():
+    rng = np.random.default_rng(81)
+    for _ in range(20):
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(m + 1, 9))
+        A = rng.standard_normal((m, n))
+        A /= np.linalg.norm(A, axis=0)
+        xbar = np.zeros(n)
+        xbar[int(rng.integers(n))] = rng.choice([-1.0, 1.0]) * rng.uniform(0.8, 1.2)
+        b = A @ xbar
+        split = np.hstack([A, -A])  # x = x+ - x-, x+, x- >= 0
+        lp = scipy.optimize.linprog(np.ones(2 * n), A_eq=split, b_eq=b, bounds=(0, None), method="highs")
+        assert lp.success
+        x_lp = lp.x[:n] - lp.x[n:]
+        np.testing.assert_allclose(x_lp, xbar, rtol=0, atol=1e-12)
+        opts = SolverOptions(eps_inner=1e-12, max_inner=20000)
+        x = admm_subproblem(ProblemInstance(A, b, 0.0), np.zeros(n), opts)
+        assert np.abs(x - x_lp).max() <= 1e-9
 
 
 def _overflowing_instance(scale, tau=0.0):
@@ -1125,7 +1252,7 @@ def _all_solvers(prob, opts):
         "aiht": aiht(prob, opts),
     }
     for kind in (PenaltyKind.TL1, PenaltyKind.L1_MINUS_2, PenaltyKind.MCP):
-        reports[kind.value] = dca_unconstrained(kind, prob, opts)
+        (reports[kind.value],) = dca_unconstrained((kind,), prob, opts)
     return reports
 
 

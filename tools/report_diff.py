@@ -3,10 +3,14 @@
 Imports the ``springback`` package of this tree and then that of OTHER_TREE,
 one after the other in one process, and runs all seven solvers on the first
 trials of every sweep point of each preset in that tree's ``bench.PRESETS``
-(the same instance, options and seeds ``bench`` uses).  Every ``SolverReport`` field is compared by its bits:
+(the same instance, options and seeds ``bench`` uses).  A tree whose
+``bench`` has ``solve_trial`` runs them through it, the path ``run_trial``
+takes (the DCA baselines as one stack); an older tree calls each
+``bench.SOLVERS`` entry alone.  Every ``SolverReport`` field is compared by its bits:
 x_star by dtype, shape and bytes, the trace and the residual as float64
 bytes, the status by its value, the iteration counts as integers.  A solver
-that raises stops the comparison with its traceback.  A change that claims
+that raises stops the comparison with its traceback, except for a
+NumericError that ``solve_trial`` records, which compares as such.  A change that claims
 to restructure without touching any result shows 0 differences here.
 
 Run from the repository root, with the other tree made by, for example,
@@ -62,6 +66,15 @@ def _import_bench(tree: str):
     return bench
 
 
+def _solve_all(bench, prob, opts) -> dict:
+    """Solver id -> report (None for a recorded NumericError) of every solver
+    on one instance, through ``bench.solve_trial`` where the tree has it."""
+    if hasattr(bench, "solve_trial"):
+        results = bench.solve_trial(bench.SOLVER_IDS, prob, opts)
+        return {sid: report for sid, (report, _) in results.items()}
+    return {sid: solve(prob, opts) for sid, solve in bench.SOLVERS.items()}
+
+
 def reports(tree: str, trials: int) -> dict:
     """(preset, sweep value, trial, solver) -> {field: bits} for one tree."""
     bench = _import_bench(tree)
@@ -71,11 +84,11 @@ def reports(tree: str, trials: int) -> dict:
         for si, value in enumerate(spec.sweep_values):
             for ti in range(trials):
                 prob, opts, _ = bench.trial_setup(spec, si, ti)
-                for sid, solve in bench.SOLVERS.items():
-                    rep = solve(prob, opts)
-                    out[(preset, float(value), ti, sid)] = {
-                        f.name: _bits(getattr(rep, f.name)) for f in dataclasses.fields(rep)
-                    }
+                for sid, rep in _solve_all(bench, prob, opts).items():
+                    out[(preset, float(value), ti, sid)] = (
+                        {"status": "raised NumericError"} if rep is None else
+                        {f.name: _bits(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
+                    )
     return out
 
 
