@@ -61,6 +61,14 @@ __all__ = [
     "PRESETS",
 ]
 
+# The DCA baselines' penalties: solve_trial runs the ids a trial names as
+# one stack, one dca_unconstrained call, and SOLVERS each alone.
+_DCA_KINDS = {
+    "dca_tl1": PenaltyKind.TL1,
+    "dca_l12": PenaltyKind.L1_MINUS_2,
+    "dca_mcp": PenaltyKind.MCP,
+}
+
 # Solver id -> solve(prob, opts).  Each entry looks its function up by name
 # when called, so a wrapper later set on the module attribute sees the call.
 SOLVERS = {
@@ -68,19 +76,12 @@ SOLVERS = {
     "admm_l1": lambda p, o: admm_l1(p, o),
     "irls_lp": lambda p, o: irls_lp(p, o),
     "aiht": lambda p, o: aiht(p, o),
-    "dca_tl1": lambda p, o: dca_unconstrained((PenaltyKind.TL1,), p, o)[0],
-    "dca_l12": lambda p, o: dca_unconstrained((PenaltyKind.L1_MINUS_2,), p, o)[0],
-    "dca_mcp": lambda p, o: dca_unconstrained((PenaltyKind.MCP,), p, o)[0],
+    **{
+        sid: lambda p, o, kind=kind: dca_unconstrained((kind,), p, o)[0]
+        for sid, kind in _DCA_KINDS.items()
+    },
 }
 SOLVER_IDS = tuple(SOLVERS)
-
-# The DCA baselines' penalties: solve_trial runs the ids a trial names as
-# one stack, one dca_unconstrained call.
-_DCA_KINDS = {
-    "dca_tl1": PenaltyKind.TL1,
-    "dca_l12": PenaltyKind.L1_MINUS_2,
-    "dca_mcp": PenaltyKind.MCP,
-}
 
 SWEEP_AXES = ("s", "refinement", "snr", "m")
 

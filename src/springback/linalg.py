@@ -149,7 +149,9 @@ class GramRidgeSolver:
         """c - A^T q with q = H d for d of length n, and q = F d = H v - M w
         for d = [v; w] of length n + m; the x-update of every inner ADMM
         loop.  Unchecked like ``solve``, and written into the length-m q and
-        the length-n ``out`` when given (float arrays other than c and d).
+        the length-n ``out`` when given (float arrays other than c and d),
+        ``out`` being then the array returned.  The inner loops pass their
+        own q and x (or x + u) slots and read those, never the return value.
 
         On a stack of lasso rows, c, d, q and ``out`` are 2-D with one
         problem per row, d of width n, and ``rows`` holds the views (d_r,

@@ -217,24 +217,22 @@ def _admm_blocks(states, hist, eps, max_iter, block, feasible=None) -> list[Solv
     ``hist``, from _history, holds the history arrays of the iterates (x and
     y first); slot 0 holds the iterates the block starts from.
     ``block(count, rows)`` runs count iterations of the listed rows, the j-th
-    writing slot j, and returns per row the last slot it completed: fewer
-    than count only when a non-finite value left the next one unfinished, as
-    when a wrapped solver returns a non-finite x-update in an array of its
-    own, which the block copies into its slot.
+    writing slot j, in full: it never stops early.
 
     After each block, row-wise calls give every slot's stopping test,
     ||x - x_old|| / max(||x||, ||x_old||) < eps, ||x - y|| <= eps max(1, ||x||)
-    and ``feasible(top)`` where given, as a per-iteration ``and``, and bit for
-    bit as a per-iteration loop computes them (np.vecdot of a row is
+    and ``feasible(count)`` where given, as a per-iteration ``and``, and bit
+    for bit as a per-iteration loop computes them (np.vecdot of a row is
     ndarray.dot of it).  A row's first slot that passes ends that row, and
-    its later slots are discarded.  A slot whose ||x|| is not finite and
-    whose entries confirm it, or an unfinished slot, ends its row at the
-    slot before with NUMERIC_FAILURE; slot 0's x enters only slot 1's change
-    test, which a non-finite one fails.  A row that ends leaves the stack,
-    whose other rows carry on, and its state gets copies of the kept slot
-    and its completed iterations.  Blocks and tests run silent, as the
-    Python float arithmetic of scalar tests was: the tests find non-finite
-    values, and the rows that ended compute on unread.
+    its later slots are discarded.  The scan is the one place a row fails:
+    its first slot whose ||x|| is not finite and whose entries confirm it
+    ends the row at the slot before with NUMERIC_FAILURE, and the slots
+    after it, computed on from a non-finite x, are discarded.  Slot 0's x
+    enters only slot 1's change test, which a non-finite one fails.  A row
+    that ends leaves the stack, whose other rows carry on, and its state gets
+    copies of the kept slot and its completed iterations.  Blocks and tests
+    run silent, as the Python float arithmetic of scalar tests was: the scan
+    finds non-finite values, and the rows that ended compute on unread.
     """
     X, Y = list(hist.values())[:2]
     work = np.empty((ADMM_BLOCK,) + X.shape[1:])
@@ -250,23 +248,23 @@ def _admm_blocks(states, hist, eps, max_iter, block, feasible=None) -> list[Solv
 
     while rows and done < max_iter:
         count = min(ADMM_BLOCK, max_iter - done)
+        new, old = slice(1, count + 1), slice(0, count)
         with np.errstate(all="ignore"):
-            tops = block(count, rows)  # per row, the last slot computed in full
-            top = max(tops)
-            xnorm = np.sqrt(vecdot(X[: top + 1], X[: top + 1]))
-            new, old = slice(1, top + 1), slice(0, top)
-            dx = subtract(X[new], X[old], work[:top])
+            block(count, rows)
+            xnorm = np.sqrt(vecdot(X[: count + 1], X[: count + 1]))
+            dx = subtract(X[new], X[old], work[:count])
             passed = np.sqrt(vecdot(dx, dx)) / maximum(maximum(xnorm[new], xnorm[old]), _TINY) < eps
             if nonzero(passed):
-                gap = subtract(X[new], Y[new], work[:top])
+                gap = subtract(X[new], Y[new], work[:count])
                 passed &= np.sqrt(vecdot(gap, gap)) <= eps * maximum(1.0, xnorm[new])
             if feasible is not None and nonzero(passed):
-                passed &= feasible(top)
-        going = rows  # a block with no stop, no short row and finite norms
-        if nonzero(passed) or min(tops) < count or nonzero(np.isfinite(xnorm[new])) < passed.size:
+                passed &= feasible(count)
+        going = rows  # a block with no stop and finite norms
+        if nonzero(passed) or nonzero(np.isfinite(xnorm[new])) < passed.size:
             going = []
-            for r, end in zip(rows, tops):
-                for i in np.flatnonzero(~np.isfinite(xnorm[1 : end + 1, r])):
+            for r in rows:
+                end = count
+                for i in np.flatnonzero(~np.isfinite(xnorm[new, r])):
                     if not np.isfinite(X[i + 1, r]).all():
                         end = int(i)
                         break
@@ -290,13 +288,12 @@ def _admm_blocks(states, hist, eps, max_iter, block, feasible=None) -> list[Solv
 
 def _prox_rows(hist):
     """For the loops that compute only p = x + u: a history array P of p and
-    a function that fills x slots 1..j as P - U_prev and returns j."""
+    a function that fills x slots 1..j as P - U_prev."""
     X, U = hist["x"], hist["u"]
     P = np.empty_like(X)
 
     def fill_x(j):
         np.subtract(P[1 : j + 1], U[:j], X[1 : j + 1])
-        return j
 
     return P, fill_x
 
@@ -337,11 +334,12 @@ def admm_subproblem(
     u = clamp(p) and y = p - u, and fills its x rows once per block.
 
     The iterations run through _admm_blocks as a stack of one row, whose
-    1-D slot views the loop computes on, and whose stopping test here also
-    asks ||A x - b|| <= tau + FEAS_TOL_INNER, with A x - b = eta - eta_prev at
-    tau = 0.  At tau > 0 the ball projection needs ||z|| at once, so a
-    non-finite z (which a non-finite x makes) ends the block at the row
-    before.
+    1-D slot views the loop computes on and the x-update writes into, and
+    whose stopping test here also asks ||A x - b|| <= tau + FEAS_TOL_INNER,
+    with A x - b = eta - eta_prev at tau = 0.  A non-finite x is found when
+    its block ends.  At tau > 0 a finite x whose A x overflows makes z
+    non-finite, which the ball projection meets: it marks that x non-finite,
+    so that the same scan ends the row at the iteration before.
     """
     A, b, tau = prob.A, prob.b, prob.tau
     At = A.T
@@ -374,15 +372,11 @@ def admm_subproblem(
                 y, u, p = ys[k - 1], us[k - 1], ps[k]
                 subtract(b, etas[k - 1], w)
                 subtract(add(xi, y, c), u, v)
-                t = step(c, vw, q, p)
-                if t is not p:  # a wrapped solver
-                    np.copyto(p, t)
-                    if not np.isfinite(p).all():
-                        return [fill_x(k - 1)]
+                step(c, vw, q, p)
                 minimum(maximum(p, lo, out=us[k]), hi, out=us[k])
                 subtract(p, us[k], ys[k])
                 np.multiply(q, zeta, etas[k])
-            return [fill_x(count)]
+            fill_x(count)
 
         def feasible(end):
             res = subtract(ETA[1 : end + 1], ETA[:end], rwork[:end])
@@ -408,12 +402,8 @@ def admm_subproblem(
                 rhs *= rho
                 rhs += xi
                 rhs += subtract(ys[k - 1], u, diff)
-                row, y, Ax = xs[k], ys[k], axs[k]
-                x = step(rhs, rhs, q, row)
-                if x is not row:  # a wrapped solver
-                    np.copyto(row, x)
-                    if not np.isfinite(row).all():
-                        return [k - 1]
+                x, y, Ax = xs[k], ys[k], axs[k]
+                step(rhs, rhs, q, x)
                 add(x, u, p)
                 subtract(p, minimum(maximum(p, lo, out=clamped), hi, out=clamped), y)
                 A.dot(x, Ax)
@@ -423,13 +413,12 @@ def admm_subproblem(
                 add(subtract(Ax, b, r), eta, z)
                 znorm = math.sqrt(z.dot(z))
                 if not math.isfinite(znorm) and not np.isfinite(z).all():
-                    return [k - 1]
+                    x[0] = math.nan  # A x overflowed: the scan ends the row before this x
                 if znorm > tau:
                     scale[()] = tau / znorm
                     z *= scale
                 eta_k -= z
                 subtract(p, y, us[k])
-            return [count]
 
         def feasible(end):
             res = subtract(AX[1 : end + 1], b, rwork[:end])
@@ -596,22 +585,12 @@ def _lasso_admm(
     add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
 
     def block(count, rows):
-        tops, going = dict.fromkeys(rows, count), list(rows)
         calls = views if len(rows) == k else [[v[r] for r in rows] for v in views]
         for j, Y, U, Pj, U1, Y1 in zip(range(1, count + 1), ys, us, ps[1:], us[1:], ys[1:]):
-            t = step(add(XC, Y, C), subtract(Y, U, D), Q, Pj, calls[j])
-            if t is not Pj:  # a wrapped solver
-                np.copyto(Pj, t)
-                for r in [r for r in going if not np.isfinite(Pj[r]).all()]:
-                    tops[r] = j - 1
-                    going.remove(r)
-                    calls = [[v[g] for g in going] for v in views]
-                if not going:
-                    break
+            step(add(XC, Y, C), subtract(Y, U, D), Q, Pj, calls[j])
             minimum(maximum(Pj, LO, out=U1), HI, out=U1)
             subtract(Pj, U1, Y1)
-        fill_x(max(tops.values()))
-        return [tops[r] for r in rows]
+        fill_x(count)
 
     return _admm_blocks(states, hist, eps, max_iter, block)
 

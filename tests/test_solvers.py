@@ -822,42 +822,48 @@ def test_lasso_admm_leaves_caller_arrays_unchanged():
     assert not np.array_equal(state.x, held[0][1])  # the second call moved x
 
 
-def _failing_solve_on_call(monkeypatch, k, value=np.nan, method="offset_solve"):
-    """Patch GramRidgeSolver.<method> to put ``value`` into one entry of a copy
-    of its k-th result; returns the call counter, a one-element list.  Every
-    inner loop computes each x-update with ``offset_solve``: x itself in
-    springback's at tau > 0, and p = x + u in the lasso's and in springback's
-    at tau = 0, whose x rows are p - u_old; the lasso's also calls ``solve``
-    once per call, for its constant part."""
-    original = getattr(GramRidgeSolver, method)
+def _failing_solve_on_call(monkeypatch, k, value=np.nan):
+    """Patch GramRidgeSolver.offset_solve to put ``value`` into one entry of
+    its k-th result, in the array it returns, which is the loop's own slot;
+    returns the call counter, a one-element list.  Every inner loop computes
+    each x-update with ``offset_solve``: x itself in springback's at tau > 0,
+    and p = x + u in the lasso's and in springback's at tau = 0, whose x rows
+    are p - u_old."""
+    original = GramRidgeSolver.offset_solve
     calls = [0]
 
     def failing(self, *args):
         calls[0] += 1
         out = original(self, *args)
         if calls[0] == k:
-            out = out.copy()
             out.flat[out.size // 2] = value
         return out
 
-    monkeypatch.setattr(GramRidgeSolver, method, failing)
+    monkeypatch.setattr(GramRidgeSolver, "offset_solve", failing)
     return calls
 
 
+def _calls_to_failure(k, block=solvers_mod.ADMM_BLOCK):
+    """The x-updates a loop computes when the k-th is not finite: the whole
+    block of length ``block`` it falls in, whose end finds it."""
+    return -(-k // block) * block
+
+
 def _check_completed_iterations_reported(monkeypatch, k, value):
-    # the failing iteration is not counted: the report holds k - 1
+    # the failing iteration is not counted: the report holds k - 1; the
+    # inner blocks are max_inner long, and admm_l1's ADMM_BLOCK long
     prob, _ = _gaussian_instance(16, 40, 3, 2)
     opts = SolverOptions(max_inner=20)
     runs = {
-        "springback": ("offset_solve", lambda: dca_springback(prob, opts)),
-        "admm_l1": ("offset_solve", lambda: admm_l1(prob, opts)),
-        "dca_l12": ("offset_solve", lambda: dca_unconstrained((PenaltyKind.L1_MINUS_2,), prob, opts)[0]),
+        "springback": (opts.max_inner, lambda: dca_springback(prob, opts)),
+        "admm_l1": (solvers_mod.ADMM_BLOCK, lambda: admm_l1(prob, opts)),
+        "dca_l12": (opts.max_inner, lambda: dca_unconstrained((PenaltyKind.L1_MINUS_2,), prob, opts)[0]),
     }
-    for name, (method, run) in runs.items():
+    for name, (block, run) in runs.items():
         with monkeypatch.context() as mp:
-            calls = _failing_solve_on_call(mp, k, value, method)
+            calls = _failing_solve_on_call(mp, k, value)
             rep = run()
-        assert calls[0] == k, name
+        assert calls[0] == _calls_to_failure(k, block), name
         assert rep.status is SolverStatus.NUMERIC_FAILURE, name
         assert rep.inner_iterations_total == k - 1, name
         assert np.isfinite(rep.x_star).all(), name
@@ -884,7 +890,7 @@ def _check_last_finite_warm_state_kept(monkeypatch, k, value):
         _lasso_row(A, b, 1e-6, None, prob.gram_solver, ref, 1e-5, k - 1)
     state = solvers_mod._lasso_state(n)
     with monkeypatch.context() as mp:
-        _failing_solve_on_call(mp, k, value, "offset_solve")
+        _failing_solve_on_call(mp, k, value)
         with pytest.raises(NumericError):
             _lasso_row(A, b, 1e-6, None, prob.gram_solver, state, 1e-5, 50)
     _assert_states_equal(state, ref, ("x", "y", "u"))
@@ -915,7 +921,6 @@ def test_infinite_x_update_leaves_last_finite_warm_state(monkeypatch, k, value):
     _check_last_finite_warm_state_kept(monkeypatch, k, value)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("noisy", [False, True])
 def test_finite_x_update_with_overflowing_norm_does_not_raise(monkeypatch, noisy):
     # an entry of 1e200 overflows x.dot(x) to inf, yet every entry is finite
@@ -931,61 +936,35 @@ def test_finite_x_update_with_overflowing_norm_does_not_raise(monkeypatch, noisy
 
     lasso = solvers_mod._lasso_state(50)
     with monkeypatch.context() as mp:
-        calls = _failing_solve_on_call(mp, k, 1e200, "offset_solve")
+        calls = _failing_solve_on_call(mp, k, 1e200)
         _lasso_row(prob.A, prob.b, 1e-6, None, prob.gram_solver, lasso, 1e-5, k)
     assert calls[0] == k and lasso.iterations == k
     assert lasso.x[25] == 1e200
 
 
-def _failing_in_place_on_call(monkeypatch, k, value):
-    """Patch GramRidgeSolver.offset_solve to put ``value`` into one entry of
-    its k-th result, in the array it returns, so that a loop meets it only at
-    the end of the block (or, in springback's at tau > 0, at the ball
-    projection); returns the call counter, a one-element list."""
-    original = GramRidgeSolver.offset_solve
-    calls = [0]
-
-    def failing(self, *args):
-        calls[0] += 1
-        out = original(self, *args)
-        if calls[0] == k:
-            out.flat[out.size // 2] = value
-        return out
-
-    monkeypatch.setattr(GramRidgeSolver, "offset_solve", failing)
-    return calls
-
-
-def _inject(monkeypatch, k, value, in_place):
-    if in_place:
-        return _failing_in_place_on_call(monkeypatch, k, value)
-    return _failing_solve_on_call(monkeypatch, k, value, "offset_solve")
-
-
-# In place, the bad x-update is found when its block ends, after the block's
-# remaining x-updates, which compute on non-finite values and may warn;
-# returned in a copy, it is checked at once.
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.parametrize("in_place", [True, False])
+# The bad x-update is found when its block ends, after the block's remaining
+# x-updates, which compute on non-finite values and are discarded; k = 33, 35
+# and 64 put it in the first, a middle and the last slot of the second block.
+@pytest.mark.parametrize("k", [33, 35, 64])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_non_finite_x_update_in_a_later_block(monkeypatch, value, in_place):
-    k, block = 35, solvers_mod.ADMM_BLOCK
+def test_non_finite_x_update_in_a_later_block(monkeypatch, value, k):
+    block = solvers_mod.ADMM_BLOCK
     prob, _ = _gaussian_instance(16, 40, 3, 2)
     A, b, n = prob.A, prob.b, 40
     lam, eps = solvers_mod.LAMBDA, SolverOptions().eps_outer
     state, ref = _lasso_pair(n, A)
     assert not _ref_operator_lasso_admm(A, b, lam, None, ref, eps, k - 1)
     with monkeypatch.context() as mp:
-        calls = _inject(mp, k, value, in_place)
+        calls = _failing_solve_on_call(mp, k, value)
         with pytest.raises(NumericError):
             _lasso_row(A, b, lam, None, prob.gram_solver, state, eps, 100)
-    assert calls[0] == (2 * block if in_place else k)
+    assert calls[0] == 2 * block
     _assert_states_equal(state, ref, ("x", "y", "u"))
     assert state.iterations == k - 1
 
     # admm_l1's one outer step fails: the report holds x^0 and no step
     with monkeypatch.context() as mp:
-        _inject(mp, k, value, in_place)
+        _failing_solve_on_call(mp, k, value)
         rep = admm_l1(prob, SolverOptions())
     assert rep.status is SolverStatus.NUMERIC_FAILURE
     assert rep.inner_iterations_total == k - 1
@@ -994,44 +973,35 @@ def test_non_finite_x_update_in_a_later_block(monkeypatch, value, in_place):
     assert np.array_equal(rep.x_star, np.zeros(n))
 
 
-def _springback_calls_to_failure(k, noisy, in_place):
-    """The x-updates springback computes when the k-th is not finite: the
-    rest of its block at tau = 0, none at tau > 0, where the ball projection
-    meets it at once, and none when it comes in a copy."""
-    block = solvers_mod.ADMM_BLOCK
-    return -(-k // block) * block if in_place and not noisy else k
-
-
 # On the (20, 50) oracle instances springback's stopping test does not fire
-# within 34 iterations at eps_inner, and not at all on the noisy one.
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.parametrize("in_place", [True, False])
+# within 63 iterations at eps_inner, and not at all on the noisy one; k = 33,
+# 35 and 64 put the bad x-update in the first, a middle and the last slot of
+# the second block.
+@pytest.mark.parametrize("k", [33, 35, 64])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("noisy", [False, True])
-def test_non_finite_springback_x_update_in_a_later_block(monkeypatch, noisy, value, in_place):
-    k = 35
+def test_non_finite_springback_x_update_in_a_later_block(monkeypatch, noisy, value, k):
     prob = _oracle_instance((20, 50), noisy)
     xi = 0.1 * np.ones(50)
     state, ref = _springback_pair(prob, _operator_solve(prob))
     _ref_operator_springback(prob, xi, ref, 1e-5, k - 1)
     assert ref.iterations == k - 1
     with monkeypatch.context() as mp:
-        calls = _inject(mp, k, value, in_place)
+        calls = _failing_solve_on_call(mp, k, value)
         with pytest.raises(NumericError):
             admm_subproblem(prob, xi, SolverOptions(max_inner=100), warm=state)
-    assert calls[0] == _springback_calls_to_failure(k, noisy, in_place)
+    assert calls[0] == _calls_to_failure(k)
     _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
 
     with monkeypatch.context() as mp:
-        _inject(mp, k, value, in_place)
+        _failing_solve_on_call(mp, k, value)
         rep = dca_springback(prob, SolverOptions(max_inner=100))
     assert rep.status is SolverStatus.NUMERIC_FAILURE
     assert rep.inner_iterations_total == k - 1
     assert np.isfinite(rep.x_star).all()
 
 
-@pytest.mark.parametrize("in_place", [True, False])
-def test_non_finite_x_update_after_the_stop_does_not_surface(monkeypatch, in_place):
+def test_non_finite_x_update_after_the_stop_does_not_surface(monkeypatch):
     # the stopping test fires at iteration 45, row 13 of the second block
     prob = _oracle_instance((20, 50), False)
     A, b, lam, eps = prob.A, prob.b, solvers_mod.LAMBDA, 2.2e-3
@@ -1039,28 +1009,25 @@ def test_non_finite_x_update_after_the_stop_does_not_surface(monkeypatch, in_pla
     assert _ref_operator_lasso_admm(A, b, lam, None, ref, eps, 200)
     assert ref.iterations == 45
     with monkeypatch.context() as mp:
-        calls = _inject(mp, 50, np.nan, in_place)
+        calls = _failing_solve_on_call(mp, 50)
         assert _lasso_row(A, b, lam, None, prob.gram_solver, state, eps, 200)
-    assert calls[0] == (2 * solvers_mod.ADMM_BLOCK if in_place else 50)
+    assert calls[0] == 2 * solvers_mod.ADMM_BLOCK
     _assert_states_equal(state, ref, ("x", "y", "u"))
 
 
 # Springback's stopping test fires at iteration 109 (row 13 of the fourth
 # block) on the clean (20, 50) oracle instance at eps = 1e-5, and at 55 (row
 # 23 of the second) on the noisy one at eps = 1e-3.
-@pytest.mark.parametrize("in_place", [True, False])
 @pytest.mark.parametrize("noisy, eps, stop", [(False, 1e-5, 109), (True, 1e-3, 55)])
-def test_non_finite_springback_x_update_after_the_stop_does_not_surface(
-    monkeypatch, noisy, eps, stop, in_place
-):
+def test_non_finite_springback_x_update_after_the_stop_does_not_surface(monkeypatch, noisy, eps, stop):
     prob = _oracle_instance((20, 50), noisy)
     state, ref = _springback_pair(prob, _operator_solve(prob))
     _ref_operator_springback(prob, np.zeros(50), ref, eps, 200)
     assert ref.iterations == stop
     with monkeypatch.context() as mp:
-        calls = _inject(mp, stop + 5, np.nan, in_place)
+        calls = _failing_solve_on_call(mp, stop + 5)
         admm_subproblem(prob, np.zeros(50), SolverOptions(eps_inner=eps, max_inner=200), warm=state)
-    assert calls[0] == _springback_calls_to_failure(stop + 5, noisy, in_place)
+    assert calls[0] == _calls_to_failure(stop + 5)
     _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
 
 
@@ -1091,9 +1058,10 @@ def _assert_reports_equal(rep, ref):
     assert rep.residual == ref.residual
 
 
-# A wrapper that returns every x-update in a copy of its own, as a copying
-# tracer span would, sends both loops through their copy path at every
-# iteration, a stack of three lasso rows included; no report may change.
+# offset_solve writes each x-update into the loop's own buffers, and no loop
+# reads its return value: a wrapper that returns every x-update in a copy of
+# its own, as a copying tracer span would, here filled with NaN, changes no
+# report, a stack of three lasso rows included.
 @pytest.mark.parametrize("name", ["springback", "springback_noisy", "admm_l1", "dca_l12", "dca_stack"])
 def test_copying_x_update_changes_no_report(monkeypatch, name):
     prob = _oracle_instance((20, 50), name == "springback_noisy")
@@ -1111,7 +1079,7 @@ def test_copying_x_update_changes_no_report(monkeypatch, name):
 
     def copying(self, *args):
         calls[0] += 1
-        return original(self, *args).copy()
+        return np.full_like(original(self, *args), np.nan)
 
     with monkeypatch.context() as mp:
         mp.setattr(GramRidgeSolver, "offset_solve", copying)
@@ -1163,8 +1131,8 @@ def test_stacked_dca_rows_are_their_solo_runs(shape, seed, kinds, max_inner, eps
 
 def _failing_row_on_call(monkeypatch, pos, k, value=np.nan):
     """Patch GramRidgeSolver.offset_solve so that its k-th stacked x-update
-    that computes stack row ``pos`` returns, in a copy, ``value`` in one entry
-    of that row; returns the calls counted up to it and the stack height
+    that computes stack row ``pos`` writes ``value`` into one entry of that
+    row, in place; returns the calls counted up to it and the stack height
     there."""
     original = GramRidgeSolver.offset_solve
     calls, heights = [0], []
@@ -1176,7 +1144,6 @@ def _failing_row_on_call(monkeypatch, pos, k, value=np.nan):
                 calls[0] += 1
                 if calls[0] == k:
                     heights.append(out.shape[0])
-                    result = result.copy()
                     result[pos, result.shape[1] // 2] = value
         return result
 
@@ -1274,6 +1241,20 @@ def test_overflow_inside_a_solver_is_a_numeric_failure():
     rep = reports["springback"]
     assert rep.status is SolverStatus.CONVERGED
     np.testing.assert_allclose(rep.x_star, [0.5, 1.0, 1.0, 0.5, 0.0], atol=1e-9)
+
+
+def test_finite_x_update_with_overflowing_a_x_is_a_numeric_failure():
+    # at 1e110 and tau > 0 the first x-update is finite, near 1e209, but A x
+    # overflows; the ball projection meets the non-finite z, and the inner
+    # ADMM ends at its cold start, as on a non-finite x-update
+    prob = _overflowing_instance(1e110, 1.0)
+    state = fresh_admm_state(prob)
+    with pytest.raises(NumericError):
+        admm_subproblem(prob, np.zeros(5), SolverOptions(), warm=state)
+    _assert_states_equal(state, fresh_admm_state(prob), ("x", "y", "z", "u", "eta"))
+    rep = dca_springback(prob, SolverOptions())
+    assert rep.status is SolverStatus.NUMERIC_FAILURE
+    assert rep.inner_iterations_total == 0
 
 
 def test_lasso_solvers_share_one_factor_per_instance(monkeypatch):
