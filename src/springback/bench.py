@@ -10,12 +10,17 @@ fed back to rerun the experiment bit-identically.
 
 from __future__ import annotations
 
+import atexit
 import configparser
 import csv
 import enum
 import io
 import math
+import multiprocessing.connection
 import os
+import signal
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
@@ -70,7 +75,10 @@ _DCA_KINDS = {
 }
 
 # Solver id -> solve(prob, opts).  Each entry looks its function up by name
-# when called, so a wrapper later set on the module attribute sees the call.
+# when called, so a wrapper later set on the module attribute sees every
+# call made in this process: those of solve_trial, run_trial and solve, and
+# inside run_experiment all but the DCA stack of a trial that also names
+# another solver, which runs in the stack worker's own interpreter.
 SOLVERS = {
     "springback": lambda p, o: dca_springback(p, o),
     "admm_l1": lambda p, o: admm_l1(p, o),
@@ -223,7 +231,8 @@ def solve_trial(
     dca_unconstrained call made in the place of the first, in their order
     here, and each gets the stack's wall time divided by their number; every
     other id runs alone through SOLVERS.  Each report is bit for bit the one
-    its SOLVERS entry returns.
+    its SOLVERS entry returns.  Every solver runs in the caller's process,
+    one after another.
     """
     dca = [sid for sid in solvers if sid in _DCA_KINDS]
     results: dict[str, tuple[SolverReport | None, float]] = {}
@@ -244,7 +253,9 @@ def solve_trial(
     return results
 
 
-def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[TrialRecord]:
+def run_trial(
+    spec: ExperimentSpec, sweep_index: int, trial_index: int, *, _worker: _StackWorker | None = None
+) -> list[TrialRecord]:
     """Generate one instance, run every configured solver on it through
     solve_trial, and keep one record per solver in the spec's order.
 
@@ -252,6 +263,11 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[
     stack's wall time divided by their number.  A solver's NumericError is
     recorded as numeric_failure; any other error (a bug, such as a write
     into the read-only instance) raises.
+
+    Every solver runs in the caller's process.  Only run_experiment passes
+    ``_worker``: then the DCA ids run through solve_trial in the worker's
+    interpreter while this process runs the others, and the records are
+    the same, bit for bit, but for the wall times.
     """
     prob, opts, s = trial_setup(spec, sweep_index, trial_index)
     xbar = prob.ground_truth
@@ -259,7 +275,13 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[
     xnorm = float(np.linalg.norm(xbar))
     records = []
     errors = {}
-    results = solve_trial(spec.solvers, prob, opts)
+    if _worker is None:
+        results = solve_trial(spec.solvers, prob, opts)
+    else:
+        dca = tuple(sid for sid in spec.solvers if sid in _DCA_KINDS)
+        _worker.submit(dca, prob, opts)
+        results = solve_trial(tuple(sid for sid in spec.solvers if sid not in dca), prob, opts)
+        results.update(_worker.result())
     for sid in spec.solvers:
         report, wall = results[sid]
         if report is None:
@@ -299,14 +321,124 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[
     return records
 
 
+# Run by the stack worker's interpreter: argv[1] is the directory that holds
+# this package, argv[2] the file descriptor of the worker's end of the pipe.
+_WORKER_MAIN = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from springback.bench import _serve_stacks; _serve_stacks(int(sys.argv[2]))"
+)
+
+
+def _serve_stacks(fd: int) -> None:
+    """The stack worker's loop: for each (solver ids, A, b, tau, options)
+    received on the connection at file descriptor fd, send back solve_trial's
+    results for those ids, or the error it raised.  Returns when the parent
+    closes its end."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    with multiprocessing.connection.Connection(fd) as conn:
+        while True:
+            try:
+                solvers, A, b, tau, opts = conn.recv()
+            except EOFError:
+                return
+            try:
+                reply = solve_trial(solvers, ProblemInstance(A, b, tau), opts)
+            except Exception as exc:  # raised again in the parent
+                reply = exc
+            conn.send(reply)
+
+
+class _StackWorker:
+    """A second interpreter that runs the DCA stacks of run_experiment's
+    trials while this one runs their other solvers.
+
+    It is a plain subprocess, not a multiprocessing spawn, so that it imports
+    the package from this file's directory whatever sys.path holds later,
+    never reruns the caller's __main__, and needs no resource tracker.  A
+    send or receive that fails (the worker died, or an interrupt cut a
+    message short) kills the worker and closes the pipe for good.  The
+    worker is killed when the interpreter that started it exits.
+    """
+
+    def __init__(self):
+        self.conn, child = multiprocessing.connection.Pipe()
+        package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with child:
+            self.process = subprocess.Popen(
+                [sys.executable, "-c", _WORKER_MAIN, package_dir, str(child.fileno())],
+                pass_fds=(child.fileno(),),
+            )
+        self.pending = False  # a stack was sent and its reply is unread
+        atexit.register(self.close)
+
+    def usable(self) -> bool:
+        """Neither closed nor dead.  In a forked child poll() finds no such
+        child of its own, so a sweep there starts its own worker."""
+        return not self.conn.closed and self.process.poll() is None
+
+    def close(self) -> None:
+        atexit.unregister(self.close)
+        self.conn.close()
+        self.process.kill()
+        self.process.wait()
+
+    def _channel(self, op, *args):
+        try:
+            return op(*args)
+        except BaseException as exc:
+            self.close()
+            if isinstance(exc, (EOFError, OSError)):
+                raise ChildProcessError(
+                    f"the DCA stack worker exited with status {self.process.returncode}"
+                ) from exc
+            raise
+
+    def submit(self, solvers: tuple[str, ...], prob: ProblemInstance, opts: SolverOptions) -> None:
+        """Send one trial's DCA ids, instance and options."""
+        if self.pending:  # the reply to a trial that raised before reading it
+            self._channel(self.conn.recv)
+        self._channel(self.conn.send, (solvers, prob.A, prob.b, prob.tau, opts))
+        self.pending = True
+
+    def result(self) -> dict[str, tuple[SolverReport | None, float]]:
+        """solve_trial's results for the ids sent last; its error raises here."""
+        reply = self._channel(self.conn.recv)
+        self.pending = False
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+
+# One worker per process, kept across sweeps: callers such as the benchmark
+# run one sweep per trial, and a start costs about 0.6 s.
+_stack_worker: _StackWorker | None = None
+
+
 def run_experiment(spec: ExperimentSpec) -> tuple[list[SummaryRow], list[TrialRecord]]:
-    """Run the full sweep, one trial after another in ascending (sweep,
-    trial) order, and aggregate."""
+    """Run the full sweep, one run_trial call per trial in ascending (sweep,
+    trial) order, and aggregate.
+
+    When the spec names a DCA baseline and another solver, each trial's DCA
+    stack runs in a worker process while this one runs the other solvers;
+    the records are those run_trial makes alone, bit for bit, but for the
+    wall times.  A process has one worker: the first such sweep starts it
+    (a fresh interpreter importing this package, about 0.6 s), later sweeps
+    reuse it, a sweep after it died starts another, and it ends with the
+    interpreter.  Wrappers set on module attributes in this process do not
+    reach the stacks it runs.
+    """
+    global _stack_worker
+    worker = None
+    dca = [sid for sid in spec.solvers if sid in _DCA_KINDS]
+    if dca and len(dca) < len(spec.solvers):
+        if _stack_worker is None or not _stack_worker.usable():
+            _stack_worker = _StackWorker()
+        worker = _stack_worker
     records = [
         r
         for si in range(len(spec.sweep_values))
         for ti in range(spec.trials)
-        for r in run_trial(spec, si, ti)
+        for r in run_trial(spec, si, ti, _worker=worker)
     ]
     return summarize(records), records
 

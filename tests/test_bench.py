@@ -1,14 +1,18 @@
 """Tests for the benchmark harness: trials, aggregation, persistence."""
 
+import contextlib
 import functools
-from dataclasses import replace
+import os
+import signal
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import sys
 
 from springback import bench, linalg
 from springback.bench import (
@@ -26,6 +30,7 @@ from springback.bench import (
     summarize,
 )
 from springback.errors import InvalidParameterError, NumericError, SpringbackError
+from springback.penalties import PenaltyKind
 from springback.sensing import EnsembleKind, EnsembleSpec
 from springback.solvers import ALPHA_MAX
 
@@ -115,8 +120,6 @@ def test_run_trial_runs_the_dca_baselines_as_one_stack(monkeypatch):
     # spec's order and in the place of the first; the records keep the
     # spec's order, each grouped record holds the stack's wall time over
     # their number, and each report is that of its SOLVERS entry
-    from springback.penalties import PenaltyKind
-
     calls, order = [], []
     stack, solo = bench.dca_unconstrained, bench.SOLVERS["aiht"]
 
@@ -441,3 +444,199 @@ def test_summarize_handles_acceptance_column():
     other = next(r for r in rows if r.solver_id == "admm_l1")
     assert spb.acceptance_rate is not None
     assert other.acceptance_rate is None
+
+
+# The stack worker: inside run_experiment, a trial that names a DCA baseline
+# and another solver runs its DCA stack in a second interpreter.
+
+
+def _bits(records):
+    """Every field of each record but wall_time, floats by their bytes."""
+    return [
+        tuple(
+            np.float64(value).tobytes() if isinstance(value, float) else value
+            for value in (getattr(r, f.name) for f in fields(TrialRecord) if f.name != "wall_time")
+        )
+        for r in records
+    ]
+
+
+def _alone(spec):
+    """run_experiment's records, made by run_trial in this process."""
+    return [
+        r
+        for si in range(len(spec.sweep_values))
+        for ti in range(spec.trials)
+        for r in run_trial(spec, si, ti)
+    ]
+
+
+class _Hung(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise _Hung in the block if it runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise _Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def _mixed_solvers(draw):
+    """Solver ids with at least one DCA baseline and one other solver, in any order."""
+    dca = draw(st.lists(st.sampled_from(tuple(bench._DCA_KINDS)), min_size=1, unique=True))
+    others = ("springback", "admm_l1", "irls_lp", "aiht")
+    rest = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+    return tuple(draw(st.permutations(dca + rest)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    solvers=_mixed_solvers(),
+    values=st.lists(st.integers(0, 6), min_size=1, max_size=2, unique=True),
+    snr_db=st.sampled_from((None, 40.0)),
+    master_seed=st.integers(0, 2**16),
+    literal=st.booleans(),
+)
+def test_run_experiment_records_are_those_of_run_trial(solvers, values, snr_db, master_seed, literal):
+    # the worker's stack and this process's solvers make the records that
+    # run_trial makes alone, bit for bit, accepted included; only the wall
+    # times differ
+    spec = _small_spec(
+        solvers=solvers, sweep_values=tuple(values), snr_db=snr_db,
+        master_seed=master_seed, literal_acceptance=literal,
+    )
+    _, records = run_experiment(spec)
+    assert _bits(records) == _bits(_alone(spec))
+    assert all(r.wall_time > 0.0 for r in records)
+
+
+def test_run_experiment_hands_run_trial_the_worker(monkeypatch):
+    # perfbench's tracer wraps bench.run_trial and divides its per-trial
+    # metrics by those calls: one call per trial, through the module
+    # attribute, with the worker only when the trial mixes a DCA baseline
+    # with another solver
+    calls = []
+    original = bench.run_trial
+
+    def recording(spec, si, ti, **kw):
+        calls.append((si, ti, kw.get("_worker")))
+        return original(spec, si, ti, **kw)
+
+    monkeypatch.setattr(bench, "run_trial", recording)
+    for solvers, mixed in (
+        (("springback", "dca_l12"), True),
+        (("dca_l12", "dca_tl1"), False),
+        (("springback", "aiht"), False),
+    ):
+        calls.clear()
+        run_experiment(_small_spec(solvers=solvers, sweep_values=(2, 3)))
+        assert [call[:2] for call in calls] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for *_, worker in calls:
+            assert worker is (bench._stack_worker if mixed else None)
+    assert bench._stack_worker.usable()
+
+
+def test_an_error_in_the_workers_stack_raises_its_own_type(monkeypatch):
+    # an id this process counts as a DCA baseline but the worker's package
+    # does not know: the worker's solve_trial raises KeyError, and so does
+    # the sweep here; the worker lives on and serves the next sweep
+    monkeypatch.setitem(bench._DCA_KINDS, "dca_extra", PenaltyKind.TL1)
+    monkeypatch.setitem(bench.SOLVERS, "dca_extra", bench.SOLVERS["dca_tl1"])
+    spec = _small_spec(solvers=("aiht", "dca_extra"))
+    run_trial(spec, 0, 0)  # in this process the id is known
+    with _deadline(60), pytest.raises(KeyError, match="dca_extra"):
+        run_experiment(spec)
+    worker = bench._stack_worker
+    assert worker.usable() and not worker.pending
+    monkeypatch.undo()
+    spec = _small_spec(solvers=("aiht", "dca_tl1"))
+    with _deadline(60):
+        assert _bits(run_experiment(spec)[1]) == _bits(_alone(spec))
+    assert bench._stack_worker is worker
+
+
+def test_a_worker_killed_mid_sweep_raises(monkeypatch):
+    # the worker dies while the second of three trials runs: the sweep raises
+    # instead of waiting for a reply, and the next sweep starts a new worker
+    run_experiment(_small_spec(solvers=("aiht", "dca_l12"), trials=1))
+    worker = bench._stack_worker
+    solo, calls = bench.SOLVERS["aiht"], []
+
+    def killing(prob, opts):
+        calls.append(None)
+        if len(calls) == 2:
+            os.kill(worker.process.pid, signal.SIGKILL)
+        return solo(prob, opts)
+
+    monkeypatch.setitem(bench.SOLVERS, "aiht", killing)
+    spec = _small_spec(solvers=("aiht", "dca_l12"), trials=3)
+    with _deadline(60), pytest.raises(ChildProcessError, match="status -9"):
+        run_experiment(spec)
+    assert len(calls) in (2, 3) and not worker.usable()
+    monkeypatch.undo()
+    with _deadline(60):
+        _, records = run_experiment(spec)
+    assert bench._stack_worker is not worker
+    assert _bits(records) == _bits(_alone(spec))
+
+
+def test_a_sweep_that_raised_leaves_no_stale_reply(monkeypatch):
+    # a parent-side solver raises after the trial's stack was sent: the
+    # stack's reply stays unread, and the next sweep must not take it for
+    # its own first trial's
+    def broken(prob, opts):
+        raise ValueError("a bug in a solver")
+
+    monkeypatch.setitem(bench.SOLVERS, "aiht", broken)
+    spec = _small_spec(solvers=("aiht", "dca_l12"), trials=1)
+    with pytest.raises(ValueError, match="a bug"):
+        run_experiment(spec)
+    assert bench._stack_worker.pending
+    monkeypatch.undo()
+    spec = replace(spec, master_seed=8)
+    with _deadline(60):
+        assert _bits(run_experiment(spec)[1]) == _bits(_alone(spec))
+
+
+_TWO_TRIAL_SWEEP = """\
+import multiprocessing.resource_tracker
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from springback import bench
+from springback.sensing import EnsembleKind, EnsembleSpec
+
+spec = bench.ExperimentSpec(
+    ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=20, n=50), sparsity=3, sweep_axis="s",
+    sweep_values=(3,), solvers=("springback", "dca_l12"), trials=2, master_seed=7,
+)
+bench.run_experiment(spec)
+print(bench._stack_worker.process.pid, multiprocessing.resource_tracker._resource_tracker._pid)
+"""
+
+
+def test_the_stack_worker_ends_with_its_interpreter():
+    # under -W error an unclosed pipe or a subprocess still running at exit
+    # would print a ResourceWarning; the worker must be gone once the
+    # interpreter has exited, and no resource tracker is started
+    src = str(Path(bench.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _TWO_TRIAL_SWEEP, src],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    worker, tracker = run.stdout.split()
+    assert tracker == "None"
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(worker), 0)

@@ -10,8 +10,13 @@ takes (the DCA baselines as one stack); an older tree calls each
 x_star by dtype, shape and bytes, the trace and the residual as float64
 bytes, the status by its value, the iteration counts as integers.  A solver
 that raises stops the comparison with its traceback, except for a
-NumericError that ``solve_trial`` records, which compares as such.  A change that claims
-to restructure without touching any result shows 0 differences here.
+NumericError that ``solve_trial`` records, which compares as such.
+
+It then runs each preset's sweep over those trials through the tree's
+``bench.run_experiment``, the path ``springback bench`` and the benchmark
+take (where a tree runs the DCA stacks in a worker process), and compares
+every ``TrialRecord`` field but ``wall_time`` by its bits.  A change that
+claims to restructure without touching any result shows 0 differences here.
 
 Run from the repository root, with the other tree made by, for example,
 ``git archive HEAD | tar -x -C ../parent``:
@@ -19,7 +24,7 @@ Run from the repository root, with the other tree made by, for example,
     python3 tools/report_diff.py ../parent
     python3 tools/report_diff.py ../parent --trials 3
 
-Exits with status 1 when any report differs.
+Exits with status 1 when any report or record differs.
 """
 
 from __future__ import annotations
@@ -76,7 +81,9 @@ def _solve_all(bench, prob, opts) -> dict:
 
 
 def reports(tree: str, trials: int) -> dict:
-    """(preset, sweep value, trial, solver) -> {field: bits} for one tree."""
+    """(what, preset, sweep value, trial, solver) -> {field: bits} for one
+    tree, where ``what`` is "report" for a solver's report and "record" for
+    its run_experiment record."""
     bench = _import_bench(tree)
     out = {}
     for preset in bench.PRESETS:
@@ -85,10 +92,15 @@ def reports(tree: str, trials: int) -> dict:
             for ti in range(trials):
                 prob, opts, _ = bench.trial_setup(spec, si, ti)
                 for sid, rep in _solve_all(bench, prob, opts).items():
-                    out[(preset, float(value), ti, sid)] = (
+                    out[("report", preset, float(value), ti, sid)] = (
                         {"status": "raised NumericError"} if rep is None else
                         {f.name: _bits(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
                     )
+        for rec in bench.run_experiment(spec)[1]:
+            out[("record", preset, rec.sweep_value, rec.trial_index, rec.solver_id)] = {
+                f.name: _bits(getattr(rec, f.name))
+                for f in dataclasses.fields(rec) if f.name != "wall_time"
+            }
     return out
 
 
@@ -102,24 +114,25 @@ def main(argv: list[str]) -> int:
     t0 = time.perf_counter()
     mine = reports(ROOT, args.trials)
     theirs = reports(args.other_tree, args.trials)
-    diffs: dict[str, list[str]] = {}
-    counts: dict[str, int] = {}
+    diffs: dict[tuple[str, str], list[str]] = {}
+    counts: dict[tuple[str, str], int] = {}
     for key in sorted(set(mine) | set(theirs), key=str):
-        sid = key[3]
-        counts[sid] = counts.get(sid, 0) + 1
+        group = (key[0], key[4])
+        counts[group] = counts.get(group, 0) + 1
         a, b = mine.get(key), theirs.get(key)
         if a is None or b is None:
             what = "missing here" if a is None else "missing in the other tree"
         else:
             what = ", ".join(name for name in sorted(set(a) | set(b)) if a.get(name) != b.get(name))
         if what:
-            diffs.setdefault(sid, []).append(f"{key[0]} {key[1]:g} trial {key[2]}: {what}")
-    presets = sorted({key[0] for key in set(mine) | set(theirs)})
-    print(f"{sum(counts.values())} reports of {len(counts)} solvers on {','.join(presets)}, "
-          f"{args.trials} trial(s) per point, {time.perf_counter() - t0:.0f} s")
-    for sid, n in counts.items():
-        lines = diffs.get(sid, [])
-        print(f"{sid}: {len(lines)} of {n} reports differ")
+            diffs.setdefault(group, []).append(f"{key[1]} {key[2]:g} trial {key[3]}: {what}")
+    presets = sorted({key[1] for key in set(mine) | set(theirs)})
+    solvers = {sid for _, sid in counts}
+    print(f"{sum(counts.values())} reports and records of {len(solvers)} solvers on "
+          f"{','.join(presets)}, {args.trials} trial(s) per point, {time.perf_counter() - t0:.0f} s")
+    for (what, sid), n in counts.items():
+        lines = diffs.get((what, sid), [])
+        print(f"{sid}: {len(lines)} of {n} {what}s differ")
         for line in lines:
             print(f"  {line}")
     return 1 if diffs else 0
