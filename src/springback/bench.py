@@ -27,15 +27,22 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError
+from .errors import InvalidParameterError
 from .penalties import PenaltyKind
-from .sensing import EnsembleKind, EnsembleSpec, SignalSpec, add_noise_snr, gen_matrix, gen_signal
+from .sensing import (
+    EnsembleKind,
+    EnsembleSpec,
+    SignalSpec,
+    add_noise_snr,
+    gen_matrix,
+    gen_signal,
+    snr_ratio,
+)
 from .solvers import (
     OMEGA,
     ProblemInstance,
     SolverOptions,
     SolverReport,
-    SolverStatus,
     admm_l1,
     aiht,
     alpha_subroutine,
@@ -136,6 +143,11 @@ class ExperimentSpec:
             raise InvalidParameterError("omega must be positive and finite")
         if self.master_seed < 0:
             raise InvalidParameterError(f"master_seed must be nonnegative, got {self.master_seed}")
+        for index in range(len(self.sweep_values)):  # every point is valid before a trial runs
+            ens, s, sep, snr = _resolve_point(self, index)
+            SignalSpec(n=ens.n, sparsity=s, min_separation=sep)
+            if snr is not None:
+                snr_ratio(snr)
 
 
 @dataclass(frozen=True)
@@ -223,31 +235,29 @@ def trial_setup(
 
 def solve_trial(
     solvers: tuple[str, ...], prob: ProblemInstance, opts: SolverOptions
-) -> dict[str, tuple[SolverReport | None, float]]:
-    """Run the solver ids ``solvers`` on one instance: per id, its report
-    (None when the solver raised NumericError) and its wall time in seconds.
+) -> dict[str, tuple[SolverReport, float]]:
+    """Run the solver ids ``solvers`` on one instance: per id, its report and
+    its wall time in seconds.
 
     The DCA ids among them run as one stack of lasso rows, a single
     dca_unconstrained call made in the place of the first, in their order
     here, and each gets the stack's wall time divided by their number; every
     other id runs alone through SOLVERS.  Each report is bit for bit the one
     its SOLVERS entry returns.  Every solver runs in the caller's process,
-    one after another.
+    one after another.  A solver reports its own numeric failure; any error
+    it raises, a NumericError included, is a bug and raises here.
     """
     dca = [sid for sid in solvers if sid in _DCA_KINDS]
-    results: dict[str, tuple[SolverReport | None, float]] = {}
+    results: dict[str, tuple[SolverReport, float]] = {}
     for sid in solvers:
         if sid in results:
             continue
         group = dca if sid in _DCA_KINDS else [sid]
         t0 = time.perf_counter()
-        try:
-            if group is dca:
-                reports = dca_unconstrained(tuple(_DCA_KINDS[g] for g in dca), prob, opts)
-            else:
-                reports = [SOLVERS[sid](prob, opts)]
-        except NumericError:
-            reports = [None] * len(group)
+        if group is dca:
+            reports = dca_unconstrained(tuple(_DCA_KINDS[g] for g in dca), prob, opts)
+        else:
+            reports = [SOLVERS[sid](prob, opts)]
         wall = (time.perf_counter() - t0) / len(group)
         results.update((g, (report, wall)) for g, report in zip(group, reports))
     return results
@@ -260,9 +270,9 @@ def run_trial(
     solve_trial, and keep one record per solver in the spec's order.
 
     The DCA baselines run as one stack, and each of their records holds the
-    stack's wall time divided by their number.  A solver's NumericError is
-    recorded as numeric_failure; any other error (a bug, such as a write
-    into the read-only instance) raises.
+    stack's wall time divided by their number.  A record's status is its
+    report's; any error a solver raises (a bug, such as a write into the
+    read-only instance, or a NumericError that escaped it) raises here.
 
     Every solver runs in the caller's process.  Only run_experiment passes
     ``_worker``: then the DCA ids run through solve_trial in the worker's
@@ -271,10 +281,7 @@ def run_trial(
     """
     prob, opts, s = trial_setup(spec, sweep_index, trial_index)
     xbar = prob.ground_truth
-    value = float(spec.sweep_values[sweep_index])
     xnorm = float(np.linalg.norm(xbar))
-    records = []
-    errors = {}
     if _worker is None:
         results = solve_trial(spec.solvers, prob, opts)
     else:
@@ -282,42 +289,34 @@ def run_trial(
         _worker.submit(dca, prob, opts)
         results = solve_trial(tuple(sid for sid in spec.solvers if sid not in dca), prob, opts)
         results.update(_worker.result())
-    for sid in spec.solvers:
-        report, wall = results[sid]
-        if report is None:
-            status = SolverStatus.NUMERIC_FAILURE.value
-            x_star = np.zeros(xbar.shape[0])
-        else:
-            status = report.status.value
-            x_star = report.x_star
-        abs_err = float(np.linalg.norm(x_star - xbar))
-        rel_err = abs_err / xnorm if xnorm > 0 else float("nan")
-        success = rel_err < spec.success_tol if xnorm > 0 else abs_err < spec.success_tol
-        errors[sid] = abs_err
-        records.append(
-            TrialRecord(
-                trial_index=trial_index,
-                solver_id=sid,
-                s=s,
-                sweep_value=value,
-                relative_error=rel_err,
-                absolute_error=abs_err,
-                success=bool(success),
-                accepted=None,
-                wall_time=wall,
-                status=status,
-                alpha_used=opts.alpha,
-            )
-        )
+    errors = {sid: float(np.linalg.norm(rep.x_star - xbar)) for sid, (rep, _) in results.items()}
+    accepted = None
     if "springback" in errors and "admm_l1" in errors:
         if spec.literal_acceptance:
             accepted = errors["springback"] <= errors["admm_l1"] / 10.0
         else:
             accepted = errors["springback"] <= 10.0 * errors["admm_l1"]
-        records = [
-            replace(r, accepted=bool(accepted)) if r.solver_id == "springback" else r
-            for r in records
-        ]
+    records = []
+    for sid in spec.solvers:
+        report, wall = results[sid]
+        abs_err = errors[sid]
+        rel_err = abs_err / xnorm if xnorm > 0 else float("nan")
+        success = rel_err < spec.success_tol if xnorm > 0 else abs_err < spec.success_tol
+        records.append(
+            TrialRecord(
+                trial_index=trial_index,
+                solver_id=sid,
+                s=s,
+                sweep_value=float(spec.sweep_values[sweep_index]),
+                relative_error=rel_err,
+                absolute_error=abs_err,
+                success=bool(success),
+                accepted=accepted if sid == "springback" else None,
+                wall_time=wall,
+                status=report.status.value,
+                alpha_used=opts.alpha,
+            )
+        )
     return records
 
 
@@ -332,8 +331,8 @@ _WORKER_MAIN = (
 def _serve_stacks(fd: int) -> None:
     """The stack worker's loop: for each (solver ids, A, b, tau, options)
     received on the connection at file descriptor fd, send back solve_trial's
-    results for those ids, or the error it raised.  Returns when the parent
-    closes its end."""
+    results for those ids, or the error it raised, which the parent raises
+    again with its own type.  Returns when the parent closes its end."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     with multiprocessing.connection.Connection(fd) as conn:
         while True:
@@ -400,7 +399,7 @@ class _StackWorker:
         self._channel(self.conn.send, (solvers, prob.A, prob.b, prob.tau, opts))
         self.pending = True
 
-    def result(self) -> dict[str, tuple[SolverReport | None, float]]:
+    def result(self) -> dict[str, tuple[SolverReport, float]]:
         """solve_trial's results for the ids sent last; its error raises here."""
         reply = self._channel(self.conn.recv)
         self.pending = False

@@ -10,6 +10,8 @@ support indices.  All generators are deterministic functions of (spec, seed).
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ __all__ = [
     "gen_matrix",
     "gen_support",
     "gen_signal",
+    "snr_ratio",
     "add_noise_snr",
 ]
 
@@ -130,18 +133,41 @@ def gen_signal(spec: SignalSpec) -> np.ndarray:
     return x
 
 
+def snr_ratio(snr_db: float) -> float:
+    """The signal-to-noise power ratio 10^(snr_db/10) of an SNR in dB.
+
+    Raises InvalidParameterError for a NaN or infinite SNR, or one whose
+    ratio overflows or underflows (|snr_db| beyond about 3080 dB), where the
+    noise variance would be zero, infinite or undefined.
+    """
+    snr_db = float(snr_db)
+    if not math.isfinite(snr_db):
+        raise InvalidParameterError(f"SNR must be finite, got {snr_db} dB")
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not sys.float_info.min <= ratio < math.inf:
+        raise InvalidParameterError(
+            f"SNR {snr_db:g} dB is out of range: 10^(SNR/10) overflows or underflows"
+        )
+    return ratio
+
+
 def add_noise_snr(clean, snr_db: float, seed: int) -> tuple[np.ndarray, float]:
     """Add white Gaussian noise at the requested SNR (in dB).
 
     The per-sample noise variance is P / 10^(snr_db/10) with P the measured
     signal power ||clean||^2 / m.  Returns the noisy vector and the realized
-    noise norm ||e||_2, the natural tau for the constrained solvers.
+    noise norm ||e||_2, the natural tau for the constrained solvers.  An SNR
+    that snr_ratio rejects raises its InvalidParameterError.
     """
+    ratio = snr_ratio(snr_db)
     clean = as_vector(clean)
     if not np.any(clean):
         raise InvalidParameterError("cannot calibrate noise power to a zero signal")
     m = clean.shape[0]
     power = float(clean @ clean) / m
-    sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0))
+    sigma = np.sqrt(power / ratio)
     e = _rng(seed).standard_normal(m) * sigma
     return clean + e, float(np.linalg.norm(e))

@@ -32,7 +32,7 @@ from springback.bench import (
 from springback.errors import InvalidParameterError, NumericError, SpringbackError
 from springback.penalties import PenaltyKind
 from springback.sensing import EnsembleKind, EnsembleSpec
-from springback.solvers import ALPHA_MAX
+from springback.solvers import ALPHA_MAX, OMEGA, ProblemInstance, SolverStatus
 
 
 def _load_text(tmp_path, text):
@@ -76,6 +76,9 @@ def test_spec_validation():
     for omega in (0.0, -0.5):
         with pytest.raises(InvalidParameterError, match="omega"):
             _small_spec(omega=omega)
+    for setting in ("sep_factor", "min_separation"):
+        with pytest.raises(InvalidParameterError, match="separation settings"):
+            _small_spec(**{setting: -1})
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -89,10 +92,39 @@ def test_spec_rejects_non_finite(name, value):
 @pytest.mark.parametrize("value", [2.5, np.inf, np.nan])
 @pytest.mark.parametrize("axis", ["s", "refinement", "m"])
 def test_spec_rejects_non_integer_values_on_integer_axes(axis, value):
+    # refinement 3 needs the oversampled DCT: a spec builds every sweep point
+    dct = EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, m=20, n=50)
     with pytest.raises(InvalidParameterError, match="integers"):
-        _small_spec(sweep_axis=axis, sweep_values=(3, value))
-    _small_spec(sweep_axis=axis, sweep_values=(3, 4.0))
+        _small_spec(ensemble=dct, sweep_axis=axis, sweep_values=(3, value))
+    _small_spec(ensemble=dct, sweep_axis=axis, sweep_values=(3, 4.0))
     _small_spec(sweep_axis="snr", sweep_values=(3, 2.5))
+
+
+def test_spec_builds_every_sweep_point():
+    # a point that could draw no instance fails when the spec is made,
+    # before any trial runs
+    dct = EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, m=20, n=50)
+    for kw, match in (
+        (dict(sweep_axis="m", sweep_values=(20, 0)), "m and n must be positive"),
+        (dict(sweep_values=(3, 51)), "sparsity must lie"),
+        (dict(snr_db=-np.inf), "SNR must be finite"),
+        (dict(sweep_axis="snr", sweep_values=(20.0, 4000.0)), "SNR 4000 dB is out of range"),
+        (dict(ensemble=dct, sweep_axis="refinement", sweep_values=(2, 0)), "refinement"),
+        # sep_factor 2 at F = 8: 5 indices 16 apart need 65 > 50 columns
+        (dict(ensemble=dct, sweep_axis="refinement", sweep_values=(2, 8), sep_factor=2,
+              sparsity=5), "cannot place 5 indices"),
+    ):
+        with pytest.raises(InvalidParameterError, match=match):
+            _small_spec(**kw)
+
+
+def test_m_sweep_axis_sets_the_row_count():
+    spec = _small_spec(sweep_axis="m", sweep_values=(12, 20), solvers=("aiht",))
+    for si, m in enumerate((12, 20)):
+        prob, _, s = bench.trial_setup(spec, si, 0)
+        assert prob.A.shape == (m, 50) and s == spec.sparsity
+    _, records = run_experiment(spec)
+    assert [r.sweep_value for r in records] == [12.0, 12.0, 20.0, 20.0]
 
 
 def _strip_time(records):
@@ -147,14 +179,19 @@ def test_run_trial_runs_the_dca_baselines_as_one_stack(monkeypatch):
         assert results[sid][0].status is report.status
 
 
-def test_numeric_error_of_the_dca_stack_fails_each_of_its_records(monkeypatch):
+def test_numeric_error_escaping_the_dca_stack_raises_from_run_trial(monkeypatch):
+    # every solver reports its own numeric failure, so a NumericError that
+    # leaves the stack is a bug: it raises with its own type, in place of
+    # the stack's records, through run_trial and run_experiment alike
     def numeric(kinds, prob, opts):
         raise NumericError("non-finite iterate")
 
     monkeypatch.setattr(bench, "dca_unconstrained", numeric)
-    recs = run_trial(_small_spec(solvers=("dca_l12", "aiht", "dca_tl1")), 0, 0)
-    assert recs[0].status == recs[2].status == "numeric_failure"
-    assert recs[1].status != "numeric_failure"
+    spec = _small_spec(solvers=("dca_l12", "aiht", "dca_tl1"))
+    with pytest.raises(NumericError, match="non-finite iterate"):
+        run_trial(spec, 0, 0)
+    with pytest.raises(NumericError, match="non-finite iterate"):
+        run_experiment(replace(spec, solvers=("dca_l12", "dca_tl1")))
 
 
 def test_trial_seeds_order_independent():
@@ -195,7 +232,14 @@ def test_solver_writing_into_instance_raises(monkeypatch):
     assert not isinstance(exc.value, SpringbackError)
 
 
-def test_run_trial_records_only_numeric_errors_as_failures(monkeypatch):
+def test_run_trial_records_a_failure_only_from_its_report(monkeypatch):
+    # a record's status is its report's, and its error that of the report's
+    # x*; any error a solver raises, a NumericError included, raises
+    solo = bench.SOLVERS["aiht"]
+
+    def failing(prob, opts):
+        return replace(solo(prob, opts), status=SolverStatus.NUMERIC_FAILURE)
+
     def numeric(prob, opts):
         raise NumericError("non-finite iterate")
 
@@ -203,9 +247,14 @@ def test_run_trial_records_only_numeric_errors_as_failures(monkeypatch):
         raise InvalidParameterError("a bug inside a solver")
 
     spec = _small_spec(solvers=("aiht",))
-    monkeypatch.setitem(bench.SOLVERS, "aiht", numeric)
+    (plain,) = run_trial(spec, 0, 0)
+    monkeypatch.setitem(bench.SOLVERS, "aiht", failing)
     (rec,) = run_trial(spec, 0, 0)
-    assert rec.status == "numeric_failure" and not rec.success
+    assert rec.status == "numeric_failure"
+    assert rec.absolute_error == plain.absolute_error and rec.success == plain.success
+    monkeypatch.setitem(bench.SOLVERS, "aiht", numeric)
+    with pytest.raises(NumericError, match="non-finite iterate"):
+        run_trial(spec, 0, 0)
     monkeypatch.setitem(bench.SOLVERS, "aiht", invalid)
     with pytest.raises(InvalidParameterError, match="a bug"):
         run_trial(spec, 0, 0)
@@ -640,3 +689,35 @@ def test_the_stack_worker_ends_with_its_interpreter():
     assert tracker == "None"
     with pytest.raises(ProcessLookupError):
         os.kill(int(worker), 0)
+
+
+# Every solver reports its own numeric failure (solvers._outer catches the
+# NumericError of its steps), so no NumericError leaves a solver and a report
+# always holds a finite x*: run_trial has no failure path of its own.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(((6, 15), (15, 6), (8, 8))),
+    exponent=st.integers(-300, 300),
+    noisy=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_no_numeric_error_escapes_a_solver(shape, exponent, noisy, seed):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    xbar = np.zeros(n)
+    xbar[rng.choice(n, 2, replace=False)] = rng.standard_normal(2)
+    b, tau = A @ xbar, 0.0
+    if noisy:
+        e = 0.01 * rng.standard_normal(m)
+        b, tau = b + e, float(np.linalg.norm(e))
+    scale = 10.0**exponent
+    prob = ProblemInstance(scale * A, scale * b, scale * tau)
+    opts = bench.solver_options(prob, 2, OMEGA)
+    for sid, solve in bench.SOLVERS.items():
+        assert np.isfinite(solve(prob, opts).x_star).all(), sid
+    results = bench.solve_trial(bench.SOLVER_IDS, prob, opts)
+    assert sorted(results) == sorted(bench.SOLVER_IDS)
+    for sid, (report, _) in results.items():
+        assert np.isfinite(report.x_star).all(), sid

@@ -211,3 +211,28 @@ def test_alpha_relation():
         alpha_relation(TOY_PROFILE, A, np.zeros(2), 0.0, 1.0)
     with pytest.raises(InvalidParameterError, match="xopt_norm"):
         alpha_relation(TOY_PROFILE, A, b, 0.0, 0.0)
+
+
+def test_bound_argument_checks():
+    params = ThresholdParams()
+    for call, match in (
+        (lambda: d1(TOY_PROFILE, 0.0), "alpha must be positive"),
+        (lambda: posterior_verify(TOY_PROFILE, 1.0, np.ones(3), eps=-1.0), "eps"),
+        (lambda: recovery_bound(TOY_PROFILE, 1.0, -0.1), "tau and tail_l1"),
+        (lambda: recovery_bound(TOY_PROFILE, 1.0, 0.0, -0.1), "tau and tail_l1"),
+        (lambda: noise_threshold(PenaltyKind.L1, TOY_PROFILE, 0.0, params), "alpha must be"),
+        (lambda: constant_c(TOY_PROFILE, 1.0, 0.1, 0.0), "c1s"),
+        (lambda: exact_condition(PenaltyKind.MCP, TOY_PROFILE, params), "no exact recovery"),
+        (lambda: noise_threshold(PenaltyKind.MCP, TOY_PROFILE, 1.0, params), "no noise threshold"),
+    ):
+        with pytest.raises(InvalidParameterError, match=match):
+            call()
+
+
+def test_l1_minus_l2_condition_is_stricter_than_l1s():
+    # a(20) = 1.837..., so at delta_4s = 1/3 l1-l2 needs delta_3s < 0.2248
+    # where l1 needs delta_3s < 1
+    for d3, holds in ((0.2, True), (0.25, False)):
+        prof = RipProfile(s=20, delta3s=d3, delta4s=1.0 / 3.0)
+        assert exact_condition(PenaltyKind.L1_MINUS_2, prof, ThresholdParams()) is holds
+        assert exact_condition(PenaltyKind.L1, prof, ThresholdParams())

@@ -146,6 +146,10 @@ def test_report_rejects_malformed_records(tmp_path, capsys):
     assert main(["report", "--records", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and "column trial_index" in err
+    path.write_text(header + "0,springback,3\n")  # a row shorter than its header
+    assert main(["report", "--records", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2, column sweep_value: missing value" in err
 
 
 def test_bench_rejects_negative_seed(tmp_path, capsys):
@@ -342,3 +346,45 @@ def test_solve_dca_baseline_is_its_grouped_bench_record(monkeypatch, capsys):
     assert solo.status is grouped.status
     assert printed["status"] == records["dca_tl1"].status == grouped.status.value
     assert printed["rel error"] == f"{records['dca_tl1'].relative_error:.6g}"
+
+
+def test_threshold_firm(capsys):
+    # firm: 0 inside lambda, mu (|w| - lambda) / (mu - lambda) up to mu, w beyond
+    assert main(["threshold", "firm", "--w", "0.1", "-0.5", "2.0", "--lambda", "0.25"]) == 0
+    out = capsys.readouterr().out.split()
+    assert [float(v) for v in out] == pytest.approx([0.0, -1.0 / 3.0, 2.0])
+
+
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "4000", "-4000"])
+def test_an_snr_with_no_noise_level_is_an_error(tmp_path, capsys, snr):
+    # before a trial runs: solve prints no status, bench writes no directory
+    assert main(["solve", f"--snr={snr}", "--m", "8", "--n", "16", "--s", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: SNR") and snr in captured.err
+    assert captured.out == ""
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(
+        _TINY_CONFIG.replace("sweep_axis = s\nsweep_values = 2\n",
+                             f"sweep_axis = snr\nsweep_values = 20 {snr}\n")
+        + "[signal]\nsparsity = 2\n"
+    )
+    out = tmp_path / "run"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "SNR" in captured.err and snr in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_bench_config_trials_and_report_out(tmp_path, capsys):
+    # --trials overrides a config's count; report --out writes the summary
+    # that bench wrote, from the records alone
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(_TINY_CONFIG + "solvers = aiht\n")
+    run, again = tmp_path / "run", tmp_path / "again"
+    assert main(["bench", "--config", str(cfg), "--trials", "3", "--out", str(run)]) == 0
+    assert "trials = 3\n" in (run / "manifest.cfg").read_text()
+    capsys.readouterr()
+    assert main(["report", "--records", str(run / "records.csv"), "--out", str(again)]) == 0
+    assert capsys.readouterr().out == f"wrote summary for 3 records to {again}\n"
+    assert (again / "summary.csv").read_bytes() == (run / "summary.csv").read_bytes()
+    assert (again / "records.csv").read_bytes() == (run / "records.csv").read_bytes()

@@ -52,6 +52,8 @@ def test_spd_factor_reusable_and_validates():
         np.testing.assert_allclose(M @ f.solve(r), r, atol=1e-10)
     with pytest.raises(InvalidParameterError):
         f.solve(np.zeros(3))
+    with pytest.raises(InvalidParameterError, match="square"):
+        SpdFactor(np.ones((2, 3)))
 
 
 def test_spd_rejects_indefinite():

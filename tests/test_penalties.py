@@ -42,6 +42,9 @@ def test_penalty_values_basic():
     assert penalty_value(PenaltyKind.L1, np.array([1.0, -2.0]), params) == pytest.approx(3.0)
     assert penalty_value(PenaltyKind.LP, np.array([4.0]), ThresholdParams(p=0.5)) == pytest.approx(2.0)
     assert penalty_value(PenaltyKind.TL1, np.array([1.0]), ThresholdParams(beta=1.0)) == pytest.approx(1.0)
+    # a kind's value, not the enum member, names no penalty
+    with pytest.raises(InvalidParameterError, match="unknown penalty kind"):
+        penalty_value("l1", np.ones(3), params)
 
 
 def test_springback_equals_mcp_inside_linf_ball():

@@ -25,6 +25,12 @@ def test_spec_validation():
     with pytest.raises(InvalidParameterError):
         # 3 indices with pairwise gap 5 cannot fit in [0, 10)
         SignalSpec(n=10, sparsity=3, min_separation=5)
+    with pytest.raises(InvalidParameterError, match="refinement factor must be >= 1"):
+        EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, m=4, n=10, refinement=0)
+    with pytest.raises(InvalidParameterError, match="n must be positive"):
+        SignalSpec(n=0, sparsity=0)
+    with pytest.raises(InvalidParameterError, match="min_separation must be nonnegative"):
+        SignalSpec(n=10, sparsity=2, min_separation=-1)
 
 
 def test_reproducibility():
@@ -136,3 +142,21 @@ def test_snr_calibration():
     with pytest.raises(InvalidParameterError):
         add_noise_snr(np.zeros(10), 20.0, seed=0)
 
+
+@pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf, 4000.0, -4000.0])
+def test_add_noise_snr_rejects_an_snr_with_no_noise_level(snr):
+    # 10^(snr/10) is NaN, overflows or underflows: the noise variance would
+    # be undefined, zero or infinite
+    with pytest.raises(InvalidParameterError, match=f"SNR.*{snr:g}"):
+        add_noise_snr(np.ones(4), snr, seed=0)
+
+
+def test_add_noise_snr_keeps_its_noise_expression():
+    # sigma = sqrt(P / 10^(snr/10)), bit for bit, at every preset SNR
+    clean = np.random.default_rng(3).standard_normal(50)
+    for snr in (10.0, 20.0, 30.0, 40.0, 45.0, 50.0):
+        noisy, tau = add_noise_snr(clean, snr, seed=11)
+        sigma = np.sqrt(float(clean @ clean) / 50 / 10.0 ** (snr / 10.0))
+        e = np.random.default_rng(np.random.SeedSequence(11)).standard_normal(50) * sigma
+        assert noisy.tobytes() == (clean + e).tobytes()
+        assert tau == float(np.linalg.norm(e))

@@ -3,20 +3,21 @@
 Imports the ``springback`` package of this tree and then that of OTHER_TREE,
 one after the other in one process, and runs all seven solvers on the first
 trials of every sweep point of each preset in that tree's ``bench.PRESETS``
-(the same instance, options and seeds ``bench`` uses).  A tree whose
-``bench`` has ``solve_trial`` runs them through it, the path ``run_trial``
-takes (the DCA baselines as one stack); an older tree calls each
-``bench.SOLVERS`` entry alone.  Every ``SolverReport`` field is compared by its bits:
-x_star by dtype, shape and bytes, the trace and the residual as float64
-bytes, the status by its value, the iteration counts as integers.  A solver
-that raises stops the comparison with its traceback, except for a
-NumericError that ``solve_trial`` records, which compares as such.
+(the same instance, options and seeds ``bench`` uses) through
+``bench.solve_trial``, the path ``run_trial`` takes (the DCA baselines as one
+stack).  Every ``SolverReport`` field is compared by its bits: x_star by
+dtype, shape and bytes, the trace and the residual as float64 bytes, the
+status by its value, the iteration counts as integers.  A solver reports its
+own numeric failure, so any error one raises stops the comparison with its
+traceback.
 
 It then runs each preset's sweep over those trials through the tree's
 ``bench.run_experiment``, the path ``springback bench`` and the benchmark
 take (where a tree runs the DCA stacks in a worker process), and compares
 every ``TrialRecord`` field but ``wall_time`` by its bits.  A change that
 claims to restructure without touching any result shows 0 differences here.
+Last it prints each tree's line count of ``src/springback/*.py``, the net
+``src/`` lines a change reports.
 
 Run from the repository root, with the other tree made by, for example,
 ``git archive HEAD | tar -x -C ../parent``:
@@ -36,6 +37,7 @@ import importlib
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -71,15 +73,6 @@ def _import_bench(tree: str):
     return bench
 
 
-def _solve_all(bench, prob, opts) -> dict:
-    """Solver id -> report (None for a recorded NumericError) of every solver
-    on one instance, through ``bench.solve_trial`` where the tree has it."""
-    if hasattr(bench, "solve_trial"):
-        results = bench.solve_trial(bench.SOLVER_IDS, prob, opts)
-        return {sid: report for sid, (report, _) in results.items()}
-    return {sid: solve(prob, opts) for sid, solve in bench.SOLVERS.items()}
-
-
 def reports(tree: str, trials: int) -> dict:
     """(what, preset, sweep value, trial, solver) -> {field: bits} for one
     tree, where ``what`` is "report" for a solver's report and "record" for
@@ -91,17 +84,21 @@ def reports(tree: str, trials: int) -> dict:
         for si, value in enumerate(spec.sweep_values):
             for ti in range(trials):
                 prob, opts, _ = bench.trial_setup(spec, si, ti)
-                for sid, rep in _solve_all(bench, prob, opts).items():
-                    out[("report", preset, float(value), ti, sid)] = (
-                        {"status": "raised NumericError"} if rep is None else
-                        {f.name: _bits(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
-                    )
+                for sid, (rep, _) in bench.solve_trial(bench.SOLVER_IDS, prob, opts).items():
+                    out[("report", preset, float(value), ti, sid)] = {
+                        f.name: _bits(getattr(rep, f.name)) for f in dataclasses.fields(rep)
+                    }
         for rec in bench.run_experiment(spec)[1]:
             out[("record", preset, rec.sweep_value, rec.trial_index, rec.solver_id)] = {
                 f.name: _bits(getattr(rec, f.name))
                 for f in dataclasses.fields(rec) if f.name != "wall_time"
             }
     return out
+
+
+def src_lines(tree: str) -> int:
+    """Lines of ``<tree>/src/springback/*.py``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(tree, "src", "springback").glob("*.py"))
 
 
 def main(argv: list[str]) -> int:
@@ -135,6 +132,8 @@ def main(argv: list[str]) -> int:
         print(f"{sid}: {len(lines)} of {n} {what}s differ")
         for line in lines:
             print(f"  {line}")
+    here, there = src_lines(ROOT), src_lines(args.other_tree)
+    print(f"src/springback/*.py: {here} lines here, {there} in the other tree ({here - there:+d})")
     return 1 if diffs else 0
 
 
