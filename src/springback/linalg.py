@@ -139,19 +139,12 @@ class GramRidgeSolver:
         return dpotrs(self._chol, r, lower=1)[0]
 
     def offset_solve(
-        self,
-        c: np.ndarray,
-        d: np.ndarray,
-        q: np.ndarray | None = None,
-        out: np.ndarray | None = None,
-        rows=None,
+        self, c: np.ndarray, d: np.ndarray, q: np.ndarray, out: np.ndarray, rows=None
     ) -> np.ndarray:
         """c - A^T q with q = H d for d of length n, and q = F d = H v - M w
         for d = [v; w] of length n + m; the x-update of every inner ADMM
-        loop.  Unchecked like ``solve``, and written into the length-m q and
-        the length-n ``out`` when given (float arrays other than c and d),
-        ``out`` being then the array returned.  The inner loops pass their
-        own q and x (or x + u) slots and read those, never the return value.
+        loop.  Unchecked like ``solve``; q (length m) and ``out`` (length n,
+        returned) are the loop's own float arrays, other than c and d.
 
         On a stack of lasso rows, c, d, q and ``out`` are 2-D with one
         problem per row, d of width n, and ``rows`` holds the views (d_r,
@@ -159,14 +152,13 @@ class GramRidgeSolver:
         q_r = H d_r and A^T q_r, the very calls of a lone vector, so that it
         rounds as it would alone.  The subtraction then covers every row at
         once: a row not listed gets c minus the ``out`` row it held."""
-        if rows is not None:
-            At, H = self._At, self._H
+        At, H = self._At, self._H
+        if rows is None:
+            At.dot((H if d.shape[0] == self._n else self._F).dot(d, q), out)
+        else:
             for d_r, q_r, t_r in rows:
                 At.dot(H.dot(d_r, q_r), t_r)
-            return np.subtract(c, out, out)
-        op = self._H if d.shape[0] == self._n else self._F
-        t = self._At.dot(op.dot(d, q), out)
-        return np.subtract(c, t, t)
+        return np.subtract(c, out, out)
 
 
 def singular_extremes(A) -> tuple[float, float]:

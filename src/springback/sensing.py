@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .linalg import as_vector
+from .linalg import as_vector, safe_norm
 
 __all__ = [
     "EnsembleKind",
@@ -159,15 +159,22 @@ def add_noise_snr(clean, snr_db: float, seed: int) -> tuple[np.ndarray, float]:
 
     The per-sample noise variance is P / 10^(snr_db/10) with P the measured
     signal power ||clean||^2 / m.  Returns the noisy vector and the realized
-    noise norm ||e||_2, the natural tau for the constrained solvers.  An SNR
-    that snr_ratio rejects raises its InvalidParameterError.
+    noise norm ||e||_2 (by safe_norm), the natural tau for the constrained
+    solvers.  An SNR that snr_ratio rejects raises its InvalidParameterError,
+    and so does one whose sigma overflows on this signal.  A finite sigma is
+    at most sqrt(DBL_MAX), so the noisy vector and tau are then finite too.
     """
     ratio = snr_ratio(snr_db)
     clean = as_vector(clean)
     if not np.any(clean):
         raise InvalidParameterError("cannot calibrate noise power to a zero signal")
     m = clean.shape[0]
-    power = float(clean @ clean) / m
-    sigma = np.sqrt(power / ratio)
+    with np.errstate(over="ignore"):
+        power = float(clean @ clean) / m
+        sigma = np.sqrt(power / ratio)
+    if not math.isfinite(sigma):
+        raise InvalidParameterError(
+            f"SNR {snr_db:g} dB gives infinite noise: the signal power over 10^(SNR/10) overflows"
+        )
     e = _rng(seed).standard_normal(m) * sigma
-    return clean + e, float(np.linalg.norm(e))
+    return clean + e, safe_norm(e)

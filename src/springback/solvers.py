@@ -64,8 +64,8 @@ _TINY = 1e-300
 # tolerance and the sweep cap of irls_lp; ALPHA_MAX caps the curvature
 # alpha_subroutine picks; COND_THRESHOLD is the condition number above which
 # alpha_subroutine treats A as coherent, and OMEGA the default floor of alpha
-# there; ADMM_BLOCK is the block length of _admm_blocks, the driver of both
-# inner ADMM loops (16 and 64 measured the same on the lasso).
+# there; ADMM_BLOCK is the block length of _admm_blocks, the driver of every
+# inner ADMM loop (16 and 64 measured the same on the lasso).
 RHO = 1e5
 ZETA_INNER = 1.0
 ZETA_LASSO = 1e-5
@@ -179,7 +179,7 @@ class SolverReport:
 
 @dataclass
 class AdmmState:
-    """Warm-start state of the constrained inner ADMM."""
+    """Warm-start state of every inner ADMM row (_lasso_admm's uses x, y, u)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -208,7 +208,7 @@ def _history(states, names) -> dict[str, np.ndarray]:
 
 
 def _admm_blocks(states, hist, eps, max_iter, block, feasible=None) -> list[SolverStatus]:
-    """The block driver of both inner ADMM loops, over a stack of k rows:
+    """The block driver of the three inner ADMM loops, over a stack of k rows:
     runs each row at most max_iter iterations from its warm state in
     ``states`` and returns per row CONVERGED when its stopping test fired,
     MAX_ITER when it did not, and NUMERIC_FAILURE when its iterate turned
@@ -475,7 +475,7 @@ def _outer(prob: ProblemInstance, cap: int, step, traces, states=None) -> list[S
 
 
 def _solo(step):
-    """A one-row solver's ``x, stop = step(x)`` as a step of _outer."""
+    """A one-row solver's ``step(x)``, (x, stop) or None, as _outer's."""
     return lambda rows, xs: [step(xs[0])]
 
 
@@ -519,20 +519,6 @@ def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     return report
 
 
-@dataclass
-class _LassoState:
-    """Warm-start state of the lasso ADMM; y is the sparse iterate."""
-
-    x: np.ndarray
-    y: np.ndarray
-    u: np.ndarray
-    iterations: int = 0
-
-
-def _lasso_state(n: int) -> _LassoState:
-    return _LassoState(np.zeros(n), np.zeros(n), np.zeros(n))
-
-
 def _lasso_admm(
     A: np.ndarray,
     b: np.ndarray,
@@ -546,8 +532,8 @@ def _lasso_admm(
     """Two-block ADMM for a stack of lasso problems on one A and b, row r
     being min 0.5||Ax-b||^2 + lams[r] ||x||_1 - <linears[r], x> (Boyd et al.
     2011, section 6.4; a linear term None is none), continued from the warm
-    state ``states[r]``, with ``solver`` the GramRidgeSolver of A and the
-    splitting penalty zeta.
+    AdmmState ``states[r]``, of which it reads and writes x, y and u, with
+    ``solver`` the GramRidgeSolver of A and the splitting penalty zeta.
 
     Runs each row at most max_iter iterations through _admm_blocks and
     returns per row its status there: CONVERGED when the stopping test
@@ -600,17 +586,17 @@ def admm_l1(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
 
     One outer step: the lasso ADMM, a stack of one, from the zero state to
     its own stop or ADMM_MAX iterations; the trace holds the objective at its
-    final y.
+    final y.  A row that turns non-finite makes the step None (x^0 = 0).
     """
     A, b = prob.A, prob.b
-    st = _lasso_state(A.shape[1])
+    st = fresh_admm_state(prob)
     trace: list[float] = []
 
     def step(_):
         solver = prob.gram_solver
         (end,) = _lasso_admm(A, b, [LAMBDA], [None], solver, [st], opts.eps_outer, ADMM_MAX)
         if end is SolverStatus.NUMERIC_FAILURE:
-            raise NumericError("lasso ADMM produced non-finite values")
+            return None
         r = A.dot(st.y) - b
         trace.append(0.5 * float(r.dot(r)) + LAMBDA * float(np.abs(st.y).sum()))
         return st.y, end is SolverStatus.CONVERGED
@@ -644,7 +630,7 @@ def dca_unconstrained(
     params = ThresholdParams(mu=1.0 / opts.alpha)
     beta = params.beta
     weights = [lam * (beta + 1.0) / beta if kind is PenaltyKind.TL1 else lam for kind in kinds]
-    states = [_lasso_state(A.shape[1]) for _ in kinds]
+    states = [fresh_admm_state(prob) for _ in kinds]
     traces: list[list[float]] = [[] for _ in kinds]
 
     def step(rows, xs):

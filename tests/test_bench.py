@@ -640,6 +640,36 @@ def test_a_worker_killed_mid_sweep_raises(monkeypatch):
     assert _bits(records) == _bits(_alone(spec))
 
 
+class _Interrupt(BaseException):
+    pass
+
+
+def test_an_interrupt_mid_send_raises_itself_and_closes_the_worker(monkeypatch):
+    # an error that is not a channel error, such as an interrupt that cuts
+    # the second of three trials' message short, raises as itself, not as
+    # ChildProcessError; the worker is closed for good, and the next sweep
+    # starts a new one
+    spec = _small_spec(solvers=("aiht", "dca_l12"), trials=3)
+    run_experiment(replace(spec, trials=1))
+    worker = bench._stack_worker
+    send, calls = worker.conn.send, []
+
+    def interrupted(obj):
+        calls.append(None)
+        if len(calls) == 2:
+            raise _Interrupt("mid-message")
+        send(obj)
+
+    monkeypatch.setattr(worker.conn, "send", interrupted)
+    with _deadline(60), pytest.raises(_Interrupt, match="mid-message"):
+        run_experiment(spec)
+    assert len(calls) == 2 and not worker.usable()
+    with _deadline(60):
+        _, records = run_experiment(spec)
+    assert bench._stack_worker is not worker
+    assert _bits(records) == _bits(_alone(spec))
+
+
 def test_a_sweep_that_raised_leaves_no_stale_reply(monkeypatch):
     # a parent-side solver raises after the trial's stack was sent: the
     # stack's reply stays unread, and the next sweep must not take it for

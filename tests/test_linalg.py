@@ -116,7 +116,7 @@ def test_gram_ridge_operator_matches_dense_property(m, n, zeta, seed):
     M = A.T @ A + zeta * np.eye(n)
     G = A @ A.T + zeta * np.eye(m)
     expected = zeta * np.linalg.solve(M, v)
-    got = GramRidgeSolver(A, zeta).offset_solve(c + v, v)
+    got = GramRidgeSolver(A, zeta).offset_solve(c + v, v, np.empty(m), np.empty(n))
     err = np.linalg.norm(got - c - expected)
     factored = min(np.linalg.cond(M), np.linalg.cond(G))
     bound = (
@@ -139,8 +139,8 @@ def test_gram_ridge_operator_matches_dense_property(m, n, zeta, seed):
 @example(m=5, n=5, zeta=0.5, seed=2)  # square
 def test_gram_ridge_buffered_forms_match_allocating_forms(m, n, zeta, seed):
     # the inner loops pass work vectors as q and out: the results must be
-    # written into them, out returned, equal bit for bit to the allocating
-    # form, and the inputs must come back unchanged; d of length n takes H,
+    # written into them, out returned, equal bit for bit to a call on fresh
+    # buffers, and the inputs must come back unchanged; d of length n takes H,
     # d = [v; w] of length n + m the fused operator F = [H, -M], and with
     # c = d (springback's x-update at tau > 0) it is d - A^T (H d)
     rng = np.random.default_rng(seed)
@@ -152,7 +152,7 @@ def test_gram_ridge_buffered_forms_match_allocating_forms(m, n, zeta, seed):
     for vec, op in ((d, solver._H), (vw, solver._F)):
         q, out = np.full(m, np.nan), np.full(n, np.nan)
         assert solver.offset_solve(c, vec, q, out) is out
-        assert np.array_equal(out, solver.offset_solve(c, vec))
+        assert np.array_equal(out, solver.offset_solve(c, vec, np.empty(m), np.empty(n)))
         assert np.array_equal(q, op @ vec)
         assert np.array_equal(out, c - A.T @ q)
     out = np.full(n, np.nan)
@@ -179,7 +179,7 @@ def test_gram_ridge_stacked_rows_are_lone_vectors(m, n, seed):
     assert solver.offset_solve(c, d, q, out, rows) is out
     for r in (0, 2):
         q_r = np.empty(m)
-        assert out[r].tobytes() == solver.offset_solve(c[r], d[r], q_r).tobytes()
+        assert out[r].tobytes() == solver.offset_solve(c[r], d[r], q_r, np.empty(n)).tobytes()
         assert q[r].tobytes() == q_r.tobytes()
     assert out[1].tobytes() == (c[1] - held).tobytes()
     assert np.isnan(q[1]).all()
@@ -207,7 +207,7 @@ def test_gram_ridge_fused_operator_matches_dense(shape):
         G = A @ A.T + zeta * np.eye(m)
         assert _rel(-solver._F[:, n:], np.linalg.inv(G)) <= 2e-10
         q = np.empty(m)
-        x = solver.offset_solve(v, np.concatenate([v, w]), q)
+        x = solver.offset_solve(v, np.concatenate([v, w]), q, np.empty(n))
         x_ref = np.linalg.solve(A.T @ A + zeta * np.eye(n), A.T @ w + zeta * v)
         assert _rel(x, x_ref) <= 1e-9
         assert _rel(w + zeta * q, A @ x_ref) <= 2e-12

@@ -1,5 +1,7 @@
 """Tests for the matrix ensembles, signal generators, and noise calibration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,20 @@ def test_add_noise_snr_keeps_its_noise_expression():
         e = np.random.default_rng(np.random.SeedSequence(11)).standard_normal(50) * sigma
         assert noisy.tobytes() == (clean + e).tobytes()
         assert tau == float(np.linalg.norm(e))
+
+
+@pytest.mark.parametrize("scale, snr", [(1e150, -100.0), (1e160, 20.0)])
+def test_add_noise_snr_rejects_noise_that_overflows(scale, snr):
+    # at 1e150 and -100 dB the power over 10^(snr/10) is 1e310; at 1e160
+    # ||clean||^2 itself overflows: sigma would be infinite either way
+    with pytest.raises(InvalidParameterError, match=f"SNR {snr:g} dB"):
+        add_noise_snr(np.full(4, scale), snr, seed=0)
+
+
+def test_add_noise_snr_norm_does_not_overflow():
+    # at -3070 dB sigma^2 = 1e307 is finite, but ||e||^2 is not: tau is the
+    # rescaled norm, finite and within rounding of the true one
+    noisy, tau = add_noise_snr(np.ones(50), -3070.0, seed=0)
+    e = noisy - 1.0
+    assert np.isfinite(noisy).all() and math.isfinite(tau)
+    assert tau == pytest.approx(1e154 * np.linalg.norm(e / 1e154), rel=1e-15)

@@ -216,7 +216,7 @@ def _lasso_row(A, b, lam, linear, solver, st, eps, max_iter):
 
 def _lasso(A, b, lam, zeta, eps=1e-5):
     """admm_l1's solve with its own lam and zeta: the sparse iterate y."""
-    st = solvers_mod._lasso_state(A.shape[1])
+    st = fresh_admm_state(ProblemInstance(A, b))
     solver = GramRidgeSolver(A, zeta)
     _lasso_row(A, b, lam, None, solver, st, eps, solvers_mod.ADMM_MAX)
     return st.y
@@ -672,7 +672,7 @@ def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
     n = shape[1]
     lam, zeta = solvers_mod.LAMBDA, solvers_mod.ZETA_LASSO
     eps = SolverOptions().eps_inner
-    state = solvers_mod._lasso_state(n)
+    state = fresh_admm_state(prob)
     ref = SimpleNamespace(**vars(state), zeta=zeta, solve=_ref_ridge_solve(A, 1.0, zeta))
     g = 1e-3 * np.ones(n) if linear else None
     for _ in range(2):  # a cold call, then a warm-started one
@@ -719,11 +719,11 @@ def _ref_operator_lasso_admm(A, b, lam, linear, st, eps, max_iter):
     return False
 
 
-def _lasso_pair(n, A):
-    """A lasso state and a reference state with its own solver."""
-    ref = solvers_mod._lasso_state(n)
-    ref.solver = GramRidgeSolver(A, solvers_mod.ZETA_LASSO)
-    return solvers_mod._lasso_state(n), ref
+def _lasso_pair(prob):
+    """A cold lasso state and a reference state with its own solver."""
+    ref = fresh_admm_state(prob)
+    ref.solver = GramRidgeSolver(prob.A, solvers_mod.ZETA_LASSO)
+    return fresh_admm_state(prob), ref
 
 
 @pytest.mark.parametrize("linear", [False, True])
@@ -733,7 +733,7 @@ def test_lasso_admm_is_bit_identical_to_operator_reference_loop(shape, linear):
     A, b = prob.A, prob.b
     n = shape[1]
     lam, eps = solvers_mod.LAMBDA, SolverOptions().eps_inner
-    state, ref = _lasso_pair(n, A)
+    state, ref = _lasso_pair(prob)
     g = 1e-3 * np.ones(n) if linear else None
     for _ in range(2):  # a cold call, then a warm-started one
         done = _lasso_row(A, b, lam, g, prob.gram_solver, state, eps, 300)
@@ -761,7 +761,7 @@ def test_lasso_admm_blocks_match_per_iteration_loop(linear, max_iter, eps, stop)
     assert solvers_mod.ADMM_BLOCK == 32  # the cases are set for this block
     prob = _oracle_instance((20, 50), False)
     A, b, lam = prob.A, prob.b, solvers_mod.LAMBDA
-    state, ref = _lasso_pair(50, A)
+    state, ref = _lasso_pair(prob)
     g = 1e-3 * np.ones(50) if linear else None
     for call in range(2):  # a cold call, then a warm-started one
         done = _lasso_row(A, b, lam, g, prob.gram_solver, state, eps, max_iter)
@@ -811,7 +811,7 @@ def test_lasso_admm_leaves_caller_arrays_unchanged():
     prob = _oracle_instance((20, 50), False)
     A, b = prob.A, prob.b
     lam, eps = solvers_mod.LAMBDA, SolverOptions().eps_inner
-    state = solvers_mod._lasso_state(50)
+    state = fresh_admm_state(prob)
     _lasso_row(A, b, lam, 1e-3 * np.ones(50), prob.gram_solver, state, eps, 30)
     held = _held_arrays(state, ("x", "y", "u"))  # y is what a DCA step returns
     g = lam * dc_concave_gradient(PenaltyKind.L1_MINUS_2, state.y, ThresholdParams())
@@ -885,10 +885,10 @@ def _check_last_finite_warm_state_kept(monkeypatch, k, value):
     _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
     assert state.iterations == k - 1
 
-    ref = solvers_mod._lasso_state(n)
+    ref = fresh_admm_state(prob)
     if k > 1:
         _lasso_row(A, b, 1e-6, None, prob.gram_solver, ref, 1e-5, k - 1)
-    state = solvers_mod._lasso_state(n)
+    state = fresh_admm_state(prob)
     with monkeypatch.context() as mp:
         _failing_solve_on_call(mp, k, value)
         with pytest.raises(NumericError):
@@ -934,7 +934,7 @@ def test_finite_x_update_with_overflowing_norm_does_not_raise(monkeypatch, noisy
     assert calls[0] == k and state.iterations == k
     assert state.x[25] == 1e200 and np.isfinite(state.z).all()
 
-    lasso = solvers_mod._lasso_state(50)
+    lasso = fresh_admm_state(prob)
     with monkeypatch.context() as mp:
         calls = _failing_solve_on_call(mp, k, 1e200)
         _lasso_row(prob.A, prob.b, 1e-6, None, prob.gram_solver, lasso, 1e-5, k)
@@ -952,7 +952,7 @@ def test_non_finite_x_update_in_a_later_block(monkeypatch, value, k):
     prob, _ = _gaussian_instance(16, 40, 3, 2)
     A, b, n = prob.A, prob.b, 40
     lam, eps = solvers_mod.LAMBDA, SolverOptions().eps_outer
-    state, ref = _lasso_pair(n, A)
+    state, ref = _lasso_pair(prob)
     assert not _ref_operator_lasso_admm(A, b, lam, None, ref, eps, k - 1)
     with monkeypatch.context() as mp:
         calls = _failing_solve_on_call(mp, k, value)
@@ -1005,7 +1005,7 @@ def test_non_finite_x_update_after_the_stop_does_not_surface(monkeypatch):
     # the stopping test fires at iteration 45, row 13 of the second block
     prob = _oracle_instance((20, 50), False)
     A, b, lam, eps = prob.A, prob.b, solvers_mod.LAMBDA, 2.2e-3
-    state, ref = _lasso_pair(50, A)
+    state, ref = _lasso_pair(prob)
     assert _ref_operator_lasso_admm(A, b, lam, None, ref, eps, 200)
     assert ref.iterations == 45
     with monkeypatch.context() as mp:
@@ -1042,7 +1042,7 @@ def test_non_finite_warm_x_is_not_an_error():
     _ref_operator_springback(prob, np.zeros(50), ref, 1e-5, 40)
     _assert_states_equal(state, ref, ("x", "y", "z", "u", "eta"))
 
-    state, ref = _lasso_pair(50, A)
+    state, ref = _lasso_pair(prob)
     state.x[3] = ref.x[3] = np.nan
     _lasso_row(A, b, lam, None, prob.gram_solver, state, 1e-5, 40)
     _ref_operator_lasso_admm(A, b, lam, None, ref, 1e-5, 40)

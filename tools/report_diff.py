@@ -16,8 +16,8 @@ It then runs each preset's sweep over those trials through the tree's
 take (where a tree runs the DCA stacks in a worker process), and compares
 every ``TrialRecord`` field but ``wall_time`` by its bits.  A change that
 claims to restructure without touching any result shows 0 differences here.
-Last it prints each tree's line count of ``src/springback/*.py``, the net
-``src/`` lines a change reports.
+Last it prints each tree's line count of ``src/springback/*.py``, module by
+module and in total, the net ``src/`` lines a change reports.
 
 Run from the repository root, with the other tree made by, for example,
 ``git archive HEAD | tar -x -C ../parent``:
@@ -96,9 +96,9 @@ def reports(tree: str, trials: int) -> dict:
     return out
 
 
-def src_lines(tree: str) -> int:
-    """Lines of ``<tree>/src/springback/*.py``, as ``wc -l`` counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in Path(tree, "src", "springback").glob("*.py"))
+def src_lines(tree: str) -> dict[str, int]:
+    """Lines of each ``<tree>/src/springback/*.py``, as ``wc -l`` counts them."""
+    return {p.name: p.read_bytes().count(b"\n") for p in Path(tree, "src", "springback").glob("*.py")}
 
 
 def main(argv: list[str]) -> int:
@@ -133,7 +133,10 @@ def main(argv: list[str]) -> int:
         for line in lines:
             print(f"  {line}")
     here, there = src_lines(ROOT), src_lines(args.other_tree)
-    print(f"src/springback/*.py: {here} lines here, {there} in the other tree ({here - there:+d})")
+    print("src/springback lines: here, the other tree, change")
+    for name in sorted(set(here) | set(there)) + ["total"]:
+        a, b = (sum(v.values()) if name == "total" else v.get(name, 0) for v in (here, there))
+        print(f"  {name:<14} {a:5d} {b:5d} {a - b:+6d}")
     return 1 if diffs else 0
 
 
