@@ -84,8 +84,9 @@ _DCA_KINDS = {
 # Solver id -> solve(prob, opts).  Each entry looks its function up by name
 # when called, so a wrapper later set on the module attribute sees every
 # call made in this process: those of solve_trial, run_trial and solve, and
-# inside run_experiment all but the DCA stack of a trial that also names
-# another solver, which runs in the stack worker's own interpreter.
+# of a run_experiment sweep that names only DCA baselines or none.  A sweep
+# that mixes the two runs every solver in the lanes' own interpreters, which
+# no wrapper set here reaches.
 SOLVERS = {
     "springback": lambda p, o: dca_springback(p, o),
     "admm_l1": lambda p, o: admm_l1(p, o),
@@ -244,8 +245,10 @@ def solve_trial(
     here, and each gets the stack's wall time divided by their number; every
     other id runs alone through SOLVERS.  Each report is bit for bit the one
     its SOLVERS entry returns.  Every solver runs in the caller's process,
-    one after another.  A solver reports its own numeric failure; any error
-    it raises, a NumericError included, is a bug and raises here.
+    one after another, with the caller's BLAS threads; inside a mixed sweep
+    each solver lane calls this through run_trial.  A solver reports its
+    own numeric failure; any error it raises, a NumericError included, is a
+    bug and raises here.
     """
     dca = [sid for sid in solvers if sid in _DCA_KINDS]
     results: dict[str, tuple[SolverReport, float]] = {}
@@ -264,7 +267,7 @@ def solve_trial(
 
 
 def run_trial(
-    spec: ExperimentSpec, sweep_index: int, trial_index: int, *, _worker: _StackWorker | None = None
+    spec: ExperimentSpec, sweep_index: int, trial_index: int, *, _lanes: _Lanes | None = None
 ) -> list[TrialRecord]:
     """Generate one instance, run every configured solver on it through
     solve_trial, and keep one record per solver in the spec's order.
@@ -275,20 +278,21 @@ def run_trial(
     read-only instance, or a NumericError that escaped it) raises here.
 
     Every solver runs in the caller's process.  Only run_experiment passes
-    ``_worker``: then the DCA ids run through solve_trial in the worker's
-    interpreter while this process runs the others, and the records are
-    the same, bit for bit, but for the wall times.
+    ``_lanes``: then this process generates no instance and runs no solver.
+    Lane 0 runs this function on the spec narrowed to its DCA ids, lane 1
+    on the spec narrowed to the other ids, each in its own interpreter with
+    one BLAS thread, and their records are merged in the spec's order.
     """
+    if _lanes is not None:
+        dca = tuple(sid for sid in spec.solvers if sid in _DCA_KINDS)
+        rest = tuple(sid for sid in spec.solvers if sid not in dca)
+        specs = (replace(spec, solvers=dca), replace(spec, solvers=rest))
+        by_id = {r.solver_id: r for lane in _lanes.run(specs, sweep_index, trial_index) for r in lane}
+        return [by_id[sid] for sid in spec.solvers]
     prob, opts, s = trial_setup(spec, sweep_index, trial_index)
     xbar = prob.ground_truth
     xnorm = float(np.linalg.norm(xbar))
-    if _worker is None:
-        results = solve_trial(spec.solvers, prob, opts)
-    else:
-        dca = tuple(sid for sid in spec.solvers if sid in _DCA_KINDS)
-        _worker.submit(dca, prob, opts)
-        results = solve_trial(tuple(sid for sid in spec.solvers if sid not in dca), prob, opts)
-        results.update(_worker.result())
+    results = solve_trial(spec.solvers, prob, opts)
     errors = {sid: float(np.linalg.norm(rep.x_star - xbar)) for sid, (rep, _) in results.items()}
     accepted = None
     if "springback" in errors and "admm_l1" in errors:
@@ -320,124 +324,138 @@ def run_trial(
     return records
 
 
-# Run by the stack worker's interpreter: argv[1] is the directory that holds
-# this package, argv[2] the file descriptor of the worker's end of the pipe.
-_WORKER_MAIN = (
+# Run by each lane's interpreter: argv[1] is the directory that holds this
+# package, argv[2] the file descriptor of the lane's end of its pipe.
+_LANE_MAIN = (
     "import sys; sys.path.insert(0, sys.argv[1]); "
-    "from springback.bench import _serve_stacks; _serve_stacks(int(sys.argv[2]))"
+    "from springback.bench import _serve_lane; _serve_lane(int(sys.argv[2]))"
 )
 
+# Set in each lane's environment only, never in the caller's: one BLAS
+# thread per lane, so the two lanes' products do not wake helper threads
+# that compete with each other for the cores.
+_LANE_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-def _serve_stacks(fd: int) -> None:
-    """The stack worker's loop: for each (solver ids, A, b, tau, options)
-    received on the connection at file descriptor fd, send back solve_trial's
-    results for those ids, or the error it raised, which the parent raises
-    again with its own type.  Returns when the parent closes its end."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+
+def _serve_lane(fd: int) -> None:
+    """A lane's loop: for each (spec, sweep index, trial index) received on
+    the connection at file descriptor fd, send back run_trial's records, or
+    the error it raised, which the caller raises again with its own type.
+    Returns when the caller closes its end."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     with multiprocessing.connection.Connection(fd) as conn:
         while True:
             try:
-                solvers, A, b, tau, opts = conn.recv()
+                spec, sweep_index, trial_index = conn.recv()
             except EOFError:
                 return
             try:
-                reply = solve_trial(solvers, ProblemInstance(A, b, tau), opts)
-            except Exception as exc:  # raised again in the parent
+                reply = run_trial(spec, sweep_index, trial_index)
+            except Exception as exc:  # raised again in the caller
                 reply = exc
             conn.send(reply)
 
 
-class _StackWorker:
-    """A second interpreter that runs the DCA stacks of run_experiment's
-    trials while this one runs their other solvers.
+class _Lanes:
+    """Two interpreters, the solver lanes, that run the trials of
+    run_experiment: lane 0 the DCA ids and lane 1 the other solvers, each
+    with one BLAS thread.
 
-    It is a plain subprocess, not a multiprocessing spawn, so that it imports
-    the package from this file's directory whatever sys.path holds later,
-    never reruns the caller's __main__, and needs no resource tracker.  A
-    send or receive that fails (the worker died, or an interrupt cut a
-    message short) kills the worker and closes the pipe for good.  The
-    worker is killed when the interpreter that started it exits.
+    Each lane is a plain subprocess, not a multiprocessing spawn, so that it
+    imports the package from this file's directory whatever sys.path holds
+    later, never reruns the caller's __main__, and needs no resource
+    tracker.  Both start at once and import in parallel.  Every lane's reply
+    is read before any lane's error raises, so no reply outlives its trial.
+    A send or receive that fails (a lane died, or an interrupt cut the
+    exchange short) kills both lanes and closes their pipes for good.  The
+    lanes are killed when the interpreter that started them exits.
     """
 
     def __init__(self):
-        self.conn, child = multiprocessing.connection.Pipe()
         package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with child:
-            self.process = subprocess.Popen(
-                [sys.executable, "-c", _WORKER_MAIN, package_dir, str(child.fileno())],
-                pass_fds=(child.fileno(),),
-            )
-        self.pending = False  # a stack was sent and its reply is unread
+        env = dict(os.environ, **_LANE_ENV)
+        self.conns, self.processes = [], []
+        for _ in range(2):
+            conn, child = multiprocessing.connection.Pipe()
+            with child:
+                self.processes.append(subprocess.Popen(
+                    [sys.executable, "-c", _LANE_MAIN, package_dir, str(child.fileno())],
+                    pass_fds=(child.fileno(),), env=env,
+                ))
+            self.conns.append(conn)
         atexit.register(self.close)
 
     def usable(self) -> bool:
-        """Neither closed nor dead.  In a forked child poll() finds no such
-        child of its own, so a sweep there starts its own worker."""
-        return not self.conn.closed and self.process.poll() is None
+        """No lane closed or dead.  In a forked child poll() finds no such
+        child of its own, so a sweep there starts its own lanes."""
+        return not any(c.closed for c in self.conns) and all(p.poll() is None for p in self.processes)
 
     def close(self) -> None:
         atexit.unregister(self.close)
-        self.conn.close()
-        self.process.kill()
-        self.process.wait()
+        for conn, process in zip(self.conns, self.processes):
+            conn.close()
+            process.kill()
+        for process in self.processes:
+            process.wait()
 
-    def _channel(self, op, *args):
+    def run(self, specs: tuple[ExperimentSpec, ...], sweep_index: int, trial_index: int):
+        """Each lane's run_trial records for its own spec of ``specs``; the
+        first error a lane raised raises here with its own type."""
+        lane = 0
         try:
-            return op(*args)
+            for lane, (conn, spec) in enumerate(zip(self.conns, specs)):
+                conn.send((spec, sweep_index, trial_index))
+            replies = []
+            for lane, conn in enumerate(self.conns):
+                replies.append(conn.recv())
         except BaseException as exc:
             self.close()
             if isinstance(exc, (EOFError, OSError)):
                 raise ChildProcessError(
-                    f"the DCA stack worker exited with status {self.process.returncode}"
+                    f"solver lane {lane} exited with status {self.processes[lane].returncode}"
                 ) from exc
             raise
-
-    def submit(self, solvers: tuple[str, ...], prob: ProblemInstance, opts: SolverOptions) -> None:
-        """Send one trial's DCA ids, instance and options."""
-        if self.pending:  # the reply to a trial that raised before reading it
-            self._channel(self.conn.recv)
-        self._channel(self.conn.send, (solvers, prob.A, prob.b, prob.tau, opts))
-        self.pending = True
-
-    def result(self) -> dict[str, tuple[SolverReport, float]]:
-        """solve_trial's results for the ids sent last; its error raises here."""
-        reply = self._channel(self.conn.recv)
-        self.pending = False
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
+        for reply in replies:
+            if isinstance(reply, Exception):
+                raise reply
+        return replies
 
 
-# One worker per process, kept across sweeps: callers such as the benchmark
-# run one sweep per trial, and a start costs about 0.6 s.
-_stack_worker: _StackWorker | None = None
+# One pair of lanes per process, kept across sweeps: callers such as the
+# benchmark run one sweep per trial, and a start costs about 0.6 s.
+_shared_lanes: _Lanes | None = None
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[list[SummaryRow], list[TrialRecord]]:
     """Run the full sweep, one run_trial call per trial in ascending (sweep,
     trial) order, and aggregate.
 
-    When the spec names a DCA baseline and another solver, each trial's DCA
-    stack runs in a worker process while this one runs the other solvers;
-    the records are those run_trial makes alone, bit for bit, but for the
-    wall times.  A process has one worker: the first such sweep starts it
-    (a fresh interpreter importing this package, about 0.6 s), later sweeps
-    reuse it, a sweep after it died starts another, and it ends with the
-    interpreter.  Wrappers set on module attributes in this process do not
-    reach the stacks it runs.
+    When the spec names a DCA baseline and another solver, every trial runs
+    in the two solver lanes: lane 0 runs the DCA stack and lane 1 the other
+    solvers, each in its own interpreter with one BLAS thread, while this
+    process generates no instance and makes no BLAS call.  The records are
+    those run_trial makes alone in a process with one BLAS thread, bit for
+    bit, but for the wall times.  A process has one pair of lanes: the
+    first such sweep starts both (two fresh interpreters importing this
+    package side by side, about 0.6 s), later sweeps reuse them, a sweep
+    after either died starts both anew, and they end with the interpreter.
+    Wrappers set on module attributes in this process do not reach the
+    solvers they run.
     """
-    global _stack_worker
-    worker = None
+    global _shared_lanes
+    lanes = None
     dca = [sid for sid in spec.solvers if sid in _DCA_KINDS]
     if dca and len(dca) < len(spec.solvers):
-        if _stack_worker is None or not _stack_worker.usable():
-            _stack_worker = _StackWorker()
-        worker = _stack_worker
+        if _shared_lanes is None or not _shared_lanes.usable():
+            if _shared_lanes is not None:
+                _shared_lanes.close()
+            _shared_lanes = _Lanes()
+        lanes = _shared_lanes
     records = [
         r
         for si in range(len(spec.sweep_values))
         for ti in range(spec.trials)
-        for r in run_trial(spec, si, ti, _worker=worker)
+        for r in run_trial(spec, si, ti, _lanes=lanes)
     ]
     return summarize(records), records
 

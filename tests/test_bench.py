@@ -495,8 +495,9 @@ def test_summarize_handles_acceptance_column():
     assert other.acceptance_rate is None
 
 
-# The stack worker: inside run_experiment, a trial that names a DCA baseline
-# and another solver runs its DCA stack in a second interpreter.
+# The solver lanes: inside run_experiment, a trial that names a DCA baseline
+# and another solver runs in two other interpreters, its DCA stack in lane 0
+# and its other solvers in lane 1.
 
 
 def _bits(records):
@@ -570,16 +571,16 @@ def test_run_experiment_records_are_those_of_run_trial(solvers, values, snr_db, 
     assert all(r.wall_time > 0.0 for r in records)
 
 
-def test_run_experiment_hands_run_trial_the_worker(monkeypatch):
+def test_run_experiment_hands_run_trial_the_lanes(monkeypatch):
     # perfbench's tracer wraps bench.run_trial and divides its per-trial
     # metrics by those calls: one call per trial, through the module
-    # attribute, with the worker only when the trial mixes a DCA baseline
+    # attribute, with the lanes only when the trial mixes a DCA baseline
     # with another solver
     calls = []
     original = bench.run_trial
 
     def recording(spec, si, ti, **kw):
-        calls.append((si, ti, kw.get("_worker")))
+        calls.append((si, ti, kw.get("_lanes")))
         return original(spec, si, ti, **kw)
 
     monkeypatch.setattr(bench, "run_trial", recording)
@@ -591,52 +592,104 @@ def test_run_experiment_hands_run_trial_the_worker(monkeypatch):
         calls.clear()
         run_experiment(_small_spec(solvers=solvers, sweep_values=(2, 3)))
         assert [call[:2] for call in calls] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        for *_, worker in calls:
-            assert worker is (bench._stack_worker if mixed else None)
-    assert bench._stack_worker.usable()
+        for *_, lanes in calls:
+            assert lanes is (bench._shared_lanes if mixed else None)
+    assert bench._shared_lanes.usable()
 
 
-def test_an_error_in_the_workers_stack_raises_its_own_type(monkeypatch):
-    # an id this process counts as a DCA baseline but the worker's package
-    # does not know: the worker's solve_trial raises KeyError, and so does
-    # the sweep here; the worker lives on and serves the next sweep
-    monkeypatch.setitem(bench._DCA_KINDS, "dca_extra", PenaltyKind.TL1)
-    monkeypatch.setitem(bench.SOLVERS, "dca_extra", bench.SOLVERS["dca_tl1"])
-    spec = _small_spec(solvers=("aiht", "dca_extra"))
+def test_a_mixed_sweep_generates_no_instance_in_this_process(monkeypatch):
+    # each lane draws the trial's instance itself, so this process makes no
+    # BLAS call whose helper threads would compete with the lanes
+    spec = _small_spec(solvers=("dca_tl1", "springback", "admm_l1"), sweep_values=(2, 3))
+    want = _bits(_alone(spec))
+
+    def no_setup(*args):
+        raise AssertionError("an instance was generated in the sweep's process")
+
+    monkeypatch.setattr(bench, "trial_setup", no_setup)
+    with _deadline(60):
+        assert _bits(run_experiment(spec)[1]) == want
+
+
+def _lane_error(monkeypatch, lane):
+    """(solvers, unknown id) of a mixed spec whose unknown id this process
+    knows and the given lane's package does not: that lane's solve_trial
+    raises KeyError naming it, and the other lane replies as usual."""
+    if lane == 0:
+        monkeypatch.setitem(bench._DCA_KINDS, "dca_extra", PenaltyKind.TL1)
+        monkeypatch.setitem(bench.SOLVERS, "dca_extra", bench.SOLVERS["dca_tl1"])
+        return ("aiht", "dca_extra"), "dca_extra"
+    monkeypatch.setitem(bench.SOLVERS, "extra", bench.SOLVERS["aiht"])
+    return ("extra", "dca_l12"), "extra"
+
+
+@pytest.mark.parametrize("lane", (0, 1))
+def test_an_error_in_a_lane_raises_its_own_type(monkeypatch, lane):
+    # the sweep raises the lane's KeyError; both lanes live on and serve
+    # the next sweep
+    solvers, unknown = _lane_error(monkeypatch, lane)
+    spec = _small_spec(solvers=solvers)
     run_trial(spec, 0, 0)  # in this process the id is known
-    with _deadline(60), pytest.raises(KeyError, match="dca_extra"):
+    with _deadline(60), pytest.raises(KeyError, match=unknown):
         run_experiment(spec)
-    worker = bench._stack_worker
-    assert worker.usable() and not worker.pending
+    lanes = bench._shared_lanes
+    assert lanes.usable()
     monkeypatch.undo()
     spec = _small_spec(solvers=("aiht", "dca_tl1"))
     with _deadline(60):
         assert _bits(run_experiment(spec)[1]) == _bits(_alone(spec))
-    assert bench._stack_worker is worker
+    assert bench._shared_lanes is lanes
 
 
-def test_a_worker_killed_mid_sweep_raises(monkeypatch):
-    # the worker dies while the second of three trials runs: the sweep raises
-    # instead of waiting for a reply, and the next sweep starts a new worker
-    run_experiment(_small_spec(solvers=("aiht", "dca_l12"), trials=1))
-    worker = bench._stack_worker
-    solo, calls = bench.SOLVERS["aiht"], []
+@pytest.mark.parametrize("lane", (0, 1))
+def test_a_sweep_that_raised_leaves_no_stale_reply(monkeypatch, lane):
+    # one lane raises while the other has replied: the next sweep, on other
+    # instances, must not take that reply for its own first trial's
+    solvers, _ = _lane_error(monkeypatch, lane)
+    spec = _small_spec(solvers=solvers, trials=1)
+    with _deadline(60), pytest.raises(KeyError):
+        run_experiment(spec)
+    lanes = bench._shared_lanes
+    monkeypatch.undo()
+    spec = _small_spec(solvers=("aiht", "dca_l12"), trials=1, master_seed=8)
+    with _deadline(60):
+        assert _bits(run_experiment(spec)[1]) == _bits(_alone(spec))
+    assert bench._shared_lanes is lanes
 
-    def killing(prob, opts):
+
+def _on_second_trial(monkeypatch, fault):
+    """Run ``fault(lanes)`` before the lanes are handed the second trial of
+    the next sweep."""
+    lanes = bench._shared_lanes
+    run, calls = lanes.run, []
+
+    def faulty(*args):
         calls.append(None)
         if len(calls) == 2:
-            os.kill(worker.process.pid, signal.SIGKILL)
-        return solo(prob, opts)
+            fault(lanes)
+        return run(*args)
 
-    monkeypatch.setitem(bench.SOLVERS, "aiht", killing)
+    monkeypatch.setattr(lanes, "run", faulty)
+    return lanes, calls
+
+
+@pytest.mark.parametrize("lane", (0, 1))
+def test_a_lane_killed_mid_sweep_raises(monkeypatch, lane):
+    # a lane dies before the second of three trials: the sweep raises
+    # instead of waiting for a reply, the other lane is killed too, and the
+    # next sweep starts both anew
     spec = _small_spec(solvers=("aiht", "dca_l12"), trials=3)
-    with _deadline(60), pytest.raises(ChildProcessError, match="status -9"):
+    run_experiment(replace(spec, trials=1))
+    lanes, calls = _on_second_trial(
+        monkeypatch, lambda lanes: os.kill(lanes.processes[lane].pid, signal.SIGKILL)
+    )
+    with _deadline(60), pytest.raises(ChildProcessError, match=f"lane {lane} exited with status -9"):
         run_experiment(spec)
-    assert len(calls) in (2, 3) and not worker.usable()
-    monkeypatch.undo()
+    assert len(calls) == 2 and not lanes.usable()
+    assert all(p.poll() is not None for p in lanes.processes)
     with _deadline(60):
         _, records = run_experiment(spec)
-    assert bench._stack_worker is not worker
+    assert bench._shared_lanes is not lanes
     assert _bits(records) == _bits(_alone(spec))
 
 
@@ -644,48 +697,30 @@ class _Interrupt(BaseException):
     pass
 
 
-def test_an_interrupt_mid_send_raises_itself_and_closes_the_worker(monkeypatch):
+@pytest.mark.parametrize("lane", (0, 1))
+def test_an_interrupt_mid_send_raises_itself_and_closes_both_lanes(monkeypatch, lane):
     # an error that is not a channel error, such as an interrupt that cuts
-    # the second of three trials' message short, raises as itself, not as
-    # ChildProcessError; the worker is closed for good, and the next sweep
-    # starts a new one
+    # one lane's message of the second of three trials short, raises as
+    # itself, not as ChildProcessError; both lanes are closed for good, and
+    # the next sweep starts both anew
     spec = _small_spec(solvers=("aiht", "dca_l12"), trials=3)
     run_experiment(replace(spec, trials=1))
-    worker = bench._stack_worker
-    send, calls = worker.conn.send, []
 
-    def interrupted(obj):
-        calls.append(None)
-        if len(calls) == 2:
+    def interrupt(lanes):
+        def interrupted(obj):
             raise _Interrupt("mid-message")
-        send(obj)
 
-    monkeypatch.setattr(worker.conn, "send", interrupted)
+        monkeypatch.setattr(lanes.conns[lane], "send", interrupted)
+
+    lanes, calls = _on_second_trial(monkeypatch, interrupt)
     with _deadline(60), pytest.raises(_Interrupt, match="mid-message"):
         run_experiment(spec)
-    assert len(calls) == 2 and not worker.usable()
+    assert len(calls) == 2 and not lanes.usable()
+    assert all(p.poll() is not None for p in lanes.processes)
     with _deadline(60):
         _, records = run_experiment(spec)
-    assert bench._stack_worker is not worker
+    assert bench._shared_lanes is not lanes
     assert _bits(records) == _bits(_alone(spec))
-
-
-def test_a_sweep_that_raised_leaves_no_stale_reply(monkeypatch):
-    # a parent-side solver raises after the trial's stack was sent: the
-    # stack's reply stays unread, and the next sweep must not take it for
-    # its own first trial's
-    def broken(prob, opts):
-        raise ValueError("a bug in a solver")
-
-    monkeypatch.setitem(bench.SOLVERS, "aiht", broken)
-    spec = _small_spec(solvers=("aiht", "dca_l12"), trials=1)
-    with pytest.raises(ValueError, match="a bug"):
-        run_experiment(spec)
-    assert bench._stack_worker.pending
-    monkeypatch.undo()
-    spec = replace(spec, master_seed=8)
-    with _deadline(60):
-        assert _bits(run_experiment(spec)[1]) == _bits(_alone(spec))
 
 
 _TWO_TRIAL_SWEEP = """\
@@ -701,13 +736,13 @@ spec = bench.ExperimentSpec(
     sweep_values=(3,), solvers=("springback", "dca_l12"), trials=2, master_seed=7,
 )
 bench.run_experiment(spec)
-print(bench._stack_worker.process.pid, multiprocessing.resource_tracker._resource_tracker._pid)
+print(*(p.pid for p in bench._shared_lanes.processes), multiprocessing.resource_tracker._resource_tracker._pid)
 """
 
 
-def test_the_stack_worker_ends_with_its_interpreter():
+def test_the_lanes_end_with_their_interpreter():
     # under -W error an unclosed pipe or a subprocess still running at exit
-    # would print a ResourceWarning; the worker must be gone once the
+    # would print a ResourceWarning; both lanes must be gone once the
     # interpreter has exited, and no resource tracker is started
     src = str(Path(bench.__file__).resolve().parents[1])
     run = subprocess.run(
@@ -715,10 +750,63 @@ def test_the_stack_worker_ends_with_its_interpreter():
         capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0 and run.stderr == "", run.stderr
-    worker, tracker = run.stdout.split()
-    assert tracker == "None"
-    with pytest.raises(ProcessLookupError):
-        os.kill(int(worker), 0)
+    *lanes, tracker = run.stdout.split()
+    assert len(lanes) == 2 and tracker == "None"
+    for pid in lanes:
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
+
+
+# Prints, for a 100x300 Gaussian springback + dca_l12 sweep, a digest of the
+# reports solve_trial makes in this process and one of run_experiment's
+# records, wall times left out.
+_THREADED_SWEEP = """\
+import hashlib
+import sys
+from dataclasses import fields
+
+import numpy as np
+
+sys.path.insert(0, sys.argv[1])
+from springback import bench
+from springback.sensing import EnsembleKind, EnsembleSpec
+
+spec = bench.ExperimentSpec(
+    ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=100, n=300), sparsity=10, sweep_axis="s",
+    sweep_values=(10,), solvers=("springback", "dca_l12"), trials=2, master_seed=0,
+)
+here, sweep = hashlib.sha256(), hashlib.sha256()
+for ti in range(spec.trials):
+    prob, opts, _ = bench.trial_setup(spec, 0, ti)
+    for sid, (report, _) in sorted(bench.solve_trial(spec.solvers, prob, opts).items()):
+        here.update(report.x_star.tobytes())
+for r in bench.run_experiment(spec)[1]:
+    for f in fields(r):
+        if f.name != "wall_time":
+            value = getattr(r, f.name)
+            sweep.update(np.float64(value).tobytes() if isinstance(value, float) else repr(value).encode())
+print(here.hexdigest(), sweep.hexdigest())
+"""
+
+
+def test_a_mixed_sweep_does_not_depend_on_the_callers_blas_threads():
+    # at 100x300 a solve rounds differently at 1 and 2 BLAS threads; the
+    # lanes run one thread each whatever the caller's setting, so the
+    # sweep's records are the same bits under both
+    src = str(Path(bench.__file__).resolve().parents[1])
+    digests = {}
+    for threads in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-c", _THREADED_SWEEP, src],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert run.returncode == 0, run.stderr
+        digests[threads] = run.stdout.split()
+    if digests["1"][0] == digests["2"][0]:
+        pytest.skip("in-process solves round the same at 1 and 2 BLAS threads here "
+                    "(one CPU, or a BLAS that ignores OPENBLAS_NUM_THREADS)")
+    assert digests["1"][1] == digests["2"][1]
 
 
 # Every solver reports its own numeric failure (solvers._outer catches the
