@@ -74,30 +74,25 @@ __all__ = [
 ]
 
 # The DCA baselines' penalties: solve_trial runs the ids a trial names as
-# one stack, one dca_unconstrained call, and SOLVERS each alone.
+# one stack, one dca_unconstrained call.
 _DCA_KINDS = {
     "dca_tl1": PenaltyKind.TL1,
     "dca_l12": PenaltyKind.L1_MINUS_2,
     "dca_mcp": PenaltyKind.MCP,
 }
 
-# Solver id -> solve(prob, opts).  Each entry looks its function up by name
-# when called, so a wrapper later set on the module attribute sees every
-# call made in this process: those of solve_trial, run_trial and solve, and
-# of a run_experiment sweep that names only DCA baselines or none.  A sweep
-# that mixes the two runs every solver in the lanes' own interpreters, which
-# no wrapper set here reaches.
+# Lone solver id -> solve(prob, opts).  Each entry looks its function up by
+# name when called, so a wrapper later set on the module attribute sees every
+# call that solve_trial makes in this process, run_trial's and solve's
+# included.  A run_experiment sweep runs every solver in the lanes' own
+# interpreters, which no wrapper set here reaches.
 SOLVERS = {
     "springback": lambda p, o: dca_springback(p, o),
     "admm_l1": lambda p, o: admm_l1(p, o),
     "irls_lp": lambda p, o: irls_lp(p, o),
     "aiht": lambda p, o: aiht(p, o),
-    **{
-        sid: lambda p, o, kind=kind: dca_unconstrained((kind,), p, o)[0]
-        for sid, kind in _DCA_KINDS.items()
-    },
 }
-SOLVER_IDS = tuple(SOLVERS)
+SOLVER_IDS = (*SOLVERS, *_DCA_KINDS)
 
 SWEEP_AXES = ("s", "refinement", "snr", "m")
 
@@ -133,8 +128,10 @@ class ExperimentSpec:
             raise InvalidParameterError("trials must be >= 1")
         if not 0 < self.success_tol < math.inf:
             raise InvalidParameterError("success_tol must be positive and finite")
+        if not self.solvers:
+            raise InvalidParameterError("solvers must be nonempty")
         for sid in self.solvers:
-            if sid not in SOLVERS:
+            if sid not in SOLVER_IDS:
                 raise InvalidParameterError(f"unknown solver id {sid!r}")
         if len(set(self.solvers)) != len(self.solvers):
             raise InvalidParameterError("solvers must be distinct")
@@ -242,13 +239,13 @@ def solve_trial(
 
     The DCA ids among them run as one stack of lasso rows, a single
     dca_unconstrained call made in the place of the first, in their order
-    here, and each gets the stack's wall time divided by their number; every
-    other id runs alone through SOLVERS.  Each report is bit for bit the one
-    its SOLVERS entry returns.  Every solver runs in the caller's process,
-    one after another, with the caller's BLAS threads; inside a mixed sweep
-    each solver lane calls this through run_trial.  A solver reports its
-    own numeric failure; any error it raises, a NumericError included, is a
-    bug and raises here.
+    here, and each gets the stack's wall time divided by their number; each
+    such report is bit for bit the one a stack of its kind alone returns.
+    Every other id runs alone through SOLVERS.  Every solver runs in the
+    caller's process, one after another, with the caller's BLAS threads; in
+    a run_experiment sweep each solver lane calls this through run_trial.
+    A solver reports its own numeric failure; any error it raises, a
+    NumericError included, is a bug and raises here.
     """
     dca = [sid for sid in solvers if sid in _DCA_KINDS]
     results: dict[str, tuple[SolverReport, float]] = {}
@@ -277,16 +274,18 @@ def run_trial(
     report's; any error a solver raises (a bug, such as a write into the
     read-only instance, or a NumericError that escaped it) raises here.
 
-    Every solver runs in the caller's process.  Only run_experiment passes
-    ``_lanes``: then this process generates no instance and runs no solver.
-    Lane 0 runs this function on the spec narrowed to its DCA ids, lane 1
-    on the spec narrowed to the other ids, each in its own interpreter with
-    one BLAS thread, and their records are merged in the spec's order.
+    Every solver runs in the caller's process, with the caller's BLAS
+    threads.  Only run_experiment passes ``_lanes``: then this process
+    generates no instance and runs no solver.  Lane 0 runs this function on
+    the spec narrowed to its DCA ids, lane 1 on the spec narrowed to the
+    other ids, each in its own interpreter with one BLAS thread, and their
+    records are merged in the spec's order.  A lane whose side names no id
+    gets no message for the trial.
     """
     if _lanes is not None:
         dca = tuple(sid for sid in spec.solvers if sid in _DCA_KINDS)
         rest = tuple(sid for sid in spec.solvers if sid not in dca)
-        specs = (replace(spec, solvers=dca), replace(spec, solvers=rest))
+        specs = tuple(replace(spec, solvers=ids) if ids else None for ids in (dca, rest))
         by_id = {r.solver_id: r for lane in _lanes.run(specs, sweep_index, trial_index) for r in lane}
         return [by_id[sid] for sid in spec.solvers]
     prob, opts, s = trial_setup(spec, sweep_index, trial_index)
@@ -364,11 +363,11 @@ class _Lanes:
     Each lane is a plain subprocess, not a multiprocessing spawn, so that it
     imports the package from this file's directory whatever sys.path holds
     later, never reruns the caller's __main__, and needs no resource
-    tracker.  Both start at once and import in parallel.  Every lane's reply
-    is read before any lane's error raises, so no reply outlives its trial.
-    A send or receive that fails (a lane died, or an interrupt cut the
-    exchange short) kills both lanes and closes their pipes for good.  The
-    lanes are killed when the interpreter that started them exits.
+    tracker.  Both start at once and import in parallel.  Every busy lane's
+    reply is read before any lane's error raises, so no reply outlives its
+    trial.  A send or receive that fails (a lane died, or an interrupt cut
+    the exchange short) kills both lanes and closes their pipes for good.
+    The lanes are killed when the interpreter that started them exits.
     """
 
     def __init__(self):
@@ -398,16 +397,18 @@ class _Lanes:
         for process in self.processes:
             process.wait()
 
-    def run(self, specs: tuple[ExperimentSpec, ...], sweep_index: int, trial_index: int):
-        """Each lane's run_trial records for its own spec of ``specs``; the
+    def run(self, specs: tuple[ExperimentSpec | None, ...], sweep_index: int, trial_index: int):
+        """The run_trial records of each lane whose spec in ``specs`` is not
+        None, for that spec; a lane whose spec is None gets no message.  The
         first error a lane raised raises here with its own type."""
+        busy = [(lane, spec) for lane, spec in enumerate(specs) if spec is not None]
         lane = 0
         try:
-            for lane, (conn, spec) in enumerate(zip(self.conns, specs)):
-                conn.send((spec, sweep_index, trial_index))
+            for lane, spec in busy:
+                self.conns[lane].send((spec, sweep_index, trial_index))
             replies = []
-            for lane, conn in enumerate(self.conns):
-                replies.append(conn.recv())
+            for lane, _ in busy:
+                replies.append(self.conns[lane].recv())
         except BaseException as exc:
             self.close()
             if isinstance(exc, (EOFError, OSError)):
@@ -430,32 +431,26 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[SummaryRow], list[TrialRe
     """Run the full sweep, one run_trial call per trial in ascending (sweep,
     trial) order, and aggregate.
 
-    When the spec names a DCA baseline and another solver, every trial runs
-    in the two solver lanes: lane 0 runs the DCA stack and lane 1 the other
-    solvers, each in its own interpreter with one BLAS thread, while this
-    process generates no instance and makes no BLAS call.  The records are
-    those run_trial makes alone in a process with one BLAS thread, bit for
-    bit, but for the wall times.  A process has one pair of lanes: the
-    first such sweep starts both (two fresh interpreters importing this
-    package side by side, about 0.6 s), later sweeps reuse them, a sweep
-    after either died starts both anew, and they end with the interpreter.
-    Wrappers set on module attributes in this process do not reach the
-    solvers they run.
+    Every trial runs in the two solver lanes, as run_trial describes, while
+    this process generates no instance and makes no BLAS call.  The records
+    are those run_trial makes alone in a process with one BLAS thread, bit
+    for bit but for the wall times, whatever this process's thread count.
+    A process has one pair of lanes: its first sweep starts both (two fresh
+    interpreters importing this package side by side, about 0.6 s), later
+    sweeps reuse them, a sweep after either died starts both anew, and they
+    end with the interpreter.  Wrappers set on module attributes in this
+    process do not reach the solvers they run.
     """
     global _shared_lanes
-    lanes = None
-    dca = [sid for sid in spec.solvers if sid in _DCA_KINDS]
-    if dca and len(dca) < len(spec.solvers):
-        if _shared_lanes is None or not _shared_lanes.usable():
-            if _shared_lanes is not None:
-                _shared_lanes.close()
-            _shared_lanes = _Lanes()
-        lanes = _shared_lanes
+    if _shared_lanes is None or not _shared_lanes.usable():
+        if _shared_lanes is not None:
+            _shared_lanes.close()
+        _shared_lanes = _Lanes()
     records = [
         r
         for si in range(len(spec.sweep_values))
         for ti in range(spec.trials)
-        for r in run_trial(spec, si, ti, _lanes=lanes)
+        for r in run_trial(spec, si, ti, _lanes=_shared_lanes)
     ]
     return summarize(records), records
 

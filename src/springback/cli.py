@@ -183,7 +183,7 @@ def _cmd_solve(args) -> int:
             master_seed=args.seed,
         )
         prob, opts, _ = bench_mod.trial_setup(spec, 0, 0)
-    report = bench_mod.SOLVERS[args.solver](prob, opts)
+    report, _ = bench_mod.solve_trial((args.solver,), prob, opts)[args.solver]
     xbar = prob.ground_truth
     print(f"solver     {args.solver}")
     print(f"status     {report.status.value}")

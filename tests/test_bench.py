@@ -32,7 +32,7 @@ from springback.bench import (
 from springback.errors import InvalidParameterError, NumericError, SpringbackError
 from springback.penalties import PenaltyKind
 from springback.sensing import EnsembleKind, EnsembleSpec
-from springback.solvers import ALPHA_MAX, OMEGA, ProblemInstance, SolverStatus
+from springback.solvers import ALPHA_MAX, OMEGA, ProblemInstance, SolverStatus, dca_unconstrained
 
 
 def _load_text(tmp_path, text):
@@ -62,6 +62,9 @@ def test_spec_validation():
         _small_spec(trials=0)
     with pytest.raises(InvalidParameterError):
         _small_spec(solvers=("nope",))
+    # a spec with no solver would write a header-only summary
+    with pytest.raises(InvalidParameterError, match="solvers must be nonempty"):
+        _small_spec(solvers=())
     # a repeated id would write its records twice per trial
     with pytest.raises(InvalidParameterError, match="solvers must be distinct"):
         _small_spec(solvers=("springback", "admm_l1", "springback"))
@@ -127,6 +130,14 @@ def test_m_sweep_axis_sets_the_row_count():
     assert [r.sweep_value for r in records] == [12.0, 12.0, 20.0, 20.0]
 
 
+def _solo(sid, prob, opts):
+    """The report of solver id ``sid`` run alone: a DCA id as a stack of its
+    kind only, any other through its SOLVERS entry."""
+    if sid in bench._DCA_KINDS:
+        return dca_unconstrained((bench._DCA_KINDS[sid],), prob, opts)[0]
+    return bench.SOLVERS[sid](prob, opts)
+
+
 def _strip_time(records):
     return [
         (r.trial_index, r.solver_id, r.s, r.sweep_value, r.relative_error,
@@ -151,7 +162,7 @@ def test_run_trial_runs_the_dca_baselines_as_one_stack(monkeypatch):
     # the DCA ids a spec names run as one dca_unconstrained call, in the
     # spec's order and in the place of the first; the records keep the
     # spec's order, each grouped record holds the stack's wall time over
-    # their number, and each report is that of its SOLVERS entry
+    # their number, and each report is that of its solver run alone
     calls, order = [], []
     stack, solo = bench.dca_unconstrained, bench.SOLVERS["aiht"]
 
@@ -174,7 +185,7 @@ def test_run_trial_runs_the_dca_baselines_as_one_stack(monkeypatch):
     prob, opts, _ = bench.trial_setup(spec, 0, 0)
     results = bench.solve_trial(spec.solvers, prob, opts)
     for sid in spec.solvers:
-        report = bench.SOLVERS[sid](prob, opts)
+        report = _solo(sid, prob, opts)
         assert results[sid][0].x_star.tobytes() == report.x_star.tobytes()
         assert results[sid][0].status is report.status
 
@@ -182,7 +193,8 @@ def test_run_trial_runs_the_dca_baselines_as_one_stack(monkeypatch):
 def test_numeric_error_escaping_the_dca_stack_raises_from_run_trial(monkeypatch):
     # every solver reports its own numeric failure, so a NumericError that
     # leaves the stack is a bug: it raises with its own type, in place of
-    # the stack's records, through run_trial and run_experiment alike
+    # the stack's records (a lane's error raises in run_experiment with its
+    # own type too: test_an_error_in_a_lane_raises_its_own_type)
     def numeric(kinds, prob, opts):
         raise NumericError("non-finite iterate")
 
@@ -190,8 +202,6 @@ def test_numeric_error_escaping_the_dca_stack_raises_from_run_trial(monkeypatch)
     spec = _small_spec(solvers=("dca_l12", "aiht", "dca_tl1"))
     with pytest.raises(NumericError, match="non-finite iterate"):
         run_trial(spec, 0, 0)
-    with pytest.raises(NumericError, match="non-finite iterate"):
-        run_experiment(replace(spec, solvers=("dca_l12", "dca_tl1")))
 
 
 def test_trial_seeds_order_independent():
@@ -456,6 +466,13 @@ def test_load_config_requires_sparsity_off_the_s_axis(tmp_path):
     assert spec.sparsity == 3 and spec.sweep_axis == "m"
 
 
+def test_load_config_rejects_a_blank_solver_list(tmp_path):
+    text = dump_config(_small_spec())
+    assert "solvers = springback admm_l1\n" in text
+    with pytest.raises(InvalidParameterError, match="solvers must be nonempty"):
+        _load_text(tmp_path, text.replace("solvers = springback admm_l1\n", "solvers =\n"))
+
+
 def test_load_config_rejects_unknown_sections_and_keys(tmp_path):
     text = dump_config(_small_spec())
     assert _load_text(tmp_path, text).trials == 2
@@ -495,9 +512,8 @@ def test_summarize_handles_acceptance_column():
     assert other.acceptance_rate is None
 
 
-# The solver lanes: inside run_experiment, a trial that names a DCA baseline
-# and another solver runs in two other interpreters, its DCA stack in lane 0
-# and its other solvers in lane 1.
+# The solver lanes: inside run_experiment, every trial runs in two other
+# interpreters, its DCA stack in lane 0 and its other solvers in lane 1.
 
 
 def _bits(records):
@@ -574,8 +590,7 @@ def test_run_experiment_records_are_those_of_run_trial(solvers, values, snr_db, 
 def test_run_experiment_hands_run_trial_the_lanes(monkeypatch):
     # perfbench's tracer wraps bench.run_trial and divides its per-trial
     # metrics by those calls: one call per trial, through the module
-    # attribute, with the lanes only when the trial mixes a DCA baseline
-    # with another solver
+    # attribute, with the lanes whatever solvers the sweep names
     calls = []
     original = bench.run_trial
 
@@ -584,17 +599,33 @@ def test_run_experiment_hands_run_trial_the_lanes(monkeypatch):
         return original(spec, si, ti, **kw)
 
     monkeypatch.setattr(bench, "run_trial", recording)
-    for solvers, mixed in (
-        (("springback", "dca_l12"), True),
-        (("dca_l12", "dca_tl1"), False),
-        (("springback", "aiht"), False),
-    ):
+    for solvers in (("springback", "dca_l12"), ("dca_l12", "dca_tl1"), ("springback", "aiht")):
         calls.clear()
         run_experiment(_small_spec(solvers=solvers, sweep_values=(2, 3)))
         assert [call[:2] for call in calls] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         for *_, lanes in calls:
-            assert lanes is (bench._shared_lanes if mixed else None)
+            assert lanes is bench._shared_lanes
     assert bench._shared_lanes.usable()
+
+
+@pytest.mark.parametrize("idle", (0, 1))
+def test_an_idle_lane_gets_no_message(monkeypatch, idle):
+    # a sweep whose solvers all sit on one side sends the other lane
+    # nothing: with the idle lane's send raising, the sweep still makes
+    # run_trial's records
+    spec = _small_spec(solvers=("aiht", "springback") if idle == 0 else ("dca_mcp", "dca_l12"))
+    run_experiment(replace(spec, trials=1))
+    lanes = bench._shared_lanes
+
+    def unreachable(obj):
+        raise AssertionError(f"lane {idle} was sent {obj!r}")
+
+    monkeypatch.setattr(lanes.conns[idle], "send", unreachable)
+    with _deadline(60):
+        _, records = run_experiment(spec)
+    assert bench._shared_lanes is lanes and lanes.usable()
+    assert [r.solver_id for r in records] == list(spec.solvers) * spec.trials
+    assert _bits(records) == _bits(_alone(spec))
 
 
 def test_a_mixed_sweep_generates_no_instance_in_this_process(monkeypatch):
@@ -617,10 +648,12 @@ def _lane_error(monkeypatch, lane):
     raises KeyError naming it, and the other lane replies as usual."""
     if lane == 0:
         monkeypatch.setitem(bench._DCA_KINDS, "dca_extra", PenaltyKind.TL1)
-        monkeypatch.setitem(bench.SOLVERS, "dca_extra", bench.SOLVERS["dca_tl1"])
-        return ("aiht", "dca_extra"), "dca_extra"
-    monkeypatch.setitem(bench.SOLVERS, "extra", bench.SOLVERS["aiht"])
-    return ("extra", "dca_l12"), "extra"
+        solvers, unknown = ("aiht", "dca_extra"), "dca_extra"
+    else:
+        monkeypatch.setitem(bench.SOLVERS, "extra", bench.SOLVERS["aiht"])
+        solvers, unknown = ("extra", "dca_l12"), "extra"
+    monkeypatch.setattr(bench, "SOLVER_IDS", (*bench.SOLVER_IDS, unknown))
+    return solvers, unknown
 
 
 @pytest.mark.parametrize("lane", (0, 1))
@@ -757,9 +790,9 @@ def test_the_lanes_end_with_their_interpreter():
             os.kill(int(pid), 0)
 
 
-# Prints, for a 100x300 Gaussian springback + dca_l12 sweep, a digest of the
-# reports solve_trial makes in this process and one of run_experiment's
-# records, wall times left out.
+# Prints, for a 100x300 Gaussian sweep of the solver ids in argv[2], a digest
+# of the reports solve_trial makes in this process and one of
+# run_experiment's records, wall times left out.
 _THREADED_SWEEP = """\
 import hashlib
 import sys
@@ -773,7 +806,7 @@ from springback.sensing import EnsembleKind, EnsembleSpec
 
 spec = bench.ExperimentSpec(
     ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=100, n=300), sparsity=10, sweep_axis="s",
-    sweep_values=(10,), solvers=("springback", "dca_l12"), trials=2, master_seed=0,
+    sweep_values=(10,), solvers=tuple(sys.argv[2].split()), trials=2, master_seed=0,
 )
 here, sweep = hashlib.sha256(), hashlib.sha256()
 for ti in range(spec.trials):
@@ -789,15 +822,17 @@ print(here.hexdigest(), sweep.hexdigest())
 """
 
 
-def test_a_mixed_sweep_does_not_depend_on_the_callers_blas_threads():
+@pytest.mark.parametrize("solvers", ("springback dca_l12", "springback", "dca_l12"))
+def test_a_mixed_sweep_does_not_depend_on_the_callers_blas_threads(solvers):
     # at 100x300 a solve rounds differently at 1 and 2 BLAS threads; the
     # lanes run one thread each whatever the caller's setting, so the
-    # sweep's records are the same bits under both
+    # sweep's records are the same bits under both, whether it mixes a DCA
+    # baseline with another solver or names one side only
     src = str(Path(bench.__file__).resolve().parents[1])
     digests = {}
     for threads in ("1", "2"):
         run = subprocess.run(
-            [sys.executable, "-c", _THREADED_SWEEP, src],
+            [sys.executable, "-c", _THREADED_SWEEP, src, solvers],
             capture_output=True, text=True, timeout=300,
             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
         )
@@ -833,8 +868,8 @@ def test_no_numeric_error_escapes_a_solver(shape, exponent, noisy, seed):
     scale = 10.0**exponent
     prob = ProblemInstance(scale * A, scale * b, scale * tau)
     opts = bench.solver_options(prob, 2, OMEGA)
-    for sid, solve in bench.SOLVERS.items():
-        assert np.isfinite(solve(prob, opts).x_star).all(), sid
+    for sid in bench.SOLVER_IDS:
+        assert np.isfinite(_solo(sid, prob, opts).x_star).all(), sid
     results = bench.solve_trial(bench.SOLVER_IDS, prob, opts)
     assert sorted(results) == sorted(bench.SOLVER_IDS)
     for sid, (report, _) in results.items():

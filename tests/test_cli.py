@@ -201,6 +201,18 @@ def test_bench_config_rejects_nan_success_tol(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_config_rejects_a_blank_solver_list(tmp_path, capsys):
+    # no solver would write a header-only summary.csv
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(_TINY_CONFIG + "solvers =\n")
+    out = tmp_path / "run"
+    rc = main(["bench", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "solvers must be nonempty" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_bench_config_requires_sparsity_off_the_s_axis(tmp_path, capsys):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(_TINY_CONFIG.replace("sweep_axis = s\n", "sweep_axis = m\n"))

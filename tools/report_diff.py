@@ -14,10 +14,10 @@ traceback.
 It then runs each preset's sweep over those trials through the tree's
 ``bench.run_experiment``, the path ``springback bench`` and the benchmark
 take, and compares every ``TrialRecord`` field but ``wall_time`` by its
-bits.  A tree may run a mixed sweep's solvers in other processes with their
-own BLAS thread count (one per solver lane in this tree), so a record can
-differ where its report does not: at shapes whose solves round differently
-at another thread count, such as fig5's 100x1500.  A change that claims to
+bits.  A tree may run a sweep's solvers in other processes with their own
+BLAS thread count (one per solver lane in this tree, for every sweep), so a
+record can differ where its report does not: at shapes whose solves round
+differently at another thread count, such as fig5's 100x1500.  A change that claims to
 restructure without touching any result shows 0 differences here.
 Last it prints each tree's line count of ``src/springback/*.py``, module by
 module and in total, the net ``src/`` lines a change reports.

@@ -5,9 +5,8 @@ does: unit i is sweep point i mod P (P points) with one trial, at master
 seed i div P.  It then prints the peak resident set of this process, from
 ``getrusage``, which is what the benchmark's ``peak_rss_mb`` reads, and
 beside it the ``VmHWM`` (peak resident set) of each child process still
-alive, from ``/proc/<pid>/status``: the solver lanes of a sweep that mixes
-a DCA baseline with another solver.  A child that exited before the end is
-not seen.
+alive, from ``/proc/<pid>/status``: the two solver lanes that every sweep
+runs in.  A child that exited before the end is not seen.
 
 Run from the repository root (Linux only):
 
