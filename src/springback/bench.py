@@ -276,18 +276,11 @@ def run_trial(
 
     Every solver runs in the caller's process, with the caller's BLAS
     threads.  Only run_experiment passes ``_lanes``: then this process
-    generates no instance and runs no solver.  Lane 0 runs this function on
-    the spec narrowed to its DCA ids, lane 1 on the spec narrowed to the
-    other ids, each in its own interpreter with one BLAS thread, and their
-    records are merged in the spec's order.  A lane whose side names no id
-    gets no message for the trial.
+    generates no instance and runs no solver, and the lanes make the
+    records, as _Lanes.run describes.
     """
     if _lanes is not None:
-        dca = tuple(sid for sid in spec.solvers if sid in _DCA_KINDS)
-        rest = tuple(sid for sid in spec.solvers if sid not in dca)
-        specs = tuple(replace(spec, solvers=ids) if ids else None for ids in (dca, rest))
-        by_id = {r.solver_id: r for lane in _lanes.run(specs, sweep_index, trial_index) for r in lane}
-        return [by_id[sid] for sid in spec.solvers]
+        return _lanes.run(spec, sweep_index, trial_index)
     prob, opts, s = trial_setup(spec, sweep_index, trial_index)
     xbar = prob.ground_truth
     xnorm = float(np.linalg.norm(xbar))
@@ -363,49 +356,67 @@ class _Lanes:
     Each lane is a plain subprocess, not a multiprocessing spawn, so that it
     imports the package from this file's directory whatever sys.path holds
     later, never reruns the caller's __main__, and needs no resource
-    tracker.  Both start at once and import in parallel.  Every busy lane's
-    reply is read before any lane's error raises, so no reply outlives its
-    trial.  A send or receive that fails (a lane died, or an interrupt cut
-    the exchange short) kills both lanes and closes their pipes for good.
-    The lanes are killed when the interpreter that started them exits.
+    tracker.  A lane starts when it is first sent a trial, so a lane whose
+    side no sweep names never starts; the lanes a trial needs all start
+    before either is sent it, and so import side by side.  ``processes`` and
+    ``conns`` map each started lane to its process and its pipe.  Every busy
+    lane's reply is read before any lane's error raises, so no reply
+    outlives its trial.  A send or receive that fails (a lane died, or an
+    interrupt cut the exchange short) kills every lane and closes their
+    pipes for good.  The lanes are killed when the interpreter that started
+    them exits.
     """
 
     def __init__(self):
-        package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, **_LANE_ENV)
-        self.conns, self.processes = [], []
-        for _ in range(2):
-            conn, child = multiprocessing.connection.Pipe()
-            with child:
-                self.processes.append(subprocess.Popen(
-                    [sys.executable, "-c", _LANE_MAIN, package_dir, str(child.fileno())],
-                    pass_fds=(child.fileno(),), env=env,
-                ))
-            self.conns.append(conn)
+        self.conns, self.processes, self.closed = {}, {}, False
+        self._sweep = None  # (spec, [(lane, spec narrowed to its ids)]) of the last trial
         atexit.register(self.close)
 
+    def _start(self, lane: int) -> None:
+        package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        conn, child = multiprocessing.connection.Pipe()
+        with child:
+            process = subprocess.Popen(
+                [sys.executable, "-c", _LANE_MAIN, package_dir, str(child.fileno())],
+                pass_fds=(child.fileno(),), env=dict(os.environ, **_LANE_ENV),
+            )
+        self.processes[lane], self.conns[lane] = process, conn
+
     def usable(self) -> bool:
-        """No lane closed or dead.  In a forked child poll() finds no such
-        child of its own, so a sweep there starts its own lanes."""
-        return not any(c.closed for c in self.conns) and all(p.poll() is None for p in self.processes)
+        """Not closed and no started lane dead.  In a forked child poll()
+        finds no such child of its own, so a sweep there starts its own
+        lanes."""
+        return not self.closed and all(p.poll() is None for p in self.processes.values())
 
     def close(self) -> None:
         atexit.unregister(self.close)
-        for conn, process in zip(self.conns, self.processes):
-            conn.close()
+        self.closed = True
+        for lane, process in self.processes.items():
+            self.conns[lane].close()
             process.kill()
-        for process in self.processes:
+        for process in self.processes.values():
             process.wait()
 
-    def run(self, specs: tuple[ExperimentSpec | None, ...], sweep_index: int, trial_index: int):
-        """The run_trial records of each lane whose spec in ``specs`` is not
-        None, for that spec; a lane whose spec is None gets no message.  The
-        first error a lane raised raises here with its own type."""
-        busy = [(lane, spec) for lane, spec in enumerate(specs) if spec is not None]
+    def run(self, spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[TrialRecord]:
+        """run_trial's records of one trial, in the spec's order: lane 0
+        runs run_trial on the spec narrowed to its DCA ids, lane 1 on the
+        spec narrowed to the other ids, and a lane whose side names no id
+        gets no message.  The narrowed specs are built once per sweep, at
+        its first trial.  The first error a lane raised raises here with its
+        own type."""
+        if self._sweep is None or self._sweep[0] is not spec:
+            dca = tuple(sid for sid in spec.solvers if sid in _DCA_KINDS)
+            rest = tuple(sid for sid in spec.solvers if sid not in dca)
+            busy = [(lane, replace(spec, solvers=ids)) for lane, ids in enumerate((dca, rest)) if ids]
+            self._sweep = spec, busy
+        busy = self._sweep[1]
+        for lane, _ in busy:
+            if lane not in self.processes:
+                self._start(lane)
         lane = 0
         try:
-            for lane, spec in busy:
-                self.conns[lane].send((spec, sweep_index, trial_index))
+            for lane, lane_spec in busy:
+                self.conns[lane].send((lane_spec, sweep_index, trial_index))
             replies = []
             for lane, _ in busy:
                 replies.append(self.conns[lane].recv())
@@ -419,7 +430,8 @@ class _Lanes:
         for reply in replies:
             if isinstance(reply, Exception):
                 raise reply
-        return replies
+        by_id = {r.solver_id: r for reply in replies for r in reply}
+        return [by_id[sid] for sid in spec.solvers]
 
 
 # One pair of lanes per process, kept across sweeps: callers such as the
@@ -431,15 +443,15 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[SummaryRow], list[TrialRe
     """Run the full sweep, one run_trial call per trial in ascending (sweep,
     trial) order, and aggregate.
 
-    Every trial runs in the two solver lanes, as run_trial describes, while
-    this process generates no instance and makes no BLAS call.  The records
-    are those run_trial makes alone in a process with one BLAS thread, bit
-    for bit but for the wall times, whatever this process's thread count.
-    A process has one pair of lanes: its first sweep starts both (two fresh
-    interpreters importing this package side by side, about 0.6 s), later
-    sweeps reuse them, a sweep after either died starts both anew, and they
-    end with the interpreter.  Wrappers set on module attributes in this
-    process do not reach the solvers they run.
+    Every trial runs in the solver lanes, as _Lanes.run describes, while
+    this process generates no instance, builds no factor and makes no BLAS
+    call.  The records are those run_trial makes alone in a process with
+    one BLAS thread, bit for bit but for the wall times, whatever this
+    process's thread count.  A process has one pair of lanes: a lane starts
+    at the first trial that needs it (a fresh interpreter importing this
+    package, about 0.6 s), later sweeps reuse it, a sweep after a lane died
+    starts anew, and the lanes end with the interpreter.  Wrappers set on
+    module attributes in this process do not reach the solvers they run.
     """
     global _shared_lanes
     if _shared_lanes is None or not _shared_lanes.usable():

@@ -3,6 +3,11 @@
 Matrices are plain 2-D ``numpy.ndarray`` in row-major order; vectors are 1-D
 arrays.  Everything here is a pure function of its inputs (the factorization
 caches never change once built), so concurrent use is safe.
+
+scipy's LAPACK supplies the Cholesky factor and its triangular solves
+(``potrs``), and is imported where a factor is built, not with this module:
+a process that builds no factor, such as a sweep's own, never loads
+``scipy.linalg``, and the first factor in a process pays its import.
 """
 
 from __future__ import annotations
@@ -10,8 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrs
 
 from .errors import InvalidParameterError, NumericError
 
@@ -51,17 +54,22 @@ class SpdFactor:
 
     The factorization is computed once and reused for repeated right-hand
     sides, which is what the solvers need: the same normal matrix is solved
-    against at every inner iteration.  ``chol`` is LAPACK's lower factor.
+    against at every inner iteration.  ``chol`` is LAPACK's lower factor;
+    scipy's LAPACK binding is imported here, once per factor, and kept on it.
     """
 
     def __init__(self, M):
+        from scipy.linalg import LinAlgError, cho_factor
+        from scipy.linalg.lapack import dpotrs
+
         M = as_matrix(M)
         if M.shape[0] != M.shape[1]:
             raise InvalidParameterError("SPD solve requires a square matrix")
         try:
-            self.chol, _ = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+            self.chol, _ = cho_factor(M, lower=True, check_finite=False)
+        except LinAlgError as exc:
             raise NumericError(f"matrix is not positive definite: {exc}") from exc
+        self._potrs = dpotrs
         self.shape = M.shape
 
     def solve(self, r) -> np.ndarray:
@@ -71,7 +79,7 @@ class SpdFactor:
                 f"right-hand side length {r.shape[0]} does not match "
                 f"matrix order {self.shape[0]}"
             )
-        return dpotrs(self.chol, r, lower=1)[0]
+        return self._potrs(self.chol, r, lower=1)[0]
 
 
 class GramRidgeSolver:
@@ -106,7 +114,8 @@ class GramRidgeSolver:
             G[np.diag_indices(n)] += zeta
         if not np.isfinite(G).all():
             raise NumericError("Gram matrix overflowed: the entries of A are too large")
-        self._chol = SpdFactor(G).chol
+        factor = SpdFactor(G)
+        self._chol, self._potrs = factor.chol, factor._potrs
         # With G = A A^T + zeta I, the m x n operator H = G^-1 A gives
         # zeta (A^T A + zeta I)^-1 v = v - A^T H v, and the m x (n + m)
         # operator F = [H, -M], M = G^-1, gives the whole x-update
@@ -118,10 +127,10 @@ class GramRidgeSolver:
         # with a matrix right-hand side would.
         if self._wide:
             cols = np.vstack([self._At, -np.eye(m)])
-            F = np.array([dpotrs(self._chol, c, lower=1)[0] for c in cols]).T.copy()
+            F = np.array([self._potrs(self._chol, c, lower=1)[0] for c in cols]).T.copy()
             self._H = F[:, :n].copy()
         else:
-            self._H = np.array([dpotrs(self._chol, a, lower=1)[0] for a in A])
+            self._H = np.array([self._potrs(self._chol, a, lower=1)[0] for a in A])
             M = np.eye(m) - self._H @ self._At
             M /= zeta
             F = np.hstack([self._H, -M])
@@ -132,11 +141,11 @@ class GramRidgeSolver:
         """(A^T A + zeta I)^-1 r."""
         if self._wide:
             # potrs overwrites the temporary A r with its solution
-            x = self._At.dot(dpotrs(self._chol, self._A.dot(r), 1, 1)[0])
+            x = self._At.dot(self._potrs(self._chol, self._A.dot(r), 1, 1)[0])
             np.subtract(r, x, x)
             x /= self.zeta
             return x
-        return dpotrs(self._chol, r, lower=1)[0]
+        return self._potrs(self._chol, r, lower=1)[0]
 
     def offset_solve(
         self, c: np.ndarray, d: np.ndarray, q: np.ndarray, out: np.ndarray, rows=None

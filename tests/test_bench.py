@@ -610,12 +610,20 @@ def test_run_experiment_hands_run_trial_the_lanes(monkeypatch):
 
 @pytest.mark.parametrize("idle", (0, 1))
 def test_an_idle_lane_gets_no_message(monkeypatch, idle):
-    # a sweep whose solvers all sit on one side sends the other lane
-    # nothing: with the idle lane's send raising, the sweep still makes
+    # a sweep whose solvers all sit on one side never starts the other lane
+    # on fresh lanes, and sends it nothing once a mixed sweep has started
+    # it: with the idle lane's send raising, the sweep still makes
     # run_trial's records
     spec = _small_spec(solvers=("aiht", "springback") if idle == 0 else ("dca_mcp", "dca_l12"))
-    run_experiment(replace(spec, trials=1))
+    if bench._shared_lanes is not None:
+        bench._shared_lanes.close()
+    with _deadline(60):
+        _, records = run_experiment(spec)
     lanes = bench._shared_lanes
+    assert sorted(lanes.processes) == sorted(lanes.conns) == [1 - idle]
+    assert _bits(records) == _bits(_alone(spec))
+    run_experiment(_small_spec(solvers=("aiht", "dca_l12"), trials=1))
+    assert bench._shared_lanes is lanes and sorted(lanes.processes) == [0, 1]
 
     def unreachable(obj):
         raise AssertionError(f"lane {idle} was sent {obj!r}")
@@ -626,6 +634,29 @@ def test_an_idle_lane_gets_no_message(monkeypatch, idle):
     assert bench._shared_lanes is lanes and lanes.usable()
     assert [r.solver_id for r in records] == list(spec.solvers) * spec.trials
     assert _bits(records) == _bits(_alone(spec))
+
+
+@pytest.mark.parametrize("solvers", (("springback", "dca_l12"), ("aiht",), ("dca_tl1",)))
+def test_a_sweep_narrows_its_spec_once(monkeypatch, solvers):
+    # the lanes' narrowed specs are built at the sweep's first trial, not at
+    # every trial: ExperimentSpec's checks run as often in a sweep of one
+    # trial as in one of four
+    calls = []
+    post_init = ExperimentSpec.__post_init__
+
+    def counting(self):
+        calls.append(self.solvers)
+        post_init(self)
+
+    monkeypatch.setattr(ExperimentSpec, "__post_init__", counting)
+    counts = []
+    for trials, values in ((1, (3,)), (2, (3, 4))):
+        spec = _small_spec(solvers=solvers, trials=trials, sweep_values=values)
+        calls.clear()
+        with _deadline(60):
+            run_experiment(spec)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
 
 
 def test_a_mixed_sweep_generates_no_instance_in_this_process(monkeypatch):
@@ -719,7 +750,7 @@ def test_a_lane_killed_mid_sweep_raises(monkeypatch, lane):
     with _deadline(60), pytest.raises(ChildProcessError, match=f"lane {lane} exited with status -9"):
         run_experiment(spec)
     assert len(calls) == 2 and not lanes.usable()
-    assert all(p.poll() is not None for p in lanes.processes)
+    assert all(p.poll() is not None for p in lanes.processes.values())
     with _deadline(60):
         _, records = run_experiment(spec)
     assert bench._shared_lanes is not lanes
@@ -749,7 +780,7 @@ def test_an_interrupt_mid_send_raises_itself_and_closes_both_lanes(monkeypatch, 
     with _deadline(60), pytest.raises(_Interrupt, match="mid-message"):
         run_experiment(spec)
     assert len(calls) == 2 and not lanes.usable()
-    assert all(p.poll() is not None for p in lanes.processes)
+    assert all(p.poll() is not None for p in lanes.processes.values())
     with _deadline(60):
         _, records = run_experiment(spec)
     assert bench._shared_lanes is not lanes
@@ -769,7 +800,7 @@ spec = bench.ExperimentSpec(
     sweep_values=(3,), solvers=("springback", "dca_l12"), trials=2, master_seed=7,
 )
 bench.run_experiment(spec)
-print(*(p.pid for p in bench._shared_lanes.processes), multiprocessing.resource_tracker._resource_tracker._pid)
+print(*(p.pid for p in bench._shared_lanes.processes.values()), multiprocessing.resource_tracker._resource_tracker._pid)
 """
 
 

@@ -70,6 +70,56 @@ def test_module_layering():
         assert imports == LAYERS[module], module
 
 
+def test_no_module_imports_scipy_at_module_level():
+    # scipy's LAPACK is imported where a factor is built (linalg.SpdFactor),
+    # so a process that builds none, such as a sweep's own, never loads it
+    root = Path(springback.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        imported = []
+        stack = list(ast.parse(path.read_text()).body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append(node.module)
+            stack.extend(ast.iter_child_nodes(node))
+        assert [name for name in imported if name.split(".")[0] == "scipy"] == [], path.name
+
+
+# Imports the package and its CLI, runs one mixed fig8 unit through
+# run_experiment, then one trial in this process; prints whether scipy.linalg
+# was loaded after each.
+_FRESH_SWEEP = """\
+import sys
+from dataclasses import replace
+
+sys.path.insert(0, sys.argv[1])
+import springback.cli
+from springback import bench
+
+spec = bench.preset_spec("fig8", trials=1)
+bench.run_experiment(replace(spec, sweep_values=spec.sweep_values[:1]))
+print("scipy.linalg" in sys.modules)
+bench.run_trial(spec, 0, 0)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_a_sweeps_own_process_never_loads_scipy_linalg():
+    # the lanes build every factor of a sweep, so the caller, which only
+    # imports the package, reads specs and writes records, never imports
+    # scipy.linalg; its first in-process factor does
+    src = str(Path(springback.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_SWEEP, src], capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]
+
+
 def _attributes_read(tree: ast.AST, name: str, skip_class: str) -> set[str]:
     """Attributes read as ``<name>.<attr>`` outside the class ``skip_class``."""
     found = set()

@@ -1,12 +1,13 @@
-"""Peak memory of a sweep's process and of each process it starts.
+"""Peak memory of a sweep's process and of each solver lane it started.
 
 Runs N units of a preset through ``bench.run_experiment``, as the benchmark
 does: unit i is sweep point i mod P (P points) with one trial, at master
 seed i div P.  It then prints the peak resident set of this process, from
 ``getrusage``, which is what the benchmark's ``peak_rss_mb`` reads, and
-beside it the ``VmHWM`` (peak resident set) of each child process still
-alive, from ``/proc/<pid>/status``: the two solver lanes that every sweep
-runs in.  A child that exited before the end is not seen.
+whether this process loaded ``scipy.linalg``.  Beside it, it prints the
+``VmHWM`` (peak resident set, from ``/proc/<pid>/status``) of each solver
+lane the sweeps started, read before the lanes close, and the sum of the
+peaks.  A lane starts at the first trial that needs it.
 
 Run from the repository root (Linux only):
 
@@ -26,24 +27,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from workloads import import_springback, unit_spec  # noqa: E402
-
-
-def children() -> list[int]:
-    """Pids of this process's live children, ascending."""
-    me = os.getpid()
-    found = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as fh:
-                stat = fh.read()
-        except OSError:  # exited while listed
-            continue
-        # the field after ") " is the state, then the parent pid
-        if int(stat[stat.rindex(")") + 2:].split()[1]) == me:
-            found.append(int(entry))
-    return sorted(found)
 
 
 def peak_mib(pid: int) -> float | None:
@@ -73,15 +56,16 @@ def main(argv: list[str]) -> int:
     for i in range(args.units):
         bench.run_experiment(unit_spec(bench, args.preset, i % points, i // points))
     print(f"{args.preset}: {args.units} units through run_experiment, {time.perf_counter() - t0:.1f} s")
-    print(f"this process (pid {os.getpid()}): peak RSS "
-          f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MiB (getrusage)")
-    pids = children()
-    for pid in pids:
-        peak = peak_mib(pid)
-        if peak is not None:
-            print(f"child process (pid {pid}): VmHWM {peak:.1f} MiB")
-    if not pids:
-        print("no child process")
+    caller = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"this process (pid {os.getpid()}): peak RSS {caller:.1f} MiB (getrusage), "
+          f"scipy.linalg {'loaded' if 'scipy.linalg' in sys.modules else 'not loaded'}")
+    total = caller
+    for lane, process in sorted(bench._shared_lanes.processes.items()):
+        peak = peak_mib(process.pid)
+        print(f"solver lane {lane} (pid {process.pid}): VmHWM "
+              + (f"{peak:.1f} MiB" if peak is not None else "unread, the lane has exited"))
+        total += peak or 0.0
+    print(f"sum of the peaks: {total:.1f} MiB")
     return 0
 
 
