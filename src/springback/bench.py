@@ -243,7 +243,7 @@ def solve_trial(
     such report is bit for bit the one a stack of its kind alone returns.
     Every other id runs alone through SOLVERS.  Every solver runs in the
     caller's process, one after another, with the caller's BLAS threads; in
-    a run_experiment sweep each solver lane calls this through run_trial.
+    a run_experiment sweep each solver lane calls this on its own ids.
     A solver reports its own numeric failure; any error it raises, a
     NumericError included, is a bug and raises here.
     """
@@ -263,6 +263,17 @@ def solve_trial(
     return results
 
 
+def _solve(spec: ExperimentSpec, solvers: tuple[str, ...], sweep_index: int, trial_index: int):
+    """Draw a trial's instance and run the ids ``solvers`` on it: (s, alpha,
+    ||x_bar||, {id: (||x* - x_bar||, status, wall time)}) by solve_trial."""
+    prob, opts, s = trial_setup(spec, sweep_index, trial_index)
+    outcomes = {
+        sid: (float(np.linalg.norm(report.x_star - prob.ground_truth)), report.status, wall)
+        for sid, (report, wall) in solve_trial(solvers, prob, opts).items()
+    }
+    return s, opts.alpha, float(np.linalg.norm(prob.ground_truth)), outcomes
+
+
 def run_trial(
     spec: ExperimentSpec, sweep_index: int, trial_index: int, *, _lanes: _Lanes | None = None
 ) -> list[TrialRecord]:
@@ -276,26 +287,18 @@ def run_trial(
 
     Every solver runs in the caller's process, with the caller's BLAS
     threads.  Only run_experiment passes ``_lanes``: then this process
-    generates no instance and runs no solver, and the lanes make the
-    records, as _Lanes.run describes.
+    generates no instance and runs no solver, and the lanes return the
+    solves the records are made from, as _Lanes.run describes.
     """
-    if _lanes is not None:
-        return _lanes.run(spec, sweep_index, trial_index)
-    prob, opts, s = trial_setup(spec, sweep_index, trial_index)
-    xbar = prob.ground_truth
-    xnorm = float(np.linalg.norm(xbar))
-    results = solve_trial(spec.solvers, prob, opts)
-    errors = {sid: float(np.linalg.norm(rep.x_star - xbar)) for sid, (rep, _) in results.items()}
+    solve = _solve if _lanes is None else _lanes.run
+    s, alpha, xnorm, outcomes = solve(spec, spec.solvers, sweep_index, trial_index)
     accepted = None
-    if "springback" in errors and "admm_l1" in errors:
-        if spec.literal_acceptance:
-            accepted = errors["springback"] <= errors["admm_l1"] / 10.0
-        else:
-            accepted = errors["springback"] <= 10.0 * errors["admm_l1"]
+    if "springback" in outcomes and "admm_l1" in outcomes:
+        spb, l1 = outcomes["springback"][0], outcomes["admm_l1"][0]
+        accepted = spb <= l1 / 10.0 if spec.literal_acceptance else spb <= 10.0 * l1
     records = []
     for sid in spec.solvers:
-        report, wall = results[sid]
-        abs_err = errors[sid]
+        abs_err, status, wall = outcomes[sid]
         rel_err = abs_err / xnorm if xnorm > 0 else float("nan")
         success = rel_err < spec.success_tol if xnorm > 0 else abs_err < spec.success_tol
         records.append(
@@ -309,8 +312,8 @@ def run_trial(
                 success=bool(success),
                 accepted=accepted if sid == "springback" else None,
                 wall_time=wall,
-                status=report.status.value,
-                alpha_used=opts.alpha,
+                status=status.value,
+                alpha_used=alpha,
             )
         )
     return records
@@ -330,28 +333,29 @@ _LANE_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREA
 
 
 def _serve_lane(fd: int) -> None:
-    """A lane's loop: for each (spec, sweep index, trial index) received on
-    the connection at file descriptor fd, send back run_trial's records, or
-    the error it raised, which the caller raises again with its own type.
-    Returns when the caller closes its end."""
+    """A lane's loop: for each (spec, solver ids, sweep index, trial index)
+    received on the connection at file descriptor fd, send back _solve's
+    tuple for those ids, or the error it raised, which the caller raises
+    again with its own type.  Returns when the caller closes its end."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     with multiprocessing.connection.Connection(fd) as conn:
         while True:
             try:
-                spec, sweep_index, trial_index = conn.recv()
+                spec, solvers, sweep_index, trial_index = conn.recv()
             except EOFError:
                 return
             try:
-                reply = run_trial(spec, sweep_index, trial_index)
+                reply = _solve(spec, solvers, sweep_index, trial_index)
             except Exception as exc:  # raised again in the caller
                 reply = exc
             conn.send(reply)
 
 
 class _Lanes:
-    """Two interpreters, the solver lanes, that run the trials of
+    """Two interpreters, the solver lanes, that solve the trials of
     run_experiment: lane 0 the DCA ids and lane 1 the other solvers, each
-    with one BLAS thread.
+    with one BLAS thread.  Each lane draws the trial's instance itself and
+    returns its solves; run_trial makes every record, accepted included.
 
     Each lane is a plain subprocess, not a multiprocessing spawn, so that it
     imports the package from this file's directory whatever sys.path holds
@@ -369,7 +373,6 @@ class _Lanes:
 
     def __init__(self):
         self.conns, self.processes, self.closed = {}, {}, False
-        self._sweep = None  # (spec, [(lane, spec narrowed to its ids)]) of the last trial
         atexit.register(self.close)
 
     def _start(self, lane: int) -> None:
@@ -397,26 +400,21 @@ class _Lanes:
         for process in self.processes.values():
             process.wait()
 
-    def run(self, spec: ExperimentSpec, sweep_index: int, trial_index: int) -> list[TrialRecord]:
-        """run_trial's records of one trial, in the spec's order: lane 0
-        runs run_trial on the spec narrowed to its DCA ids, lane 1 on the
-        spec narrowed to the other ids, and a lane whose side names no id
-        gets no message.  The narrowed specs are built once per sweep, at
-        its first trial.  The first error a lane raised raises here with its
-        own type."""
-        if self._sweep is None or self._sweep[0] is not spec:
-            dca = tuple(sid for sid in spec.solvers if sid in _DCA_KINDS)
-            rest = tuple(sid for sid in spec.solvers if sid not in dca)
-            busy = [(lane, replace(spec, solvers=ids)) for lane, ids in enumerate((dca, rest)) if ids]
-            self._sweep = spec, busy
-        busy = self._sweep[1]
+    def run(self, spec: ExperimentSpec, solvers: tuple[str, ...], sweep_index: int, trial_index: int):
+        """_solve's tuple of one trial for the ids ``solvers``: lane 0 solves
+        the DCA ids among them and lane 1 the others, each on the whole spec,
+        and a lane whose side names no id gets no message.  The lanes draw
+        one instance, so s, alpha and ||x_bar|| are the first lane's.  The
+        first error a lane raised raises here with its own type."""
+        dca = tuple(sid for sid in solvers if sid in _DCA_KINDS)
+        rest = tuple(sid for sid in solvers if sid not in dca)
+        busy = [(lane, ids) for lane, ids in enumerate((dca, rest)) if ids]
         for lane, _ in busy:
             if lane not in self.processes:
                 self._start(lane)
-        lane = 0
         try:
-            for lane, lane_spec in busy:
-                self.conns[lane].send((lane_spec, sweep_index, trial_index))
+            for lane, ids in busy:
+                self.conns[lane].send((spec, ids, sweep_index, trial_index))
             replies = []
             for lane, _ in busy:
                 replies.append(self.conns[lane].recv())
@@ -427,11 +425,12 @@ class _Lanes:
                     f"solver lane {lane} exited with status {self.processes[lane].returncode}"
                 ) from exc
             raise
+        outcomes = {}
         for reply in replies:
             if isinstance(reply, Exception):
                 raise reply
-        by_id = {r.solver_id: r for reply in replies for r in reply}
-        return [by_id[sid] for sid in spec.solvers]
+            outcomes.update(reply[3])
+        return (*replies[0][:3], outcomes)
 
 
 # One pair of lanes per process, kept across sweeps: callers such as the
@@ -443,15 +442,15 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[SummaryRow], list[TrialRe
     """Run the full sweep, one run_trial call per trial in ascending (sweep,
     trial) order, and aggregate.
 
-    Every trial runs in the solver lanes, as _Lanes.run describes, while
-    this process generates no instance, builds no factor and makes no BLAS
-    call.  The records are those run_trial makes alone in a process with
-    one BLAS thread, bit for bit but for the wall times, whatever this
-    process's thread count.  A process has one pair of lanes: a lane starts
-    at the first trial that needs it (a fresh interpreter importing this
-    package, about 0.6 s), later sweeps reuse it, a sweep after a lane died
-    starts anew, and the lanes end with the interpreter.  Wrappers set on
-    module attributes in this process do not reach the solvers they run.
+    Every trial is solved in the solver lanes, as _Lanes.run describes, and
+    run_trial makes its records here, in a process that generates no
+    instance, builds no factor and makes no BLAS call.  They are the records
+    run_trial makes alone in a process with one BLAS thread, bit for bit but
+    for the wall times, whatever this process's thread count.  A process has
+    one pair of lanes: a lane starts at the first trial that needs it (a
+    fresh interpreter importing this package, about 0.6 s), later sweeps
+    reuse it, a sweep after a lane died starts anew, and the lanes end with
+    the interpreter; module-attribute wrappers set here miss their solvers.
     """
     global _shared_lanes
     if _shared_lanes is None or not _shared_lanes.usable():

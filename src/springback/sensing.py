@@ -163,6 +163,8 @@ def add_noise_snr(clean, snr_db: float, seed: int) -> tuple[np.ndarray, float]:
     solvers.  An SNR that snr_ratio rejects raises its InvalidParameterError,
     and so does one whose sigma overflows on this signal.  A finite sigma is
     at most sqrt(DBL_MAX), so the noisy vector and tau are then finite too.
+    P overflows, and every SNR raises, once ||clean||^2 passes DBL_MAX, at
+    entries of about 1e154: 1e160 at 20 dB raises though sigma would be 1e159.
     """
     ratio = snr_ratio(snr_db)
     clean = as_vector(clean)

@@ -51,13 +51,11 @@ __all__ = [
 
 _TINY = 1e-300
 
-# Fixed algorithm constants.  RHO and ZETA_INNER are the constraint and
-# splitting penalties of the springback inner ADMM.  The consensus penalty
-# ZETA_INNER is 1, which keeps the soft threshold 1/ZETA_INNER usable and lets
-# admm_subproblem drop its unit factors.  ZETA_LASSO is the splitting penalty
-# of the lasso ADMM; it equals ZETA_INNER / RHO, so that every loop takes its
-# x-update from the instance's one gram_solver.  LAMBDA is the weight of the
-# unconstrained models
+# Fixed algorithm constants.  RHO is the constraint penalty of the springback
+# inner ADMM; its splitting penalty is 1, so admm_subproblem soft-thresholds
+# at 1 and has no unit factors.  ZETA_LASSO is the splitting penalty of the
+# lasso ADMM; it is 1 / RHO, so that every loop takes its x-update from the
+# instance's one gram_solver.  LAMBDA is the weight of the unconstrained models
 # 0.5||Ax-b||^2 + LAMBDA R(x) (admm_l1, dca_unconstrained, irls_lp); ADMM_MAX
 # caps the lasso ADMM baseline; MAX_OUTER caps every DCA loop; AIHT_MAX caps
 # aiht; IRLS_* set the lp exponent, the initial smoothing, the stopping
@@ -67,8 +65,7 @@ _TINY = 1e-300
 # there; ADMM_BLOCK is the block length of _admm_blocks, the driver of every
 # inner ADMM loop (16 and 64 measured the same on the lasso).
 RHO = 1e5
-ZETA_INNER = 1.0
-ZETA_LASSO = 1e-5
+ZETA_LASSO = 1 / RHO
 LAMBDA = 1e-6
 ADMM_MAX = 5000
 MAX_OUTER = 10
@@ -124,7 +121,7 @@ class ProblemInstance:
         """The (A^T A + ZETA_LASSO I) solver that springback's inner ADMM,
         admm_l1 and the dca_unconstrained baselines share, with its operators
         H and F = [H, -M], built on first use inside the solver that needs
-        it, so that a Gram overflow is that solver's numeric failure.  With
+        it, so that a Gram overflow is that solver's numeric failure.  As
         ZETA_LASSO = 1/RHO its offset_solve(r, r) is springback's
         (RHO A^T A + I)^-1 r, and offset_solve(c, [c - u; w]) its
         (RHO A^T A + I)^-1 (RHO A^T w + c - u) + u."""
@@ -142,7 +139,7 @@ class SolverOptions:
     """Shared solver parameters; defaults follow the standard experiment setup.
 
     The penalties and weights no experiment varies are module constants:
-    RHO, ZETA_INNER, ZETA_LASSO and LAMBDA.
+    RHO, ZETA_LASSO and LAMBDA.
     """
 
     alpha: float = ALPHA_MAX
@@ -322,7 +319,7 @@ def admm_subproblem(
     return and on the NumericError of a non-finite x-update; its arrays are
     copies, so no step touches an array a caller holds.
 
-    With ZETA_INNER = 1 the x-update is (RHO A^T A + I)^-1 (RHO A^T w + v)
+    At splitting penalty 1 the x-update is (RHO A^T A + I)^-1 (RHO A^T w + v)
     with w = b + z - eta and v = xi + y - u, and the soft threshold is 1.
     At tau > 0 it is computed as rhs - A^T (H rhs), rhs = RHO A^T w + v,
     through the instance's gram_solver (ZETA_LASSO = 1/RHO).  At tau = 0 the

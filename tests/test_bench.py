@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -587,6 +588,31 @@ def test_run_experiment_records_are_those_of_run_trial(solvers, values, snr_db, 
     assert all(r.wall_time > 0.0 for r in records)
 
 
+@pytest.mark.parametrize("literal", (False, True))
+def test_accepted_does_not_depend_on_the_lane_split(literal):
+    # run_trial makes accepted from the solves, wherever each was made: a
+    # stand-in for the lanes that solves every id in its own _solve call,
+    # springback and admm_l1 apart, gives the records run_trial makes alone
+    solved = []
+
+    def run(spec, solvers, si, ti):
+        solves = [bench._solve(spec, (sid,), si, ti) for sid in solvers]
+        solved.extend(tuple(outcomes) for *_, outcomes in solves)
+        merged = {sid: outcome for *_, outcomes in solves for sid, outcome in outcomes.items()}
+        return (*solves[0][:3], merged)
+
+    spec = _small_spec(
+        solvers=("admm_l1", "dca_l12", "springback", "aiht"), sweep_values=(3, 5),
+        literal_acceptance=literal,
+    )
+    for si, ti in _ORDER_KEYS:
+        solved.clear()
+        records = run_trial(spec, si, ti, _lanes=SimpleNamespace(run=run))
+        assert solved == [(sid,) for sid in spec.solvers]
+        assert records[2].accepted is not None
+        assert _bits(records) == _bits(run_trial(spec, si, ti))
+
+
 def test_run_experiment_hands_run_trial_the_lanes(monkeypatch):
     # perfbench's tracer wraps bench.run_trial and divides its per-trial
     # metrics by those calls: one call per trial, through the module
@@ -637,10 +663,10 @@ def test_an_idle_lane_gets_no_message(monkeypatch, idle):
 
 
 @pytest.mark.parametrize("solvers", (("springback", "dca_l12"), ("aiht",), ("dca_tl1",)))
-def test_a_sweep_narrows_its_spec_once(monkeypatch, solvers):
-    # the lanes' narrowed specs are built at the sweep's first trial, not at
-    # every trial: ExperimentSpec's checks run as often in a sweep of one
-    # trial as in one of four
+def test_a_sweep_builds_no_spec(monkeypatch, solvers):
+    # every lane solves its ids on the sweep's own spec, so the sweep's
+    # process builds no ExperimentSpec at all, in a sweep of one trial or of
+    # four, and ExperimentSpec's checks run only where the spec is made
     calls = []
     post_init = ExperimentSpec.__post_init__
 
@@ -656,7 +682,7 @@ def test_a_sweep_narrows_its_spec_once(monkeypatch, solvers):
         with _deadline(60):
             run_experiment(spec)
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 2
+    assert counts == [0, 0]
 
 
 def test_a_mixed_sweep_generates_no_instance_in_this_process(monkeypatch):

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,6 +150,46 @@ def test_every_setting_is_read(cls, name):
         read |= _attributes_read(ast.parse(path.read_text()), name, cls.__name__)
     fields = {f.name for f in dataclasses.fields(cls)}
     assert sorted(fields - read) == []
+
+
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _assigned(node: ast.stmt) -> set[str]:
+    """Names a top-level statement binds by assignment."""
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names read bare or as ``<module>.<name>``, except in the value of the
+    top-level assignment that binds them."""
+    found = set()
+    for top in tree.body:
+        own = _assigned(top)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+    return found
+
+
+def test_every_module_constant_is_read():
+    # an upper-case name a module assigns at its top level is a setting or a
+    # table; one that no code in the package reads is dead
+    root = Path(springback.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    read = set().union(*map(_names_read, trees.values()))
+    unread = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in sorted(set().union(*map(_assigned, tree.body)) - read)
+        if _CONSTANT.fullmatch(name)
+    ]
+    assert unread == []
 
 
 def test_benchmark_tracer_finds_every_span():

@@ -481,7 +481,7 @@ def _ref_rel_change(new, old):
 
 
 def _ref_springback_admm(A, b, tau, xi, st, eps, max_inner):
-    rho, zeta = solvers_mod.RHO, solvers_mod.ZETA_INNER
+    rho, zeta = solvers_mod.RHO, 1.0  # springback's splitting penalty is 1
     for _ in range(max_inner):
         x_old = st.x
         rhs = rho * (A.T @ (b + st.z - st.eta)) + xi + zeta * (st.y - st.u)
@@ -587,7 +587,7 @@ def _assert_states_equal(state, ref, names):
 
 def _operator_solve(prob):
     """Springback's x-update through the instance's H, as (RHO A^T A + I)^-1
-    rhs = rhs - A^T (H rhs) with ZETA_LASSO = ZETA_INNER / RHO."""
+    rhs = rhs - A^T (H rhs) with ZETA_LASSO = 1 / RHO."""
     A, H = prob.A, prob.gram_solver._H
     return lambda rhs: rhs - A.T @ (H @ rhs)
 
@@ -637,7 +637,7 @@ def test_admm_subproblem_matches_reference_loop_to_rounding(shape, noisy):
     prob = _oracle_instance(shape, noisy)
     n = shape[1]
     opts = SolverOptions(max_inner=200)
-    solve = _ref_ridge_solve(prob.A, solvers_mod.RHO, solvers_mod.ZETA_INNER)
+    solve = _ref_ridge_solve(prob.A, solvers_mod.RHO, 1.0)
     state, ref = _springback_pair(prob, solve)
     xi = np.zeros(n)
     for _ in range(2):  # a cold call, then a warm-started one
@@ -1276,7 +1276,8 @@ def test_lasso_solvers_share_one_factor_per_instance(monkeypatch):
 
 
 def test_shared_operator_constants():
-    # springback's x-update (RHO A^T A + ZETA_INNER I)^-1 r is the shared
-    # solver's ZETA_LASSO (A^T A + ZETA_LASSO I)^-1 r only while these hold
-    assert solvers_mod.ZETA_INNER == 1.0
-    assert solvers_mod.ZETA_INNER / solvers_mod.RHO == solvers_mod.ZETA_LASSO
+    # springback's x-update (RHO A^T A + I)^-1 r, at its splitting penalty 1,
+    # is the shared solver's ZETA_LASSO (A^T A + ZETA_LASSO I)^-1 r only while
+    # ZETA_LASSO = 1 / RHO; 1 / 1e5 is 1e-5 in binary64, bit for bit
+    assert solvers_mod.ZETA_LASSO == 1.0 / solvers_mod.RHO
+    assert (solvers_mod.RHO, solvers_mod.ZETA_LASSO) == (1e5, 1e-5)
