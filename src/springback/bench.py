@@ -83,9 +83,7 @@ _DCA_KINDS = {
 
 # Lone solver id -> solve(prob, opts).  Each entry looks its function up by
 # name when called, so a wrapper later set on the module attribute sees every
-# call that solve_trial makes in this process, run_trial's and solve's
-# included.  A run_experiment sweep runs every solver in the lanes' own
-# interpreters, which no wrapper set here reaches.
+# call that solve_trial makes in this process; a sweep's are not (see _Lanes).
 SOLVERS = {
     "springback": lambda p, o: dca_springback(p, o),
     "admm_l1": lambda p, o: admm_l1(p, o),
@@ -99,7 +97,11 @@ SWEEP_AXES = ("s", "refinement", "snr", "m")
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Full description of one benchmark sweep."""
+    """Full description of one benchmark sweep.  A sweep value replaces
+    sparsity, ensemble.refinement, snr_db or ensemble.m, by the axis, and
+    sep_factor > 0 replaces min_separation with sep_factor * refinement, so
+    the field the axis replaces is never read (fig4's and fig8's sparsity,
+    fig5's refinement)."""
 
     ensemble: EnsembleSpec
     sparsity: int
@@ -242,8 +244,8 @@ def solve_trial(
     here, and each gets the stack's wall time divided by their number; each
     such report is bit for bit the one a stack of its kind alone returns.
     Every other id runs alone through SOLVERS.  Every solver runs in the
-    caller's process, one after another, with the caller's BLAS threads; in
-    a run_experiment sweep each solver lane calls this on its own ids.
+    caller's process, one after another, with the caller's BLAS threads (in
+    a sweep, a solver lane's: see _Lanes).
     A solver reports its own numeric failure; any error it raises, a
     NumericError included, is a bug and raises here.
     """
@@ -286,9 +288,7 @@ def run_trial(
     read-only instance, or a NumericError that escaped it) raises here.
 
     Every solver runs in the caller's process, with the caller's BLAS
-    threads.  Only run_experiment passes ``_lanes``: then this process
-    generates no instance and runs no solver, and the lanes return the
-    solves the records are made from, as _Lanes.run describes.
+    threads, unless run_experiment passes ``_lanes`` (see _Lanes).
     """
     solve = _solve if _lanes is None else _lanes.run
     s, alpha, xnorm, outcomes = solve(spec, spec.solvers, sweep_index, trial_index)
@@ -352,27 +352,32 @@ def _serve_lane(fd: int) -> None:
 
 
 class _Lanes:
-    """Two interpreters, the solver lanes, that solve the trials of
-    run_experiment: lane 0 the DCA ids and lane 1 the other solvers, each
+    """The solver lanes: two interpreters that solve every trial of
+    run_experiment, lane 0 the DCA ids and lane 1 the other solvers, each
     with one BLAS thread.  Each lane draws the trial's instance itself and
-    returns its solves; run_trial makes every record, accepted included.
+    returns its solves; run_trial makes every record, accepted included, in
+    a process that draws no instance and makes no BLAS call.  The records
+    are bit for bit those run_trial makes alone with one BLAS thread, but
+    for the wall times, whatever the caller's thread count; a wrapper set on
+    a module attribute in the caller misses the lanes' solvers.
 
     Each lane is a plain subprocess, not a multiprocessing spawn, so that it
     imports the package from this file's directory whatever sys.path holds
     later, never reruns the caller's __main__, and needs no resource
-    tracker.  A lane starts when it is first sent a trial, so a lane whose
-    side no sweep names never starts; the lanes a trial needs all start
-    before either is sent it, and so import side by side.  ``processes`` and
-    ``conns`` map each started lane to its process and its pipe.  Every busy
-    lane's reply is read before any lane's error raises, so no reply
-    outlives its trial.  A send or receive that fails (a lane died, or an
-    interrupt cut the exchange short) kills every lane and closes their
-    pipes for good.  The lanes are killed when the interpreter that started
-    them exits.
+    tracker.  A lane starts (about 0.6 s) when it is first sent a trial, so
+    a lane whose side no sweep names never starts; the lanes a trial needs
+    all start before either is sent it, and so import side by side.
+    ``processes`` and ``conns`` map each started lane to its process and its
+    pipe.  Every busy lane's reply is read before any lane's error raises,
+    so no reply outlives its trial.  A send or receive that fails (a lane
+    died, or an interrupt cut the exchange short) closes the lanes: close
+    kills every lane and forgets it, and the next trial starts anew the
+    lanes it needs.  A process has one _Lanes, _shared_lanes, kept across
+    sweeps; it closes when the process exits.
     """
 
     def __init__(self):
-        self.conns, self.processes, self.closed = {}, {}, False
+        self.conns, self.processes = {}, {}
         atexit.register(self.close)
 
     def _start(self, lane: int) -> None:
@@ -385,20 +390,14 @@ class _Lanes:
             )
         self.processes[lane], self.conns[lane] = process, conn
 
-    def usable(self) -> bool:
-        """Not closed and no started lane dead.  In a forked child poll()
-        finds no such child of its own, so a sweep there starts its own
-        lanes."""
-        return not self.closed and all(p.poll() is None for p in self.processes.values())
-
     def close(self) -> None:
-        atexit.unregister(self.close)
-        self.closed = True
         for lane, process in self.processes.items():
             self.conns[lane].close()
             process.kill()
         for process in self.processes.values():
             process.wait()
+        self.conns.clear()
+        self.processes.clear()
 
     def run(self, spec: ExperimentSpec, solvers: tuple[str, ...], sweep_index: int, trial_index: int):
         """_solve's tuple of one trial for the ids ``solvers``: lane 0 solves
@@ -419,11 +418,10 @@ class _Lanes:
             for lane, _ in busy:
                 replies.append(self.conns[lane].recv())
         except BaseException as exc:
+            process = self.processes[lane]
             self.close()
             if isinstance(exc, (EOFError, OSError)):
-                raise ChildProcessError(
-                    f"solver lane {lane} exited with status {self.processes[lane].returncode}"
-                ) from exc
+                raise ChildProcessError(f"solver lane {lane} exited with status {process.returncode}") from exc
             raise
         outcomes = {}
         for reply in replies:
@@ -433,30 +431,18 @@ class _Lanes:
         return (*replies[0][:3], outcomes)
 
 
-# One pair of lanes per process, kept across sweeps: callers such as the
-# benchmark run one sweep per trial, and a start costs about 0.6 s.
-_shared_lanes: _Lanes | None = None
+# Kept across sweeps: callers such as the benchmark run one sweep per trial.
+_shared_lanes = _Lanes()
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[list[SummaryRow], list[TrialRecord]]:
     """Run the full sweep, one run_trial call per trial in ascending (sweep,
-    trial) order, and aggregate.
-
-    Every trial is solved in the solver lanes, as _Lanes.run describes, and
-    run_trial makes its records here, in a process that generates no
-    instance, builds no factor and makes no BLAS call.  They are the records
-    run_trial makes alone in a process with one BLAS thread, bit for bit but
-    for the wall times, whatever this process's thread count.  A process has
-    one pair of lanes: a lane starts at the first trial that needs it (a
-    fresh interpreter importing this package, about 0.6 s), later sweeps
-    reuse it, a sweep after a lane died starts anew, and the lanes end with
-    the interpreter; module-attribute wrappers set here miss their solvers.
-    """
-    global _shared_lanes
-    if _shared_lanes is None or not _shared_lanes.usable():
-        if _shared_lanes is not None:
-            _shared_lanes.close()
-        _shared_lanes = _Lanes()
+    trial) order, each solved in the solver lanes (see _Lanes), and
+    aggregate."""
+    # A lane that died since the last sweep, or any lane in a forked child,
+    # where poll() finds no such child and reads 0 (so kill() sends nothing).
+    if any(p.poll() is not None for p in _shared_lanes.processes.values()):
+        _shared_lanes.close()
     records = [
         r
         for si in range(len(spec.sweep_values))

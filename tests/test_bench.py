@@ -538,6 +538,11 @@ def _alone(spec):
     ]
 
 
+def _lane_pids():
+    """{lane: pid} of every lane the shared lanes have started."""
+    return {lane: p.pid for lane, p in bench._shared_lanes.processes.items()}
+
+
 class _Hung(Exception):
     pass
 
@@ -631,7 +636,7 @@ def test_run_experiment_hands_run_trial_the_lanes(monkeypatch):
         assert [call[:2] for call in calls] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         for *_, lanes in calls:
             assert lanes is bench._shared_lanes
-    assert bench._shared_lanes.usable()
+    assert all(p.poll() is None for p in bench._shared_lanes.processes.values())
 
 
 @pytest.mark.parametrize("idle", (0, 1))
@@ -641,15 +646,16 @@ def test_an_idle_lane_gets_no_message(monkeypatch, idle):
     # it: with the idle lane's send raising, the sweep still makes
     # run_trial's records
     spec = _small_spec(solvers=("aiht", "springback") if idle == 0 else ("dca_mcp", "dca_l12"))
-    if bench._shared_lanes is not None:
-        bench._shared_lanes.close()
+    lanes = bench._shared_lanes
+    lanes.close()
     with _deadline(60):
         _, records = run_experiment(spec)
-    lanes = bench._shared_lanes
-    assert sorted(lanes.processes) == sorted(lanes.conns) == [1 - idle]
+    busy = _lane_pids()
+    assert sorted(busy) == sorted(lanes.conns) == [1 - idle]
     assert _bits(records) == _bits(_alone(spec))
     run_experiment(_small_spec(solvers=("aiht", "dca_l12"), trials=1))
-    assert bench._shared_lanes is lanes and sorted(lanes.processes) == [0, 1]
+    pids = _lane_pids()
+    assert sorted(pids) == [0, 1] and pids[1 - idle] == busy[1 - idle]
 
     def unreachable(obj):
         raise AssertionError(f"lane {idle} was sent {obj!r}")
@@ -657,7 +663,7 @@ def test_an_idle_lane_gets_no_message(monkeypatch, idle):
     monkeypatch.setattr(lanes.conns[idle], "send", unreachable)
     with _deadline(60):
         _, records = run_experiment(spec)
-    assert bench._shared_lanes is lanes and lanes.usable()
+    assert _lane_pids() == pids and all(p.poll() is None for p in lanes.processes.values())
     assert [r.solver_id for r in records] == list(spec.solvers) * spec.trials
     assert _bits(records) == _bits(_alone(spec))
 
@@ -722,13 +728,14 @@ def test_an_error_in_a_lane_raises_its_own_type(monkeypatch, lane):
     run_trial(spec, 0, 0)  # in this process the id is known
     with _deadline(60), pytest.raises(KeyError, match=unknown):
         run_experiment(spec)
-    lanes = bench._shared_lanes
-    assert lanes.usable()
+    pids = _lane_pids()
+    assert sorted(pids) == [0, 1]
+    assert all(p.poll() is None for p in bench._shared_lanes.processes.values())
     monkeypatch.undo()
     spec = _small_spec(solvers=("aiht", "dca_tl1"))
     with _deadline(60):
         assert _bits(run_experiment(spec)[1]) == _bits(_alone(spec))
-    assert bench._shared_lanes is lanes
+    assert _lane_pids() == pids
 
 
 @pytest.mark.parametrize("lane", (0, 1))
@@ -739,17 +746,19 @@ def test_a_sweep_that_raised_leaves_no_stale_reply(monkeypatch, lane):
     spec = _small_spec(solvers=solvers, trials=1)
     with _deadline(60), pytest.raises(KeyError):
         run_experiment(spec)
-    lanes = bench._shared_lanes
+    pids = _lane_pids()
+    assert sorted(pids) == [0, 1]
     monkeypatch.undo()
     spec = _small_spec(solvers=("aiht", "dca_l12"), trials=1, master_seed=8)
     with _deadline(60):
         assert _bits(run_experiment(spec)[1]) == _bits(_alone(spec))
-    assert bench._shared_lanes is lanes
+    assert _lane_pids() == pids
 
 
 def _on_second_trial(monkeypatch, fault):
     """Run ``fault(lanes)`` before the lanes are handed the second trial of
-    the next sweep."""
+    the next sweep; also returns the calls so far and the lanes' processes
+    now, which a failure makes the lanes forget."""
     lanes = bench._shared_lanes
     run, calls = lanes.run, []
 
@@ -760,7 +769,13 @@ def _on_second_trial(monkeypatch, fault):
         return run(*args)
 
     monkeypatch.setattr(lanes, "run", faulty)
-    return lanes, calls
+    return lanes, calls, dict(lanes.processes)
+
+
+def _all_replaced(old):
+    """Both lanes run now, neither under a pid of the processes ``old``."""
+    pids = _lane_pids()
+    return sorted(pids) == [0, 1] and not set(pids.values()) & {p.pid for p in old.values()}
 
 
 @pytest.mark.parametrize("lane", (0, 1))
@@ -770,16 +785,16 @@ def test_a_lane_killed_mid_sweep_raises(monkeypatch, lane):
     # next sweep starts both anew
     spec = _small_spec(solvers=("aiht", "dca_l12"), trials=3)
     run_experiment(replace(spec, trials=1))
-    lanes, calls = _on_second_trial(
+    lanes, calls, old = _on_second_trial(
         monkeypatch, lambda lanes: os.kill(lanes.processes[lane].pid, signal.SIGKILL)
     )
     with _deadline(60), pytest.raises(ChildProcessError, match=f"lane {lane} exited with status -9"):
         run_experiment(spec)
-    assert len(calls) == 2 and not lanes.usable()
-    assert all(p.poll() is not None for p in lanes.processes.values())
+    assert len(calls) == 2 and lanes.processes == lanes.conns == {}
+    assert sorted(old) == [0, 1] and all(p.poll() is not None for p in old.values())
     with _deadline(60):
         _, records = run_experiment(spec)
-    assert bench._shared_lanes is not lanes
+    assert _all_replaced(old)
     assert _bits(records) == _bits(_alone(spec))
 
 
@@ -791,8 +806,8 @@ class _Interrupt(BaseException):
 def test_an_interrupt_mid_send_raises_itself_and_closes_both_lanes(monkeypatch, lane):
     # an error that is not a channel error, such as an interrupt that cuts
     # one lane's message of the second of three trials short, raises as
-    # itself, not as ChildProcessError; both lanes are closed for good, and
-    # the next sweep starts both anew
+    # itself, not as ChildProcessError; both lanes are killed, and the next
+    # sweep starts both anew
     spec = _small_spec(solvers=("aiht", "dca_l12"), trials=3)
     run_experiment(replace(spec, trials=1))
 
@@ -802,15 +817,30 @@ def test_an_interrupt_mid_send_raises_itself_and_closes_both_lanes(monkeypatch, 
 
         monkeypatch.setattr(lanes.conns[lane], "send", interrupted)
 
-    lanes, calls = _on_second_trial(monkeypatch, interrupt)
+    lanes, calls, old = _on_second_trial(monkeypatch, interrupt)
     with _deadline(60), pytest.raises(_Interrupt, match="mid-message"):
         run_experiment(spec)
-    assert len(calls) == 2 and not lanes.usable()
-    assert all(p.poll() is not None for p in lanes.processes.values())
+    assert len(calls) == 2 and lanes.processes == lanes.conns == {}
+    assert sorted(old) == [0, 1] and all(p.poll() is not None for p in old.values())
     with _deadline(60):
         _, records = run_experiment(spec)
-    assert bench._shared_lanes is not lanes
+    assert _all_replaced(old)
     assert _bits(records) == _bits(_alone(spec))
+
+
+def test_a_lane_that_died_between_sweeps_is_replaced():
+    # the next sweep finds the dead lane before it sends a trial: it kills
+    # the other lane too, starts both anew, and raises nothing
+    spec = _small_spec(solvers=("aiht", "dca_l12"))
+    run_experiment(replace(spec, trials=1))
+    old = dict(bench._shared_lanes.processes)
+    assert sorted(old) == [0, 1]
+    os.kill(old[1].pid, signal.SIGKILL)
+    old[1].wait()
+    with _deadline(60):
+        _, records = run_experiment(spec)
+    assert _bits(records) == _bits(_alone(spec))
+    assert _all_replaced(old) and old[0].poll() is not None
 
 
 _TWO_TRIAL_SWEEP = """\
@@ -843,6 +873,61 @@ def test_the_lanes_end_with_their_interpreter():
     *lanes, tracker = run.stdout.split()
     assert len(lanes) == 2 and tracker == "None"
     for pid in lanes:
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
+
+
+# Prints a digest of a two-trial sweep's records, wall times left out, and
+# its lanes' pids: for the parent, then for a child forked after that sweep,
+# then for the parent again once the child has exited.
+_FORKED_SWEEP = """\
+import hashlib
+import os
+import sys
+from dataclasses import replace
+
+sys.path.insert(0, sys.argv[1])
+from springback import bench
+from springback.sensing import EnsembleKind, EnsembleSpec
+
+spec = bench.ExperimentSpec(
+    ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=20, n=50), sparsity=3, sweep_axis="s",
+    sweep_values=(3,), solvers=("springback", "dca_l12"), trials=2, master_seed=7,
+)
+
+
+def sweep(who):
+    records = [replace(r, wall_time=0.0) for r in bench.run_experiment(spec)[1]]
+    pids = (bench._shared_lanes.processes[lane].pid for lane in (0, 1))
+    print(who, hashlib.sha256(repr(records).encode()).hexdigest(), *pids, flush=True)
+
+
+sweep("parent")
+child = os.fork()
+if child == 0:
+    sweep("child")
+    sys.exit(0)
+_, status = os.waitpid(child, 0)
+print("status", os.waitstatus_to_exitcode(status), flush=True)
+sweep("parent")
+"""
+
+
+def test_a_forked_child_starts_its_own_lanes():
+    # in a forked child the parent's lanes are no children of its own: its
+    # sweep starts two lanes of its own and sends the parent's nothing, and
+    # the parent's lanes live on and serve its next sweep
+    src = str(Path(bench.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _FORKED_SWEEP, src], capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    lines = [line.split() for line in run.stdout.splitlines()]
+    assert [line[0] for line in lines] == ["parent", "child", "status", "parent"]
+    (_, digest, *parent), (_, child_digest, *child), (_, status), (_, again, *later) = lines
+    assert status == "0" and child_digest == digest == again
+    assert later == parent and not set(child) & set(parent)
+    for pid in child:  # the child's lanes ended with it
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid), 0)
 

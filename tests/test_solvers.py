@@ -1203,6 +1203,34 @@ def test_admm_subproblem_at_tau_zero_is_the_lp_solution():
         assert np.abs(x - x_lp).max() <= 1e-9
 
 
+# A later DCA step at tau = 0 has xi != 0: min ||x||_1 - <xi, x> s.t. A x = b,
+# still an LP in x = x+ - x-, with costs 1 - xi and 1 + xi, bounded while
+# every |xi_i| < 1.  On instances like those above with xi uniform in
+# [-0.9, 0.9]^n the ADMM stops after 22-737 iterations; the largest gaps to
+# the LP are 3.4e-12 in the objective and 2.8e-12 in x, with ||A x - b|| at
+# most 9.0e-16, hence 1e-9.
+def test_admm_subproblem_with_xi_at_tau_zero_is_the_lp_solution():
+    rng = np.random.default_rng(82)
+    for _ in range(20):
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(m + 1, 9))
+        A = rng.standard_normal((m, n))
+        A /= np.linalg.norm(A, axis=0)
+        xbar = np.zeros(n)
+        xbar[int(rng.integers(n))] = rng.choice([-1.0, 1.0]) * rng.uniform(0.8, 1.2)
+        b = A @ xbar
+        xi = rng.uniform(-0.9, 0.9, n)
+        cost = np.concatenate([1.0 - xi, 1.0 + xi])
+        lp = scipy.optimize.linprog(cost, A_eq=np.hstack([A, -A]), b_eq=b, bounds=(0, None), method="highs")
+        assert lp.success
+        x_lp = lp.x[:n] - lp.x[n:]
+        opts = SolverOptions(eps_inner=1e-12, max_inner=200000)
+        x = admm_subproblem(ProblemInstance(A, b, 0.0), xi, opts)
+        assert abs(np.abs(x).sum() - xi @ x - lp.fun) <= 1e-9
+        assert np.abs(x - x_lp).max() <= 1e-9
+        assert np.linalg.norm(A @ x - b) <= 1e-9
+
+
 def _overflowing_instance(scale, tau=0.0):
     # finite data; at 1e200 the Gram matrix A A^T overflows, at 1e100 the
     # springback x-update at tau > 0 (RHO A^T w cancels against A^T H of

@@ -5,9 +5,10 @@ does: unit i is sweep point i mod P (P points) with one trial, at master
 seed i div P.  It then prints the peak resident set of this process, from
 ``getrusage``, which is what the benchmark's ``peak_rss_mb`` reads, and
 whether this process loaded ``scipy.linalg``.  Beside it, it prints the
-``VmHWM`` (peak resident set, from ``/proc/<pid>/status``) of each solver
-lane the sweeps started, read before the lanes close, and the sum of the
-peaks.  A lane starts at the first trial that needs it.
+``VmHWM`` (peak resident set, from ``/proc/<pid>/status``) of each lane of
+this process's one pair of solver lanes (``bench._shared_lanes``) that is
+running when the sweeps end, and the sum of the peaks.  A lane starts at
+the first trial that needs it.
 
 Run from the repository root (Linux only):
 
