@@ -637,68 +637,56 @@ def load_config(path: str) -> ExperimentSpec:
         raise InvalidParameterError(f"invalid experiment config: {exc}") from exc
 
 
+# The preset sweeps of the standard experiment figures, built and validated
+# once.  fig4 and fig5 floor alpha at the default omega, solvers.OMEGA; fig7
+# and fig8 at 0.4.
+_FIG7 = ExperimentSpec(
+    ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=64, n=128),
+    sparsity=25,
+    sweep_axis="snr",
+    sweep_values=(10, 20, 30, 40, 50),
+    omega=0.4,
+)
+_PRESETS = {
+    # incoherent Gaussian success-rate sweep over s
+    "fig4": ExperimentSpec(
+        ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=64, n=160),
+        sparsity=10,
+        sweep_axis="s",
+        sweep_values=tuple(range(6, 41, 2)),
+    ),
+    # coherent oversampled-DCT sweep over the refinement factor F
+    "fig5": ExperimentSpec(
+        ensemble=EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, m=100, n=1500, refinement=4),
+        sparsity=15,
+        sweep_axis="refinement",
+        sweep_values=(4, 6, 8, 10, 12, 16),
+        sep_factor=2,
+    ),
+    "fig7": _FIG7,  # noisy Gaussian error sweep over the SNR
+    # fig7 at the overdetermined 128x64 shape printed in the source experiment
+    "fig7-literal": replace(_FIG7, ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=128, n=64)),
+    # noisy theory-validation sweep over s with acceptance rates
+    "fig8": ExperimentSpec(
+        ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=50, n=160),
+        sparsity=20,
+        sweep_axis="s",
+        sweep_values=tuple(range(10, 41, 5)),
+        solvers=("springback", "admm_l1", "dca_l12"),
+        snr_db=45.0,
+        omega=0.4,
+    ),
+}
+PRESETS = tuple(_PRESETS)
+
+
 def preset_spec(
-    name: str,
-    trials: int | None = None,
-    master_seed: int = 0,
-    literal_shape: bool = False,
-    literal_acceptance: bool = False,
+    name: str, trials: int | None = None, master_seed: int = 0, literal_acceptance: bool = False
 ) -> ExperimentSpec:
-    """Preconfigured sweeps mirroring the four standard experiment figures.
-
-    fig4: incoherent Gaussian success-rate sweep over s.
-    fig5: coherent oversampled-DCT sweep over the refinement factor F.
-    fig7: noisy Gaussian error sweep over the SNR (literal_shape keeps the
-          overdetermined 128x64 shape as printed in the source experiment).
-    fig8: noisy theory-validation sweep over s with acceptance rates.
-
-    fig4 and fig5 floor alpha at the default omega, solvers.OMEGA; fig7 and
-    fig8 at 0.4.
-    """
-    if literal_shape and name != "fig7":
-        raise InvalidParameterError(f"--literal-shape applies only to fig7, not to {name!r}")
-    if name == "fig4":
-        spec = ExperimentSpec(
-            ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=64, n=160),
-            sparsity=10,
-            sweep_axis="s",
-            sweep_values=tuple(range(6, 41, 2)),
-        )
-    elif name == "fig5":
-        spec = ExperimentSpec(
-            ensemble=EnsembleSpec(
-                EnsembleKind.OVERSAMPLED_DCT, m=100, n=1500, refinement=4
-            ),
-            sparsity=15,
-            sweep_axis="refinement",
-            sweep_values=(4, 6, 8, 10, 12, 16),
-            sep_factor=2,
-        )
-    elif name == "fig7":
-        m, n = (128, 64) if literal_shape else (64, 128)
-        spec = ExperimentSpec(
-            ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=m, n=n),
-            sparsity=25,
-            sweep_axis="snr",
-            sweep_values=(10, 20, 30, 40, 50),
-            omega=0.4,
-        )
-    elif name == "fig8":
-        spec = ExperimentSpec(
-            ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=50, n=160),
-            sparsity=20,
-            sweep_axis="s",
-            sweep_values=tuple(range(10, 41, 5)),
-            solvers=("springback", "admm_l1", "dca_l12"),
-            snr_db=45.0,
-            omega=0.4,
-        )
-    else:
+    """The preset sweep ``name``, one of PRESETS, at this master seed and
+    acceptance rule, and at ``trials`` trials (None keeps the preset's)."""
+    if name not in _PRESETS:
         raise InvalidParameterError(f"unknown preset {name!r}")
-    updates = {"literal_acceptance": literal_acceptance, "master_seed": master_seed}
-    if trials is not None:
-        updates["trials"] = trials
-    return replace(spec, **updates)
-
-
-PRESETS = ("fig4", "fig5", "fig7", "fig8")
+    spec = _PRESETS[name]
+    trials = spec.trials if trials is None else trials
+    return replace(spec, trials=trials, master_seed=master_seed, literal_acceptance=literal_acceptance)

@@ -83,6 +83,14 @@ def _roots(prof: RipProfile) -> tuple[float, float, float, float]:
     )
 
 
+def _check(what: str, *values: float, zero_ok: bool = False) -> None:
+    """Raise unless every value is finite and positive (nonnegative if zero_ok)."""
+    sign = "nonnegative" if zero_ok else "positive"
+    for v in values:
+        if not (math.isfinite(v) and (v >= 0 if zero_ok else v > 0)):
+            raise InvalidParameterError(f"{what} must be {sign} and finite")
+
+
 def rip_condition(prof: RipProfile) -> bool:
     """Whether delta_3s < 3 (1 - delta_4s) - 1, the springback/l1 condition."""
     return prof.delta3s < 3.0 * (1.0 - prof.delta4s) - 1.0
@@ -90,8 +98,7 @@ def rip_condition(prof: RipProfile) -> bool:
 
 def d1(prof: RipProfile, alpha: float) -> float:
     """Quadratic coefficient of the recovery estimate."""
-    if alpha <= 0:
-        raise InvalidParameterError("alpha must be positive")
+    _check("alpha", alpha)
     r4, r3, s3, s1 = _roots(prof)
     return 0.5 * alpha * (r4 + r3) / (s3 + s1)
 
@@ -107,8 +114,7 @@ def alpha_posterior_bound(prof: RipProfile, xopt_norm: float) -> float:
 
     Pass ``||x*||_2 + eps`` for the accuracy-inflated variant.
     """
-    if xopt_norm <= 0:
-        raise InvalidParameterError("xopt_norm must be positive")
+    _check("xopt_norm", xopt_norm)
     r4, r3, s3, s1 = _roots(prof)
     return (r4 * s3 - r3 * s1) / ((r4 + r3) * xopt_norm)
 
@@ -116,8 +122,8 @@ def alpha_posterior_bound(prof: RipProfile, xopt_norm: float) -> float:
 def posterior_verify(prof: RipProfile, alpha: float, x_star, eps: float = 0.0) -> bool:
     """Check alpha against the posterior bound evaluated at ||x*||_2 + eps."""
     x_star = as_vector(x_star)
-    if eps < 0:
-        raise InvalidParameterError("eps must be nonnegative")
+    _check("alpha", alpha)
+    _check("eps", eps, zero_ok=True)
     norm = float(np.linalg.norm(x_star)) + eps
     if norm <= 0:
         return True
@@ -137,8 +143,7 @@ def recovery_bound(
     sparse signals); the improved variants subtract the linear-term
     correction.
     """
-    if tau < 0 or tail_l1 < 0:
-        raise InvalidParameterError("tau and tail_l1 must be nonnegative")
+    _check("tau and tail_l1", tau, tail_l1, zero_ok=True)
     if not rip_condition(prof):
         raise RipConditionError(
             "RIP condition delta_3s < 3(1 - delta_4s) - 1 fails; bound is vacuous"
@@ -189,8 +194,7 @@ def noise_threshold(
     comparison values exist even for profiles where the competitor's own
     exact recovery condition fails.
     """
-    if alpha <= 0:
-        raise InvalidParameterError("alpha must be positive")
+    _check("alpha", alpha)
     if not rip_condition(prof):
         raise RipConditionError("springback RIP condition fails; comparison undefined")
     d3, d4 = prof.delta3s, prof.delta4s
@@ -224,8 +228,9 @@ def constant_c(prof: RipProfile, alpha: float, tau: float, c1s: float) -> float:
     c1s is the (caller-supplied) linear-bound constant of the competing
     model; no closed form for it is available.
     """
-    if c1s <= 0:
-        raise InvalidParameterError("c1s must be positive")
+    _check("alpha", alpha)
+    _check("tau", tau, zero_ok=True)
+    _check("c1s", c1s)
     r4, r3, _, _ = _roots(prof)
     core = (r4 + r3) / (4.0 * (math.sqrt(3.0) + 1.0))
     return alpha**2 * c1s**4 * tau**2 * core**2
@@ -236,6 +241,7 @@ def convergence_alpha_bound(A, b, tau: float) -> float:
     objective values along the solver iterates."""
     A = as_matrix(A)
     b = as_vector(b)
+    _check("tau", tau, zero_ok=True)
     denom = safe_norm(b) + tau
     if denom <= 0:
         raise InvalidParameterError("||b||_2 + tau must be positive")

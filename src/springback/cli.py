@@ -82,11 +82,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--seed", type=int, help="master seed (presets only; default 0)")
     p.add_argument("--out", default="bench_out", help="output directory")
     p.add_argument(
-        "--literal-shape",
-        action="store_true",
-        help="fig7: keep the overdetermined 128x64 Gaussian shape as printed",
-    )
-    p.add_argument(
         "--literal-acceptance",
         action="store_true",
         help="acceptance = springback error <= ADMM-l1 error / 10",
@@ -101,8 +96,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 # (command, mode, flags that mode does not read, why).  In a mode, a flag set
 # away from its default is an error rather than silently dropped.
 _UNREAD_FLAGS = (
-    ("bench", lambda a: a.config, ("seed", "literal_shape", "literal_acceptance"),
-     "preset options; a config file sets its own master_seed, shape and literal_acceptance"),
+    ("bench", lambda a: a.config, ("seed", "literal_acceptance"),
+     "preset options; a config file sets its own master_seed and literal_acceptance"),
     ("solve", lambda a: a.npz,
      ("ensemble", "m", "n", "refinement", "snr", "seed", "min_separation"),
      "instance-generation options; --npz loads a stored instance"),
@@ -136,8 +131,9 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.toy:
+        rows = toy_noise_thresholds(alpha=args.alpha)
         print("noise thresholds where the springback bound beats the linear bound:")
-        for name, value in toy_noise_thresholds(alpha=args.alpha):
+        for name, value in rows:
             # quoted at the reference table's own precision
             text = f"{value:.4f}" if value >= 1e-3 else f"{value:.4e}"
             print(f"  {name:<8} {text}")
@@ -206,7 +202,6 @@ def _cmd_bench(args) -> int:
             args.preset,
             trials=args.trials,
             master_seed=0 if args.seed is None else args.seed,
-            literal_shape=args.literal_shape,
             literal_acceptance=args.literal_acceptance,
         )
     rows, records = bench_mod.run_experiment(spec)

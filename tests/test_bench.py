@@ -372,7 +372,7 @@ def test_manifest_round_trip(tmp_path):
     assert run_experiment(loaded)[0] == run_experiment(spec)[0]
     # every preset, with either acceptance rule, reads back as the spec that
     # wrote it (sweep values compared as floats)
-    for name in ("fig4", "fig5", "fig7", "fig8"):
+    for name in bench.PRESETS:
         for literal in (False, True):
             spec = preset_spec(name, literal_acceptance=literal)
             loaded = _load_text(tmp_path, dump_config(spec))
@@ -491,8 +491,9 @@ def test_presets():
     assert fig5.sweep_axis == "refinement" and fig5.sep_factor == 2
     fig7 = preset_spec("fig7")
     assert (fig7.ensemble.m, fig7.ensemble.n) == (64, 128)
-    lit = preset_spec("fig7", literal_shape=True)
-    assert (lit.ensemble.m, lit.ensemble.n) == (128, 64)
+    assert preset_spec("fig7-literal") == replace(
+        fig7, ensemble=EnsembleSpec(EnsembleKind.GAUSSIAN, m=128, n=64)
+    )
     fig8 = preset_spec("fig8")
     assert fig8.snr_db == 45.0 and "dca_l12" in fig8.solvers
     with pytest.raises(InvalidParameterError):

@@ -224,6 +224,31 @@ def test_bound_argument_checks():
         (lambda: constant_c(TOY_PROFILE, 1.0, 0.1, 0.0), "c1s"),
         (lambda: exact_condition(PenaltyKind.MCP, TOY_PROFILE, params), "no exact recovery"),
         (lambda: noise_threshold(PenaltyKind.MCP, TOY_PROFILE, 1.0, params), "no noise threshold"),
+        # NaN fails every ordering test, so each is checked for finiteness too
+        (lambda: d1(TOY_PROFILE, math.nan), "alpha must be positive"),
+        (lambda: d1(TOY_PROFILE, math.inf), "alpha must be positive"),
+        (lambda: recovery_bound(TOY_PROFILE, math.nan, 0.0), "alpha must be positive"),
+        (lambda: recovery_bound(TOY_PROFILE, 1.0, math.nan), "tau and tail_l1"),
+        (lambda: recovery_bound(TOY_PROFILE, 1.0, math.inf), "tau and tail_l1"),
+        (lambda: recovery_bound(TOY_PROFILE, 1.0, 0.0, math.inf), "tau and tail_l1"),
+        (lambda: recovery_bound(TOY_PROFILE, 1.0, 0.0, math.nan), "tau and tail_l1"),
+        (lambda: noise_threshold(PenaltyKind.L1, TOY_PROFILE, math.nan, params), "alpha must be"),
+        (lambda: noise_threshold(PenaltyKind.L1, TOY_PROFILE, math.inf, params), "alpha must be"),
+        (lambda: alpha_posterior_bound(TOY_PROFILE, 0.0), "xopt_norm"),
+        (lambda: alpha_posterior_bound(TOY_PROFILE, math.nan), "xopt_norm"),
+        (lambda: alpha_posterior_bound(TOY_PROFILE, math.inf), "xopt_norm"),
+        (lambda: posterior_verify(TOY_PROFILE, math.nan, np.ones(3)), "alpha must be positive"),
+        (lambda: posterior_verify(TOY_PROFILE, 0.0, np.zeros(3)), "alpha must be positive"),
+        (lambda: posterior_verify(TOY_PROFILE, 1.0, np.ones(3), eps=math.nan), "eps"),
+        (lambda: posterior_verify(TOY_PROFILE, 1.0, np.ones(3), eps=math.inf), "eps"),
+        (lambda: constant_c(TOY_PROFILE, 1.0, 0.1, math.nan), "c1s"),
+        (lambda: constant_c(TOY_PROFILE, 1.0, 0.1, math.inf), "c1s"),
+        (lambda: constant_c(TOY_PROFILE, math.nan, 0.1, 1.0), "alpha must be positive"),
+        (lambda: constant_c(TOY_PROFILE, 1.0, -0.1, 1.0), "tau"),
+        (lambda: constant_c(TOY_PROFILE, 1.0, math.nan, 1.0), "tau"),
+        (lambda: convergence_alpha_bound(np.eye(2), np.ones(2), -0.5), "tau"),
+        (lambda: convergence_alpha_bound(np.eye(2), np.ones(2), math.nan), "tau"),
+        (lambda: convergence_alpha_bound(np.eye(2), np.ones(2), math.inf), "tau"),
     ):
         with pytest.raises(InvalidParameterError, match=match):
             call()

@@ -57,6 +57,17 @@ def test_bounds_calculator(capsys):
     assert "1.58944" in out.replace(" ", "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--alpha", "nan"], ["--tau", "nan"], ["--tau", "inf"], ["--tail", "inf"],
+     ["--toy", "--alpha", "nan"]],
+)
+def test_bounds_rejects_non_finite_parameters(capsys, argv):
+    assert main(["bounds", *argv]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and out.out == ""
+
+
 def test_bounds_rip_failure(capsys):
     rc = main(["bounds", "--delta3s", "0.9", "--delta4s", "0.9"])
     assert rc == 1
@@ -171,7 +182,7 @@ def test_bench_config_rejects_preset_flags(tmp_path, capsys):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(_TINY_CONFIG)
     out = tmp_path / "run"
-    for flags in (["--seed", "7"], ["--literal-shape"], ["--literal-acceptance"]):
+    for flags in (["--seed", "7"], ["--literal-acceptance"]):
         rc = main(["bench", "--config", str(cfg), "--out", str(out), *flags])
         assert rc == 1
         err = capsys.readouterr().err
@@ -179,15 +190,11 @@ def test_bench_config_rejects_preset_flags(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_bench_literal_shape_is_fig7_only(tmp_path, capsys):
+def test_bench_fig7_literal_preset_writes_the_printed_shape(tmp_path, capsys):
     out = tmp_path / "run"
-    for preset in ("fig4", "fig5", "fig8"):
-        rc = main(["bench", "--preset", preset, "--literal-shape", "--trials", "1",
-                   "--out", str(out)])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: --literal-shape") and repr(preset) in captured.err
-        assert captured.out == "" and not out.exists()
+    assert main(["bench", "--preset", "fig7-literal", "--trials", "1", "--out", str(out)]) == 0
+    manifest = (out / "manifest.cfg").read_text().splitlines()
+    assert "m = 128" in manifest and "n = 64" in manifest
 
 
 def test_bench_config_rejects_nan_success_tol(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 Imports the ``springback`` package of this tree and then that of OTHER_TREE,
 one after the other in one process, and runs all seven solvers on the first
-trials of every sweep point of each preset in that tree's ``bench.PRESETS``
+trials of every sweep point of each preset both trees' ``bench.PRESETS`` name
 (the same instance, options and seeds ``bench`` uses) through
 ``bench.solve_trial``, the path ``run_trial`` takes (the DCA baselines as one
 stack).  Every ``SolverReport`` field is compared by its bits: x_star by
@@ -17,8 +17,11 @@ take, and compares every ``TrialRecord`` field but ``wall_time`` by its
 bits.  A tree may run a sweep's solvers in other processes with their own
 BLAS thread count (one per solver lane in this tree, for every sweep), so a
 record can differ where its report does not: at shapes whose solves round
-differently at another thread count, such as fig5's 100x1500.  A change that claims to
-restructure without touching any result shows 0 differences here.
+differently at another thread count, such as fig5's 100x1500.  It also
+compares each of those presets' manifests, ``dump_config(preset_spec(name,
+trials=TRIALS))``, byte for byte.  A change that claims to restructure
+without touching any spec or result shows 0 differences here.  A preset that
+only one tree names is listed and not compared.
 Last it prints each tree's line count of ``src/springback/*.py``, module by
 module and in total, the net ``src/`` lines a change reports.
 
@@ -28,7 +31,7 @@ Run from the repository root, with the other tree made by, for example,
     python3 tools/report_diff.py ../parent
     python3 tools/report_diff.py ../parent --trials 3
 
-Exits with status 1 when any report or record differs.
+Exits with status 1 when any report, record or manifest differs.
 """
 
 from __future__ import annotations
@@ -76,14 +79,15 @@ def _import_bench(tree: str):
     return bench
 
 
-def reports(tree: str, trials: int) -> dict:
+def reports(tree: str, trials: int, presets: list[str]) -> tuple[dict, dict]:
     """(what, preset, sweep value, trial, solver) -> {field: bits} for one
     tree, where ``what`` is "report" for a solver's report and "record" for
-    its run_experiment record."""
+    its run_experiment record, and preset -> that tree's manifest text."""
     bench = _import_bench(tree)
-    out = {}
-    for preset in bench.PRESETS:
+    out, manifests = {}, {}
+    for preset in presets:
         spec = bench.preset_spec(preset, trials=trials)
+        manifests[preset] = bench.dump_config(spec)
         for si, value in enumerate(spec.sweep_values):
             for ti in range(trials):
                 prob, opts, _ = bench.trial_setup(spec, si, ti)
@@ -96,7 +100,7 @@ def reports(tree: str, trials: int) -> dict:
                 f.name: _bits(getattr(rec, f.name))
                 for f in dataclasses.fields(rec) if f.name != "wall_time"
             }
-    return out
+    return out, manifests
 
 
 def src_lines(tree: str) -> dict[str, int]:
@@ -112,8 +116,14 @@ def main(argv: list[str]) -> int:
     if args.trials < 1:
         parser.error("--trials must be at least 1")
     t0 = time.perf_counter()
-    mine = reports(ROOT, args.trials)
-    theirs = reports(args.other_tree, args.trials)
+    named = {tree: _import_bench(tree).PRESETS for tree in (ROOT, args.other_tree)}
+    shared = [p for p in named[ROOT] if p in named[args.other_tree]]
+    for tree, where in ((ROOT, "this tree"), (args.other_tree, "the other tree")):
+        for preset in named[tree]:
+            if preset not in shared:
+                print(f"{preset}: named in {where} only, not compared")
+    mine, my_manifests = reports(ROOT, args.trials, shared)
+    theirs, their_manifests = reports(args.other_tree, args.trials, shared)
     diffs: dict[tuple[str, str], list[str]] = {}
     counts: dict[tuple[str, str], int] = {}
     for key in sorted(set(mine) | set(theirs), key=str):
@@ -126,21 +136,24 @@ def main(argv: list[str]) -> int:
             what = ", ".join(name for name in sorted(set(a) | set(b)) if a.get(name) != b.get(name))
         if what:
             diffs.setdefault(group, []).append(f"{key[1]} {key[2]:g} trial {key[3]}: {what}")
-    presets = sorted({key[1] for key in set(mine) | set(theirs)})
     solvers = {sid for _, sid in counts}
     print(f"{sum(counts.values())} reports and records of {len(solvers)} solvers on "
-          f"{','.join(presets)}, {args.trials} trial(s) per point, {time.perf_counter() - t0:.0f} s")
+          f"{','.join(shared)}, {args.trials} trial(s) per point, {time.perf_counter() - t0:.0f} s")
     for (what, sid), n in counts.items():
         lines = diffs.get((what, sid), [])
         print(f"{sid}: {len(lines)} of {n} {what}s differ")
         for line in lines:
             print(f"  {line}")
+    differing = [p for p in shared if my_manifests[p] != their_manifests[p]]
+    print(f"{len(differing)} of {len(shared)} manifests differ")
+    for preset in differing:
+        print(f"  {preset}")
     here, there = src_lines(ROOT), src_lines(args.other_tree)
     print("src/springback lines: here, the other tree, change")
     for name in sorted(set(here) | set(there)) + ["total"]:
         a, b = (sum(v.values()) if name == "total" else v.get(name, 0) for v in (here, there))
         print(f"  {name:<14} {a:5d} {b:5d} {a - b:+6d}")
-    return 1 if diffs else 0
+    return 1 if diffs or differing else 0
 
 
 if __name__ == "__main__":
