@@ -15,8 +15,8 @@ import configparser
 import csv
 import enum
 import io
-import math
 import multiprocessing.connection
+import numbers
 import os
 import signal
 import subprocess
@@ -27,7 +27,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_positive
 from .penalties import PenaltyKind
 from .sensing import (
     EnsembleKind,
@@ -126,10 +126,9 @@ class ExperimentSpec:
             raise InvalidParameterError("sweep_values must be distinct")
         if self.sweep_axis != "snr" and not all(float(v).is_integer() for v in self.sweep_values):
             raise InvalidParameterError(f"sweep_values on the {self.sweep_axis!r} axis must be integers")
-        if self.trials < 1:
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
-        if not 0 < self.success_tol < math.inf:
-            raise InvalidParameterError("success_tol must be positive and finite")
+        check_positive("success_tol", self.success_tol)
         if not self.solvers:
             raise InvalidParameterError("solvers must be nonempty")
         for sid in self.solvers:
@@ -137,11 +136,11 @@ class ExperimentSpec:
                 raise InvalidParameterError(f"unknown solver id {sid!r}")
         if len(set(self.solvers)) != len(self.solvers):
             raise InvalidParameterError("solvers must be distinct")
-        if self.sep_factor < 0 or self.min_separation < 0:
+        seps = (self.sep_factor, self.min_separation)
+        if not all(isinstance(v, numbers.Integral) and v >= 0 for v in seps):
             raise InvalidParameterError("separation settings must be nonnegative")
-        if not 0 < self.omega < math.inf:
-            raise InvalidParameterError("omega must be positive and finite")
-        if self.master_seed < 0:
+        check_positive("omega", self.omega)
+        if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
             raise InvalidParameterError(f"master_seed must be nonnegative, got {self.master_seed}")
         for index in range(len(self.sweep_values)):  # every point is valid before a trial runs
             ens, s, sep, snr = _resolve_point(self, index)

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, RipConditionError
+from .errors import InvalidParameterError, NumericError, RipConditionError, check_positive
 from .linalg import as_matrix, as_vector, safe_norm, singular_extremes
 from .penalties import PenaltyKind, ThresholdParams
 
@@ -83,14 +83,6 @@ def _roots(prof: RipProfile) -> tuple[float, float, float, float]:
     )
 
 
-def _check(what: str, *values: float, zero_ok: bool = False) -> None:
-    """Raise unless every value is finite and positive (nonnegative if zero_ok)."""
-    sign = "nonnegative" if zero_ok else "positive"
-    for v in values:
-        if not (math.isfinite(v) and (v >= 0 if zero_ok else v > 0)):
-            raise InvalidParameterError(f"{what} must be {sign} and finite")
-
-
 def rip_condition(prof: RipProfile) -> bool:
     """Whether delta_3s < 3 (1 - delta_4s) - 1, the springback/l1 condition."""
     return prof.delta3s < 3.0 * (1.0 - prof.delta4s) - 1.0
@@ -98,7 +90,7 @@ def rip_condition(prof: RipProfile) -> bool:
 
 def d1(prof: RipProfile, alpha: float) -> float:
     """Quadratic coefficient of the recovery estimate."""
-    _check("alpha", alpha)
+    check_positive("alpha", alpha)
     r4, r3, s3, s1 = _roots(prof)
     return 0.5 * alpha * (r4 + r3) / (s3 + s1)
 
@@ -114,7 +106,7 @@ def alpha_posterior_bound(prof: RipProfile, xopt_norm: float) -> float:
 
     Pass ``||x*||_2 + eps`` for the accuracy-inflated variant.
     """
-    _check("xopt_norm", xopt_norm)
+    check_positive("xopt_norm", xopt_norm)
     r4, r3, s3, s1 = _roots(prof)
     return (r4 * s3 - r3 * s1) / ((r4 + r3) * xopt_norm)
 
@@ -122,8 +114,8 @@ def alpha_posterior_bound(prof: RipProfile, xopt_norm: float) -> float:
 def posterior_verify(prof: RipProfile, alpha: float, x_star, eps: float = 0.0) -> bool:
     """Check alpha against the posterior bound evaluated at ||x*||_2 + eps."""
     x_star = as_vector(x_star)
-    _check("alpha", alpha)
-    _check("eps", eps, zero_ok=True)
+    check_positive("alpha", alpha)
+    check_positive("eps", eps, zero_ok=True)
     norm = float(np.linalg.norm(x_star)) + eps
     if norm <= 0:
         return True
@@ -143,13 +135,15 @@ def recovery_bound(
     sparse signals); the improved variants subtract the linear-term
     correction.
     """
-    _check("tau and tail_l1", tau, tail_l1, zero_ok=True)
+    check_positive("tau and tail_l1", tau, tail_l1, zero_ok=True)
     if not rip_condition(prof):
         raise RipConditionError(
             "RIP condition delta_3s < 3(1 - delta_4s) - 1 fails; bound is vacuous"
         )
     c1 = d1(prof, alpha)
     c2 = d2(prof)
+    if c1 == 0.0:  # alpha below about 1e-322
+        raise NumericError("D1 underflows to 0: alpha is too small for a finite bound")
     inner = 2.0 * tau / c1 + 4.0 * tail_l1 / alpha
     if improved:
         shift = c2 / (2.0 * c1)
@@ -158,6 +152,8 @@ def recovery_bound(
     else:
         value = math.sqrt(inner)
         kind = BoundKind.NEARLY_SPARSE if tail_l1 > 0 else BoundKind.SPARSE
+    if not math.isfinite(value):
+        raise NumericError(f"recovery bound overflows to {value} at alpha = {alpha:g}, tau = {tau:g}")
     return BoundReport(d1=c1, d2=c2, bound=value, kind=kind)
 
 
@@ -194,7 +190,7 @@ def noise_threshold(
     comparison values exist even for profiles where the competitor's own
     exact recovery condition fails.
     """
-    _check("alpha", alpha)
+    check_positive("alpha", alpha)
     if not rip_condition(prof):
         raise RipConditionError("springback RIP condition fails; comparison undefined")
     d3, d4 = prof.delta3s, prof.delta4s
@@ -202,24 +198,26 @@ def noise_threshold(
     ssum = s3 + s1
     rsum = r4 + r3
     if kind is PenaltyKind.L1:
-        return ssum * (math.sqrt(3.0) * r4 - r3) ** 2 / (4.0 * alpha * rsum)
-    if kind is PenaltyKind.LP:
+        num, den = ssum * (math.sqrt(3.0) * r4 - r3) ** 2, 4.0 * alpha * rsum
+    elif kind is PenaltyKind.LP:
         p = params.p
         num = ssum * ((1.0 - d4) ** (p / 2.0) - (1.0 + d3) ** (p / 2.0) * 3.0 ** (p / 2.0 - 1.0)) ** (2.0 / p)
         den = alpha * rsum * (1.0 + 1.0 / ((2.0 / p - 1.0) * 3.0 ** (2.0 / p - 1.0)))
-        return num / den
-    if kind is PenaltyKind.TL1:
+    elif kind is PenaltyKind.TL1:
         b = params.beta
         core = (b / (b + 1.0)) * math.sqrt(3.0) * r4 - r3
         num = 4.0 * ssum * (1.0 - d3) * core**2
         den = alpha * rsum * (core + s3 * math.sqrt(1.0 - d3)) ** 2
-        return num / den
-    if kind is PenaltyKind.L1_MINUS_2:
+    elif kind is PenaltyKind.L1_MINUS_2:
         a = a_of_s(prof.s)
         num = ssum * (math.sqrt(a * (1.0 - d4)) - r3) ** 2
         den = alpha * rsum * (s3 - math.sqrt(prof.s * a)) ** 2
-        return num / den
-    raise InvalidParameterError(f"no noise threshold formula for {kind!r}")
+    else:
+        raise InvalidParameterError(f"no noise threshold formula for {kind!r}")
+    value = num / den
+    if not math.isfinite(value):
+        raise NumericError(f"noise threshold overflows to {value} at alpha = {alpha:g}")
+    return value
 
 
 def constant_c(prof: RipProfile, alpha: float, tau: float, c1s: float) -> float:
@@ -228,9 +226,9 @@ def constant_c(prof: RipProfile, alpha: float, tau: float, c1s: float) -> float:
     c1s is the (caller-supplied) linear-bound constant of the competing
     model; no closed form for it is available.
     """
-    _check("alpha", alpha)
-    _check("tau", tau, zero_ok=True)
-    _check("c1s", c1s)
+    check_positive("alpha", alpha)
+    check_positive("tau", tau, zero_ok=True)
+    check_positive("c1s", c1s)
     r4, r3, _, _ = _roots(prof)
     core = (r4 + r3) / (4.0 * (math.sqrt(3.0) + 1.0))
     return alpha**2 * c1s**4 * tau**2 * core**2
@@ -241,7 +239,7 @@ def convergence_alpha_bound(A, b, tau: float) -> float:
     objective values along the solver iterates."""
     A = as_matrix(A)
     b = as_vector(b)
-    _check("tau", tau, zero_ok=True)
+    check_positive("tau", tau, zero_ok=True)
     denom = safe_norm(b) + tau
     if denom <= 0:
         raise InvalidParameterError("||b||_2 + tau must be positive")
@@ -259,7 +257,7 @@ def toy_noise_thresholds(alpha: float = 1.0) -> list[tuple[str, float]]:
     usually quoted: l1, l0.2, l0.5, l0.999, transformed l1 (beta=1), l1-l2."""
     prof = TOY_PROFILE
     base = ThresholdParams()
-    rows = [
+    return [
         ("l1", noise_threshold(PenaltyKind.L1, prof, alpha, base)),
         ("l0.2", noise_threshold(PenaltyKind.LP, prof, alpha, ThresholdParams(p=0.2))),
         ("l0.5", noise_threshold(PenaltyKind.LP, prof, alpha, ThresholdParams(p=0.5))),
@@ -267,4 +265,3 @@ def toy_noise_thresholds(alpha: float = 1.0) -> list[tuple[str, float]]:
         ("tl1", noise_threshold(PenaltyKind.TL1, prof, alpha, ThresholdParams(beta=1.0))),
         ("l1-l2", noise_threshold(PenaltyKind.L1_MINUS_2, prof, alpha, base)),
     ]
-    return rows

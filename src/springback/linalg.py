@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError
+from .errors import InvalidParameterError, NumericError, check_positive
 
 __all__ = [
     "as_matrix",
@@ -99,8 +99,7 @@ class GramRidgeSolver:
 
     def __init__(self, A, zeta: float):
         A = as_matrix(A)
-        if not 0 < zeta < math.inf:
-            raise InvalidParameterError("zeta must be positive and finite")
+        check_positive("zeta", zeta)
         m, n = A.shape
         self._A = A
         self._At = A.T
@@ -197,8 +196,7 @@ def l2_ball_project(v, tau: float) -> np.ndarray:
     perfbench/selftest.py calls this one to check its tracer.
     """
     v = as_vector(v)
-    if tau < 0:
-        raise InvalidParameterError("ball radius must be nonnegative")
+    check_positive("ball radius", tau, zero_ok=True)
     if tau == 0.0:
         return np.zeros_like(v)
     nrm = float(np.linalg.norm(v))

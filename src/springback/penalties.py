@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_positive
 from .linalg import as_vector
 
 __all__ = [
@@ -57,9 +57,7 @@ class ThresholdParams:
 
     def __post_init__(self):
         for name in ("alpha", "mu", "beta"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise InvalidParameterError(f"{name} must be positive and finite")
+            check_positive(name, getattr(self, name))
         if not (0.0 < self.p < 1.0):
             raise InvalidParameterError("p must lie in (0, 1)")
 
@@ -100,8 +98,7 @@ def soft_shrink(v: np.ndarray, t: float) -> np.ndarray:
 
 def _springback_scale(lam: float, alpha: float) -> float:
     """The springback divisor 1 - lam*alpha, checked with its parameters."""
-    if not (0 < lam < math.inf and 0 < alpha < math.inf):
-        raise InvalidParameterError("lam and alpha must be positive and finite")
+    check_positive("lam and alpha", lam, alpha)
     scale = 1.0 - lam * alpha
     if scale <= 0:
         raise InvalidParameterError("springback thresholding requires 1 - lam*alpha > 0")
@@ -119,8 +116,7 @@ def _threshold(w: float, lam: float, scale: float = 1.0) -> float:
 
 def soft_threshold(w: float, lam: float) -> float:
     """sgn(w) * max(|w| - lam, 0)."""
-    if not 0 < lam < math.inf:
-        raise InvalidParameterError("lam must be positive and finite")
+    check_positive("lam", lam)
     return _threshold(w, lam)
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError
+from .errors import InvalidParameterError, NumericError, check_positive
 from .linalg import (
     GramRidgeSolver,
     SpdFactor,
@@ -106,8 +107,7 @@ class ProblemInstance:
             raise InvalidParameterError(
                 f"A has {A.shape[0]} rows but b has length {b.shape[0]}"
             )
-        if not 0.0 <= self.tau < math.inf:
-            raise InvalidParameterError("tau must be nonnegative and finite")
+        check_positive("tau", self.tau, zero_ok=True)
         if self.ground_truth is not None:
             g = as_vector(self.ground_truth)
             if g.shape[0] != A.shape[1]:
@@ -150,10 +150,10 @@ class SolverOptions:
 
     def __post_init__(self):
         for name in ("alpha", "eps_outer", "eps_inner"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InvalidParameterError(f"{name} must be positive and finite")
+            check_positive(name, getattr(self, name))
         for name in ("max_inner", "sparsity_estimate"):
-            if getattr(self, name) < 1:
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < 1:
                 raise InvalidParameterError(f"{name} must be a positive integer")
 
 
@@ -435,8 +435,8 @@ def _outer(prob: ProblemInstance, cap: int, step, traces, states=None) -> list[S
     indices of the rows still running and their iterates, appends to their
     traces itself, and returns per row (x, stop), or None for a row whose
     step met a non-finite value; a NumericError it raises is a None for each
-    of its rows.  A row's first stop converges, ``cap`` steps without one
-    end at MAX_ITER, and a None ends the row at its last completed iterate
+    of its rows.  A row's first stop converges, ``cap`` >= 1 steps without
+    one end at MAX_ITER, and a None ends the row at its last completed iterate
     with NUMERIC_FAILURE; the other rows carry on.  A report holds its row's
     iterate, its residual ||A x - b||_2 and the completed steps; its inner
     iterations are those of the row's warm inner state in ``states`` when
@@ -445,7 +445,7 @@ def _outer(prob: ProblemInstance, cap: int, step, traces, states=None) -> list[S
     k = len(traces)
     xs = [np.zeros(prob.A.shape[1]) for _ in range(k)]
     done, status = [0] * k, [SolverStatus.MAX_ITER] * k
-    rows = list(range(k)) if cap > 0 else []
+    rows = list(range(k))
     while rows:
         try:
             outcomes = step(rows, [xs[r] for r in rows])
@@ -762,10 +762,8 @@ def alpha_subroutine(A, b, tau: float, omega: float = OMEGA) -> float:
     """
     A = as_matrix(A)
     b = as_vector(b)
-    if not 0 < omega < math.inf:
-        raise InvalidParameterError("omega must be positive and finite")
-    if not 0 <= tau < math.inf:
-        raise InvalidParameterError("tau must be nonnegative and finite")
+    check_positive("omega", omega)
+    check_positive("tau", tau, zero_ok=True)
     denom = safe_norm(b) + tau
     if denom == 0:
         return ALPHA_MAX

@@ -24,7 +24,7 @@ from springback.bounds import (
     toy_noise_thresholds,
 )
 from springback.solvers import alpha_subroutine
-from springback.errors import InvalidParameterError, RipConditionError
+from springback.errors import InvalidParameterError, NumericError, RipConditionError
 from springback.penalties import PenaltyKind, ThresholdParams
 
 
@@ -252,6 +252,27 @@ def test_bound_argument_checks():
     ):
         with pytest.raises(InvalidParameterError, match=match):
             call()
+
+
+# A tiny alpha makes 2 tau / D1 overflow (or D1 underflow to 0), a huge tau
+# makes 2 tau overflow, and the improved form's shift^2 - shift turns NaN:
+# each is a NumericError, not an inf or NaN bound.
+_OVERFLOWING_BOUNDS = {
+    "sparse": lambda: recovery_bound(TOY_PROFILE, 1e-320, 0.1),
+    "sparse-improved-2tau": lambda: recovery_bound(TOY_PROFILE, 1e308, 1e308, improved=True),
+    "sparse-improved-nan": lambda: recovery_bound(TOY_PROFILE, 1e-320, 0.0, improved=True),
+    "nearly-sparse": lambda: recovery_bound(TOY_PROFILE, 1e-320, 0.0, tail_l1=1.0),
+    "d1-underflow": lambda: recovery_bound(TOY_PROFILE, 5e-324, 0.1),
+    "threshold-l1": lambda: noise_threshold(PenaltyKind.L1, TOY_PROFILE, 1e-320, ThresholdParams()),
+    "threshold-tl1": lambda: noise_threshold(PenaltyKind.TL1, TOY_PROFILE, 1e-320, ThresholdParams()),
+    "toy-table": lambda: toy_noise_thresholds(alpha=1e-320),
+}
+
+
+@pytest.mark.parametrize("call", list(_OVERFLOWING_BOUNDS))
+def test_overflowing_bounds_raise(call):
+    with pytest.raises(NumericError, match="overflows|underflows"):
+        _OVERFLOWING_BOUNDS[call]()
 
 
 def test_l1_minus_l2_condition_is_stricter_than_l1s():

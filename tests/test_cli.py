@@ -68,6 +68,17 @@ def test_bounds_rejects_non_finite_parameters(capsys, argv):
     assert out.err.startswith("error: ") and out.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--alpha", "1e-320", "--tau", "0.1"], ["--alpha", "1e308", "--tau", "1e308", "--improved"],
+     ["--toy", "--alpha", "1e-320"]],
+)
+def test_bounds_that_overflow_exit_1(capsys, argv):
+    assert main(["bounds", *argv]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and "overflows" in out.err and out.out == ""
+
+
 def test_bounds_rip_failure(capsys):
     rc = main(["bounds", "--delta3s", "0.9", "--delta4s", "0.9"])
     assert rc == 1

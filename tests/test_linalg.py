@@ -269,8 +269,9 @@ def test_l2_ball_project():
     np.testing.assert_allclose(l2_ball_project(v, 10.0), v)
     np.testing.assert_allclose(l2_ball_project(v, 1.0), v / 5.0)
     np.testing.assert_array_equal(l2_ball_project(v, 0.0), np.zeros(2))
-    with pytest.raises(InvalidParameterError):
-        l2_ball_project(v, -1.0)
+    for radius in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="ball radius"):
+            l2_ball_project(v, radius)
 
 
 _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)

@@ -71,6 +71,21 @@ def test_module_layering():
         assert imports == LAYERS[module], module
 
 
+def test_finiteness_rule_is_written_once():
+    # "positive (or nonnegative) and finite" is errors.check_positive's rule;
+    # a module that raises its message itself keeps a copy of that rule
+    root = Path(springback.__file__).parent
+    copies = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.glob("*.py"))
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and any(isinstance(c, ast.Constant) and "and finite" in str(c.value) for c in ast.walk(node))
+    ]
+    assert copies == []
+
+
 def test_no_module_imports_scipy_at_module_level():
     # scipy's LAPACK is imported where a factor is built (linalg.SpdFactor),
     # so a process that builds none, such as a sweep's own, never loads it

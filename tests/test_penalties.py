@@ -28,6 +28,10 @@ def test_threshold_params_validation():
         ThresholdParams(alpha=-1.0)
     with pytest.raises(InvalidParameterError):
         ThresholdParams(p=1.0)
+    for name in ("alpha", "mu", "beta"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(InvalidParameterError, match=f"{name} must be positive and finite"):
+                ThresholdParams(**{name: value})
     ThresholdParams()  # defaults valid
 
 
@@ -98,16 +102,21 @@ def test_springback_threshold_examples():
         springback_threshold(1.0, 0.5, 2.0)  # 1 - lam*alpha = 0
 
 
-# NaN fails every comparison, so each check is written as not 0 < v < inf
+# NaN fails every comparison, so check_positive tests finiteness first
 _NON_FINITE_PARAMETER_CALLS = {
     "soft-lam": lambda: soft_threshold(1.0, np.nan),
     "soft-lam-inf": lambda: soft_threshold(1.0, np.inf),
     "springback-lam": lambda: springback_threshold(1.0, np.nan, 0.5),
     "springback-alpha": lambda: springback_threshold(1.0, 0.25, np.nan),
+    "springback-lam-inf": lambda: springback_threshold(1.0, np.inf, 0.5),
+    "springback-alpha-inf": lambda: springback_threshold(1.0, 0.25, np.inf),
     "firm-lam": lambda: firm_threshold(0.5, np.nan, 0.75),
     "firm-mu": lambda: firm_threshold(0.5, 0.25, np.nan),
+    "firm-mu-inf": lambda: firm_threshold(0.5, 0.25, np.inf),
     "prox-lam": lambda: prox_springback(np.ones(3), np.nan, 0.5),
     "prox-alpha": lambda: prox_springback(np.ones(3), 0.25, np.nan),
+    "prox-lam-inf": lambda: prox_springback(np.ones(3), np.inf, 0.5),
+    "prox-alpha-inf": lambda: prox_springback(np.ones(3), 0.25, np.inf),
 }
 
 

@@ -62,6 +62,12 @@ def test_solver_options_validation():
         SolverOptions(max_inner=0)
     with pytest.raises(InvalidParameterError):
         SolverOptions(eps_outer=-1.0)
+    # NaN passes every ordering test, and a fractional cap fails deep in a solve
+    for name in ("max_inner", "sparsity_estimate"):
+        for value in (np.nan, np.inf, 2.5, 3.0):
+            with pytest.raises(InvalidParameterError, match=f"{name} must be a positive integer"):
+                SolverOptions(**{name: value})
+    SolverOptions(max_inner=np.int64(7), sparsity_estimate=np.int32(2))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -373,22 +379,28 @@ def _check_raising_at_step(mp, k, first):
 )
 def test_numeric_failure_at_step_k_reports_the_completed_steps(monkeypatch, name, cap, first, seeded, k):
     # the shared outer loop: a NumericError in step k ends the solve with the
-    # k - 1 completed steps, as a run capped at k - 1 steps ends
+    # k - 1 completed steps, as a run capped at k - 1 steps ends, and with
+    # x^0 = 0 at k = 1 (every cap is at least one step)
     prob, _ = _gaussian_instance(32, 80, 6, 5)
     opts = SolverOptions(sparsity_estimate=6)
     solve = getattr(solvers_mod, name)
     with monkeypatch.context() as mp:
-        mp.setattr(solvers_mod, cap, k - 1)
-        capped = solve(prob, opts)
-    with monkeypatch.context() as mp:
         _check_raising_at_step(mp, k, first)
         rep = solve(prob, opts)
-    assert capped.status is SolverStatus.MAX_ITER
     assert rep.status is SolverStatus.NUMERIC_FAILURE
     assert rep.outer_iterations == rep.inner_iterations_total == k - 1
+    assert len(rep.objective_trace) == rep.outer_iterations + seeded
+    if k == 1:
+        assert not rep.x_star.any()
+        assert rep.objective_trace == [rep.residual] * seeded
+        assert rep.residual == float(np.linalg.norm(prob.b))
+        return
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers_mod, cap, k - 1)
+        capped = solve(prob, opts)
+    assert capped.status is SolverStatus.MAX_ITER
     assert np.array_equal(rep.x_star, capped.x_star)
     assert rep.objective_trace == capped.objective_trace
-    assert len(rep.objective_trace) == rep.outer_iterations + seeded
     assert rep.residual == capped.residual
 
 
