@@ -16,7 +16,6 @@ import csv
 import enum
 import io
 import multiprocessing.connection
-import numbers
 import os
 import signal
 import subprocess
@@ -27,7 +26,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_positive
+from .errors import InvalidParameterError, check_integer, check_positive
 from .penalties import PenaltyKind
 from .sensing import (
     EnsembleKind,
@@ -126,8 +125,7 @@ class ExperimentSpec:
             raise InvalidParameterError("sweep_values must be distinct")
         if self.sweep_axis != "snr" and not all(float(v).is_integer() for v in self.sweep_values):
             raise InvalidParameterError(f"sweep_values on the {self.sweep_axis!r} axis must be integers")
-        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
-            raise InvalidParameterError("trials must be >= 1")
+        check_integer("trials must be >= 1", self.trials)
         check_positive("success_tol", self.success_tol)
         if not self.solvers:
             raise InvalidParameterError("solvers must be nonempty")
@@ -136,12 +134,12 @@ class ExperimentSpec:
                 raise InvalidParameterError(f"unknown solver id {sid!r}")
         if len(set(self.solvers)) != len(self.solvers):
             raise InvalidParameterError("solvers must be distinct")
-        seps = (self.sep_factor, self.min_separation)
-        if not all(isinstance(v, numbers.Integral) and v >= 0 for v in seps):
-            raise InvalidParameterError("separation settings must be nonnegative")
+        check_integer(
+            "separation settings must be nonnegative", self.sep_factor, self.min_separation, least=0
+        )
         check_positive("omega", self.omega)
-        if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
-            raise InvalidParameterError(f"master_seed must be nonnegative, got {self.master_seed}")
+        seed = self.master_seed
+        check_integer(f"master_seed must be nonnegative, got {seed}", seed, least=0)
         for index in range(len(self.sweep_values)):  # every point is valid before a trial runs
             ens, s, sep, snr = _resolve_point(self, index)
             SignalSpec(n=ens.n, sparsity=s, min_separation=sep)

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, NumericError, RipConditionError, check_positive
+from .errors import InvalidParameterError, NumericError, RipConditionError, check_integer, check_positive
 from .linalg import as_matrix, as_vector, safe_norm, singular_extremes
 from .penalties import PenaltyKind, ThresholdParams
 
@@ -48,8 +48,7 @@ class RipProfile:
     delta4s: float
 
     def __post_init__(self):
-        if self.s < 1:
-            raise InvalidParameterError("sparsity s must be a positive integer")
+        check_integer("sparsity s must be a positive integer", self.s)
         if not (0.0 < self.delta3s < 1.0 and 0.0 < self.delta4s < 1.0):
             raise InvalidParameterError("isometry constants must lie in (0, 1)")
 
@@ -159,8 +158,7 @@ def recovery_bound(
 
 def a_of_s(s: int) -> float:
     """Sharpness constant of the l1-minus-l2 exact recovery condition."""
-    if s < 1:
-        raise InvalidParameterError("s must be a positive integer")
+    check_integer("s must be a positive integer", s)
     return ((3.0 * s - 1.0) / (math.sqrt(3.0) * s + math.sqrt(4.0 * s - 1.0))) ** 2
 
 

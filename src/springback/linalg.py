@@ -5,14 +5,18 @@ arrays.  Everything here is a pure function of its inputs (the factorization
 caches never change once built), so concurrent use is safe.
 
 scipy's LAPACK supplies the Cholesky factor and its triangular solves
-(``potrs``), and is imported where a factor is built, not with this module:
-a process that builds no factor, such as a sweep's own, never loads
-``scipy.linalg``, and the first factor in a process pays its import.
+(``potrs``).  The first factor a process builds loads them from scipy's
+extension ``_flapack`` alone (``_lapack``), so no process imports the
+``scipy.linalg`` package, about 0.25 s of modules no factor uses.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 
 import numpy as np
 
@@ -49,27 +53,40 @@ def as_vector(a) -> np.ndarray:
     return v
 
 
+@functools.cache
+def _lapack():
+    """(dpotrf, dpotrs) from ``scipy/linalg/_flapack``, loaded on its own:
+    the routines ``scipy.linalg`` calls, without importing it.  ImportError
+    if scipy no longer ships the extension there."""
+    import scipy
+
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [where])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {where}")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dpotrf, flapack.dpotrs
+
+
 class SpdFactor:
     """Cached Cholesky factorization of a symmetric positive definite matrix.
 
     The factorization is computed once and reused for repeated right-hand
     sides, which is what the solvers need: the same normal matrix is solved
-    against at every inner iteration.  ``chol`` is LAPACK's lower factor;
-    scipy's LAPACK binding is imported here, once per factor, and kept on it.
+    against at every inner iteration.  ``chol`` is LAPACK's lower factor,
+    from the very ``potrf`` call of ``scipy.linalg.cho_factor(M,
+    lower=True)``; the ``potrs`` binding is kept on the factor.
     """
 
     def __init__(self, M):
-        from scipy.linalg import LinAlgError, cho_factor
-        from scipy.linalg.lapack import dpotrs
-
         M = as_matrix(M)
         if M.shape[0] != M.shape[1]:
             raise InvalidParameterError("SPD solve requires a square matrix")
-        try:
-            self.chol, _ = cho_factor(M, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise NumericError(f"matrix is not positive definite: {exc}") from exc
-        self._potrs = dpotrs
+        potrf, self._potrs = _lapack()
+        self.chol, info = potrf(M, lower=1, clean=0)
+        if info > 0:
+            raise NumericError(f"matrix is not positive definite at leading minor {info}")
         self.shape = M.shape
 
     def solve(self, r) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_integer
 from .linalg import as_vector, safe_norm
 
 __all__ = [
@@ -47,10 +47,9 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise InvalidParameterError("m and n must be positive")
-        if self.refinement < 1:
-            raise InvalidParameterError("refinement factor must be >= 1")
+        check_integer("m and n must be positive", self.m, self.n)
+        check_integer("refinement factor must be >= 1", self.refinement)
+        check_integer("seed must be a nonnegative integer", self.seed, least=0)
         if self.kind is not EnsembleKind.OVERSAMPLED_DCT and self.refinement != 1:
             raise InvalidParameterError(
                 "refinement factor only applies to the oversampled DCT ensemble"
@@ -67,12 +66,12 @@ class SignalSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameterError("n must be positive")
-        if not (0 <= self.sparsity <= self.n):
+        check_integer("n must be positive", self.n)
+        check_integer("sparsity must lie in [0, n]", self.sparsity, least=0)
+        if self.sparsity > self.n:
             raise InvalidParameterError("sparsity must lie in [0, n]")
-        if self.min_separation < 0:
-            raise InvalidParameterError("min_separation must be nonnegative")
+        check_integer("min_separation must be nonnegative", self.min_separation, least=0)
+        check_integer("seed must be a nonnegative integer", self.seed, least=0)
         s, sep = self.sparsity, self.min_separation
         if s > 0 and sep > 0 and (s - 1) * sep + 1 > self.n:
             raise InvalidParameterError(
@@ -167,6 +166,7 @@ def add_noise_snr(clean, snr_db: float, seed: int) -> tuple[np.ndarray, float]:
     entries of about 1e154: 1e160 at 20 dB raises though sigma would be 1e159.
     """
     ratio = snr_ratio(snr_db)
+    check_integer("seed must be a nonnegative integer", seed, least=0)
     clean = as_vector(clean)
     if not np.any(clean):
         raise InvalidParameterError("cannot calibrate noise power to a zero signal")

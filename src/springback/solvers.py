@@ -13,12 +13,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError, check_positive
+from .errors import InvalidParameterError, NumericError, check_integer, check_positive
 from .linalg import (
     GramRidgeSolver,
     SpdFactor,
@@ -152,9 +151,7 @@ class SolverOptions:
         for name in ("alpha", "eps_outer", "eps_inner"):
             check_positive(name, getattr(self, name))
         for name in ("max_inner", "sparsity_estimate"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or v < 1:
-                raise InvalidParameterError(f"{name} must be a positive integer")
+            check_integer(f"{name} must be a positive integer", getattr(self, name))
 
 
 class SolverStatus(enum.Enum):
@@ -692,8 +689,7 @@ def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:
     counted, so the result has exactly min(s, nnz(v)) nonzeros.
     """
     v = as_vector(v)
-    if s < 0:
-        raise InvalidParameterError("s must be nonnegative")
+    check_integer("s must be nonnegative", s, least=0)
     return _top_s(v, s)
 
 

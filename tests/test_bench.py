@@ -81,11 +81,11 @@ def test_spec_validation():
         with pytest.raises(InvalidParameterError, match="omega"):
             _small_spec(omega=omega)
     for setting in ("sep_factor", "min_separation"):
-        for value in (-1, np.nan, 2.5):
+        for value in (-1, np.nan, 2.5, True):
             with pytest.raises(InvalidParameterError, match="separation settings"):
                 _small_spec(**{setting: value})
     # the integer settings take integers only: NaN passes every ordering test
-    for value in (np.nan, np.inf, 2.5, 3.0):
+    for value in (np.nan, np.inf, 2.5, 3.0, True):
         with pytest.raises(InvalidParameterError, match="trials"):
             _small_spec(trials=value)
         with pytest.raises(InvalidParameterError, match="master_seed"):

@@ -111,6 +111,15 @@ def test_recovery_bound_monotone_in_tau_and_tail():
         assert b1 <= b2 <= b3
 
 
+# NaN passes every ordering test, and a fractional s skews every formula
+@pytest.mark.parametrize("s", [math.nan, 2.5, 3.0, True])
+def test_sparsity_must_be_an_integer(s):
+    with pytest.raises(InvalidParameterError, match="s must be a positive integer"):
+        RipProfile(s=s, delta3s=0.2, delta4s=0.2)
+    with pytest.raises(InvalidParameterError, match="s must be a positive integer"):
+        a_of_s(s)
+
+
 def test_a_of_s_values():
     assert a_of_s(1) == pytest.approx(1.0 / 3.0)
     assert a_of_s(20) == pytest.approx(1.837142, rel=1e-5)
@@ -249,6 +258,9 @@ def test_bound_argument_checks():
         (lambda: convergence_alpha_bound(np.eye(2), np.ones(2), -0.5), "tau"),
         (lambda: convergence_alpha_bound(np.eye(2), np.ones(2), math.nan), "tau"),
         (lambda: convergence_alpha_bound(np.eye(2), np.ones(2), math.inf), "tau"),
+        # an int beyond the float range is not finite, not an OverflowError
+        (lambda: d1(TOY_PROFILE, 10**400), "alpha must be positive"),
+        (lambda: recovery_bound(TOY_PROFILE, 1.0, 10**400), "tau and tail_l1"),
     ):
         with pytest.raises(InvalidParameterError, match=match):
             call()

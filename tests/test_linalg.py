@@ -1,11 +1,17 @@
 """Tests for the dense linear-algebra kernels."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import springback
+from springback import linalg
 from springback.errors import InvalidParameterError, NumericError
 from springback.linalg import (
     GramRidgeSolver,
@@ -56,9 +62,73 @@ def test_spd_factor_reusable_and_validates():
         SpdFactor(np.ones((2, 3)))
 
 
-def test_spd_rejects_indefinite():
-    with pytest.raises(NumericError):
-        SpdFactor(np.diag([1.0, -1.0]))
+@pytest.mark.parametrize("M", [np.diag([1.0, -1.0]), np.zeros((3, 3)), np.ones((4, 4))])
+def test_spd_rejects_indefinite(M):
+    with pytest.raises(NumericError, match="matrix is not positive definite"):
+        SpdFactor(M)
+
+
+def _spd_and_rhs(order):
+    rng = np.random.default_rng(order)
+    B = rng.standard_normal((order, order))
+    return B @ B.T + order * np.eye(order), rng.standard_normal(order)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# linalg._lapack loads scipy's _flapack on its own; its routines must be the
+# ones scipy.linalg calls, to the bit.  A scipy that moves _flapack fails here.
+@pytest.mark.parametrize("reload", [False, True])
+@pytest.mark.parametrize("order", [50, 64, 100])
+def test_lapack_is_scipy_linalgs_to_the_bit(order, reload):
+    from scipy.linalg import cho_factor
+    from scipy.linalg.lapack import dpotrs
+
+    if reload:  # a fresh load beside an imported scipy.linalg
+        linalg._lapack.cache_clear()
+    potrf, potrs = linalg._lapack()
+    M, r = _spd_and_rhs(order)
+    chol, info = potrf(M, lower=1, clean=0)
+    assert info == 0
+    assert _same_bytes(chol, cho_factor(M, lower=True, check_finite=False)[0])
+    assert _same_bytes(potrs(chol, r, lower=1)[0], dpotrs(chol, r, lower=1)[0])
+    factor = SpdFactor(M)
+    assert _same_bytes(factor.chol, chol) and factor._potrs is potrs
+    assert _same_bytes(factor.solve(r), dpotrs(chol, r, lower=1)[0])
+
+
+# A fresh interpreter factors with linalg._lapack before scipy.linalg is
+# loaded, then imports scipy.linalg and compares.
+_FRESH_FACTOR = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from springback.linalg import SpdFactor
+out = []
+for order in (50, 64, 100):
+    rng = np.random.default_rng(order)
+    B = rng.standard_normal((order, order))
+    M, r = B @ B.T + order * np.eye(order), rng.standard_normal(order)
+    f = SpdFactor(M)
+    out.append((M, r, f.chol.tobytes(), f.solve(r).tobytes()))
+print("scipy.linalg" in sys.modules)
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
+for M, r, chol, x in out:
+    c = cho_factor(M, lower=True, check_finite=False)[0]
+    print(c.tobytes() == chol and dpotrs(c, r, lower=1)[0].tobytes() == x)
+"""
+
+
+def test_lapack_before_scipy_linalg_is_loaded():
+    src = str(Path(springback.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_FACTOR, src], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True", "True", "True"]
 
 
 @pytest.mark.parametrize("shape", [(3, 8), (8, 3), (5, 5)])

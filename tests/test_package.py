@@ -87,8 +87,9 @@ def test_finiteness_rule_is_written_once():
 
 
 def test_no_module_imports_scipy_at_module_level():
-    # scipy's LAPACK is imported where a factor is built (linalg.SpdFactor),
-    # so a process that builds none, such as a sweep's own, never loads it
+    # scipy's LAPACK is loaded where the first factor is built
+    # (linalg._lapack), so a process that builds none, such as a sweep's
+    # own, never loads it
     root = Path(springback.__file__).parent
     for path in sorted(root.glob("*.py")):
         imported = []
@@ -107,33 +108,34 @@ def test_no_module_imports_scipy_at_module_level():
 
 # Imports the package and its CLI, runs one mixed fig8 unit through
 # run_experiment, then one trial in this process; prints whether scipy.linalg
-# was loaded after each.
+# was loaded after each, and whether this process had loaded its LAPACK.
 _FRESH_SWEEP = """\
 import sys
 from dataclasses import replace
 
 sys.path.insert(0, sys.argv[1])
 import springback.cli
-from springback import bench
+from springback import bench, linalg
 
 spec = bench.preset_spec("fig8", trials=1)
 bench.run_experiment(replace(spec, sweep_values=spec.sweep_values[:1]))
-print("scipy.linalg" in sys.modules)
+print("scipy.linalg" in sys.modules, linalg._lapack.cache_info().currsize)
 bench.run_trial(spec, 0, 0)
-print("scipy.linalg" in sys.modules)
+print("scipy.linalg" in sys.modules, linalg._lapack.cache_info().currsize)
 """
 
 
 def test_a_sweeps_own_process_never_loads_scipy_linalg():
     # the lanes build every factor of a sweep, so the caller, which only
-    # imports the package, reads specs and writes records, never imports
-    # scipy.linalg; its first in-process factor does
+    # imports the package, reads specs and writes records, loads no LAPACK;
+    # its first in-process factor loads scipy's _flapack alone, and no
+    # process imports scipy.linalg
     src = str(Path(springback.__file__).resolve().parents[1])
     run = subprocess.run(
         [sys.executable, "-c", _FRESH_SWEEP, src], capture_output=True, text=True, timeout=300
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "True"]
+    assert run.stdout.split() == ["False", "0", "False", "1"]
 
 
 def _attributes_read(tree: ast.AST, name: str, skip_class: str) -> set[str]:

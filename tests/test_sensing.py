@@ -35,6 +35,25 @@ def test_spec_validation():
         SignalSpec(n=10, sparsity=2, min_separation=-1)
 
 
+# NaN passes every ordering test, and 2.5 or True would reach the generators
+@pytest.mark.parametrize("value", [math.nan, 2.5, 3.0, True, -1])
+def test_integer_fields_take_integers_only(value):
+    ensemble_fields = {"m": "m and n", "n": "m and n", "refinement": "refinement", "seed": "seed"}
+    for field, match in ensemble_fields.items():
+        kw = dict(kind=EnsembleKind.OVERSAMPLED_DCT, m=4, n=10, refinement=1) | {field: value}
+        with pytest.raises(InvalidParameterError, match=match):
+            EnsembleSpec(**kw)
+    signal_fields = {"n": "n must be", "sparsity": "sparsity", "min_separation": "min_", "seed": "seed"}
+    for field, match in signal_fields.items():
+        kw = dict(n=10, sparsity=2, min_separation=1) | {field: value}
+        with pytest.raises(InvalidParameterError, match=match):
+            SignalSpec(**kw)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        add_noise_snr(np.ones(5), 20.0, seed=value)
+    EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, m=np.int64(4), n=np.int32(10), refinement=2)
+    SignalSpec(n=np.int64(10), sparsity=np.int64(2), min_separation=np.int64(1), seed=np.uint64(3))
+
+
 def test_reproducibility():
     spec = EnsembleSpec(EnsembleKind.GAUSSIAN, m=16, n=40, seed=11)
     np.testing.assert_array_equal(gen_matrix(spec), gen_matrix(spec))

@@ -64,13 +64,14 @@ def test_solver_options_validation():
         SolverOptions(eps_outer=-1.0)
     # NaN passes every ordering test, and a fractional cap fails deep in a solve
     for name in ("max_inner", "sparsity_estimate"):
-        for value in (np.nan, np.inf, 2.5, 3.0):
+        for value in (np.nan, np.inf, 2.5, 3.0, True):
             with pytest.raises(InvalidParameterError, match=f"{name} must be a positive integer"):
                 SolverOptions(**{name: value})
     SolverOptions(max_inner=np.int64(7), sparsity_estimate=np.int32(2))
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+# and values that are no float: an int beyond the float range, a string, a bool
+@pytest.mark.parametrize("value", [np.nan, np.inf, pytest.param(10**400, id="10**400"), "1.0", True])
 @pytest.mark.parametrize("name", ["alpha", "eps_outer", "eps_inner"])
 def test_solver_options_reject_non_finite(name, value):
     with pytest.raises(InvalidParameterError, match=name):
@@ -322,8 +323,9 @@ def test_hard_threshold_contract():
     np.testing.assert_array_equal(t, [0.0, 2.0, 0.0])
     # never counts exact zeros
     assert np.count_nonzero(hard_threshold(np.array([0.0, 1.0, 0.0]), 3)) == 1
-    with pytest.raises(InvalidParameterError):
-        hard_threshold(v, -1)
+    for s in (-1, np.nan, 2.5, True):
+        with pytest.raises(InvalidParameterError, match="s must be nonnegative"):
+            hard_threshold(v, s)
 
 
 # small integers make ties and exact zeros common
