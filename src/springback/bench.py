@@ -97,10 +97,10 @@ SWEEP_AXES = ("s", "refinement", "snr", "m")
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Full description of one benchmark sweep.  A sweep value replaces
-    sparsity, ensemble.refinement, snr_db or ensemble.m, by the axis, and
-    sep_factor > 0 replaces min_separation with sep_factor * refinement, so
+    sparsity, ensemble.refinement, snr_db or ensemble.m, by the axis, so
     the field the axis replaces is never read (fig4's and fig8's sparsity,
-    fig5's refinement)."""
+    fig5's refinement).  The separation is min_separation, or sep_factor *
+    refinement when sep_factor > 0; a spec may set one of the two, not both."""
 
     ensemble: EnsembleSpec
     sparsity: int
@@ -137,6 +137,8 @@ class ExperimentSpec:
         check_integer(
             "separation settings must be nonnegative", self.sep_factor, self.min_separation, least=0
         )
+        if self.sep_factor > 0 and self.min_separation > 0:
+            raise InvalidParameterError("set min_separation or sep_factor, not both")
         check_positive("omega", self.omega)
         seed = self.master_seed
         check_integer(f"master_seed must be nonnegative, got {seed}", seed, least=0)
@@ -194,9 +196,7 @@ def _resolve_point(spec: ExperimentSpec, sweep_index: int):
         snr = float(value)
     elif spec.sweep_axis == "m":
         ens = replace(ens, m=int(value))
-    sep = spec.min_separation
-    if spec.sep_factor > 0:
-        sep = spec.sep_factor * ens.refinement
+    sep = spec.sep_factor * ens.refinement if spec.sep_factor > 0 else spec.min_separation
     return ens, s, sep, snr
 
 
@@ -361,7 +361,7 @@ class _Lanes:
     Each lane is a plain subprocess, not a multiprocessing spawn, so that it
     imports the package from this file's directory whatever sys.path holds
     later, never reruns the caller's __main__, and needs no resource
-    tracker.  A lane starts (about 0.6 s) when it is first sent a trial, so
+    tracker.  A lane starts (about 0.25 s) when it is first sent a trial, so
     a lane whose side no sweep names never starts; the lanes a trial needs
     all start before either is sent it, and so import side by side.
     ``processes`` and ``conns`` map each started lane to its process and its

@@ -89,7 +89,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("report", help="re-aggregate stored trial records")
     p.add_argument("--records", required=True, help="records.csv from a bench run")
-    p.add_argument("--out", help="write summary.csv here instead of stdout")
+    p.add_argument("--out", help="directory for records.csv and summary.csv (default: summary to stdout)")
     return top, sub.choices
 
 

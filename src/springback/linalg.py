@@ -112,6 +112,12 @@ class GramRidgeSolver:
     ``offset_solve`` take their vectors unchecked (finite, of the lengths
     they name).  The inner ADMM loops read ``zeta``: the lasso's splitting
     penalty, and the factor of A x in springback's at tau = 0.
+
+    Two operators give the x-update of every inner ADMM loop through
+    ``offset_solve``: the m x n ``H`` = (A A^T + zeta I)^-1 A, with
+    zeta (A^T A + zeta I)^-1 v = v - A^T H v, and the m x (n + m) ``F`` =
+    [H, -M], M = (A A^T + zeta I)^-1, with (A^T A + zeta I)^-1 (A^T w +
+    zeta v) = v - A^T F [v; w].
     """
 
     def __init__(self, A, zeta: float):
@@ -122,20 +128,12 @@ class GramRidgeSolver:
         self._At = A.T
         self.zeta = zeta
         self._wide = m < n
-        if self._wide:
-            G = A @ A.T
-            G[np.diag_indices(m)] += zeta
-        else:
-            G = A.T @ A
-            G[np.diag_indices(n)] += zeta
+        G = A @ A.T if self._wide else A.T @ A
+        G[np.diag_indices_from(G)] += zeta
         if not np.isfinite(G).all():
             raise NumericError("Gram matrix overflowed: the entries of A are too large")
         factor = SpdFactor(G)
         self._chol, self._potrs = factor.chol, factor._potrs
-        # With G = A A^T + zeta I, the m x n operator H = G^-1 A gives
-        # zeta (A^T A + zeta I)^-1 v = v - A^T H v, and the m x (n + m)
-        # operator F = [H, -M], M = G^-1, gives the whole x-update
-        # (A^T A + zeta I)^-1 (A^T w + zeta v) = v - A^T q, q = F [v; w].
         # A wide A solves its m x m factor against each column of [A, -I];
         # a tall one has H = A (A^T A + zeta I)^-1 from its n x n factor, a
         # row of A at a time, and M = (I - H A^T) / zeta.  On a wide A the
@@ -143,15 +141,13 @@ class GramRidgeSolver:
         # with a matrix right-hand side would.
         if self._wide:
             cols = np.vstack([self._At, -np.eye(m)])
-            F = np.array([self._potrs(self._chol, c, lower=1)[0] for c in cols]).T.copy()
-            self._H = F[:, :n].copy()
+            self.F = np.array([self._potrs(self._chol, c, lower=1)[0] for c in cols]).T.copy()
+            self.H = self.F[:, :n].copy()
         else:
-            self._H = np.array([self._potrs(self._chol, a, lower=1)[0] for a in A])
-            M = np.eye(m) - self._H @ self._At
+            self.H = np.array([self._potrs(self._chol, a, lower=1)[0] for a in A])
+            M = np.eye(m) - self.H @ self._At
             M /= zeta
-            F = np.hstack([self._H, -M])
-        self._F = F
-        self._n = n
+            self.F = np.hstack([self.H, -M])
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """(A^T A + zeta I)^-1 r."""
@@ -163,26 +159,22 @@ class GramRidgeSolver:
             return x
         return self._potrs(self._chol, r, lower=1)[0]
 
-    def offset_solve(
-        self, c: np.ndarray, d: np.ndarray, q: np.ndarray, out: np.ndarray, rows=None
-    ) -> np.ndarray:
-        """c - A^T q with q = H d for d of length n, and q = F d = H v - M w
-        for d = [v; w] of length n + m; the x-update of every inner ADMM
-        loop.  Unchecked like ``solve``; q (length m) and ``out`` (length n,
-        returned) are the loop's own float arrays, other than c and d.
+    def offset_solve(self, op: np.ndarray, c: np.ndarray, out: np.ndarray, rows) -> np.ndarray:
+        """``out`` = c - ``out`` after, for each (d, q, t) in ``rows``,
+        q = op d and t = A^T q: the x-update of every inner ADMM loop, with
+        ``op`` the solver's H (d of length n) or F (d = [v; w] of length
+        n + m).  Unchecked like ``solve``; the views in ``rows``, made once
+        by the caller, are the loop's own float arrays, other than c and d.
 
-        On a stack of lasso rows, c, d, q and ``out`` are 2-D with one
-        problem per row, d of width n, and ``rows`` holds the views (d_r,
-        q_r, out_r) of the rows to update, made once by the caller: each gets
-        q_r = H d_r and A^T q_r, the very calls of a lone vector, so that it
-        rounds as it would alone.  The subtraction then covers every row at
-        once: a row not listed gets c minus the ``out`` row it held."""
-        At, H = self._At, self._H
-        if rows is None:
-            At.dot((H if d.shape[0] == self._n else self._F).dot(d, q), out)
-        else:
-            for d_r, q_r, t_r in rows:
-                At.dot(H.dot(d_r, q_r), t_r)
+        A lone vector is a ``rows`` of one whose t is ``out`` itself.  On a
+        stack of lasso rows c and ``out`` are 2-D with one problem per row,
+        and each listed row's t is its row of ``out``: it gets the very calls
+        of a lone vector, so that it rounds as it would alone, and the
+        subtraction covers every row at once, a row not listed getting c
+        minus the ``out`` row it held."""
+        At = self._At
+        for d, q, t in rows:
+            At.dot(op.dot(d, q), t)
         return np.subtract(c, out, out)
 
 

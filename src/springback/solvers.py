@@ -121,9 +121,9 @@ class ProblemInstance:
         admm_l1 and the dca_unconstrained baselines share, with its operators
         H and F = [H, -M], built on first use inside the solver that needs
         it, so that a Gram overflow is that solver's numeric failure.  As
-        ZETA_LASSO = 1/RHO its offset_solve(r, r) is springback's
-        (RHO A^T A + I)^-1 r, and offset_solve(c, [c - u; w]) its
-        (RHO A^T A + I)^-1 (RHO A^T w + c - u) + u."""
+        ZETA_LASSO = 1/RHO, offset_solve(H, r, out, ((r, q, out),)) is
+        springback's (RHO A^T A + I)^-1 r, and offset_solve(F, c, out,
+        (([c - u; w], q, out),)) its (RHO A^T A + I)^-1 (RHO A^T w + c - u) + u."""
         return GramRidgeSolver(self.A, ZETA_LASSO)
 
 
@@ -360,13 +360,14 @@ def admm_subproblem(
         vw, c = np.empty(n + m), np.empty(n)
         v, w = vw[:n], vw[n:]
         zeta = np.array(solver.zeta)
+        F, xrows = solver.F, [((vw, q, p),) for p in ps]  # per slot, made once
 
         def block(count, _):
             for k in range(1, count + 1):
                 y, u, p = ys[k - 1], us[k - 1], ps[k]
                 subtract(b, etas[k - 1], w)
                 subtract(add(xi, y, c), u, v)
-                step(c, vw, q, p)
+                step(F, c, p, xrows[k])
                 minimum(maximum(p, lo, out=us[k]), hi, out=us[k])
                 subtract(p, us[k], ys[k])
                 np.multiply(q, zeta, etas[k])
@@ -385,6 +386,7 @@ def admm_subproblem(
         axs = list(AX[:, 0])  # row views, made once
         rhs_n, p, clamped, diff = (np.empty(n) for _ in range(4))
         w_m, r = np.empty(m), np.empty(m)
+        H, xrows = solver.H, [((rhs_n, q, x),) for x in xs]  # per slot, made once
 
         def block(count, _):
             rhs, w = rhs_n, w_m  # locals: the in-place operators below assign them
@@ -397,7 +399,7 @@ def admm_subproblem(
                 rhs += xi
                 rhs += subtract(ys[k - 1], u, diff)
                 x, y, Ax = xs[k], ys[k], axs[k]
-                step(rhs, rhs, q, x)
+                step(H, rhs, x, xrows[k])
                 add(x, u, p)
                 subtract(p, minimum(maximum(p, lo, out=clamped), hi, out=clamped), y)
                 A.dot(x, Ax)
@@ -547,7 +549,7 @@ def _lasso_admm(
     the run it makes alone, as a stack of one.  The rows that have ended
     are still updated elementwise, silently, and never read.
     """
-    step = solver.offset_solve
+    step, H = solver.offset_solve, solver.H
     k, (m, n) = len(states), A.shape
     hist = _history(states, ("x", "y", "u"))
     P, fill_x = _prox_rows(hist)
@@ -567,7 +569,9 @@ def _lasso_admm(
     def block(count, rows):
         calls = views if len(rows) == k else [[v[r] for r in rows] for v in views]
         for j, Y, U, Pj, U1, Y1 in zip(range(1, count + 1), ys, us, ps[1:], us[1:], ys[1:]):
-            step(add(XC, Y, C), subtract(Y, U, D), Q, Pj, calls[j])
+            add(XC, Y, C)
+            subtract(Y, U, D)
+            step(H, C, Pj, calls[j])
             minimum(maximum(Pj, LO, out=U1), HI, out=U1)
             subtract(Pj, U1, Y1)
         fill_x(count)

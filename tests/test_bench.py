@@ -84,6 +84,13 @@ def test_spec_validation():
         for value in (-1, np.nan, 2.5, True):
             with pytest.raises(InvalidParameterError, match="separation settings"):
                 _small_spec(**{setting: value})
+    # sep_factor sets the separation, so a min_separation beside it would
+    # never be read: a DCT ensemble at refinement 2 would run at 4, not 7
+    dct = EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, m=20, n=100, refinement=2)
+    with pytest.raises(InvalidParameterError, match="min_separation or sep_factor, not both"):
+        _small_spec(ensemble=dct, min_separation=7, sep_factor=2)
+    assert _small_spec(ensemble=dct, min_separation=0, sep_factor=2).sep_factor == 2
+    assert _small_spec(ensemble=dct, min_separation=7, sep_factor=0).min_separation == 7
     # the integer settings take integers only: NaN passes every ordering test
     for value in (np.nan, np.inf, 2.5, 3.0, True):
         with pytest.raises(InvalidParameterError, match="trials"):
@@ -472,6 +479,14 @@ def test_load_config_requires_sparsity_off_the_s_axis(tmp_path):
         _load_text(tmp_path, text)
     spec = _load_text(tmp_path, text + "[signal]\nsparsity = 3\n")
     assert spec.sparsity == 3 and spec.sweep_axis == "m"
+
+
+def test_load_config_rejects_both_separation_settings(tmp_path):
+    text = dump_config(_small_spec(min_separation=2))
+    assert "min_separation = 2\n" in text and "sep_factor = 0\n" in text
+    assert _load_text(tmp_path, text).min_separation == 2
+    with pytest.raises(InvalidParameterError, match="min_separation or sep_factor, not both"):
+        _load_text(tmp_path, text.replace("sep_factor = 0\n", "sep_factor = 2\n"))
 
 
 def test_load_config_rejects_a_blank_solver_list(tmp_path):

@@ -186,7 +186,8 @@ def test_gram_ridge_operator_matches_dense_property(m, n, zeta, seed):
     M = A.T @ A + zeta * np.eye(n)
     G = A @ A.T + zeta * np.eye(m)
     expected = zeta * np.linalg.solve(M, v)
-    got = GramRidgeSolver(A, zeta).offset_solve(c + v, v, np.empty(m), np.empty(n))
+    solver = GramRidgeSolver(A, zeta)
+    got = _lone(solver, solver.H, c + v, v, np.empty(m), np.empty(n))
     err = np.linalg.norm(got - c - expected)
     factored = min(np.linalg.cond(M), np.linalg.cond(G))
     bound = (
@@ -210,24 +211,24 @@ def test_gram_ridge_operator_matches_dense_property(m, n, zeta, seed):
 def test_gram_ridge_buffered_forms_match_allocating_forms(m, n, zeta, seed):
     # the inner loops pass work vectors as q and out: the results must be
     # written into them, out returned, equal bit for bit to a call on fresh
-    # buffers, and the inputs must come back unchanged; d of length n takes H,
-    # d = [v; w] of length n + m the fused operator F = [H, -M], and with
-    # c = d (springback's x-update at tau > 0) it is d - A^T (H d)
+    # buffers, and the inputs must come back unchanged; H takes d of length
+    # n, the fused operator F = [H, -M] takes d = [v; w] of length n + m, and
+    # with c = d (springback's x-update at tau > 0) it is d - A^T (H d)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     solver = GramRidgeSolver(A, zeta)
     c, d = (rng.standard_normal(n) for _ in range(2))
     vw = rng.standard_normal(n + m)
     inputs = [v.copy() for v in (c, d, vw)]
-    for vec, op in ((d, solver._H), (vw, solver._F)):
+    for vec, op in ((d, solver.H), (vw, solver.F)):
         q, out = np.full(m, np.nan), np.full(n, np.nan)
-        assert solver.offset_solve(c, vec, q, out) is out
-        assert np.array_equal(out, solver.offset_solve(c, vec, np.empty(m), np.empty(n)))
+        assert _lone(solver, op, c, vec, q, out) is out
+        assert np.array_equal(out, _lone(solver, op, c, vec, np.empty(m), np.empty(n)))
         assert np.array_equal(q, op @ vec)
         assert np.array_equal(out, c - A.T @ q)
     out = np.full(n, np.nan)
-    assert solver.offset_solve(d, d, np.empty(m), out) is out
-    assert np.array_equal(out, d - A.T @ (solver._H @ d))
+    assert _lone(solver, solver.H, d, d, np.empty(m), out) is out
+    assert np.array_equal(out, d - A.T @ (solver.H @ d))
     for v, kept in zip((c, d, vw), inputs):
         assert np.array_equal(v, kept)
 
@@ -237,22 +238,24 @@ def test_gram_ridge_buffered_forms_match_allocating_forms(m, n, zeta, seed):
 @example(m=20, n=50, seed=2)  # wide, the solvers' shape class
 @example(m=50, n=20, seed=2)  # tall
 def test_gram_ridge_stacked_rows_are_lone_vectors(m, n, seed):
-    # a stack of three lasso rows with rows 0 and 2 listed: each listed row
-    # is bit for bit the x-update of its lone vectors, q included, and row 1
-    # takes c - out from the out row it held; the result is out itself
+    # a stack of three rows with rows 0 and 2 listed, through H (the lasso's,
+    # d of width n) and through F (d of width n + m): each listed row is bit
+    # for bit the x-update of its lone vectors, q included, and row 1 takes
+    # c - out from the out row it held; the result is out itself
     rng = np.random.default_rng(seed)
     solver = GramRidgeSolver(rng.standard_normal((m, n)), 1e-5)
-    c, d = rng.standard_normal((3, n)), rng.standard_normal((3, n))
-    q, out = np.full((3, m), np.nan), rng.standard_normal((3, n))
-    held = out[1].copy()
-    rows = [(d[r], q[r], out[r]) for r in (0, 2)]
-    assert solver.offset_solve(c, d, q, out, rows) is out
-    for r in (0, 2):
-        q_r = np.empty(m)
-        assert out[r].tobytes() == solver.offset_solve(c[r], d[r], q_r, np.empty(n)).tobytes()
-        assert q[r].tobytes() == q_r.tobytes()
-    assert out[1].tobytes() == (c[1] - held).tobytes()
-    assert np.isnan(q[1]).all()
+    for op in (solver.H, solver.F):
+        c, d = rng.standard_normal((3, n)), rng.standard_normal((3, op.shape[1]))
+        q, out = np.full((3, m), np.nan), rng.standard_normal((3, n))
+        held = out[1].copy()
+        rows = [(d[r], q[r], out[r]) for r in (0, 2)]
+        assert solver.offset_solve(op, c, out, rows) is out
+        for r in (0, 2):
+            q_r = np.empty(m)
+            assert out[r].tobytes() == _lone(solver, op, c[r], d[r], q_r, np.empty(n)).tobytes()
+            assert q[r].tobytes() == q_r.tobytes()
+        assert out[1].tobytes() == (c[1] - held).tobytes()
+        assert np.isnan(q[1]).all()
 
 
 # The fused operator F = [H, -M] of the m-space x-update, on wide, square and
@@ -275,12 +278,17 @@ def test_gram_ridge_fused_operator_matches_dense(shape):
         v, w = rng.standard_normal(n), rng.standard_normal(m)
         solver = GramRidgeSolver(A, zeta)
         G = A @ A.T + zeta * np.eye(m)
-        assert _rel(-solver._F[:, n:], np.linalg.inv(G)) <= 2e-10
+        assert _rel(-solver.F[:, n:], np.linalg.inv(G)) <= 2e-10
         q = np.empty(m)
-        x = solver.offset_solve(v, np.concatenate([v, w]), q, np.empty(n))
+        x = _lone(solver, solver.F, v, np.concatenate([v, w]), q, np.empty(n))
         x_ref = np.linalg.solve(A.T @ A + zeta * np.eye(n), A.T @ w + zeta * v)
         assert _rel(x, x_ref) <= 1e-9
         assert _rel(w + zeta * q, A @ x_ref) <= 2e-12
+
+
+def _lone(solver, op, c, d, q, out):
+    """The x-update of one vector: a rows of one whose t is out itself."""
+    return solver.offset_solve(op, c, out, ((d, q, out),))
 
 
 def _rel(a, b):

@@ -529,7 +529,7 @@ def _ref_bp_admm(prob, xi, st, eps, max_inner):
     p = x + u = (xi + y) - A^T q, u = clamp(p, -1, 1), y = p - u, x = p - u_old
     and eta = ZETA_LASSO q, so that A x - b = eta - eta_old."""
     A, b = prob.A, prob.b
-    F, zeta = prob.gram_solver._F, prob.gram_solver.zeta
+    F, zeta = prob.gram_solver.F, prob.gram_solver.zeta
     for _ in range(max_inner):
         c = xi + st.y
         q = F @ np.concatenate([c - st.u, b - st.eta])
@@ -602,7 +602,7 @@ def _assert_states_equal(state, ref, names):
 def _operator_solve(prob):
     """Springback's x-update through the instance's H, as (RHO A^T A + I)^-1
     rhs = rhs - A^T (H rhs) with ZETA_LASSO = 1 / RHO."""
-    A, H = prob.A, prob.gram_solver._H
+    A, H = prob.A, prob.gram_solver.H
     return lambda rhs: rhs - A.T @ (H @ rhs)
 
 
@@ -710,7 +710,7 @@ def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
 
 
 def _ref_operator_lasso_admm(A, b, lam, linear, st, eps, max_iter):
-    chol, At, H, zeta = st.solver._chol, A.T, st.solver._H, st.solver.zeta
+    chol, At, H, zeta = st.solver._chol, A.T, st.solver.H, st.solver.zeta
     r = A.T @ b if linear is None else A.T @ b + linear
     if A.shape[0] < A.shape[1]:
         x_c = r - At.dot(scipy.linalg.lapack.dpotrs(chol, A.dot(r), lower=1)[0])
@@ -1151,9 +1151,9 @@ def _failing_row_on_call(monkeypatch, pos, k, value=np.nan):
     original = GramRidgeSolver.offset_solve
     calls, heights = [0], []
 
-    def failing(self, c, d, q=None, out=None, rows=None):
-        result = original(self, c, d, q, out, rows)
-        if rows is not None and calls[0] < k and pos < out.shape[0]:
+    def failing(self, op, c, out, rows):
+        result = original(self, op, c, out, rows)
+        if out.ndim == 2 and calls[0] < k and pos < out.shape[0]:
             if any(np.shares_memory(t, out[pos]) for _, _, t in rows):
                 calls[0] += 1
                 if calls[0] == k:

@@ -1,13 +1,14 @@
 """Time a fresh process's set-up in this tree against another checkout, in pairs.
 
-Each probe is a fresh interpreter that imports ``springback`` from a tree's
-``src/``, builds ``bench.preset_spec(PRESET, trials=1)`` and runs one
-in-process ``bench.run_trial(spec, 0, 0)``: the work the benchmark's
-``setup_s`` times, interpreter start included.  Each pair runs one probe per
-tree, and the pairs alternate which tree goes first, so that a drift of the
-machine's speed falls on both sides.  Per pair it prints both wall times,
-their ratio (this tree / the other) and whether each probe loaded
-``scipy.linalg``; last, each tree's median time and the median ratio.
+Each probe is a fresh interpreter that runs the benchmark's own set-up probe,
+``perfbench/run.py``'s ``SETUP_PROBE`` at its ``WARMUP_MASTER_SEED``: it
+imports ``springback`` from a tree's ``src/``, builds the preset's one-trial
+spec and runs one in-process ``bench.run_trial(spec, 0, 0)``, the work the
+benchmark's ``setup_s`` times, interpreter start included.  Each pair runs
+one probe per tree, and the pairs alternate which tree goes first, so that a
+drift of the machine's speed falls on both sides.  Per pair it prints both
+wall times, their ratio (this tree / the other) and whether each probe
+loaded ``scipy.linalg``; last, each tree's median time and the median ratio.
 
 Run from the repository root, with the other tree made by, for example,
 ``git archive HEAD | tar -x -C ../parent``:
@@ -28,15 +29,13 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-# Prints the package it imported and whether scipy.linalg was loaded.
-PROBE = """\
-import sys
-sys.path.insert(0, sys.argv[1])
-from springback import bench
-bench.run_trial(bench.preset_spec(sys.argv[2], trials=1), 0, 0)
-print(bench.__file__, "scipy.linalg" in sys.modules)
-"""
+from run import SETUP_PROBE, WARMUP_MASTER_SEED  # noqa: E402
+
+# The benchmark's probe, then the package it imported and whether
+# scipy.linalg was loaded.
+PROBE = SETUP_PROBE + 'print(bench.__file__, "scipy.linalg" in sys.modules)\n'
 
 
 def probe(tree: str, preset: str) -> tuple[float, bool]:
@@ -44,7 +43,10 @@ def probe(tree: str, preset: str) -> tuple[float, bool]:
     src = os.path.join(tree, "src")
     t0 = time.perf_counter()
     run = subprocess.run(
-        [sys.executable, "-c", PROBE, src, preset], capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", PROBE, src, preset, str(WARMUP_MASTER_SEED)],
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     elapsed = time.perf_counter() - t0
     if run.returncode != 0:
