@@ -317,26 +317,27 @@ def admm_subproblem(
     copies, so no step touches an array a caller holds.
 
     At splitting penalty 1 the x-update is (RHO A^T A + I)^-1 (RHO A^T w + v)
-    with w = b + z - eta and v = xi + y - u, and the soft threshold is 1.
-    At tau > 0 it is computed as rhs - A^T (H rhs), rhs = RHO A^T w + v,
-    through the instance's gram_solver (ZETA_LASSO = 1/RHO).  At tau = 0 the
-    ball is the origin and z stays the zero vector; the subproblem is basis
-    pursuit (Boyd et al. 2011, section 6.2) and runs in m-space: the
-    x-update is v - A^T q with q = H v - M w (the gram_solver's F [v; w]),
-    so that A x = w + ZETA_LASSO q and eta takes ZETA_LASSO q.  Its loop
-    forms neither RHO A^T w nor A x, computes only p = x + u, with
-    u = clamp(p) and y = p - u, and fills its x rows once per block.
+    with w = b + z - eta and v = xi + y - u, and the soft threshold is 1: as
+    in the lasso ADMM, p = x + u, u = clamp(p) and y = p - u.  At tau > 0
+    the x-update is rhs - A^T (H rhs), rhs = RHO A^T w + v, through the
+    instance's gram_solver (ZETA_LASSO = 1/RHO), and the loop keeps A x - b
+    of each slot in a history.  At tau = 0 the ball is the origin and z
+    stays the zero vector; the subproblem is basis pursuit (Boyd et al. 2011,
+    section 6.2) and runs in m-space: the x-update is v - A^T q with
+    q = H v - M w (the gram_solver's F [v; w]), so that A x = w + ZETA_LASSO q
+    and eta takes ZETA_LASSO q.  Its loop forms neither RHO A^T w nor A x,
+    computes only p, and fills its x rows once per block.
 
     The iterations run through _admm_blocks as a stack of one row, whose
     1-D slot views the loop computes on and the x-update writes into, and
     whose stopping test here also asks ||A x - b|| <= tau + FEAS_TOL_INNER,
-    with A x - b = eta - eta_prev at tau = 0.  A non-finite x is found when
-    its block ends.  At tau > 0 a finite x whose A x overflows makes z
-    non-finite, which the ball projection meets: it marks that x non-finite,
-    so that the same scan ends the row at the iteration before.
+    read from that history at tau > 0 and as eta - eta_prev at tau = 0.  A
+    non-finite x is found when its block ends.  At tau > 0 a finite x whose
+    A x overflows makes z non-finite, which the ball projection meets: it
+    marks that x non-finite, so that the same scan ends the row at the
+    iteration before.
     """
     A, b, tau = prob.A, prob.b, prob.tau
-    At = A.T
     m, n = A.shape
     xi = as_vector(xi)
     if xi.shape[0] != n:
@@ -346,11 +347,10 @@ def admm_subproblem(
     step = solver.offset_solve
     # Locally bound ufuncs with a positional out (the keyword for maximum and
     # minimum) and 0-d array constants are the forms numpy dispatches fastest.
-    add, subtract, maximum, minimum = np.add, np.subtract, np.maximum, np.minimum
+    add, subtract, multiply, maximum, minimum = np.add, np.subtract, np.multiply, np.maximum, np.minimum
     feas = tau + FEAS_TOL_INNER
     lo, hi = np.array(-1.0), np.array(1.0)  # the soft threshold's clamp
     q = np.empty(m)
-    rwork = np.empty((ADMM_BLOCK, 1, m))
 
     if tau == 0.0:  # z is unwritten
         hist = _history([st], ("x", "y", "u", "eta"))
@@ -361,6 +361,7 @@ def admm_subproblem(
         v, w = vw[:n], vw[n:]
         zeta = np.array(solver.zeta)
         F, xrows = solver.F, [((vw, q, p),) for p in ps]  # per slot, made once
+        rwork = np.empty((ADMM_BLOCK, 1, m))
 
         def block(count, _):
             for k in range(1, count + 1):
@@ -370,7 +371,7 @@ def admm_subproblem(
                 step(F, c, p, xrows[k])
                 minimum(maximum(p, lo, out=us[k]), hi, out=us[k])
                 subtract(p, us[k], ys[k])
-                np.multiply(q, zeta, etas[k])
+                multiply(q, zeta, etas[k])
             fill_x(count)
 
         def feasible(end):
@@ -378,46 +379,41 @@ def admm_subproblem(
             return np.sqrt(np.vecdot(res, res)) <= feas
 
     else:
+        At = A.T
         hist = _history([st], ("x", "y", "u", "eta", "z"))
         xs, ys, us, etas, zs = (list(V[:, 0]) for V in hist.values())
         rho = np.array(RHO)
         scale = np.array(0.0)  # the ball projection's tau / ||z||
-        AX = np.empty((ADMM_BLOCK + 1, 1, m))
-        axs = list(AX[:, 0])  # row views, made once
-        rhs_n, p, clamped, diff = (np.empty(n) for _ in range(4))
-        w_m, r = np.empty(m), np.empty(m)
-        H, xrows = solver.H, [((rhs_n, q, x),) for x in xs]  # per slot, made once
+        R = np.empty((ADMM_BLOCK + 1, 1, m))  # A x - b per slot
+        rs = list(R[:, 0])  # row views, made once
+        rhs, p, diff = np.empty(n), np.empty(n), np.empty(n)
+        w, Ax = np.empty(m), np.empty(m)
+        H, xrows = solver.H, [((rhs, q, x),) for x in xs]  # per slot, made once
 
         def block(count, _):
-            rhs, w = rhs_n, w_m  # locals: the in-place operators below assign them
             for k in range(1, count + 1):
-                eta, eta_k, u = etas[k - 1], etas[k], us[k - 1]
-                add(b, zs[k - 1], w)
-                w -= eta
-                At.dot(w, rhs)
-                rhs *= rho
-                rhs += xi
-                rhs += subtract(ys[k - 1], u, diff)
-                x, y, Ax = xs[k], ys[k], axs[k]
+                eta, eta_k, u, u_k = etas[k - 1], etas[k], us[k - 1], us[k]
+                subtract(add(b, zs[k - 1], w), eta, w)
+                multiply(At.dot(w, rhs), rho, rhs)
+                add(add(rhs, xi, rhs), subtract(ys[k - 1], u, diff), rhs)
+                x, r, z = xs[k], rs[k], zs[k]
                 step(H, rhs, x, xrows[k])
                 add(x, u, p)
-                subtract(p, minimum(maximum(p, lo, out=clamped), hi, out=clamped), y)
+                minimum(maximum(p, lo, out=u_k), hi, out=u_k)
+                subtract(p, u_k, ys[k])
                 A.dot(x, Ax)
-                add(eta, Ax, eta_k)
-                eta_k -= b
-                z = zs[k]  # the projection of A x - b + eta onto the tau-ball
-                add(subtract(Ax, b, r), eta, z)
+                subtract(add(eta, Ax, eta_k), b, eta_k)
+                add(subtract(Ax, b, r), eta, z)  # projected onto the tau-ball below
                 znorm = math.sqrt(z.dot(z))
                 if not math.isfinite(znorm) and not np.isfinite(z).all():
                     x[0] = math.nan  # A x overflowed: the scan ends the row before this x
                 if znorm > tau:
                     scale[()] = tau / znorm
-                    z *= scale
-                eta_k -= z
-                subtract(p, y, us[k])
+                    multiply(z, scale, z)
+                subtract(eta_k, z, eta_k)
 
         def feasible(end):
-            res = subtract(AX[1 : end + 1], b, rwork[:end])
+            res = R[1 : end + 1]
             return np.sqrt(np.vecdot(res, res)) <= feas
 
     (status,) = _admm_blocks([st], hist, opts.eps_inner, opts.max_inner, block, feasible)

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import importlib.util
 import os
 import signal
 import subprocess
@@ -1007,6 +1008,39 @@ def test_a_mixed_sweep_does_not_depend_on_the_callers_blas_threads(solvers):
         pytest.skip("in-process solves round the same at 1 and 2 BLAS threads here "
                     "(one CPU, or a BLAS that ignores OPENBLAS_NUM_THREADS)")
     assert digests["1"][1] == digests["2"][1]
+
+
+def _perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded by path and registered in sys.modules,
+    which its dataclasses need while the module runs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+# These two fig8 units stop on the eps_outer edge, so a change to the
+# rounding of springback's tau > 0 inner loop can move their status or
+# error; run as the benchmark runs a unit, they must match its reference,
+# read-only.
+@pytest.mark.parametrize("point, sweep_value, master_seed", [(2, 20, 9), (6, 40, 18)])
+def test_fig8_edge_units_match_the_benchmark_reference(
+    tmp_path, monkeypatch, point, sweep_value, master_seed
+):
+    workloads = _perfbench_workloads(monkeypatch)
+    spec = workloads.unit_spec(bench, "fig8", point, master_seed)
+    assert spec.sweep_values == (sweep_value,)
+    emit_results(*run_experiment(spec), str(tmp_path), spec)
+    want = workloads.load_reference("fig8")[workloads.unit_key(sweep_value, master_seed)]
+    bad = workloads.mismatched_keys(
+        workloads.summary_rows(str(tmp_path / "summary.csv")),
+        workloads.record_outcomes(str(tmp_path / "records.csv"), workloads.stable_tol(spec)),
+        want,
+    )
+    assert sorted(bad) == []
+    assert f"springback,{sweep_value}" in want["records"]
 
 
 # Every solver reports its own numeric failure (solvers._outer catches the

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -1243,6 +1243,48 @@ def test_admm_subproblem_with_xi_at_tau_zero_is_the_lp_solution():
         assert abs(np.abs(x).sum() - xi @ x - lp.fun) <= 1e-9
         assert np.abs(x - x_lp).max() <= 1e-9
         assert np.linalg.norm(A @ x - b) <= 1e-9
+
+
+# Every inner loop's scaled l1 dual is u = clamp(x + u, -t, t), so its kept
+# state is prox-optimal: ||u||_inf <= t, and u = t sign(y) wherever the
+# soft-thresholded y is nonzero.  At scale 1e20 x + u exceeds 2^53, where
+# p - (p - clamp(p)) is not clamp(p).
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    loop=st.sampled_from(("springback, tau = 0", "springback, tau > 0", "lasso")),
+    shape=st.sampled_from(((6, 15), (15, 6), (8, 8))),
+    exponent=st.integers(0, 20),
+    max_inner=st.integers(1, 80),
+    seed=st.integers(0, 2**16),
+)
+@example(loop="springback, tau = 0", shape=(6, 15), exponent=20, max_inner=5, seed=1)
+@example(loop="springback, tau > 0", shape=(6, 15), exponent=20, max_inner=5, seed=1)
+@example(loop="lasso", shape=(6, 15), exponent=20, max_inner=5, seed=1)
+def test_every_inner_loop_keeps_a_prox_optimal_dual(loop, shape, exponent, max_inner, seed):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    xbar = np.zeros(n)
+    xbar[rng.choice(n, 2, replace=False)] = rng.standard_normal(2)
+    e = 0.01 * rng.standard_normal(m) if loop == "springback, tau > 0" else np.zeros(m)
+    scale = 10.0**exponent
+    prob = ProblemInstance(A, scale * (A @ xbar + e), scale * float(np.linalg.norm(e)))
+    xi = rng.uniform(-1.0, 1.0, n)
+    state = fresh_admm_state(prob)
+    if loop == "lasso":
+        lam = 10.0 ** rng.uniform(-8.0, 0.0)
+        t = lam / prob.gram_solver.zeta
+        solvers_mod._lasso_admm(prob.A, prob.b, [lam], [xi], prob.gram_solver, [state], 1e-5, max_inner)
+    else:
+        t = 1.0
+        try:
+            admm_subproblem(prob, xi, SolverOptions(max_inner=max_inner), warm=state)
+        except NumericError:
+            pass  # the state holds the last finite iterate, which the test reads
+    assert np.abs(state.u).max() <= t
+    moved = state.y != 0.0
+    np.testing.assert_array_equal(state.u[moved], t * np.sign(state.y[moved]))
 
 
 def _overflowing_instance(scale, tau=0.0):

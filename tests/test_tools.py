@@ -1,6 +1,7 @@
 """Tests for the measurement scripts under tools/."""
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +54,14 @@ def test_sweep_memory_reads_the_caller_and_each_lane():
     assert [lane.group(1) for lane in lanes] == ["0", "1"]
     assert len({lane.group(2) for lane in lanes}) == 2
     assert re.fullmatch(r"sum of the peaks: \d+\.\d MiB", lines[-1])
+
+
+def test_report_diff_finds_no_difference_between_a_tree_and_its_copy(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    run = _run_tool("report_diff.py", str(tmp_path), "--presets", "fig8", "--trials", "1")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("70 reports and records of 7 solvers on fig8, 1 trial(s) per point, ")
+    differ = [line for line in lines if line.endswith(" differ")]
+    assert len(differ) == 11
+    assert all(re.fullmatch(r"(\w+: )?0 of \d+ \w+ differ", line) for line in differ), differ
