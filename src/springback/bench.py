@@ -15,7 +15,10 @@ import configparser
 import csv
 import enum
 import io
+import multiprocessing.connection
 import os
+import signal
+import subprocess
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -331,9 +334,6 @@ def _serve_lane(fd: int) -> None:
     received on the connection at file descriptor fd, send back _solve's
     tuple for those ids, or the error it raised, which the caller raises
     again with its own type.  Returns when the caller closes its end."""
-    import multiprocessing.connection
-    import signal
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     with multiprocessing.connection.Connection(fd) as conn:
         while True:
@@ -378,9 +378,6 @@ class _Lanes:
         atexit.register(self.close)
 
     def _start(self, lane: int) -> None:
-        import multiprocessing.connection  # here, not at module level: only lanes need them
-        import subprocess
-
         package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         conn, child = multiprocessing.connection.Pipe()
         with child:

@@ -106,20 +106,6 @@ def test_no_module_imports_scipy_at_module_level():
         assert [name for name in imported if name.split(".")[0] == "scipy"] == [], path.name
 
 
-def test_importing_the_package_loads_no_lane_modules():
-    # multiprocessing and subprocess are imported where the solver lanes
-    # start and serve, so the CLI, solve_trial and other in-process users
-    # do not load them
-    src = str(Path(springback.__file__).resolve().parents[1])
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import springback; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'subprocess')))"
-    )
-    run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["[]"]
-
-
 # Imports the package and its CLI, runs one mixed fig8 unit through
 # run_experiment, then one trial in this process; prints whether scipy.linalg
 # was loaded after each, and whether this process had loaded its LAPACK.

@@ -2,14 +2,14 @@
 
 Imports the ``springback`` package of this tree and then that of OTHER_TREE,
 one after the other in one process, and runs all seven solvers on the first
-trials of every sweep point of each preset both trees' ``bench.PRESETS`` name,
-or of those ``--presets`` lists (the same instance, options and seeds
-``bench`` uses), through ``bench.solve_trial``, the path ``run_trial`` takes
-(the DCA baselines as one stack).  Every ``SolverReport`` field is compared
-by its bits: x_star by dtype, shape and bytes, the trace and the residual
-as float64 bytes, the status by its value, the iteration counts as
-integers.  A solver reports its own numeric failure, so any error one raises
-stops the comparison with its traceback.
+trials of every sweep point of each preset both trees' ``bench.PRESETS`` name
+(the same instance, options and seeds ``bench`` uses) through
+``bench.solve_trial``, the path ``run_trial`` takes (the DCA baselines as one
+stack).  Every ``SolverReport`` field is compared by its bits: x_star by
+dtype, shape and bytes, the trace and the residual as float64 bytes, the
+status by its value, the iteration counts as integers.  A solver reports its
+own numeric failure, so any error one raises stops the comparison with its
+traceback.
 
 It then runs each preset's sweep over those trials through the tree's
 ``bench.run_experiment``, the path ``springback bench`` and the benchmark
@@ -30,7 +30,6 @@ Run from the repository root, with the other tree made by, for example,
 
     python3 tools/report_diff.py ../parent
     python3 tools/report_diff.py ../parent --trials 3
-    python3 tools/report_diff.py ../parent --presets fig4,fig8
 
 Exits with status 1 when any report, record or manifest differs.
 """
@@ -113,8 +112,6 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_tree", help="root of the checkout to compare against")
     parser.add_argument("--trials", type=int, default=1, help="first trials per sweep point")
-    parser.add_argument("--presets", help="comma-separated presets to compare (default: every "
-                        "preset both trees name)")
     args = parser.parse_args(argv)
     if args.trials < 1:
         parser.error("--trials must be at least 1")
@@ -125,13 +122,6 @@ def main(argv: list[str]) -> int:
         for preset in named[tree]:
             if preset not in shared:
                 print(f"{preset}: named in {where} only, not compared")
-    if args.presets:
-        chosen = args.presets.split(",")
-        unknown = [p for p in chosen if p not in shared]
-        if unknown:
-            parser.error(f"not named by both trees: {', '.join(unknown)}; "
-                         f"both name {','.join(shared)}")
-        shared = chosen
     mine, my_manifests = reports(ROOT, args.trials, shared)
     theirs, their_manifests = reports(args.other_tree, args.trials, shared)
     diffs: dict[tuple[str, str], list[str]] = {}
