@@ -65,8 +65,7 @@ __all__ = [
     "summarize",
     "emit_results",
     "write_csv",
-    "parse_records",
-    "parse_summary",
+    "read_csv",
     "load_config",
     "preset_spec",
     "PRESETS",
@@ -540,7 +539,7 @@ def write_csv(fh, cls, items, line_end: str = "\r\n") -> None:
         w.writerow([_fmt(getattr(item, n)) for n in names])
 
 
-def _read_csv(path: str, cls) -> list:
+def read_csv(path: str, cls) -> list:
     """Read a CSV written by write_csv back into instances of cls.  A missing
     column or an unparsable cell raises InvalidParameterError."""
     types = get_type_hints(cls)
@@ -562,14 +561,6 @@ def _read_csv(path: str, cls) -> list:
                     ) from exc
             items.append(cls(**values))
     return items
-
-
-def parse_records(path: str) -> list[TrialRecord]:
-    return _read_csv(path, TrialRecord)
-
-
-def parse_summary(path: str) -> list[SummaryRow]:
-    return _read_csv(path, SummaryRow)
 
 
 # Manifest layout, section -> keys in write order.  Keys name ExperimentSpec

@@ -217,7 +217,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = bench_mod.parse_records(args.records)
+    records = bench_mod.read_csv(args.records, bench_mod.TrialRecord)
     rows = bench_mod.summarize(records)
     if args.out:
         bench_mod.emit_results(rows, records, args.out)

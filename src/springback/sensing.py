@@ -79,10 +79,6 @@ class SignalSpec:
             )
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def gen_matrix(spec: EnsembleSpec) -> np.ndarray:
     """Draw a sensing matrix from the given ensemble.
 
@@ -91,7 +87,7 @@ def gen_matrix(spec: EnsembleSpec) -> np.ndarray:
     cos(2 pi i chi / F) / sqrt(m).  Sharing chi across columns is what makes
     large F produce nearly parallel (coherent) columns.
     """
-    rng = _rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     m, n = spec.m, spec.n
     if spec.kind is EnsembleKind.GAUSSIAN:
         return rng.standard_normal((m, n)) / np.sqrt(m)
@@ -109,7 +105,7 @@ def gen_support(spec: SignalSpec) -> np.ndarray:
     compacted slots, then stretch it back by adding (L-1) * rank to each
     index.  This is uniform over all feasible supports and never rejects.
     """
-    rng = _rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     s, n, sep = spec.sparsity, spec.n, max(spec.min_separation, 1)
     if s == 0:
         return np.empty(0, dtype=np.intp)
@@ -121,7 +117,7 @@ def gen_support(spec: SignalSpec) -> np.ndarray:
 def gen_signal(spec: SignalSpec) -> np.ndarray:
     """Exactly s-sparse vector with standard normal nonzero entries."""
     support = gen_support(spec)
-    rng = _rng((spec.seed, 1))
+    rng = np.random.default_rng((spec.seed, 1))
     x = np.zeros(spec.n)
     if support.size == 0:
         return x
@@ -178,5 +174,5 @@ def add_noise_snr(clean, snr_db: float, seed: int) -> tuple[np.ndarray, float]:
         raise InvalidParameterError(
             f"SNR {snr_db:g} dB gives infinite noise: the signal power over 10^(SNR/10) overflows"
         )
-    e = _rng(seed).standard_normal(m) * sigma
+    e = np.random.default_rng(seed).standard_normal(m) * sigma
     return clean + e, safe_norm(e)

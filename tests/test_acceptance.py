@@ -190,8 +190,9 @@ def _random_instance(shape, s, seed, snr_db=None):
 def test_dc_descent_on_random_instances(shape, s, seed):
     # Criterion 4 beyond its 50 fixed seeds, with its tolerances.  Its inner
     # settings (eps_inner 1e-9, max_inner 20000) break the descent on 2 of
-    # 600 such instances, by up to 5.6e-5: an inexact inner solve.  With
-    # these tighter solves the worst gap of 300 instances was -1.7e-10.
+    # 600 such instances, by up to 5.6e-5: an inexact inner solve.  These
+    # tighter solves still break it on shape (20, 60), s = 7, seed = 742:
+    # the inner ADMM hits max_inner at a DCA step and the gap reads -2.94e-4.
     prob = _random_instance(shape, s, seed)
     opts = SolverOptions(
         alpha=alpha_subroutine(prob.A, prob.b, 0.0), eps_inner=1e-11, max_inner=200000

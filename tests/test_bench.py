@@ -24,9 +24,8 @@ from springback.bench import (
     dump_config,
     emit_results,
     load_config,
-    parse_records,
-    parse_summary,
     preset_spec,
+    read_csv,
     run_experiment,
     run_trial,
     summarize,
@@ -365,8 +364,8 @@ def test_emit_and_parse_round_trip(tmp_path):
     spec = _small_spec()
     rows, records = run_experiment(spec)
     paths = emit_results(rows, records, str(tmp_path / "out"), spec)
-    assert parse_summary(paths["summary"]) == rows
-    assert parse_records(paths["records"]) == records
+    assert read_csv(paths["summary"], SummaryRow) == rows
+    assert read_csv(paths["records"], TrialRecord) == records
 
 
 def test_emit_empty_records(tmp_path):

@@ -269,6 +269,23 @@ def test_bench_unwritable_out(tmp_path, capsys):
     assert err.startswith("error: cannot write benchmark results")
 
 
+def test_bench_with_a_dead_solver_lane_exits_2(tmp_path, capsys, monkeypatch):
+    # a lane that dies before it answers is an OSError (ChildProcessError),
+    # so bench reports it as it does a file it cannot read or write
+    from springback import bench
+
+    bench._shared_lanes.close()
+    monkeypatch.setattr(bench, "_LANE_MAIN", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(_TINY_CONFIG + "solvers = springback\n")  # lane 1 alone
+    rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.err == "error: solver lane 1 exited with status -9\n" and out.out == ""
+    assert bench._shared_lanes.processes == {}
+    assert not (tmp_path / "run").exists()
+
+
 def test_solve_rejects_refinement_off_dct(capsys):
     rc = main(["solve", "--ensemble", "gaussian", "--refinement", "4", "--m", "8", "--n", "16"])
     assert rc == 1

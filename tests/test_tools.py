@@ -66,3 +66,30 @@ def test_report_diff_finds_no_difference_between_a_tree_and_its_copy(tmp_path):
     differ = [line for line in run.stdout.splitlines() if line.endswith(" differ")]
     assert differ
     assert all(re.fullmatch(r"(\w+: )?0 of \d+ \w+ differ", line) for line in differ), differ
+    # per solver: outer steps, inner iterations here | the same in the copy
+    work = re.findall(r"^  fig8 +\w+ +(\d+) +(\d+) \| +(\d+) +(\d+)$", run.stdout, re.M)
+    assert work, run.stdout
+    assert all(line[:2] == line[2:] for line in work), work
+
+
+def test_report_diff_closes_each_trees_lanes():
+    # the next tree's import drops springback.bench from sys.modules, so
+    # lanes left open would run beside the next tree's until exit
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import report_diff; "
+        "report_diff.reports(report_diff.ROOT, 1, ['fig8']); "
+        "assert sys.modules['springback.bench']._shared_lanes.processes == {}"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "tools")], capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_pool_check_finds_no_mismatch_for_admm_l1_on_fig8():
+    run = _run_tool("pool_check.py", "fig8", "--solvers", "admm_l1")
+    assert run.returncode == 0, run.stderr
+    assert any(
+        line.startswith("admm_l1: 0 status, 0 stable, 0 summary mismatches;")
+        for line in run.stdout.splitlines()
+    ), run.stdout

@@ -22,6 +22,8 @@ compares each of those presets' manifests, ``dump_config(preset_spec(name,
 trials=TRIALS))``, byte for byte.  A change that claims to restructure
 without touching any spec or result shows 0 differences here.  A preset that
 only one tree names is listed and not compared.
+It then prints, per preset and solver, the outer steps and inner iterations
+summed over the compared reports, for each tree: the work a change does.
 Last it prints each tree's line count of ``src/springback/*.py``, module by
 module and in total, the net ``src/`` lines a change reports.
 
@@ -100,7 +102,20 @@ def reports(tree: str, trials: int, presets: list[str]) -> tuple[dict, dict]:
                 f.name: _bits(getattr(rec, f.name))
                 for f in dataclasses.fields(rec) if f.name != "wall_time"
             }
+    # the next tree's import drops this module, but its atexit hook would
+    # keep these lanes running until the process ends
+    bench._shared_lanes.close()
     return out, manifests
+
+
+def work(found: dict) -> dict[tuple[str, str], tuple[int, int]]:
+    """(preset, solver) -> (outer steps, inner iterations) summed over the reports."""
+    sums: dict[tuple[str, str], tuple[int, int]] = {}
+    for (what, preset, _, _, sid), bits in found.items():
+        if what == "report":
+            outer, inner = sums.get((preset, sid), (0, 0))
+            sums[preset, sid] = (outer + bits["outer_iterations"], inner + bits["inner_iterations_total"])
+    return sums
 
 
 def src_lines(tree: str) -> dict[str, int]:
@@ -148,6 +163,11 @@ def main(argv: list[str]) -> int:
     print(f"{len(differing)} of {len(shared)} manifests differ")
     for preset in differing:
         print(f"  {preset}")
+    print("outer steps and inner iterations summed over the reports: here | the other tree")
+    here, there = work(mine), work(theirs)
+    for key in sorted(set(here) | set(there)):
+        (a_out, a_in), (b_out, b_in) = here.get(key, (0, 0)), there.get(key, (0, 0))
+        print(f"  {key[0]:<12} {key[1]:<11} {a_out:6d} {a_in:9d} | {b_out:6d} {b_in:9d}")
     here, there = src_lines(ROOT), src_lines(args.other_tree)
     print("src/springback lines: here, the other tree, change")
     for name in sorted(set(here) | set(there)) + ["total"]:
