@@ -141,9 +141,10 @@ class ExperimentSpec:
         check_positive("omega", self.omega)
         seed = self.master_seed
         check_integer(f"master_seed must be nonnegative, got {seed}", seed, least=0)
+        if not isinstance(self.literal_acceptance, bool):
+            raise InvalidParameterError(f"literal_acceptance must be a bool, got {self.literal_acceptance!r}")
         for index in range(len(self.sweep_values)):  # every point is valid before a trial runs
-            ens, s, sep, snr = _resolve_point(self, index)
-            SignalSpec(n=ens.n, sparsity=s, min_separation=sep)
+            _, _, snr = _resolve_point(self, index)
             if snr is not None:
                 snr_ratio(snr)
 
@@ -173,16 +174,16 @@ class SummaryRow:
     mean_log_error: float
 
 
-def _derive_seed(master: int, sweep_index: int, trial_index: int, stream: int) -> int:
-    """Seed of one random stream of one trial.  Keyed spawning makes trials
-    order-independent: (sweep, trial) can be drawn without running earlier
-    trials first."""
-    ss = np.random.SeedSequence(master, spawn_key=(sweep_index, trial_index, stream))
-    return int(ss.generate_state(1, np.uint64)[0])
+def _trial_seeds(master: int, sweep_index: int, trial_index: int) -> list[int]:
+    """The matrix, signal and noise seeds of one trial, the children of the
+    SeedSequence keyed by (sweep, trial): keyed spawning makes trials
+    order-independent, each drawn without running earlier trials first."""
+    ss = np.random.SeedSequence(master, spawn_key=(sweep_index, trial_index))
+    return [int(c.generate_state(1, np.uint64)[0]) for c in ss.spawn(3)]
 
 
 def _resolve_point(spec: ExperimentSpec, sweep_index: int):
-    """Concrete (ensemble, s, min_separation, snr_db) at one sweep point."""
+    """Concrete (ensemble, SignalSpec, snr_db) at one sweep point."""
     value = spec.sweep_values[sweep_index]
     ens = spec.ensemble
     s = spec.sparsity
@@ -196,7 +197,7 @@ def _resolve_point(spec: ExperimentSpec, sweep_index: int):
     elif spec.sweep_axis == "m":
         ens = replace(ens, m=int(value))
     sep = spec.sep_factor * ens.refinement if spec.sep_factor > 0 else spec.min_separation
-    return ens, s, sep, snr
+    return ens, SignalSpec(n=ens.n, sparsity=s, min_separation=sep), snr
 
 
 def solver_options(prob: ProblemInstance, sparsity: int, omega: float) -> SolverOptions:
@@ -214,19 +215,17 @@ def trial_setup(
     spec: ExperimentSpec, sweep_index: int, trial_index: int
 ) -> tuple[ProblemInstance, SolverOptions, int]:
     """The instance, solver options and sparsity s of one trial."""
-    ens, s, sep, snr = _resolve_point(spec, sweep_index)
-    mseed = _derive_seed(spec.master_seed, sweep_index, trial_index, 0)
-    sseed = _derive_seed(spec.master_seed, sweep_index, trial_index, 1)
-    nseed = _derive_seed(spec.master_seed, sweep_index, trial_index, 2)
-    A = gen_matrix(replace(ens, seed=mseed))
-    xbar = gen_signal(SignalSpec(n=ens.n, sparsity=s, min_separation=sep, seed=sseed))
+    ens, sig, snr = _resolve_point(spec, sweep_index)
+    mseed, sseed, nseed = _trial_seeds(spec.master_seed, sweep_index, trial_index)
+    A = gen_matrix(ens, mseed)
+    xbar = gen_signal(sig, sseed)
     clean = A @ xbar
     tau = 0.0
     b = clean
     if snr is not None and np.any(clean):
         b, tau = add_noise_snr(clean, snr, nseed)
     prob = ProblemInstance(A, b, tau, xbar)
-    return prob, solver_options(prob, s, spec.omega), s
+    return prob, solver_options(prob, sig.sparsity, spec.omega), sig.sparsity
 
 
 def solve_trial(
@@ -564,10 +563,10 @@ def read_csv(path: str, cls) -> list:
 
 
 # Manifest layout, section -> keys in write order.  Keys name ExperimentSpec
-# fields; under [ensemble] they name EnsembleSpec fields.  A None value
+# fields; [ensemble] holds exactly EnsembleSpec's fields.  A None value
 # (snr_db when unset) is not written.
 _CONFIG = {
-    "ensemble": ("kind", "m", "n", "refinement"),
+    "ensemble": tuple(f.name for f in fields(EnsembleSpec)),
     "signal": ("sparsity", "min_separation", "sep_factor"),
     "experiment": (
         "sweep_axis", "sweep_values", "solvers", "trials", "omega",

@@ -38,18 +38,18 @@ class EnsembleKind(enum.Enum):
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Measurement-matrix description: ensemble kind, shape, refinement, seed."""
+    """Measurement-matrix description: ensemble kind, shape, refinement."""
 
     kind: EnsembleKind
     m: int
     n: int
     refinement: int = 1
-    seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.kind, EnsembleKind):
+            raise InvalidParameterError(f"kind must be an EnsembleKind, got {self.kind!r}")
         check_integer("m and n must be positive", self.m, self.n)
         check_integer("refinement factor must be >= 1", self.refinement)
-        check_integer("seed must be a nonnegative integer", self.seed, least=0)
         if self.kind is not EnsembleKind.OVERSAMPLED_DCT and self.refinement != 1:
             raise InvalidParameterError(
                 "refinement factor only applies to the oversampled DCT ensemble"
@@ -58,12 +58,11 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Ground-truth description: dimension, sparsity, minimum separation, seed."""
+    """Ground-truth description: dimension, sparsity, minimum separation."""
 
     n: int
     sparsity: int
     min_separation: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         check_integer("n must be positive", self.n)
@@ -71,7 +70,6 @@ class SignalSpec:
         if self.sparsity > self.n:
             raise InvalidParameterError("sparsity must lie in [0, n]")
         check_integer("min_separation must be nonnegative", self.min_separation, least=0)
-        check_integer("seed must be a nonnegative integer", self.seed, least=0)
         s, sep = self.sparsity, self.min_separation
         if s > 0 and sep > 0 and (s - 1) * sep + 1 > self.n:
             raise InvalidParameterError(
@@ -79,7 +77,7 @@ class SignalSpec:
             )
 
 
-def gen_matrix(spec: EnsembleSpec) -> np.ndarray:
+def gen_matrix(spec: EnsembleSpec, seed: int) -> np.ndarray:
     """Draw a sensing matrix from the given ensemble.
 
     Gaussian: i.i.d. N(0, 1/m) entries.  Oversampled DCT: a single frequency
@@ -87,7 +85,8 @@ def gen_matrix(spec: EnsembleSpec) -> np.ndarray:
     cos(2 pi i chi / F) / sqrt(m).  Sharing chi across columns is what makes
     large F produce nearly parallel (coherent) columns.
     """
-    rng = np.random.default_rng(spec.seed)
+    check_integer("seed must be a nonnegative integer", seed, least=0)
+    rng = np.random.default_rng(seed)
     m, n = spec.m, spec.n
     if spec.kind is EnsembleKind.GAUSSIAN:
         return rng.standard_normal((m, n)) / np.sqrt(m)
@@ -97,7 +96,7 @@ def gen_matrix(spec: EnsembleSpec) -> np.ndarray:
     return np.cos(2.0 * np.pi * np.outer(chi, cols) / F) / np.sqrt(m)
 
 
-def gen_support(spec: SignalSpec) -> np.ndarray:
+def gen_support(spec: SignalSpec, seed: int) -> np.ndarray:
     """Sample a sorted support of size s, honoring the minimum separation.
 
     The support is drawn by gap allocation, with L the separation (0 reads
@@ -105,7 +104,8 @@ def gen_support(spec: SignalSpec) -> np.ndarray:
     compacted slots, then stretch it back by adding (L-1) * rank to each
     index.  This is uniform over all feasible supports and never rejects.
     """
-    rng = np.random.default_rng(spec.seed)
+    check_integer("seed must be a nonnegative integer", seed, least=0)
+    rng = np.random.default_rng(seed)
     s, n, sep = spec.sparsity, spec.n, max(spec.min_separation, 1)
     if s == 0:
         return np.empty(0, dtype=np.intp)
@@ -114,10 +114,10 @@ def gen_support(spec: SignalSpec) -> np.ndarray:
     return base + (sep - 1) * np.arange(s)
 
 
-def gen_signal(spec: SignalSpec) -> np.ndarray:
+def gen_signal(spec: SignalSpec, seed: int) -> np.ndarray:
     """Exactly s-sparse vector with standard normal nonzero entries."""
-    support = gen_support(spec)
-    rng = np.random.default_rng((spec.seed, 1))
+    support = gen_support(spec, seed)
+    rng = np.random.default_rng((seed, 1))
     x = np.zeros(spec.n)
     if support.size == 0:
         return x

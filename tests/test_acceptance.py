@@ -149,8 +149,8 @@ _RUN_CACHE = []
 def _descent_runs():
     if not _RUN_CACHE:
         for seed in range(50):
-            A = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=64, n=250, seed=seed))
-            xbar = gen_signal(SignalSpec(n=250, sparsity=10, seed=seed + 5000))
+            A = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=64, n=250), seed)
+            xbar = gen_signal(SignalSpec(n=250, sparsity=10), seed + 5000)
             b = A @ xbar
             prob = ProblemInstance(A, b, 0.0, xbar)
             alpha = alpha_subroutine(A, b, 0.0)
@@ -173,8 +173,8 @@ def test_criterion_04_dc_descent():
 
 def _random_instance(shape, s, seed, snr_db=None):
     m, n = shape
-    A = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=m, n=n, seed=seed))
-    xbar = gen_signal(SignalSpec(n=n, sparsity=s, seed=seed + 1))
+    A = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=m, n=n), seed)
+    xbar = gen_signal(SignalSpec(n=n, sparsity=s), seed + 1)
     b = A @ xbar
     if snr_db is not None:
         b = add_noise_snr(b, snr_db, seed + 2)[0]
@@ -339,7 +339,7 @@ def test_criterion_08_small_instance_oracle():
 
 
 def test_criterion_09_statistical_generators():
-    A = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=100, n=120, seed=90))
+    A = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=100, n=120), 90)
     var_ok = abs(A.ravel().var() * 100 - 1.0) <= 0.1
     rng = np.random.default_rng(91)
     clean = rng.standard_normal(1500)
@@ -351,7 +351,7 @@ def test_criterion_09_statistical_generators():
         snr_ok = snr_ok and abs(realized - snr) <= 1.0
     sep_ok = True
     for seed in range(10000):
-        sup = gen_support(SignalSpec(n=200, sparsity=8, min_separation=12, seed=seed))
+        sup = gen_support(SignalSpec(n=200, sparsity=8, min_separation=12), seed)
         sep_ok = sep_ok and sup.size == 8 and int(np.diff(sup).min()) >= 12
     _report(9, "statistical generator checks", var_ok and snr_ok and sep_ok)
 

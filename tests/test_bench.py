@@ -97,6 +97,10 @@ def test_spec_validation():
             _small_spec(trials=value)
         with pytest.raises(InvalidParameterError, match="master_seed"):
             _small_spec(master_seed=value)
+    # a manifest writes the acceptance rule as 0 or 1, and 2 would not load
+    for value in (2, 1, 0, "1", None):
+        with pytest.raises(InvalidParameterError, match="literal_acceptance must be a bool"):
+            _small_spec(literal_acceptance=value)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -225,8 +229,12 @@ def test_trial_seeds_order_independent():
     forward = {key: _strip_time(run_trial(spec, *key)) for key in keys}
     backward = {key: _strip_time(run_trial(spec, *key)) for key in reversed(keys)}
     assert forward == backward
-    seeds = {bench._derive_seed(7, si, ti, stream) for si, ti in keys for stream in range(3)}
+    seeds = {seed for si, ti in keys for seed in bench._trial_seeds(7, si, ti)}
     assert len(seeds) == 12
+    # the three children of (sweep, trial) are the streams keyed (sweep, trial, k)
+    for master in (0, 7, 2**40 + 3):
+        keyed = [np.random.SeedSequence(master, spawn_key=(1, 2, k)) for k in range(3)]
+        assert bench._trial_seeds(master, 1, 2) == [int(ss.generate_state(1, np.uint64)[0]) for ss in keyed]
 
 
 _ORDER_SPEC = _small_spec(
@@ -375,6 +383,30 @@ def test_emit_empty_records(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("trial_index,")
 
 
+# field -> (preset, the value that replaces the preset's) for the manifest
+# round trip: one per field of ExperimentSpec and of EnsembleSpec, each a
+# valid spec on its preset (only fig5's DCT takes another refinement)
+_FIELD_CHANGES = {
+    "ensemble": ("fig4", EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, m=60, n=150, refinement=3)),
+    "sparsity": ("fig4", 11),
+    "sweep_axis": ("fig4", "m"),
+    "sweep_values": ("fig4", (6.0, 8.0)),
+    "solvers": ("fig4", ("aiht", "dca_mcp")),
+    "trials": ("fig4", 3),
+    "snr_db": ("fig4", 30.0),
+    "min_separation": ("fig4", 2),
+    "sep_factor": ("fig4", 2),
+    "omega": ("fig4", 0.3),
+    "success_tol": ("fig4", 1e-4),
+    "master_seed": ("fig4", 2**40 + 3),
+    "literal_acceptance": ("fig4", True),
+    "kind": ("fig4", EnsembleKind.OVERSAMPLED_DCT),
+    "m": ("fig4", 48),
+    "n": ("fig4", 170),
+    "refinement": ("fig5", 5),
+}
+
+
 def test_manifest_round_trip(tmp_path):
     spec = _small_spec()
     text = dump_config(spec)
@@ -393,6 +425,19 @@ def test_manifest_round_trip(tmp_path):
             floats = tuple(float(v) for v in spec.sweep_values)
             assert loaded == replace(spec, sweep_values=floats), (name, literal)
             assert [type(v) for v in loaded.sweep_values] == [float] * len(floats)
+    # a spec that differs from a preset in one field alone reads back as
+    # itself, for every field of ExperimentSpec and of its EnsembleSpec
+    ens_fields = [f.name for f in fields(EnsembleSpec)]
+    assert sorted(_FIELD_CHANGES) == sorted([f.name for f in fields(ExperimentSpec)] + ens_fields)
+    for name, (preset, value) in _FIELD_CHANGES.items():
+        spec = preset_spec(preset)
+        if name in ens_fields:
+            changed = replace(spec, ensemble=replace(spec.ensemble, **{name: value}))
+        else:
+            changed = replace(spec, **{name: value})
+        assert changed != spec, name
+        floats = tuple(float(v) for v in changed.sweep_values)
+        assert _load_text(tmp_path, dump_config(changed)) == replace(changed, sweep_values=floats), name
 
 
 _FIG8_MANIFEST = """\

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import springback
-from springback.bench import preset_spec, run_trial
+from springback.bench import ExperimentSpec, preset_spec, run_trial
 from springback.penalties import ThresholdParams
+from springback.sensing import EnsembleSpec, SignalSpec
 from springback.solvers import SolverOptions
 
 
@@ -158,7 +159,14 @@ def _attributes_read(tree: ast.AST, name: str, skip_class: str) -> set[str]:
 
 # Every setting some solver or penalty reads; a field nothing reads is dead.
 @pytest.mark.parametrize(
-    "cls, name", [(SolverOptions, "opts"), (ThresholdParams, "params")]
+    "cls, name",
+    [
+        (SolverOptions, "opts"),
+        (ThresholdParams, "params"),
+        (ExperimentSpec, "spec"),
+        (EnsembleSpec, "spec"),
+        (SignalSpec, "spec"),
+    ],
 )
 def test_every_setting_is_read(cls, name):
     root = Path(springback.__file__).parent

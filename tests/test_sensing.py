@@ -33,32 +33,42 @@ def test_spec_validation():
         SignalSpec(n=0, sparsity=0)
     with pytest.raises(InvalidParameterError, match="min_separation must be nonnegative"):
         SignalSpec(n=10, sparsity=2, min_separation=-1)
+    # gen_matrix reads "gaussian" as the DCT, which the manifest would not record
+    for kind in ("gaussian", "oversampled_dct", None):
+        with pytest.raises(InvalidParameterError, match="kind must be an EnsembleKind"):
+            EnsembleSpec(kind, 4, 6)
 
 
 # NaN passes every ordering test, and 2.5 or True would reach the generators
 @pytest.mark.parametrize("value", [math.nan, 2.5, 3.0, True, -1])
 def test_integer_fields_take_integers_only(value):
-    ensemble_fields = {"m": "m and n", "n": "m and n", "refinement": "refinement", "seed": "seed"}
+    ensemble_fields = {"m": "m and n", "n": "m and n", "refinement": "refinement"}
     for field, match in ensemble_fields.items():
         kw = dict(kind=EnsembleKind.OVERSAMPLED_DCT, m=4, n=10, refinement=1) | {field: value}
         with pytest.raises(InvalidParameterError, match=match):
             EnsembleSpec(**kw)
-    signal_fields = {"n": "n must be", "sparsity": "sparsity", "min_separation": "min_", "seed": "seed"}
+    signal_fields = {"n": "n must be", "sparsity": "sparsity", "min_separation": "min_"}
     for field, match in signal_fields.items():
         kw = dict(n=10, sparsity=2, min_separation=1) | {field: value}
         with pytest.raises(InvalidParameterError, match=match):
             SignalSpec(**kw)
-    with pytest.raises(InvalidParameterError, match="seed"):
-        add_noise_snr(np.ones(5), 20.0, seed=value)
-    EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, m=np.int64(4), n=np.int32(10), refinement=2)
-    SignalSpec(n=np.int64(10), sparsity=np.int64(2), min_separation=np.int64(1), seed=np.uint64(3))
+    # every generator takes its seed as an argument and checks it alike
+    ens, sig = EnsembleSpec(EnsembleKind.GAUSSIAN, m=4, n=10), SignalSpec(n=10, sparsity=2)
+    for draw in (lambda: gen_matrix(ens, value), lambda: gen_support(sig, value),
+                 lambda: gen_signal(sig, value), lambda: add_noise_snr(np.ones(5), 20.0, value)):
+        with pytest.raises(InvalidParameterError, match="seed must be a nonnegative integer"):
+            draw()
+    ens = EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, m=np.int64(4), n=np.int32(10), refinement=2)
+    sig = SignalSpec(n=np.int64(10), sparsity=np.int64(2), min_separation=np.int64(1))
+    assert gen_matrix(ens, np.uint64(3)).shape == (4, 10)
+    assert np.count_nonzero(gen_signal(sig, np.uint64(3))) == 2
 
 
 def test_reproducibility():
-    spec = EnsembleSpec(EnsembleKind.GAUSSIAN, m=16, n=40, seed=11)
-    np.testing.assert_array_equal(gen_matrix(spec), gen_matrix(spec))
-    sig = SignalSpec(n=40, sparsity=5, seed=3)
-    np.testing.assert_array_equal(gen_signal(sig), gen_signal(sig))
+    spec = EnsembleSpec(EnsembleKind.GAUSSIAN, m=16, n=40)
+    np.testing.assert_array_equal(gen_matrix(spec, 11), gen_matrix(spec, 11))
+    sig = SignalSpec(n=40, sparsity=5)
+    np.testing.assert_array_equal(gen_signal(sig, 3), gen_signal(sig, 3))
     a, t1 = add_noise_snr(np.ones(50), 20.0, seed=7)
     b, t2 = add_noise_snr(np.ones(50), 20.0, seed=7)
     np.testing.assert_array_equal(a, b)
@@ -66,7 +76,7 @@ def test_reproducibility():
 
 
 def test_gaussian_statistics():
-    A = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=100, n=200, seed=0))
+    A = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=100, n=200), 0)
     entries = A.ravel()
     assert abs(entries.mean()) < 3.0 / np.sqrt(entries.size)
     assert entries.var() == pytest.approx(1.0 / 100, rel=0.1)
@@ -74,8 +84,8 @@ def test_gaussian_statistics():
 
 def test_dct_entries_bounded():
     for F in (1, 8):
-        spec = EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, m=32, n=64, refinement=F, seed=1)
-        A = gen_matrix(spec)
+        spec = EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, m=32, n=64, refinement=F)
+        A = gen_matrix(spec, 1)
         assert np.all(np.abs(A) <= 1.0 / np.sqrt(32) + 1e-15)
 
 
@@ -90,21 +100,21 @@ def test_oversampled_coherence_grows_with_refinement():
     wins = 0
     for seed in range(10):
         c4 = _mutual_coherence(
-            gen_matrix(EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, 32, 200, 4, seed))
+            gen_matrix(EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, 32, 200, 4), seed)
         )
         c16 = _mutual_coherence(
-            gen_matrix(EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, 32, 200, 16, seed))
+            gen_matrix(EnsembleSpec(EnsembleKind.OVERSAMPLED_DCT, 32, 200, 16), seed)
         )
         wins += c16 > c4
     assert wins >= 8
 
 
 def test_support_contract():
-    assert set(gen_support(SignalSpec(n=6, sparsity=6))) == set(range(6))
+    assert set(gen_support(SignalSpec(n=6, sparsity=6), 0)) == set(range(6))
     for seed in range(50):
-        sup = gen_support(SignalSpec(n=10, sparsity=2, min_separation=5, seed=seed))
+        sup = gen_support(SignalSpec(n=10, sparsity=2, min_separation=5), seed)
         assert abs(sup[1] - sup[0]) >= 5
-    sup = gen_support(SignalSpec(n=100, sparsity=0))
+    sup = gen_support(SignalSpec(n=100, sparsity=0), 0)
     assert sup.size == 0
 
 
@@ -115,15 +125,15 @@ def test_support_without_separation_is_a_plain_draw():
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         expect = np.sort(rng.choice(40, size=7, replace=False))
         for sep in (0, 1):
-            got = gen_support(SignalSpec(n=40, sparsity=7, min_separation=sep, seed=seed))
+            got = gen_support(SignalSpec(n=40, sparsity=7, min_separation=sep), seed)
             np.testing.assert_array_equal(got, expect)
             assert got.dtype == expect.dtype
 
 
 def test_support_separation_holds_broadly():
     for seed in range(200):
-        spec = SignalSpec(n=64, sparsity=6, min_separation=8, seed=seed)
-        sup = gen_support(spec)
+        spec = SignalSpec(n=64, sparsity=6, min_separation=8)
+        sup = gen_support(spec, seed)
         assert sup.size == 6
         assert np.diff(sup).min() >= 8
         assert sup.min() >= 0 and sup.max() < 64
@@ -133,16 +143,16 @@ def test_support_distribution_roughly_uniform():
     n, s, draws = 20, 3, 10000
     counts = np.zeros(n)
     for seed in range(draws):
-        counts[gen_support(SignalSpec(n=n, sparsity=s, seed=seed))] += 1
+        counts[gen_support(SignalSpec(n=n, sparsity=s), seed)] += 1
     expect = draws * s / n
     sigma = np.sqrt(draws * (s / n) * (1 - s / n))
     assert np.all(np.abs(counts - expect) < 5 * sigma)
 
 
 def test_signal_exactly_sparse():
-    x = gen_signal(SignalSpec(n=50, sparsity=7, seed=5))
+    x = gen_signal(SignalSpec(n=50, sparsity=7), 5)
     assert np.count_nonzero(x) == 7
-    assert np.array_equal(gen_signal(SignalSpec(n=30, sparsity=0)), np.zeros(30))
+    assert np.array_equal(gen_signal(SignalSpec(n=30, sparsity=0), 0), np.zeros(30))
 
 
 def test_snr_calibration():

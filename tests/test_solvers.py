@@ -35,8 +35,8 @@ from springback.solvers import (
 
 
 def _gaussian_instance(m, n, s, seed):
-    A = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=m, n=n, seed=seed))
-    x = gen_signal(SignalSpec(n=n, sparsity=s, seed=seed + 1000))
+    A = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=m, n=n), seed)
+    x = gen_signal(SignalSpec(n=n, sparsity=s), seed + 1000)
     return ProblemInstance(A, A @ x, 0.0, x), x
 
 
@@ -440,7 +440,7 @@ def test_alpha_subroutine_branches():
 @pytest.mark.parametrize("name", ["tau", "omega"])
 def test_alpha_subroutine_rejects_non_finite(name, value):
     # a coherent A and a Gaussian one: each takes a different branch
-    A_gauss = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=8, n=20, seed=0))
+    A_gauss = gen_matrix(EnsembleSpec(EnsembleKind.GAUSSIAN, m=8, n=20), 0)
     for A in (np.diag([100.0, 1.0]), A_gauss):
         b = np.ones(A.shape[0])
         kwargs = {"tau": 0.0, "omega": 0.5, name: value}

@@ -70,6 +70,14 @@ def test_report_diff_finds_no_difference_between_a_tree_and_its_copy(tmp_path):
     work = re.findall(r"^  fig8 +\w+ +(\d+) +(\d+) \| +(\d+) +(\d+)$", run.stdout, re.M)
     assert work, run.stdout
     assert all(line[:2] == line[2:] for line in work), work
+    # settable values: name, count here, count in the copy, change
+    settable = re.findall(r"^  (\w+ (?:fields|options)) +(\d+) +(\d+) +([+-]\d+)$", run.stdout, re.M)
+    assert [name for name, *_ in settable] == [
+        "ExperimentSpec fields", "EnsembleSpec fields", "SignalSpec fields", "SolverOptions fields",
+        "ThresholdParams fields", "RipProfile fields", "threshold options", "bounds options",
+        "solve options", "bench options", "report options",
+    ], run.stdout
+    assert all(here == there != "0" and change == "+0" for _, here, there, change in settable), settable
 
 
 def test_report_diff_closes_each_trees_lanes():

@@ -24,8 +24,11 @@ without touching any spec or result shows 0 differences here.  A preset that
 only one tree names is listed and not compared.
 It then prints, per preset and solver, the outer steps and inner iterations
 summed over the compared reports, for each tree: the work a change does.
-Last it prints each tree's line count of ``src/springback/*.py``, module by
-module and in total, the net ``src/`` lines a change reports.
+Then it prints each tree's line count of ``src/springback/*.py``, module by
+module and in total, the net ``src/`` lines a change reports.  Last it
+prints each tree's settable values: the field count of each settings class
+in ``SETTINGS`` and the option count of each ``springback`` subcommand that
+``cli._build_parser()`` builds, --help excluded.
 
 Run from the repository root, with the other tree made by, for example,
 ``git archive HEAD | tar -x -C ../parent``:
@@ -50,6 +53,12 @@ from pathlib import Path
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (module, class) of each settings dataclass whose fields settable_values counts
+SETTINGS = (
+    ("bench", "ExperimentSpec"), ("sensing", "EnsembleSpec"), ("sensing", "SignalSpec"),
+    ("solvers", "SolverOptions"), ("penalties", "ThresholdParams"), ("bounds", "RipProfile"),
+)
 
 
 def _bits(value):
@@ -123,6 +132,22 @@ def src_lines(tree: str) -> dict[str, int]:
     return {p.name: p.read_bytes().count(b"\n") for p in Path(tree, "src", "springback").glob("*.py")}
 
 
+def settable_values(tree: str) -> dict[str, int]:
+    """The field count of each SETTINGS class and the option count of each
+    ``springback`` subcommand, --help excluded, in one tree."""
+    _import_bench(tree)  # the tree's package, whose submodules load from its src
+    counts = {}
+    for module, name in SETTINGS:
+        cls = getattr(importlib.import_module(f"springback.{module}"), name)
+        counts[f"{name} fields"] = len(dataclasses.fields(cls))
+    _, commands = importlib.import_module("springback.cli")._build_parser()
+    for command, parser in commands.items():
+        counts[f"{command} options"] = sum(
+            bool(a.option_strings) and not isinstance(a, argparse._HelpAction) for a in parser._actions
+        )
+    return counts
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_tree", help="root of the checkout to compare against")
@@ -173,6 +198,11 @@ def main(argv: list[str]) -> int:
     for name in sorted(set(here) | set(there)) + ["total"]:
         a, b = (sum(v.values()) if name == "total" else v.get(name, 0) for v in (here, there))
         print(f"  {name:<14} {a:5d} {b:5d} {a - b:+6d}")
+    here, there = settable_values(ROOT), settable_values(args.other_tree)
+    print("settable values: here, the other tree, change")
+    for name in dict.fromkeys([*here, *there]):
+        a, b = here.get(name, 0), there.get(name, 0)
+        print(f"  {name:<22} {a:5d} {b:5d} {a - b:+6d}")
     return 1 if diffs or differing else 0
 
 
