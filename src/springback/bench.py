@@ -93,6 +93,18 @@ SOLVER_IDS = (*SOLVERS, *_DCA_KINDS)
 SWEEP_AXES = ("s", "refinement", "snr", "m")
 
 
+def _check_solvers(solvers: tuple[str, ...]) -> None:
+    """Raise InvalidParameterError unless ``solvers`` is a nonempty tuple of
+    distinct ids from SOLVER_IDS: the rule of a spec's and solve_trial's ids."""
+    if not solvers:
+        raise InvalidParameterError("solvers must be nonempty")
+    for sid in solvers:
+        if sid not in SOLVER_IDS:
+            raise InvalidParameterError(f"unknown solver id {sid!r}")
+    if len(set(solvers)) != len(solvers):
+        raise InvalidParameterError("solvers must be distinct")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Full description of one benchmark sweep.  A sweep value replaces
@@ -126,13 +138,7 @@ class ExperimentSpec:
             raise InvalidParameterError(f"sweep_values on the {self.sweep_axis!r} axis must be integers")
         check_integer("trials must be >= 1", self.trials)
         check_positive("success_tol", self.success_tol)
-        if not self.solvers:
-            raise InvalidParameterError("solvers must be nonempty")
-        for sid in self.solvers:
-            if sid not in SOLVER_IDS:
-                raise InvalidParameterError(f"unknown solver id {sid!r}")
-        if len(set(self.solvers)) != len(self.solvers):
-            raise InvalidParameterError("solvers must be distinct")
+        _check_solvers(self.solvers)
         check_integer(
             "separation settings must be nonnegative", self.sep_factor, self.min_separation, least=0
         )
@@ -214,7 +220,14 @@ def solver_options(prob: ProblemInstance, sparsity: int, omega: float) -> Solver
 def trial_setup(
     spec: ExperimentSpec, sweep_index: int, trial_index: int
 ) -> tuple[ProblemInstance, SolverOptions, int]:
-    """The instance, solver options and sparsity s of one trial."""
+    """The instance, solver options and sparsity s of one trial: sweep
+    index and trial index each an integer in range for ``spec``."""
+    points = len(spec.sweep_values)
+    for what, index, count in (("sweep", sweep_index, points), ("trial", trial_index, spec.trials)):
+        message = f"{what} index must be an integer in [0, {count}), got {index!r}"
+        check_integer(message, index, least=0)
+        if index >= count:
+            raise InvalidParameterError(message)
     ens, sig, snr = _resolve_point(spec, sweep_index)
     mseed, sseed, nseed = _trial_seeds(spec.master_seed, sweep_index, trial_index)
     A = gen_matrix(ens, mseed)
@@ -232,7 +245,8 @@ def solve_trial(
     solvers: tuple[str, ...], prob: ProblemInstance, opts: SolverOptions
 ) -> dict[str, tuple[SolverReport, float]]:
     """Run the solver ids ``solvers`` on one instance: per id, its report and
-    its wall time in seconds.
+    its wall time in seconds.  The ids follow a spec's rule: nonempty, known
+    and distinct.
 
     The DCA ids among them run as one stack of lasso rows, a single
     dca_unconstrained call made in the place of the first, in their order
@@ -244,6 +258,7 @@ def solve_trial(
     A solver reports its own numeric failure; any error it raises, a
     NumericError included, is a bug and raises here.
     """
+    _check_solvers(solvers)
     dca = [sid for sid in solvers if sid in _DCA_KINDS]
     results: dict[str, tuple[SolverReport, float]] = {}
     for sid in solvers:

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, NumericError, RipConditionError, check_integer, check_positive
+from .errors import InvalidParameterError, NumericError, RipConditionError, check_integer, check_length, check_positive
 from .linalg import as_matrix, as_vector, safe_norm, singular_extremes
 from .penalties import PenaltyKind, ThresholdParams
 
@@ -237,6 +237,7 @@ def convergence_alpha_bound(A, b, tau: float) -> float:
     objective values along the solver iterates."""
     A = as_matrix(A)
     b = as_vector(b)
+    check_length("b", b, A.shape[0])
     check_positive("tau", tau, zero_ok=True)
     denom = safe_norm(b) + tau
     if denom <= 0:

@@ -42,3 +42,9 @@ def check_integer(message: str, *values, least: int = 1) -> None:
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
             raise InvalidParameterError(message)
+
+
+def check_length(what: str, v, n: int) -> None:
+    """Raise InvalidParameterError "<what> has length k, expected n" unless v has n entries."""
+    if v.shape[0] != n:
+        raise InvalidParameterError(f"{what} has length {v.shape[0]}, expected {n}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError, check_integer, check_positive
+from .errors import InvalidParameterError, NumericError, check_integer, check_length, check_positive
 from .linalg import (
     GramRidgeSolver,
     SpdFactor,
@@ -102,15 +102,11 @@ class ProblemInstance:
     def __post_init__(self):
         A = as_matrix(self.A)
         b = as_vector(self.b)
-        if A.shape[0] != b.shape[0]:
-            raise InvalidParameterError(
-                f"A has {A.shape[0]} rows but b has length {b.shape[0]}"
-            )
+        check_length("b", b, A.shape[0])
         check_positive("tau", self.tau, zero_ok=True)
         if self.ground_truth is not None:
             g = as_vector(self.ground_truth)
-            if g.shape[0] != A.shape[1]:
-                raise InvalidParameterError("ground_truth length must match A columns")
+            check_length("ground_truth", g, A.shape[1])
             object.__setattr__(self, "ground_truth", _read_only(g))
         object.__setattr__(self, "A", _read_only(A))
         object.__setattr__(self, "b", _read_only(b))
@@ -340,8 +336,7 @@ def admm_subproblem(
     A, b, tau = prob.A, prob.b, prob.tau
     m, n = A.shape
     xi = as_vector(xi)
-    if xi.shape[0] != n:
-        raise InvalidParameterError(f"A has {n} columns but xi has length {xi.shape[0]}")
+    check_length("xi", xi, n)
     st = warm if warm is not None else fresh_admm_state(prob)
     solver = prob.gram_solver
     step = solver.offset_solve
@@ -758,6 +753,7 @@ def alpha_subroutine(A, b, tau: float, omega: float = OMEGA) -> float:
     """
     A = as_matrix(A)
     b = as_vector(b)
+    check_length("b", b, A.shape[0])
     check_positive("omega", omega)
     check_positive("tau", tau, zero_ok=True)
     denom = safe_norm(b) + tau

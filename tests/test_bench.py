@@ -223,6 +223,41 @@ def test_numeric_error_escaping_the_dca_stack_raises_from_run_trial(monkeypatch)
         run_trial(spec, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "solvers, match",
+    [
+        (("nope",), "unknown solver id 'nope'"),
+        (("aiht", "aiht"), "solvers must be distinct"),
+        ((), "solvers must be nonempty"),
+    ],
+)
+def test_solve_trial_checks_its_ids_by_the_spec_rule(solvers, match):
+    # a bare KeyError, or one report for a repeated id, before the check
+    prob, opts, _ = bench.trial_setup(_small_spec(), 0, 0)
+    with pytest.raises(InvalidParameterError, match=match):
+        bench.solve_trial(solvers, prob, opts)
+
+
+@pytest.mark.parametrize(
+    "sweep_index, trial_index, what",
+    [(7, 0, "sweep"), (-1, 0, "sweep"), (0.0, 0, "sweep"), (0, -1, "trial"), (0, 3, "trial"), (0, True, "trial")],
+)
+def test_trial_setup_refuses_a_trial_the_spec_does_not_hold(sweep_index, trial_index, what):
+    # fig8 has 7 sweep points: sweep index 7 raised a bare IndexError, an
+    # index of -1 numpy's ValueError, and trial 3 of a 1-trial spec was drawn
+    spec = preset_spec("fig8", trials=1)
+    for call in (bench.trial_setup, run_trial):
+        with pytest.raises(InvalidParameterError, match=f"{what} index must be an integer in"):
+            call(spec, sweep_index, trial_index)
+
+
+def test_a_solver_lane_refuses_a_trial_the_spec_does_not_hold():
+    spec = preset_spec("fig8", trials=1)
+    with _deadline(60), pytest.raises(InvalidParameterError, match=r"trial index .* \[0, 1\), got 1"):
+        run_trial(spec, 0, 1, _lanes=bench._shared_lanes)
+    assert all(p.poll() is None for p in bench._shared_lanes.processes.values())
+
+
 def test_trial_seeds_order_independent():
     spec = _small_spec(sweep_values=(3, 5))
     keys = [(si, ti) for si in range(2) for ti in range(2)]
@@ -776,7 +811,8 @@ def test_a_mixed_sweep_generates_no_instance_in_this_process(monkeypatch):
 def _lane_error(monkeypatch, lane):
     """(solvers, unknown id) of a mixed spec whose unknown id this process
     knows and the given lane's package does not: that lane's solve_trial
-    raises KeyError naming it, and the other lane replies as usual."""
+    raises InvalidParameterError naming it, and the other lane replies as
+    usual."""
     if lane == 0:
         monkeypatch.setitem(bench._DCA_KINDS, "dca_extra", PenaltyKind.TL1)
         solvers, unknown = ("aiht", "dca_extra"), "dca_extra"
@@ -789,12 +825,12 @@ def _lane_error(monkeypatch, lane):
 
 @pytest.mark.parametrize("lane", (0, 1))
 def test_an_error_in_a_lane_raises_its_own_type(monkeypatch, lane):
-    # the sweep raises the lane's KeyError; both lanes live on and serve
-    # the next sweep
+    # the sweep raises the lane's InvalidParameterError; both lanes live on
+    # and serve the next sweep
     solvers, unknown = _lane_error(monkeypatch, lane)
     spec = _small_spec(solvers=solvers)
     run_trial(spec, 0, 0)  # in this process the id is known
-    with _deadline(60), pytest.raises(KeyError, match=unknown):
+    with _deadline(60), pytest.raises(InvalidParameterError, match=f"unknown solver id '{unknown}'"):
         run_experiment(spec)
     pids = _lane_pids()
     assert sorted(pids) == [0, 1]
@@ -812,7 +848,7 @@ def test_a_sweep_that_raised_leaves_no_stale_reply(monkeypatch, lane):
     # instances, must not take that reply for its own first trial's
     solvers, _ = _lane_error(monkeypatch, lane)
     spec = _small_spec(solvers=solvers, trials=1)
-    with _deadline(60), pytest.raises(KeyError):
+    with _deadline(60), pytest.raises(InvalidParameterError, match="unknown solver id"):
         run_experiment(spec)
     pids = _lane_pids()
     assert sorted(pids) == [0, 1]

@@ -222,6 +222,23 @@ def test_alpha_relation():
         alpha_relation(TOY_PROFILE, A, b, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("length", [4, 6])
+@pytest.mark.parametrize(
+    "alpha_of",
+    [
+        lambda A, b: alpha_subroutine(A, b, 0.0),
+        lambda A, b: convergence_alpha_bound(A, b, 0.0),
+        lambda A, b: alpha_relation(TOY_PROFILE, A, b, 0.0, 1.0),
+    ],
+    ids=["alpha_subroutine", "convergence_alpha_bound", "alpha_relation"],
+)
+def test_alpha_bounds_reject_b_of_another_length(alpha_of, length):
+    # 2 sigma_min(A) / (||b||_2 + tau) is stated for one system: b has A's m rows
+    A = np.hstack([np.eye(5), np.eye(5)])
+    with pytest.raises(InvalidParameterError, match=f"b has length {length}, expected 5"):
+        alpha_of(A, np.ones(length))
+
+
 def test_bound_argument_checks():
     params = ThresholdParams()
     for call, match in (

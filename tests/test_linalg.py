@@ -56,7 +56,7 @@ def test_spd_factor_reusable_and_validates():
     for _ in range(3):
         r = rng.standard_normal(4)
         np.testing.assert_allclose(M @ f.solve(r), r, atol=1e-10)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="right-hand side has length 3, expected 4"):
         f.solve(np.zeros(3))
     with pytest.raises(InvalidParameterError, match="square"):
         SpdFactor(np.ones((2, 3)))
@@ -140,6 +140,10 @@ def test_gram_ridge_solver_matches_dense(shape):
     r = rng.standard_normal(shape[1])
     expected = np.linalg.solve(A.T @ A + zeta * np.eye(shape[1]), r)
     np.testing.assert_allclose(solver.solve(r), expected, atol=1e-8)
+    # the loops' H products go through ndarray.dot, which copies a strided
+    # operand on every call: H stays a contiguous copy of F's first n columns
+    assert solver.H.flags.c_contiguous and solver.F.flags.c_contiguous
+    assert np.array_equal(solver.H, solver.F[:, : shape[1]])
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -87,6 +87,21 @@ def test_finiteness_rule_is_written_once():
     assert copies == []
 
 
+def test_length_rule_is_written_once():
+    # "a vector has the length its matrix fixes" is errors.check_length's
+    # rule; a module that raises "has length" itself keeps a copy of it
+    root = Path(springback.__file__).parent
+    copies = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.glob("*.py"))
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and any(isinstance(c, ast.Constant) and "has length" in str(c.value) for c in ast.walk(node))
+    ]
+    assert copies == []
+
+
 def test_no_module_imports_scipy_at_module_level():
     # scipy's LAPACK is loaded where the first factor is built
     # (linalg._lapack), so a process that builds none, such as a sweep's

@@ -41,11 +41,11 @@ def _gaussian_instance(m, n, s, seed):
 
 
 def test_problem_instance_validation():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="b has length 3, expected 2"):
         ProblemInstance(np.ones((2, 3)), np.ones(3))
     with pytest.raises(InvalidParameterError):
         ProblemInstance(np.ones((2, 3)), np.ones(2), tau=-1.0)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="ground_truth has length 2, expected 3"):
         ProblemInstance(np.ones((2, 3)), np.ones(2), ground_truth=np.ones(2))
 
 
@@ -207,7 +207,7 @@ def test_admm_subproblem_takes_the_warm_state_by_keyword_only():
 def test_admm_subproblem_rejects_xi_of_another_length(length):
     # a length-1 xi would broadcast into every entry of the right-hand side
     prob, _ = _gaussian_instance(16, 40, 3, 2)
-    with pytest.raises(InvalidParameterError, match=f"40 columns but xi has length {length}"):
+    with pytest.raises(InvalidParameterError, match=f"xi has length {length}, expected 40"):
         admm_subproblem(prob, np.full(length, 0.3), SolverOptions())
 
 
