@@ -41,7 +41,6 @@ from .penalties import (
     dc_concave_gradient,
     firm_threshold,
     penalty_value,
-    prox_springback,
     soft_threshold,
     springback_threshold,
 )

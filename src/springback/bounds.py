@@ -82,6 +82,14 @@ def _roots(prof: RipProfile) -> tuple[float, float, float, float]:
     )
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, with an overflow read as inf where Python raises."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def rip_condition(prof: RipProfile) -> bool:
     """Whether delta_3s < 3 (1 - delta_4s) - 1, the springback/l1 condition."""
     return prof.delta3s < 3.0 * (1.0 - prof.delta4s) - 1.0
@@ -169,7 +177,7 @@ def exact_condition(kind: PenaltyKind, prof: RipProfile, params: ThresholdParams
     d3, d4 = prof.delta3s, prof.delta4s
     if kind is PenaltyKind.LP:
         p = params.p
-        return d3 < 3.0 ** ((2.0 - p) / p) * (1.0 - d4) - 1.0
+        return d3 < _power(3.0, (2.0 - p) / p) * (1.0 - d4) - 1.0
     if kind is PenaltyKind.TL1:
         b = params.beta
         return d3 < (b / (b + 1.0)) ** 2 * 3.0 * (1.0 - d4) - 1.0
@@ -200,7 +208,7 @@ def noise_threshold(
     elif kind is PenaltyKind.LP:
         p = params.p
         num = ssum * ((1.0 - d4) ** (p / 2.0) - (1.0 + d3) ** (p / 2.0) * 3.0 ** (p / 2.0 - 1.0)) ** (2.0 / p)
-        den = alpha * rsum * (1.0 + 1.0 / ((2.0 / p - 1.0) * 3.0 ** (2.0 / p - 1.0)))
+        den = alpha * rsum * (1.0 + 1.0 / ((2.0 / p - 1.0) * _power(3.0, 2.0 / p - 1.0)))
     elif kind is PenaltyKind.TL1:
         b = params.beta
         core = (b / (b + 1.0)) * math.sqrt(3.0) * r4 - r3
@@ -229,7 +237,10 @@ def constant_c(prof: RipProfile, alpha: float, tau: float, c1s: float) -> float:
     check_positive("c1s", c1s)
     r4, r3, _, _ = _roots(prof)
     core = (r4 + r3) / (4.0 * (math.sqrt(3.0) + 1.0))
-    return alpha**2 * c1s**4 * tau**2 * core**2
+    value = _power(alpha, 2) * _power(c1s, 4) * _power(tau, 2) * core**2
+    if not math.isfinite(value):
+        raise NumericError(f"constant C overflows to {value} at alpha = {alpha:g}, c1s = {c1s:g}")
+    return value
 
 
 def convergence_alpha_bound(A, b, tau: float) -> float:

@@ -118,14 +118,13 @@ def _reject_unread_flags(args, parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_threshold(args) -> int:
-    for w in args.w:
-        if args.kind == "soft":
-            v = soft_threshold(w, args.lam)
-        elif args.kind == "firm":
-            v = firm_threshold(w, args.lam, args.mu)
-        else:
-            v = springback_threshold(w, args.lam, args.alpha)
-        print(format(v, ".6g"))
+    if args.kind == "soft":
+        out = soft_threshold(args.w, args.lam)
+    elif args.kind == "firm":
+        out = firm_threshold(args.w, args.lam, args.mu)
+    else:
+        out = springback_threshold(args.w, args.lam, args.alpha)
+    print("\n".join(format(v, ".6g") for v in out))
     return 0
 
 

@@ -3,8 +3,8 @@
 The catalog covers the convex l1 penalty, the nonconvex lp / transformed-l1 /
 MCP / l1-minus-l2 penalties, and the weakly convex springback penalty
 ``||x||_1 - (alpha/2) ||x||_2^2``.  The thresholding operators (soft, firm,
-springback, and the springback prox) realize the corresponding proximal
-mappings in closed form, all through the one kernel ``soft_shrink``;
+and springback, the springback prox) realize those proximal mappings in closed
+form, elementwise, all through the one kernel ``soft_shrink``;
 ``dc_concave_gradient`` supplies the linearization used by
 difference-of-convex solvers.
 """
@@ -12,7 +12,6 @@ difference-of-convex solvers.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "soft_shrink",
     "firm_threshold",
     "springback_threshold",
-    "prox_springback",
     "dc_concave_gradient",
 ]
 
@@ -105,43 +103,35 @@ def _springback_scale(lam: float, alpha: float) -> float:
     return scale
 
 
-def _threshold(w: float, lam: float, scale: float = 1.0) -> float:
-    """soft_shrink(w, lam) / scale for one finite scalar w, taken as a numpy
-    scalar: a one-entry array costs several times more per call."""
-    w = np.float64(w)
-    if not math.isfinite(w):
+def _finite(w) -> np.ndarray:
+    """w as a float array (0-d for a scalar), every entry checked finite."""
+    w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
         raise InvalidParameterError("thresholding operators require finite input")
-    return float(soft_shrink(w, lam) / scale)
+    return w
 
 
-def soft_threshold(w: float, lam: float) -> float:
-    """sgn(w) * max(|w| - lam, 0)."""
+def soft_threshold(w, lam: float):
+    """sgn(w) * max(|w| - lam, 0), elementwise."""
     check_positive("lam", lam)
-    return _threshold(w, lam)
+    return soft_shrink(_finite(w), lam)
 
 
-def springback_threshold(w: float, lam: float, alpha: float) -> float:
-    """Springback shrinkage: zero below lam, amplified soft threshold above."""
-    return _threshold(w, lam, _springback_scale(lam, alpha))
+def springback_threshold(w, lam: float, alpha: float):
+    """The springback prox, elementwise: zero below lam, amplified soft
+    threshold above.  Whenever 1 - lam*alpha > 0 it is the exact minimizer
+    of the then strongly convex lam * R_spb(y) + 0.5 ||y - w||^2."""
+    scale = _springback_scale(lam, alpha)
+    return soft_shrink(_finite(w), lam) / scale
 
 
-def firm_threshold(w: float, lam: float, mu: float) -> float:
-    """Three-branch firm thresholding: zero, linear ramp, identity.  Below mu
-    it is springback thresholding with alpha = 1/mu, computed as such."""
+def firm_threshold(w, lam: float, mu: float):
+    """Three-branch firm thresholding, elementwise: zero, linear ramp,
+    identity.  Below mu it is springback thresholding with alpha = 1/mu,
+    computed as such."""
     if not (0 < lam < mu):
         raise InvalidParameterError("firm thresholding requires 0 < lam < mu")
-    if mu <= abs(w) < math.inf:  # _threshold rejects an infinite or NaN w
-        return float(w)
-    return _threshold(w, lam, _springback_scale(lam, 1.0 / mu))
-
-
-def prox_springback(x, lam: float, alpha: float) -> np.ndarray:
-    """Elementwise proximal mapping of the springback penalty.
-
-    Equals the exact minimizer of lam * R_spb(y) + 0.5 ||y - x||^2 whenever
-    1 - lam*alpha > 0, which makes that objective strongly convex.
-    """
-    return soft_shrink(as_vector(x), lam) / _springback_scale(lam, alpha)
+    return np.where(np.abs(w) >= mu, w, springback_threshold(w, lam, 1.0 / mu))[()]
 
 
 def dc_concave_gradient(kind: PenaltyKind, x, params: ThresholdParams) -> np.ndarray:

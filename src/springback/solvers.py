@@ -486,15 +486,15 @@ def dca_springback(prob: ProblemInstance, opts: SolverOptions) -> SolverReport:
     NUMERIC_FAILURE.
     """
     A, b, tau = prob.A, prob.b, prob.tau
-    alpha = opts.alpha
-    params = ThresholdParams(alpha=alpha)
+    params = ThresholdParams(alpha=opts.alpha)
     state = fresh_admm_state(prob)
     trace: list[float] = []
     infeasible = None  # judged at the first outer step
 
     def step(x):
         nonlocal infeasible
-        x_new = admm_subproblem(prob, alpha * x, opts, warm=state)
+        xi = dc_concave_gradient(PenaltyKind.SPRINGBACK, x, params)
+        x_new = admm_subproblem(prob, xi, opts, warm=state)
         if infeasible is None:
             infeasible = float(np.linalg.norm(A @ x_new - b)) > tau + FEAS_TOL_START
         trace.append(penalty_value(PenaltyKind.SPRINGBACK, x_new, params))

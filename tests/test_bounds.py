@@ -295,6 +295,8 @@ _OVERFLOWING_BOUNDS = {
     "threshold-l1": lambda: noise_threshold(PenaltyKind.L1, TOY_PROFILE, 1e-320, ThresholdParams()),
     "threshold-tl1": lambda: noise_threshold(PenaltyKind.TL1, TOY_PROFILE, 1e-320, ThresholdParams()),
     "toy-table": lambda: toy_noise_thresholds(alpha=1e-320),
+    "constant-c-alpha": lambda: constant_c(TOY_PROFILE, 1e200, 1.0, 1.0),
+    "constant-c-c1s": lambda: constant_c(TOY_PROFILE, 1.0, 1.0, 1e100),
 }
 
 
@@ -302,6 +304,18 @@ _OVERFLOWING_BOUNDS = {
 def test_overflowing_bounds_raise(call):
     with pytest.raises(NumericError, match="overflows|underflows"):
         _OVERFLOWING_BOUNDS[call]()
+
+
+@pytest.mark.parametrize("p", [3e-3, 1e-3, 1e-6, 1e-300])
+def test_lp_formulas_read_an_overflowing_power_as_inf(p):
+    # 3 ** (2/p - 1) overflows below p of about 0.0031: the lp noise threshold
+    # heads to its limit 0 (reached by p = 1e-3), and the lp condition's
+    # right side exceeds any delta_3s < 1
+    params = ThresholdParams(p=p)
+    value = noise_threshold(PenaltyKind.LP, TOY_PROFILE, 1.0, params)
+    assert value == 0.0 if p <= 1e-3 else 0.0 < value < 1e-100
+    assert exact_condition(PenaltyKind.LP, TOY_PROFILE, params) is True
+    assert exact_condition(PenaltyKind.LP, RipProfile(s=20, delta3s=0.99, delta4s=0.99), params) is True
 
 
 def test_l1_minus_l2_condition_is_stricter_than_l1s():

@@ -14,7 +14,6 @@ from springback.penalties import (
     dc_concave_gradient,
     firm_threshold,
     penalty_value,
-    prox_springback,
     soft_shrink,
     soft_threshold,
     springback_threshold,
@@ -113,10 +112,10 @@ _NON_FINITE_PARAMETER_CALLS = {
     "firm-lam": lambda: firm_threshold(0.5, np.nan, 0.75),
     "firm-mu": lambda: firm_threshold(0.5, 0.25, np.nan),
     "firm-mu-inf": lambda: firm_threshold(0.5, 0.25, np.inf),
-    "prox-lam": lambda: prox_springback(np.ones(3), np.nan, 0.5),
-    "prox-alpha": lambda: prox_springback(np.ones(3), 0.25, np.nan),
-    "prox-lam-inf": lambda: prox_springback(np.ones(3), np.inf, 0.5),
-    "prox-alpha-inf": lambda: prox_springback(np.ones(3), 0.25, np.inf),
+    "prox-lam": lambda: springback_threshold(np.ones(3), np.nan, 0.5),
+    "prox-alpha": lambda: springback_threshold(np.ones(3), 0.25, np.nan),
+    "prox-lam-inf": lambda: springback_threshold(np.ones(3), np.inf, 0.5),
+    "prox-alpha-inf": lambda: springback_threshold(np.ones(3), 0.25, np.inf),
 }
 
 
@@ -153,14 +152,12 @@ def test_firm_springback_coincidence_inside_mu():
     assert springback_threshold(2.0, 0.25, 1.0 / 0.75) != firm_threshold(2.0, 0.25, 0.75)
 
 
-def test_prox_springback_matches_scalar_operator():
+def test_prox_springback_on_an_array():
     x = np.array([0.5, -0.5, 0.1, 3.0])
     lam, alpha = 0.25, 4.0 / 3.0
-    out = prox_springback(x, lam, alpha)
+    out = springback_threshold(x, lam, alpha)
     np.testing.assert_allclose(out[:2], [0.375, -0.375], atol=1e-6)
-    expected = [springback_threshold(w, lam, alpha) for w in x]
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-    np.testing.assert_array_equal(prox_springback(np.zeros(3), lam, alpha), np.zeros(3))
+    np.testing.assert_array_equal(springback_threshold(np.zeros(3), lam, alpha), np.zeros(3))
 
 
 def test_prox_springback_beats_grid_candidates():
@@ -176,8 +173,50 @@ def test_prox_springback_beats_grid_candidates():
         def obj(y):
             return lam * (np.abs(y) - 0.5 * alpha * y * y) + 0.5 * (y - w) ** 2
 
-        star = prox_springback(np.array([w]), lam, alpha)[0]
+        star = springback_threshold(np.array([w]), lam, alpha)[0]
         assert obj(star) <= obj(grid).min() + 1e-7
+
+
+# each operator at (w, lam, mu); springback takes alpha = 1/mu, firm's ramp
+_OPERATORS = {
+    "soft": lambda w, lam, mu: soft_threshold(w, lam),
+    "springback": lambda w, lam, mu: springback_threshold(w, lam, 1.0 / mu),
+    "firm": lambda w, lam, mu: firm_threshold(w, lam, mu),
+}
+
+
+@pytest.mark.parametrize("name", list(_OPERATORS))
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    lam=st.floats(1e-3, 10.0),
+    ratio=st.floats(1.01, 10.0),
+    shape=st.sampled_from([(1,), (7,), (3, 4), (1, 5)]),
+    data=st.data(),
+)
+def test_thresholding_operators_work_elementwise(name, lam, ratio, shape, data):
+    # an array gives the bytes of the operator applied entry by entry, with
+    # entries in the dead zone, on the ramp, beyond mu and on each edge
+    op, mu = _OPERATORS[name], lam * ratio
+    sign = st.sampled_from([1.0, -1.0])
+    entry = st.one_of(
+        st.floats(-lam, lam),
+        st.builds(lambda s, v: s * v, sign, st.floats(lam, mu)),
+        st.builds(lambda s, v: s * v, sign, st.floats(mu, 1e6)),
+        st.sampled_from([lam, -lam, mu, -mu, 0.0, -0.0]),
+    )
+    size = int(np.prod(shape))
+    w = np.array(data.draw(st.lists(entry, min_size=size, max_size=size))).reshape(shape)
+    out = op(w, lam, mu)
+    scalars = [op(v, lam, mu) for v in w.ravel().tolist()]
+    assert all(type(v) is np.float64 for v in scalars)
+    assert out.dtype == np.float64 and out.shape == shape
+    assert out.tobytes() == np.array(scalars).reshape(shape).tobytes()
+    # one non-finite entry anywhere refuses the whole input
+    w[np.unravel_index(data.draw(st.integers(0, size - 1)), shape)] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf])
+    )
+    with pytest.raises(InvalidParameterError, match="thresholding operators require finite input"):
+        op(w, lam, mu)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -78,6 +78,13 @@ def test_report_diff_finds_no_difference_between_a_tree_and_its_copy(tmp_path):
         "solve options", "bench options", "report options",
     ], run.stdout
     assert all(here == there != "0" and change == "+0" for _, here, there, change in settable), settable
+    # public names: per module, then the package's re-exports
+    public = re.findall(r"^  (\w+ names|package re-exports) +(\d+) +(\d+) +([+-]\d+)$", run.stdout, re.M)
+    assert [name for name, *_ in public] == [
+        "bench names", "bounds names", "cli names", "errors names", "linalg names",
+        "penalties names", "sensing names", "solvers names", "package re-exports",
+    ], run.stdout
+    assert all(here == there != "0" and change == "+0" for _, here, there, change in public), public
 
 
 def test_report_diff_closes_each_trees_lanes():

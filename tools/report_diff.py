@@ -28,7 +28,10 @@ Then it prints each tree's line count of ``src/springback/*.py``, module by
 module and in total, the net ``src/`` lines a change reports.  Last it
 prints each tree's settable values: the field count of each settings class
 in ``SETTINGS`` and the option count of each ``springback`` subcommand that
-``cli._build_parser()`` builds, --help excluded.
+``cli._build_parser()`` builds, --help excluded, and then each tree's
+public-name count: per module the length of its ``__all__`` (for a module
+without one, its public names but the modules it imports), and the names
+the package re-exports.
 
 Run from the repository root, with the other tree made by, for example,
 ``git archive HEAD | tar -x -C ../parent``:
@@ -45,7 +48,9 @@ import argparse
 import dataclasses
 import enum
 import importlib
+import inspect
 import os
+import pkgutil
 import sys
 import time
 from pathlib import Path
@@ -148,6 +153,30 @@ def settable_values(tree: str) -> dict[str, int]:
     return counts
 
 
+def public_names(tree: str) -> dict[str, int]:
+    """The public-name count of each ``springback`` module and of the
+    package's re-exports, in one tree."""
+    _import_bench(tree)  # the tree's package, whose submodules load from its src
+    package = importlib.import_module("springback")
+
+    def names(mod):
+        return [n for n, v in vars(mod).items() if not n.startswith("_") and not inspect.ismodule(v)]
+
+    counts = {}
+    for info in pkgutil.iter_modules(package.__path__):
+        mod = importlib.import_module(f"springback.{info.name}")
+        counts[f"{info.name} names"] = len(getattr(mod, "__all__", names(mod)))
+    counts["package re-exports"] = len(names(package))
+    return counts
+
+
+def _print_counts(title: str, here: dict[str, int], there: dict[str, int]) -> None:
+    print(f"{title}: here, the other tree, change")
+    for name in dict.fromkeys([*here, *there]):
+        a, b = here.get(name, 0), there.get(name, 0)
+        print(f"  {name:<22} {a:5d} {b:5d} {a - b:+6d}")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_tree", help="root of the checkout to compare against")
@@ -198,11 +227,8 @@ def main(argv: list[str]) -> int:
     for name in sorted(set(here) | set(there)) + ["total"]:
         a, b = (sum(v.values()) if name == "total" else v.get(name, 0) for v in (here, there))
         print(f"  {name:<14} {a:5d} {b:5d} {a - b:+6d}")
-    here, there = settable_values(ROOT), settable_values(args.other_tree)
-    print("settable values: here, the other tree, change")
-    for name in dict.fromkeys([*here, *there]):
-        a, b = here.get(name, 0), there.get(name, 0)
-        print(f"  {name:<22} {a:5d} {b:5d} {a - b:+6d}")
+    _print_counts("settable values", settable_values(ROOT), settable_values(args.other_tree))
+    _print_counts("public names", public_names(ROOT), public_names(args.other_tree))
     return 1 if diffs or differing else 0
 
 
