@@ -237,9 +237,9 @@ def constant_c(prof: RipProfile, alpha: float, tau: float, c1s: float) -> float:
     check_positive("c1s", c1s)
     r4, r3, _, _ = _roots(prof)
     core = (r4 + r3) / (4.0 * (math.sqrt(3.0) + 1.0))
-    value = _power(alpha, 2) * _power(c1s, 4) * _power(tau, 2) * core**2
+    value = _power(alpha * tau * c1s * c1s * core, 2)  # exactly 0 at tau = 0
     if not math.isfinite(value):
-        raise NumericError(f"constant C overflows to {value} at alpha = {alpha:g}, c1s = {c1s:g}")
+        raise NumericError(f"constant C overflows at alpha = {alpha:g}, tau = {tau:g}, c1s = {c1s:g}")
     return value
 
 

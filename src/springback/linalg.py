@@ -76,7 +76,7 @@ class SpdFactor:
     sides, which is what the solvers need: the same normal matrix is solved
     against at every inner iteration.  ``chol`` is LAPACK's lower factor,
     from the very ``potrf`` call of ``scipy.linalg.cho_factor(M,
-    lower=True)``; the ``potrs`` binding is kept on the factor.
+    lower=True)``; ``solve`` is the one caller of its ``potrs``.
     """
 
     def __init__(self, M):
@@ -90,9 +90,11 @@ class SpdFactor:
         self.shape = M.shape
 
     def solve(self, r) -> np.ndarray:
-        r = as_vector(r)
+        """M^-1 r for a finite vector r, or for each column of a finite 2-D r
+        at once, C-contiguous (``potrs`` returns Fortran order)."""
+        r = as_matrix(r) if np.ndim(r) > 1 else as_vector(r)
         check_length("right-hand side", r, self.shape[0])
-        return self._potrs(self.chol, r, lower=1)[0]
+        return np.ascontiguousarray(self._potrs(self.chol, r, lower=1)[0])
 
 
 class GramRidgeSolver:
@@ -104,17 +106,21 @@ class GramRidgeSolver:
         (zeta I + A^T A)^-1 r = (r - A^T (zeta I + A A^T)^-1 A r) / zeta
 
     which is both faster and better conditioned than factoring the n x n
-    normal matrix when n is large.  A is validated once, here; ``solve`` and
-    ``offset_solve`` take their vectors unchecked (finite, of the lengths
-    they name).  The inner ADMM loops read ``zeta``: the lasso's splitting
-    penalty, and the factor of A x in springback's at tau = 0.
+    normal matrix when n is large.  A is validated once, here; ``solve``
+    raises NumericError for an r (or wide A r) that overflowed, and
+    ``offset_solve`` takes its vectors unchecked.  The inner ADMM loops read
+    ``zeta``: the lasso's splitting penalty, and the factor of A x in
+    springback's at tau = 0.
 
     Two operators give the x-update of every inner ADMM loop through
     ``offset_solve``: the m x n ``H`` = (A A^T + zeta I)^-1 A, with
     zeta (A^T A + zeta I)^-1 v = v - A^T H v, and the m x (n + m) ``F`` =
     [H, -M], M = (A A^T + zeta I)^-1, with (A^T A + zeta I)^-1 (A^T w +
-    zeta v) = v - A^T F [v; w].  H is a copy, not a view of F: ndarray.dot
-    copies a strided operand on every call, at 2-4 times the cost.
+    zeta v) = v - A^T F [v; w]: for a wide A one factor solve against
+    [A, -I], for a tall one H^T from one against A^T and M = (I - H A^T) /
+    zeta.  Both are C-contiguous copies, as their layout sets the bits of
+    every product with them; ndarray.dot copies a strided operand, such as
+    a view of F, on every call, at 2-4 times the cost.
     """
 
     def __init__(self, A, zeta: float):
@@ -129,39 +135,33 @@ class GramRidgeSolver:
         G[np.diag_indices_from(G)] += zeta
         if not np.isfinite(G).all():
             raise NumericError("Gram matrix overflowed: the entries of A are too large")
-        factor = SpdFactor(G)
-        self._chol, self._potrs = factor.chol, factor._potrs
-        # A wide A solves its m x m factor against each column of [A, -I];
-        # a tall one has H = A (A^T A + zeta I)^-1 from its n x n factor, a
-        # row of A at a time, and M = (I - H A^T) / zeta.  On a wide A the
-        # vector potrs calls make no multi-threaded BLAS-3 call, as one potrs
-        # with a matrix right-hand side would.
+        self._factor = SpdFactor(G)
         if self._wide:
-            cols = np.vstack([self._At, -np.eye(m)])
-            self.F = np.array([self._potrs(self._chol, c, lower=1)[0] for c in cols]).T.copy()
+            self.F = self._factor.solve(np.hstack([A, -np.eye(m)]))
             self.H = self.F[:, :n].copy()
         else:
-            self.H = np.array([self._potrs(self._chol, a, lower=1)[0] for a in A])
-            M = np.eye(m) - self.H @ self._At
-            M /= zeta
+            self.H = np.ascontiguousarray(self._factor.solve(self._At).T)
+            M = (np.eye(m) - self.H @ self._At) / zeta
             self.F = np.hstack([self.H, -M])
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """(A^T A + zeta I)^-1 r."""
+        s = self._A.dot(r) if self._wide else r
+        if not np.isfinite(s).all():
+            raise NumericError("ridge right-hand side is not finite")
+        x = self._factor.solve(s)
         if self._wide:
-            # potrs overwrites the temporary A r with its solution
-            x = self._At.dot(self._potrs(self._chol, self._A.dot(r), 1, 1)[0])
+            x = self._At.dot(x)
             np.subtract(r, x, x)
             x /= self.zeta
-            return x
-        return self._potrs(self._chol, r, lower=1)[0]
+        return x
 
     def offset_solve(self, op: np.ndarray, c: np.ndarray, out: np.ndarray, rows) -> np.ndarray:
         """``out`` = c - ``out`` after, for each (d, q, t) in ``rows``,
         q = op d and t = A^T q: the x-update of every inner ADMM loop, with
         ``op`` the solver's H (d of length n) or F (d = [v; w] of length
-        n + m).  Unchecked like ``solve``; the views in ``rows``, made once
-        by the caller, are the loop's own float arrays, other than c and d.
+        n + m).  Unchecked; the views in ``rows``, made once by the caller,
+        are the loop's own float arrays, other than c and d.
 
         A lone vector is a ``rows`` of one whose t is ``out`` itself.  On a
         stack of lasso rows c and ``out`` are 2-D with one problem per row,

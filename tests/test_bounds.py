@@ -187,6 +187,12 @@ def test_constant_c():
     assert constant_c(TOY_PROFILE, 2.0, 1.0, 1.0) == pytest.approx(
         4 * constant_c(TOY_PROFILE, 1.0, 1.0, 1.0)
     )
+    # C = (alpha tau c1s^2 core)^2: exactly 0 at tau = 0 whatever alpha, and
+    # an alpha^2 that underflows never meets a tau^2 that overflows
+    assert constant_c(TOY_PROFILE, 1e200, 0.0, 1.0) == 0.0
+    assert constant_c(TOY_PROFILE, 1e-200, 1e200, 1.0) == pytest.approx(
+        constant_c(TOY_PROFILE, 1.0, 1.0, 1.0), rel=1e-15
+    )
 
 
 def test_convergence_alpha_bound():
@@ -297,6 +303,7 @@ _OVERFLOWING_BOUNDS = {
     "toy-table": lambda: toy_noise_thresholds(alpha=1e-320),
     "constant-c-alpha": lambda: constant_c(TOY_PROFILE, 1e200, 1.0, 1.0),
     "constant-c-c1s": lambda: constant_c(TOY_PROFILE, 1.0, 1.0, 1e100),
+    "constant-c-tau": lambda: constant_c(TOY_PROFILE, 1.0, 1e200, 1.0),
 }
 
 

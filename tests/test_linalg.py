@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra kernels."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,35 @@ def test_spd_factor_reusable_and_validates():
         f.solve(np.zeros(3))
     with pytest.raises(InvalidParameterError, match="square"):
         SpdFactor(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("order", [4, 50, 64])
+def test_spd_solve_of_a_matrix_is_its_column_solves(order):
+    # one potrs call for a matrix of right-hand sides, C-contiguous, each
+    # column bit for bit its vector solve, whatever the input's layout
+    M, _ = _spd_and_rhs(order)
+    f = SpdFactor(M)
+    R = np.random.default_rng(order).standard_normal((order, 2 * order + 1))
+    columns = np.array([f.solve(r) for r in R.T]).T
+    for rhs in (R, np.asfortranarray(R), R.tolist(), R[:, :1]):
+        X = f.solve(rhs)
+        assert X.flags.c_contiguous
+        assert _same_bytes(X, np.ascontiguousarray(columns[:, : np.shape(rhs)[1]]))
+
+
+def test_spd_solve_validates_a_matrix():
+    f = SpdFactor(np.eye(4) * 2.0)
+    with pytest.raises(InvalidParameterError, match="right-hand side has length 3, expected 4"):
+        f.solve(np.zeros((3, 2)))
+    for bad in (np.nan, np.inf):
+        R = np.zeros((4, 2))
+        R[1, 1] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            f.solve(R)
+    with pytest.raises(InvalidParameterError, match="ndim=3"):
+        f.solve(np.zeros((4, 2, 1)))
+    with pytest.raises(InvalidParameterError, match="ndim=0"):
+        f.solve(1.0)
 
 
 @pytest.mark.parametrize("M", [np.diag([1.0, -1.0]), np.zeros((3, 3)), np.ones((4, 4))])
@@ -144,6 +174,54 @@ def test_gram_ridge_solver_matches_dense(shape):
     # operand on every call: H stays a contiguous copy of F's first n columns
     assert solver.H.flags.c_contiguous and solver.F.flags.c_contiguous
     assert np.array_equal(solver.H, solver.F[:, : shape[1]])
+
+
+# GramRidgeSolver builds F (wide A) or H (tall and square A) with one
+# matrix solve, which a multi-threaded BLAS may round otherwise than one
+# vector potrs per column does.  A fresh interpreter at one BLAS thread and
+# one at the machine's default compare both, byte for byte, with that
+# per-column build.
+_PER_COLUMN_BUILD = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from springback import linalg
+potrf, potrs = linalg._lapack()
+zeta = 1e-5
+for shape in ((50, 160), (64, 160), (100, 1500), (64, 64), (128, 64), (300, 100)):
+    (m, n), A = shape, np.random.default_rng(shape).standard_normal(shape)
+    solver = linalg.GramRidgeSolver(A, zeta)
+    G = A @ A.T if m < n else A.T @ A
+    G[np.diag_indices_from(G)] += zeta
+    chol = potrf(G, lower=1, clean=0)[0]
+    if m < n:
+        cols = np.vstack([A.T, -np.eye(m)])
+        F = np.array([potrs(chol, c, lower=1)[0] for c in cols]).T.copy()
+        H = F[:, :n].copy()
+    else:
+        H = np.array([potrs(chol, a, lower=1)[0] for a in A])
+        M = np.eye(m) - H @ A.T
+        M /= zeta
+        F = np.hstack([H, -M])
+    print(shape[0], shape[1], solver.F.tobytes() == F.tobytes(), solver.H.tobytes() == H.tobytes(),
+          solver.F.flags.c_contiguous and solver.H.flags.c_contiguous)
+"""
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("threads", ["1", "default"])
+def test_gram_ridge_operators_are_the_per_column_build(threads):
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    if threads != "default":
+        env["OPENBLAS_NUM_THREADS"] = threads
+    src = str(Path(springback.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _PER_COLUMN_BUILD, src],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 6 and all(line.endswith(" True True True") for line in lines), lines
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -710,7 +710,7 @@ def test_lasso_admm_matches_reference_loop_to_rounding(shape, linear):
 
 
 def _ref_operator_lasso_admm(A, b, lam, linear, st, eps, max_iter):
-    chol, At, H, zeta = st.solver._chol, A.T, st.solver.H, st.solver.zeta
+    chol, At, H, zeta = st.solver._factor.chol, A.T, st.solver.H, st.solver.zeta
     r = A.T @ b if linear is None else A.T @ b + linear
     if A.shape[0] < A.shape[1]:
         x_c = r - At.dot(scipy.linalg.lapack.dpotrs(chol, A.dot(r), lower=1)[0])
@@ -1339,6 +1339,24 @@ def test_finite_x_update_with_overflowing_a_x_is_a_numeric_failure():
     rep = dca_springback(prob, SolverOptions())
     assert rep.status is SolverStatus.NUMERIC_FAILURE
     assert rep.inner_iterations_total == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(4, 8), (8, 4)])
+def test_overflowing_ridge_right_hand_side_is_a_numeric_failure(shape):
+    # A^T b overflows although A, b and the Gram matrix are finite: the
+    # lasso solvers' constant x-update part x_c, from GramRidgeSolver.solve,
+    # is a numeric failure at the cold start, never a refused argument
+    A = 1e100 * np.random.default_rng(0).standard_normal(shape)
+    prob = ProblemInstance(A, np.full(shape[0], 1e300))
+    reports = _all_solvers(prob, SolverOptions())
+    kinds = (PenaltyKind.TL1, PenaltyKind.L1_MINUS_2, PenaltyKind.MCP)
+    for name in ("admm_l1", *(kind.value for kind in kinds)):
+        rep = reports[name]
+        assert rep.status is SolverStatus.NUMERIC_FAILURE, name
+        assert rep.inner_iterations_total == 0 and not rep.x_star.any(), name
+    with pytest.raises(NumericError, match="ridge right-hand side is not finite"):
+        prob.gram_solver.solve(A.T @ prob.b)
 
 
 def test_lasso_solvers_share_one_factor_per_instance(monkeypatch):

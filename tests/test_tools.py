@@ -66,10 +66,21 @@ def test_report_diff_finds_no_difference_between_a_tree_and_its_copy(tmp_path):
     differ = [line for line in run.stdout.splitlines() if line.endswith(" differ")]
     assert differ
     assert all(re.fullmatch(r"(\w+: )?0 of \d+ \w+ differ", line) for line in differ), differ
-    # per solver: outer steps, inner iterations here | the same in the copy
-    work = re.findall(r"^  fig8 +\w+ +(\d+) +(\d+) \| +(\d+) +(\d+)$", run.stdout, re.M)
-    assert work, run.stdout
-    assert all(line[:2] == line[2:] for line in work), work
+    # per solver: outer steps, inner iterations, inner-loop products here |
+    # the same in the copy; fig8 has tau > 0, where springback's loop makes 4
+    # products per iteration and a lasso row 2, and irls_lp and aiht none
+    work = re.findall(
+        r"^  fig8 +(\w+) +(\d+) +(\d+) +(\d+|-) \| +(\d+) +(\d+) +(\d+|-)$", run.stdout, re.M
+    )
+    assert sorted(sid for sid, *_ in work) == [
+        "admm_l1", "aiht", "dca_l12", "dca_mcp", "dca_tl1", "irls_lp", "springback",
+    ], run.stdout
+    per_iteration = {"springback": 4, "irls_lp": None, "aiht": None}
+    for sid, *counts in work:
+        assert counts[:3] == counts[3:], work
+        k = per_iteration.get(sid, 2)
+        assert counts[2] == ("-" if k is None else str(k * int(counts[1]))), (sid, counts)
+        assert int(counts[1]) > 0, (sid, counts)
     # settable values: name, count here, count in the copy, change
     settable = re.findall(r"^  (\w+ (?:fields|options)) +(\d+) +(\d+) +([+-]\d+)$", run.stdout, re.M)
     assert [name for name, *_ in settable] == [

@@ -22,8 +22,15 @@ compares each of those presets' manifests, ``dump_config(preset_spec(name,
 trials=TRIALS))``, byte for byte.  A change that claims to restructure
 without touching any spec or result shows 0 differences here.  A preset that
 only one tree names is listed and not compared.
-It then prints, per preset and solver, the outer steps and inner iterations
-summed over the compared reports, for each tree: the work a change does.
+It then prints, per preset and solver, the outer steps, the inner iterations
+and the inner loops' matrix-vector products summed over the compared
+reports, for each tree: the work a change does.  Products are the inner
+iterations times the loop's products per iteration (``PRODUCTS``): 2 for
+springback at tau = 0 and 4 at tau > 0, tau read from each trial's
+instance, and 2 per row for admm_l1 and the DCA baselines; irls_lp and aiht,
+which run no inner ADMM loop, print "-".  Both trees are read with this
+tree's table, so a change to a loop's products per iteration shows in
+PRODUCTS' own diff, not in the other tree's column.
 Then it prints each tree's line count of ``src/springback/*.py``, module by
 module and in total, the net ``src/`` lines a change reports.  Last it
 prints each tree's settable values: the field count of each settings class
@@ -65,6 +72,13 @@ SETTINGS = (
     ("solvers", "SolverOptions"), ("penalties", "ThresholdParams"), ("bounds", "RipProfile"),
 )
 
+# matrix-vector products per inner iteration of each solver with an inner
+# ADMM loop, at tau = 0 and at tau > 0: springback's m-space loop makes F [v; w]
+# and A^T q, its l2-ball loop A^T w, H rhs, A^T q and A x, and a lasso row
+# H d and A^T q
+PRODUCTS = {sid: (2, 2) for sid in ("admm_l1", "dca_tl1", "dca_l12", "dca_mcp")}
+PRODUCTS["springback"] = (2, 4)
+
 
 def _bits(value):
     """A value's exact bits, in a form that compares across two imports."""
@@ -95,18 +109,20 @@ def _import_bench(tree: str):
     return bench
 
 
-def reports(tree: str, trials: int, presets: list[str]) -> tuple[dict, dict]:
+def reports(tree: str, trials: int, presets: list[str]) -> tuple[dict, dict, dict]:
     """(what, preset, sweep value, trial, solver) -> {field: bits} for one
     tree, where ``what`` is "report" for a solver's report and "record" for
-    its run_experiment record, and preset -> that tree's manifest text."""
+    its run_experiment record, preset -> that tree's manifest text, and
+    (preset, sweep value, trial) -> the instance's tau."""
     bench = _import_bench(tree)
-    out, manifests = {}, {}
+    out, manifests, taus = {}, {}, {}
     for preset in presets:
         spec = bench.preset_spec(preset, trials=trials)
         manifests[preset] = bench.dump_config(spec)
         for si, value in enumerate(spec.sweep_values):
             for ti in range(trials):
                 prob, opts, _ = bench.trial_setup(spec, si, ti)
+                taus[preset, float(value), ti] = prob.tau
                 for sid, (rep, _) in bench.solve_trial(bench.SOLVER_IDS, prob, opts).items():
                     out[("report", preset, float(value), ti, sid)] = {
                         f.name: _bits(getattr(rep, f.name)) for f in dataclasses.fields(rep)
@@ -119,16 +135,23 @@ def reports(tree: str, trials: int, presets: list[str]) -> tuple[dict, dict]:
     # the next tree's import drops this module, but its atexit hook would
     # keep these lanes running until the process ends
     bench._shared_lanes.close()
-    return out, manifests
+    return out, manifests, taus
 
 
-def work(found: dict) -> dict[tuple[str, str], tuple[int, int]]:
-    """(preset, solver) -> (outer steps, inner iterations) summed over the reports."""
-    sums: dict[tuple[str, str], tuple[int, int]] = {}
-    for (what, preset, _, _, sid), bits in found.items():
+def work(found: dict, taus: dict) -> dict[tuple[str, str], tuple[int, int, int | None]]:
+    """(preset, solver) -> (outer steps, inner iterations, inner-loop
+    matrix-vector products, None for a solver not in PRODUCTS) summed over
+    the reports."""
+    sums: dict[tuple[str, str], tuple[int, int, int | None]] = {}
+    for (what, preset, value, trial, sid), bits in found.items():
         if what == "report":
-            outer, inner = sums.get((preset, sid), (0, 0))
-            sums[preset, sid] = (outer + bits["outer_iterations"], inner + bits["inner_iterations_total"])
+            outer, inner, products = sums.get((preset, sid), (0, 0, 0))
+            steps, iterations = bits["outer_iterations"], bits["inner_iterations_total"]
+            if sid in PRODUCTS:
+                products += iterations * PRODUCTS[sid][taus[preset, value, trial] > 0]
+            else:
+                products = None
+            sums[preset, sid] = (outer + steps, inner + iterations, products)
     return sums
 
 
@@ -191,8 +214,8 @@ def main(argv: list[str]) -> int:
         for preset in named[tree]:
             if preset not in shared:
                 print(f"{preset}: named in {where} only, not compared")
-    mine, my_manifests = reports(ROOT, args.trials, shared)
-    theirs, their_manifests = reports(args.other_tree, args.trials, shared)
+    mine, my_manifests, my_taus = reports(ROOT, args.trials, shared)
+    theirs, their_manifests, their_taus = reports(args.other_tree, args.trials, shared)
     diffs: dict[tuple[str, str], list[str]] = {}
     counts: dict[tuple[str, str], int] = {}
     for key in sorted(set(mine) | set(theirs), key=str):
@@ -217,11 +240,15 @@ def main(argv: list[str]) -> int:
     print(f"{len(differing)} of {len(shared)} manifests differ")
     for preset in differing:
         print(f"  {preset}")
-    print("outer steps and inner iterations summed over the reports: here | the other tree")
-    here, there = work(mine), work(theirs)
+    print("outer steps, inner iterations and inner-loop matrix-vector products summed over the "
+          "reports: here | the other tree")
+    here, there = work(mine, my_taus), work(theirs, their_taus)
     for key in sorted(set(here) | set(there)):
-        (a_out, a_in), (b_out, b_in) = here.get(key, (0, 0)), there.get(key, (0, 0))
-        print(f"  {key[0]:<12} {key[1]:<11} {a_out:6d} {a_in:9d} | {b_out:6d} {b_in:9d}")
+        sides = [
+            "{:6d} {:9d} {:>10}".format(*w[:2], "-" if w[2] is None else w[2])
+            for w in (here.get(key, (0, 0, 0)), there.get(key, (0, 0, 0)))
+        ]
+        print(f"  {key[0]:<12} {key[1]:<11} {sides[0]} | {sides[1]}")
     here, there = src_lines(ROOT), src_lines(args.other_tree)
     print("src/springback lines: here, the other tree, change")
     for name in sorted(set(here) | set(there)) + ["total"]:
