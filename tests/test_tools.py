@@ -1,5 +1,6 @@
 """Tests for the measurement scripts under tools/."""
 
+import json
 import re
 import shutil
 import subprocess
@@ -112,10 +113,54 @@ def test_report_diff_closes_each_trees_lanes():
     assert run.returncode == 0, run.stderr
 
 
-def test_pool_check_finds_no_mismatch_for_admm_l1_on_fig8():
-    run = _run_tool("pool_check.py", "fig8", "--solvers", "admm_l1")
+def _pool_check_fig8(edit=""):
+    """pool_check.check on fig8 at a pool of 2 master seeds (14 units), after
+    the statements ``edit``, in its own interpreter so that perfbench's
+    ``run`` module stays out of this one."""
+    code = (
+        "import json, sys, tempfile\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import pool_check\n"
+        "pool_check.POOL_SIZE = 2\n"
+        "bench = pool_check.import_springback(pool_check.ROOT).bench\n"
+        + edit
+        + "with tempfile.TemporaryDirectory() as out:\n"
+        "    print(json.dumps(pool_check.check(bench, 'fig8', out)))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "tools")], capture_output=True, text=True, timeout=300
+    )
     assert run.returncode == 0, run.stderr
-    assert any(
-        line.startswith("admm_l1: 0 status, 0 stable, 0 summary mismatches;")
-        for line in run.stdout.splitlines()
-    ), run.stdout
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_pool_check_finds_no_failed_solve_on_fig8():
+    failed, moves = _pool_check_fig8()
+    assert failed == {"springback": [], "admm_l1": [], "dca_l12": []}
+    for solver, (move, unit) in moves.items():
+        at = unit is None if move == 0 else re.fullmatch(r"\d+/[01]", unit)
+        assert move < 0.01 and at, (solver, move, unit)
+
+
+def test_pool_check_fails_a_log10_error_move_beyond_the_tolerance():
+    # the check's tolerance is 0.1 decades; status, stable bit and summary
+    # row stay as captured
+    failed, moves = _pool_check_fig8(
+        "reference = pool_check.load_reference('fig8')\n"
+        "reference['10/0']['records']['admm_l1,10'][1] += 0.2\n"
+        "pool_check.load_reference = lambda preset: reference\n"
+    )
+    assert failed == {"springback": [], "admm_l1": ["admm_l1,10 (master seed 0)"], "dca_l12": []}
+    assert moves["admm_l1"] == [pytest.approx(0.2), "10/0"]
+
+
+def test_pool_check_fails_every_solver_of_a_unit_that_raises():
+    failed, _ = _pool_check_fig8(
+        "run_experiment = bench.run_experiment\n"
+        "def raising(spec):\n"
+        "    if spec.sweep_values == (15,) and spec.master_seed == 1:\n"
+        "        raise RuntimeError('raised on purpose')\n"
+        "    return run_experiment(spec)\n"
+        "bench.run_experiment = raising\n"
+    )
+    assert failed == {s: ["unit 1/1 raised"] for s in ("springback", "admm_l1", "dca_l12")}
